@@ -22,7 +22,7 @@ synchronous facade and the discrete-event deployment simulator.
 from __future__ import annotations
 
 import math
-
+import zlib
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -40,7 +40,7 @@ from repro.core.subscription import SubscriptionRegistry
 from repro.core.update import VersionClock
 from repro.diffengine.delta import DeltaError, apply_diff
 from repro.diffengine.differ import Diff, diff_lines
-from repro.diffengine.extractor import CoreContentExtractor
+from repro.diffengine.extractor import DEFAULT_EXTRACTOR
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.honeycomb.solver import HoneycombSolver, SolverWork
 from repro.overlay.nodeid import NodeId
@@ -49,8 +49,6 @@ from repro.overlay.routing import RoutingTable
 
 def _content_hash(lines: tuple[str, ...]) -> int:
     """Stable hash of core content (dedup key at primary owners)."""
-    import zlib
-
     return zlib.crc32("\n".join(lines).encode("utf-8"))
 
 
@@ -127,7 +125,7 @@ class CoronaNode:
         #: Latest accepted content hash per managed channel (§3.4 dedup).
         self.latest_hash: dict[str, int] = {}
         self.controller = LevelController()
-        self.extractor = CoreContentExtractor()
+        self.extractor = DEFAULT_EXTRACTOR
         #: False restores the eager optimization phase: every
         #: ``run_optimization`` call rebuilds and re-solves its
         #: instance even when nothing moved (the solve-memo

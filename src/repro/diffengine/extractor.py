@@ -22,7 +22,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.diffengine.tokenizer import Token, TokenKind, tokenize
+from repro.diffengine.tokenizer import (
+    TokenKind,
+    classify_tag,
+    parse_attrs,
+    scan,
+    tokenize,  # noqa: F401 -- wrap target of benchmarks/e2e/layers.py
+)
 
 #: Elements whose entire subtree is noise for update detection.
 _NOISE_ELEMENTS = frozenset(
@@ -31,22 +37,27 @@ _NOISE_ELEMENTS = frozenset(
 
 #: Feed-level bookkeeping tags: churn here is not a content update.
 _FEED_METADATA = frozenset(
-    {
-        "lastbuilddate",
-        "pubdate_channel",  # synthesized below for channel-level pubDate
-        "ttl",
-        "skiphours",
-        "skipdays",
-        "cloud",
-        "generator",
-        "docs",
-        "updated_feed",  # synthesized for feed-level atom <updated>
-    }
+    {"lastbuilddate", "ttl", "skiphours", "skipdays", "cloud", "generator",
+     "docs"}
 )
+#: Volatile at channel/feed level, real content inside an item/entry.
+_FEED_METADATA_OUTSIDE_ITEMS = frozenset(
+    {"pubdate", "updated", "lastmodified"}
+)
+_ITEM_ELEMENTS = frozenset({"item", "entry"})
 
 #: Attribute substrings marking advertisement containers.
 _AD_MARKERS = ("advert", "banner", "sponsor", "promo", "doubleclick", "adsense")
-_AD_EXACT = re.compile(r"(^|[-_\b])ads?([-_\b]|$)")
+#: ...and "ad"/"ads" as a whole -/_-separated part of one id/class word.
+_AD_EXACT = re.compile(r"(^|[-_])ads?([-_]|$)")
+
+#: Session noise that tag normalization drops.
+_VOLATILE_ATTRS = frozenset({"onclick", "style", "nonce"})
+
+#: Verdict drop rules.
+_KEEP, _DROP, _DROP_OUTSIDE_ITEMS = 0, 1, 2
+#: Distinct raw tags a verdict table holds before it is cleared.
+_VERDICT_CAP = 4096
 
 #: Free text that is nothing but a clock or a counter.
 _TIMESTAMP_TEXT = re.compile(
@@ -61,23 +72,38 @@ _TIMESTAMP_TEXT = re.compile(
 )
 
 
-def _looks_like_ad(token: Token) -> bool:
+def _looks_like_ad(attrs: tuple[tuple[str, str], ...]) -> bool:
     haystack = " ".join(
-        value for key, value in token.attrs if key in ("id", "class", "name")
+        value for key, value in attrs if key in ("id", "class", "name")
     ).lower()
-    if not haystack:
-        return False
     if any(marker in haystack for marker in _AD_MARKERS):
         return True
-    return bool(_AD_EXACT.search(haystack))
+    return any(_AD_EXACT.search(word) for word in haystack.split())
 
 
-@dataclass
+def _normalize_tag(
+    kind: TokenKind, name: str, attrs: tuple[tuple[str, str], ...]
+) -> str:
+    """Render a tag with sorted attributes, dropping session noise."""
+    rendered = " ".join(
+        f'{key}="{value}"'
+        for key, value in sorted(attrs)
+        if key not in _VOLATILE_ATTRS
+    )
+    closing = "/" if kind is TokenKind.SELFCLOSE else ""
+    if rendered:
+        return f"<{name} {rendered}{closing}>"
+    return f"<{name}{closing}>"
+
+
+@dataclass(frozen=True)
 class CoreContentExtractor:
     """Configurable volatile-element filter.
 
     The defaults implement the paper's examples (timestamps, counters,
     advertisements); deployments can extend the stop lists per feed.
+    Frozen, so the verdict table can never describe another
+    configuration than the one that filled it.
     """
 
     noise_elements: frozenset[str] = _NOISE_ELEMENTS
@@ -85,21 +111,42 @@ class CoreContentExtractor:
     strip_comments: bool = True
     strip_feed_metadata: bool = True
     strip_timestamp_text: bool = True
+    #: raw tag slice → (kind, name, drop rule, normalized line).  Feeds
+    #: repeat a few dozen distinct tag strings thousands of times; text
+    #: is never memoised, so the table stays that small.
+    _verdicts: dict[str, tuple[TokenKind, str, int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def _is_noise_element(self, name: str) -> bool:
-        return name in self.noise_elements or name in self.extra_noise_elements
-
-    def _is_feed_metadata(self, name: str, depth_in_item: int) -> bool:
-        if not self.strip_feed_metadata:
-            return False
-        if name in ("lastbuilddate", "ttl", "skiphours", "skipdays", "cloud",
-                    "generator", "docs"):
-            return True
-        # pubDate / updated are volatile at channel/feed level but are
-        # real content inside an item/entry.
-        if name in ("pubdate", "updated", "lastmodified") and depth_in_item == 0:
-            return True
-        return False
+    def _verdict(self, raw: str) -> tuple[TokenKind, str, int, str]:
+        """Classify one raw tag; everything here runs once per distinct
+        tag string, not once per occurrence."""
+        kind, name, attr_source = classify_tag(raw)
+        if kind is TokenKind.TEXT:
+            return kind, "", _KEEP, ""  # malformed: never cached
+        if kind is TokenKind.CLOSE:
+            drop, line = _KEEP, f"</{name}>"
+        else:
+            attrs = parse_attrs(attr_source)
+            line = _normalize_tag(kind, name, attrs)
+            if (
+                name in self.noise_elements
+                or name in self.extra_noise_elements
+                or _looks_like_ad(attrs)
+                or (self.strip_feed_metadata and name in _FEED_METADATA)
+            ):
+                drop = _DROP
+            elif (
+                self.strip_feed_metadata
+                and name in _FEED_METADATA_OUTSIDE_ITEMS
+            ):
+                drop = _DROP_OUTSIDE_ITEMS
+            else:
+                drop = _KEEP
+        if len(self._verdicts) >= _VERDICT_CAP:
+            self._verdicts.clear()
+        verdict = self._verdicts[raw] = (kind, name, drop, line)
+        return verdict
 
     # ------------------------------------------------------------------
     def core_lines(self, document: str) -> list[str]:
@@ -110,72 +157,59 @@ class CoreContentExtractor:
         the "17 lines of XML per update" granularity of the survey.
         """
         lines: list[str] = []
-        suppress_until: str | None = None  # inside a noise subtree
-        metadata_until: str | None = None  # inside a metadata element
+        append = lines.append
+        verdicts = self._verdicts
+        suppressed = ""  # name of the dropped element we are inside
+        nesting = 0  # same-name OPENs seen since, itself included
         item_depth = 0
-        for token in tokenize(document):
-            if suppress_until is not None:
-                if token.kind is TokenKind.CLOSE and token.name == suppress_until:
-                    suppress_until = None
+        for kind, raw in scan(document):
+            if kind is None:
+                kind, name, drop, line = (
+                    verdicts.get(raw) or self._verdict(raw)
+                )
+                if suppressed:
+                    if name == suppressed:
+                        if kind is TokenKind.OPEN:
+                            nesting += 1
+                        elif kind is TokenKind.CLOSE:
+                            nesting -= 1
+                            if not nesting:
+                                suppressed = ""
+                    continue
+                if kind is TokenKind.CLOSE:
+                    if item_depth and name in _ITEM_ELEMENTS:
+                        item_depth -= 1
+                    append(line)
+                    continue
+                if kind is not TokenKind.TEXT:
+                    if kind is TokenKind.OPEN and name in _ITEM_ELEMENTS:
+                        item_depth += 1
+                    if drop == _KEEP or (
+                        drop == _DROP_OUTSIDE_ITEMS and item_depth
+                    ):
+                        append(line)
+                    elif kind is TokenKind.OPEN:
+                        suppressed, nesting = name, 1
+                    continue
+                # A nameless "<...>" slice is text; fall through.
+            if suppressed or kind is TokenKind.DECLARATION:
                 continue
-            if metadata_until is not None:
-                if token.kind is TokenKind.CLOSE and token.name == metadata_until:
-                    metadata_until = None
-                continue
-            if token.kind is TokenKind.COMMENT:
+            text = raw.strip()
+            if kind is TokenKind.COMMENT:
                 if not self.strip_comments:
-                    lines.append(token.text.strip())
-                continue
-            if token.kind is TokenKind.DECLARATION:
-                continue
-            if token.kind is TokenKind.TEXT:
-                text = token.text.strip()
-                if not text:
-                    continue
-                if self.strip_timestamp_text and _TIMESTAMP_TEXT.match(text):
-                    continue
-                lines.append(text)
-                continue
-            # Tag tokens ------------------------------------------------
-            if token.name in ("item", "entry"):
-                if token.kind is TokenKind.OPEN:
-                    item_depth += 1
-                elif token.kind is TokenKind.CLOSE:
-                    item_depth = max(0, item_depth - 1)
-            if token.kind in (TokenKind.OPEN, TokenKind.SELFCLOSE):
-                if self._is_noise_element(token.name) or _looks_like_ad(token):
-                    if token.kind is TokenKind.OPEN:
-                        suppress_until = token.name
-                    continue
-                if self._is_feed_metadata(token.name, item_depth):
-                    if token.kind is TokenKind.OPEN:
-                        metadata_until = token.name
-                    continue
-                lines.append(self._normalize_tag(token))
-                continue
-            if token.kind is TokenKind.CLOSE:
-                lines.append(f"</{token.name}>")
+                    append(text)
+            elif text and not (
+                self.strip_timestamp_text and _TIMESTAMP_TEXT.match(text)
+            ):
+                append(text)
         return lines
 
-    @staticmethod
-    def _normalize_tag(token: Token) -> str:
-        """Render a tag with sorted attributes, dropping session noise."""
-        volatile_attrs = ("onclick", "style", "nonce")
-        attrs = sorted(
-            (key, value)
-            for key, value in token.attrs
-            if key not in volatile_attrs
-        )
-        rendered = " ".join(f'{key}="{value}"' for key, value in attrs)
-        closing = "/" if token.kind is TokenKind.SELFCLOSE else ""
-        if rendered:
-            return f"<{token.name} {rendered}{closing}>"
-        return f"<{token.name}{closing}>"
 
-
-_DEFAULT_EXTRACTOR = CoreContentExtractor()
+#: The paper's defaults; every ``CoronaNode`` shares this one (and so
+#: one verdict table) rather than carrying a private copy.
+DEFAULT_EXTRACTOR = CoreContentExtractor()
 
 
 def extract_core_lines(document: str) -> list[str]:
     """Module-level convenience using the default extractor."""
-    return _DEFAULT_EXTRACTOR.core_lines(document)
+    return DEFAULT_EXTRACTOR.core_lines(document)

@@ -10,6 +10,7 @@ entities are left untouched (the differ compares text verbatim).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,7 +50,8 @@ _ATTR = re.compile(
 )
 
 
-def _parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
+def parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
+    """``(lowercased name, unquoted value)`` pairs, in source order."""
     attrs = []
     for match in _ATTR.finditer(source):
         name = match.group(1).lower()
@@ -60,61 +62,70 @@ def _parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
     return tuple(attrs)
 
 
-def tokenize(document: str) -> list[Token]:
-    """Scan ``document`` into a token stream, never raising.
+def scan(document: str) -> Iterator[tuple[TokenKind | None, str]]:
+    """Find token boundaries with ``str.find`` only, never raising.
 
-    Malformed tags (no name after ``<``, stray ``<`` in text) degrade
-    to TEXT tokens; comments and declarations without terminators run
-    to end of input.
+    Yields ``(kind, raw)``; a ``None`` kind marks a ``<...>`` slice that
+    :func:`classify_tag` has yet to look at.  Comments and declarations
+    without terminators run to end of input; an unterminated tag is
+    text.  The raw slices concatenate back to ``document``.
     """
-    tokens: list[Token] = []
     position = 0
     length = len(document)
+    find = document.find
     while position < length:
-        lt = document.find("<", position)
+        lt = find("<", position)
         if lt == -1:
-            tokens.append(Token(TokenKind.TEXT, document[position:]))
-            break
+            yield TokenKind.TEXT, document[position:]
+            return
         if lt > position:
-            tokens.append(Token(TokenKind.TEXT, document[position:lt]))
+            yield TokenKind.TEXT, document[position:lt]
         if document.startswith("<!--", lt):
-            end = document.find("-->", lt + 4)
+            end = find("-->", lt + 4)
             stop = length if end == -1 else end + 3
-            tokens.append(Token(TokenKind.COMMENT, document[lt:stop]))
-            position = stop
-            continue
-        if document.startswith("<!", lt) or document.startswith("<?", lt):
-            end = document.find(">", lt + 2)
+            yield TokenKind.COMMENT, document[lt:stop]
+        elif document.startswith(("<!", "<?"), lt):
+            end = find(">", lt + 2)
             stop = length if end == -1 else end + 1
-            tokens.append(Token(TokenKind.DECLARATION, document[lt:stop]))
-            position = stop
-            continue
-        end = document.find(">", lt + 1)
-        if end == -1:
-            # Unterminated tag: treat the rest as text.
-            tokens.append(Token(TokenKind.TEXT, document[lt:]))
-            break
-        raw = document[lt : end + 1]
-        inner = raw[1:-1].strip()
-        closing = inner.startswith("/")
-        selfclosing = inner.endswith("/") and not closing
-        body = inner.strip("/").strip()
-        name_match = _TAG_NAME.match(body)
-        if name_match is None:
-            tokens.append(Token(TokenKind.TEXT, raw))
-            position = end + 1
-            continue
-        name = name_match.group(0).lower()
-        attrs = _parse_attrs(body[name_match.end() :]) if not closing else ()
-        kind = (
-            TokenKind.CLOSE
-            if closing
-            else TokenKind.SELFCLOSE
-            if selfclosing
-            else TokenKind.OPEN
-        )
-        tokens.append(Token(kind, raw, name=name, attrs=attrs))
-        position = end + 1
+            yield TokenKind.DECLARATION, document[lt:stop]
+        else:
+            end = find(">", lt + 1)
+            if end == -1:
+                yield TokenKind.TEXT, document[lt:]
+                return
+            stop = end + 1
+            yield None, document[lt:stop]
+        position = stop
+
+
+def classify_tag(raw: str) -> tuple[TokenKind, str, str]:
+    """``(kind, lowercased name, attribute source)`` of a ``<...>`` slice.
+
+    A slice with no tag name after ``<`` (stray ``<`` in text, ``<>``)
+    degrades to ``(TEXT, "", "")``.
+    """
+    inner = raw[1:-1].strip()
+    closing = inner.startswith("/")
+    body = inner.strip("/").strip()
+    name_match = _TAG_NAME.match(body)
+    if name_match is None:
+        return TokenKind.TEXT, "", ""
+    name = name_match.group(0).lower()
+    if closing:
+        return TokenKind.CLOSE, name, ""
+    kind = TokenKind.SELFCLOSE if inner.endswith("/") else TokenKind.OPEN
+    return kind, name, body[name_match.end() :]
+
+
+def tokenize(document: str) -> list[Token]:
+    """Scan ``document`` into a token stream, never raising."""
+    tokens: list[Token] = []
+    for kind, raw in scan(document):
+        if kind is None:
+            kind, name, attr_source = classify_tag(raw)
+            tokens.append(Token(kind, raw, name, parse_attrs(attr_source)))
+        else:
+            tokens.append(Token(kind, raw))
     return tokens
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import CoronaConfig
 from repro.core.node import CoronaNode, FetchResult
+from repro.diffengine.extractor import CoreContentExtractor
 from repro.overlay.hashing import node_id_for_address
 
 
@@ -139,6 +140,79 @@ class TestPollingFlow:
         for t in (1.0, 61.0, 121.0):
             node.execute_poll(task, fetch(URL, "<item>one</item>"), t)
         assert node.polls_issued == 3
+
+
+class SpyExtractor:
+    """Counts calls; delegates to a real extractor."""
+
+    def __init__(self):
+        self.calls = 0
+        self._real = CoreContentExtractor()
+
+    def core_lines(self, document):
+        self.calls += 1
+        return self._real.core_lines(document)
+
+
+class TestServerVersions:
+    """Every poll is parsed exactly once; the server's version token
+    only decides what a *differing* document means."""
+
+    def _primed(self, version, body="<item>one</item>"):
+        node = make_node()
+        node.extractor = spy = SpyExtractor()
+        node.adopt_channel(URL, 3, 3, now=0.0)
+        task = node.scheduler.tasks[URL]
+        node.execute_poll(task, fetch(URL, body, version=version), 1.0)
+        spy.calls = 0
+        return node, task, spy
+
+    @pytest.mark.parametrize("served", [10, 9, 1])
+    def test_same_or_older_version_reports_nothing(self, served):
+        node, task, spy = self._primed(version=10)
+        before = (task.content.version, task.content.lines, task.content.size)
+        next_due = task.next_poll
+        # A differing document under a version the cache already holds
+        # is a stale replay (a lagging server cache), not an update.
+        result = node.execute_poll(
+            task, fetch(URL, "<item>two</item>", version=served), 61.0
+        )
+        assert result is None
+        assert spy.calls == 1
+        assert (task.content.version, task.content.lines, task.content.size) == before
+        assert node.polls_issued == 2
+        assert task.next_poll > next_due  # advance() still ran
+
+    def test_versionless_feed_is_compared_by_content(self):
+        node, task, spy = self._primed(0, "<item>one</item><p>Views: 1</p>")
+        assert node.execute_poll(
+            task, fetch(URL, "<item>one</item><p>Views: 9</p>"), 61.0
+        ) is None  # volatile noise: parsed, no diff
+        assert spy.calls == 1
+        assert node.execute_poll(task, fetch(URL, "<item>two</item>"), 121.0)
+        assert spy.calls == 2
+
+    def test_newer_version_is_reported(self):
+        node, task, spy = self._primed(version=10)
+        msg = node.execute_poll(
+            task, fetch(URL, "<item>two</item>", version=11), 61.0
+        )
+        assert spy.calls == 1
+        assert msg is not None and msg.version == 11
+        assert task.content.version == 11
+
+    def test_first_fetch_primes_silently(self):
+        node = make_node()
+        node.extractor = spy = SpyExtractor()
+        node.adopt_channel(URL, 3, 3, now=0.0)
+        task = node.scheduler.tasks[URL]
+        first = fetch(URL, "<item>one</item>", version=10)
+        assert node.execute_poll(task, first, 1.0) is None
+        assert spy.calls == 1
+        assert task.content.version == 10 and task.content.lines
+
+    def test_nodes_share_one_default_extractor(self):
+        assert make_node().extractor is make_node().extractor
 
 
 class TestDiffHandling:

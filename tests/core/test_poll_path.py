@@ -1,0 +1,66 @@
+"""Scenario-level checks of the poll path ``CoronaNode.execute_poll``
+-> ``CoreContentExtractor.core_lines`` (unit tests: ``test_node.py``,
+``tests/diffengine``).
+
+The one-pass extractor must move no simulated count: what a poll
+reports depends on the core lines only, and those are pinned by the
+golden vectors.
+"""
+
+import json
+from pathlib import Path
+
+from repro.diffengine.extractor import CoreContentExtractor
+from repro.faults.chaos import chaos_timeline
+from repro.scenarios import ScenarioRunner, get_scenario
+from repro.scenarios.spec import ScenarioSpec
+
+BASELINE = Path(__file__).resolve().parents[2] / "ci/baselines/steady-state.json"
+
+
+class TestScenarios:
+    def test_steady_state_counts_equal_the_committed_baseline(self, monkeypatch):
+        calls = []
+        real = CoreContentExtractor.core_lines
+        monkeypatch.setattr(
+            CoreContentExtractor,
+            "core_lines",
+            lambda self, document: calls.append(1) or real(self, document),
+        )
+        metrics = ScenarioRunner(get_scenario("steady-state"), seed=0).run()
+        actual = metrics.to_dict()
+        baseline = json.loads(BASELINE.read_text())["base"]
+        for key in ("polls", "server_polls", "detections", "diff_messages",
+                    "detection_delays"):
+            assert actual[key] == baseline[key], key
+        # One parse per poll: cost follows bytes fetched, whatever the
+        # mix of versioned and version-less feeds.
+        assert len(calls) == actual["polls"] == 6161
+
+    def test_rate_limited_replays_stay_invariant_clean(self):
+        """A capped server answers with its last snapshot *and* that
+        snapshot's version: a replay, never an update."""
+        runner = ScenarioRunner(
+            get_scenario("rate-limited-servers"), seed=0, check_invariants=True
+        )
+        metrics = runner.run("capped")
+        assert metrics.rate_limited_polls > 0
+        assert metrics.detections > 0
+        assert metrics.violations == []
+
+    def test_chaos_stays_invariant_clean(self):
+        """The ``chaos-2048`` workload of ``benchmarks/e2e`` at its
+        smoke size: drops, retransmits, repair and churn around the
+        poll path."""
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": "chaos-smoke",
+                "n_nodes": 96,
+                "horizon": 3600.0,
+                "workload": {"n_channels": 8, "n_subscriptions": 80},
+                "events": chaos_timeline(0, 3600.0, 96, incidents=4),
+            }
+        )
+        metrics = ScenarioRunner(spec, seed=0, check_invariants=True).run()
+        assert metrics.detections > 0
+        assert metrics.violations == []

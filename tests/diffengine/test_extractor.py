@@ -1,5 +1,7 @@
 """Core-content isolation: volatile elements must not look like updates."""
 
+import pytest
+
 from repro.diffengine.extractor import CoreContentExtractor, extract_core_lines
 
 
@@ -99,3 +101,65 @@ class TestConfiguration:
             )
             assert "junk" not in lines, marker
             assert "keep" in lines
+
+
+class TestAdClassLists:
+    """"ad"/"ads" is matched per whitespace-separated id/class word."""
+
+    @pytest.mark.parametrize(
+        "attrs",
+        [
+            'class="sidebar ad"',
+            'class="ads top"',
+            'class="top ad-slot"',
+            'class="box text_ad wide"',
+            'id="x" class="ad"',
+        ],
+    )
+    def test_ad_word_in_a_list_is_filtered(self, attrs):
+        lines = extract_core_lines(f"<div {attrs}>junk</div><p>keep</p>")
+        assert lines == ["<p>", "keep", "</p>"]
+
+    @pytest.mark.parametrize(
+        "attrs",
+        [
+            'id="radar"',
+            'class="header"',
+            'class="download"',
+            'class="lead story"',
+            'class="x" data-kind="ad"',
+        ],
+    )
+    def test_content_words_containing_ad_are_kept(self, attrs):
+        lines = extract_core_lines(f"<div {attrs}>story</div>")
+        assert "story" in lines
+
+
+class TestNestedSuppression:
+    """A dropped subtree ends at *its* close tag, not the first
+    same-name one inside it."""
+
+    def test_nested_div_inside_ad(self):
+        doc = '<div class="ad-banner"><div>x</div>rotating copy</div><p>keep</p>'
+        assert extract_core_lines(doc) == ["<p>", "keep", "</p>"]
+        rotated = doc.replace("rotating copy", "other copy")
+        assert extract_core_lines(rotated) == extract_core_lines(doc)
+
+    def test_nested_noise_element(self):
+        doc = "<object><object>inner</object>fallback</object><p>keep</p>"
+        assert extract_core_lines(doc) == ["<p>", "keep", "</p>"]
+
+    def test_nested_feed_metadata(self):
+        doc = "<generator><generator>g</generator>v2</generator><title>t</title>"
+        assert extract_core_lines(doc) == ["<title>", "t", "</title>"]
+
+    def test_selfclosing_and_other_names_do_not_count(self):
+        doc = '<div id="ads"><div/><span>x</span></div><p>keep</p>'
+        assert extract_core_lines(doc) == ["<p>", "keep", "</p>"]
+
+
+class TestFrozen:
+    def test_configuration_cannot_change_under_the_verdict_table(self):
+        extractor = CoreContentExtractor()
+        with pytest.raises(AttributeError):
+            extractor.strip_feed_metadata = False

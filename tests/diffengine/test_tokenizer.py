@@ -3,7 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diffengine.tokenizer import Token, TokenKind, render, tokenize
+from repro.diffengine.tokenizer import (
+    Token,
+    TokenKind,
+    classify_tag,
+    render,
+    scan,
+    tokenize,
+)
 
 
 class TestWellFormed:
@@ -90,3 +97,22 @@ class TestRoundTrip:
             "</channel></rss>"
         )
         assert render(tokenize(document)) == document
+
+
+class TestScanner:
+    def test_tags_come_out_raw_and_unclassified(self):
+        assert list(scan("a<P x=1>b</p><!--c--><?d?><")) == [
+            (TokenKind.TEXT, "a"),
+            (None, "<P x=1>"),
+            (TokenKind.TEXT, "b"),
+            (None, "</p>"),
+            (TokenKind.COMMENT, "<!--c-->"),
+            (TokenKind.DECLARATION, "<?d?>"),
+            (TokenKind.TEXT, "<"),
+        ]
+
+    def test_classify_tag(self):
+        assert classify_tag('<A Href="x">') == (TokenKind.OPEN, "a", ' Href="x"')
+        assert classify_tag("</ P >") == (TokenKind.CLOSE, "p", "")
+        assert classify_tag("<br />") == (TokenKind.SELFCLOSE, "br", "")
+        assert classify_tag("< 3 >") == (TokenKind.TEXT, "", "")
