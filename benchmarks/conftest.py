@@ -16,13 +16,17 @@ session so comparison lines (legacy, Lite as baseline for Fair, …)
 do not recompute; each benchmark times its *own* scheme's full run
 once via ``benchmark.pedantic``.
 
-Rendered series/tables are also written to ``benchmarks/results/`` so
-a run leaves the paper-comparable artifacts on disk.  Alongside the
-human-readable ``*_ci.txt`` artifacts, machine-readable
-``BENCH_*.json`` files record key metrics (via the ``data`` argument
-of :func:`write_artifact`) and the session's benchmark timings (via
-``pytest_sessionfinish``) so the performance trajectory can be
-tracked across PRs by tooling.
+Rendered series/tables are also written to disk so a run leaves the
+paper-comparable artifacts behind.  Alongside the human-readable
+``*_ci.txt`` artifacts, machine-readable ``BENCH_*.json`` files record
+key metrics (via the ``data`` argument of :func:`write_artifact`) and
+the session's benchmark timings (via ``pytest_sessionfinish``) so the
+performance trajectory can be tracked across PRs by tooling.
+
+They go to the untracked ``benchmarks/out/``, so a test run leaves the
+tree clean.  ``benchmarks/results/`` holds the committed reference
+copies (the perf drift gate's baseline); only a run given
+``--update-results`` rewrites those.
 """
 
 from __future__ import annotations
@@ -41,6 +45,31 @@ from repro.simulation.macro import MacroResult, MacroSimulator, run_legacy
 from repro.workload.trace import generate_trace
 
 RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
+
+#: Where this session writes its artifacts (see ``pytest_configure``).
+_artifact_dir = OUT_DIR
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        default=False,
+        help="write benchmark artifacts over the committed reference "
+        "copies in benchmarks/results/ instead of benchmarks/out/",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--update-results"):
+        # The benchmark modules reach ``write_artifact`` through
+        # ``benchmarks.conftest`` — a second import of this file beside
+        # the ``conftest`` pytest loaded for the hooks — so point both.
+        import benchmarks.conftest as imported
+
+        global _artifact_dir
+        _artifact_dir = imported._artifact_dir = RESULTS_DIR
 
 
 @dataclass(frozen=True)
@@ -190,17 +219,17 @@ def deployment_run(scale):
 def write_artifact(
     name: str, text: str, data: dict[str, Any] | None = None
 ) -> Path:
-    """Persist a rendered figure/table under benchmarks/results/.
+    """Persist a rendered figure/table in this session's artifact dir.
 
     ``data``, when given, is additionally written as
     ``BENCH_<stem>.json`` next to the text artifact — the
     machine-readable counterpart tooling diffs across PRs.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / name
+    _artifact_dir.mkdir(exist_ok=True)
+    path = _artifact_dir / name
     path.write_text(text + "\n")
     if data is not None:
-        json_path = RESULTS_DIR / f"BENCH_{Path(name).stem}.json"
+        json_path = _artifact_dir / f"BENCH_{Path(name).stem}.json"
         json_path.write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n"
         )
@@ -237,8 +266,8 @@ def pytest_sessionfinish(session, exitstatus):  # noqa: ARG001
             except ValueError:
                 pass
         entries.append(entry)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_timings_{scale_name}.json"
+    _artifact_dir.mkdir(exist_ok=True)
+    path = _artifact_dir / f"BENCH_timings_{scale_name}.json"
     # Merge with any existing file so partial runs (pytest -k, a
     # single benchmark file) update their entries without clobbering
     # the rest of the recorded session.

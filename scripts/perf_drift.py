@@ -90,9 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "\ndrift gate failed. If the drift is intended (a known "
             "slowdown or a stale rolling baseline), refresh the "
-            "committed snapshot: re-run the benchmarks and copy the "
-            "fresh benchmarks/results/BENCH_timings_ci.json over the "
-            "committed copy (see README, 'Perf drift gate'). "
+            "committed snapshot: re-run the benchmarks with "
+            "--update-results and commit benchmarks/results/"
+            "BENCH_timings_ci.json (see README, 'Perf drift gate'). "
             "Use --no-gate for a report-only run.",
             file=sys.stderr,
         )

@@ -110,14 +110,12 @@ class CoronaNode:
         solver_work: SolverWork | None = None,
         on_factors_changed: Callable[[NodeId], None] | None = None,
     ) -> None:
-        import random
-
         self.node_id = node_id
         self.config = config
         self.scheme: Scheme = scheme_by_name(config.scheme)
         self.scheduler = PollScheduler(
             interval=config.polling_interval,
-            rng=random.Random(rng_seed ^ (node_id.value & 0xFFFFFFFF)),
+            seed=rng_seed ^ (node_id.value & 0xFFFFFFFF),
         )
         self.registry = SubscriptionRegistry()
         self.managed: dict[str, Channel] = {}

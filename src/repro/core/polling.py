@@ -68,8 +68,12 @@ class PollScheduler:
     """
 
     interval: float
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
+    seed: int = 0
     tasks: dict[str, PollTask] = field(default_factory=dict)
+    #: Stagger generator, ``random.Random(seed)``, built by the first
+    #: ``start`` that draws: most nodes of a large cloud never poll,
+    #: and a Mersenne Twister is 2.5 KB of state each.
+    _rng: random.Random | None = field(default=None, init=False, repr=False)
 
     def start(self, url: str, level: int, now: float) -> PollTask:
         """Begin polling ``url``; first poll after a random stagger.
@@ -81,10 +85,12 @@ class PollScheduler:
         if task is not None:
             task.level = level
             return task
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
         task = PollTask(
             url=url,
             level=level,
-            next_poll=now + self.rng.uniform(0.0, self.interval),
+            next_poll=now + self._rng.uniform(0.0, self.interval),
             interval=self.interval,
         )
         self.tasks[url] = task

@@ -118,6 +118,9 @@ class CoronaSystem:
             raise ValueError("need at least one node")
         self.config = config
         self.fetcher = fetcher
+        #: Subscriber-notification callback handed to every node, the
+        #: initial population and later joiners alike.
+        self.notifier = notifier
         #: Observability plane: the metrics registry backing every
         #: counter below plus the (default-disabled) phase tracer.
         #: Never consulted for protocol decisions — enabling or
@@ -175,15 +178,7 @@ class CoronaSystem:
             incremental=incremental_churn,
         )
         self.nodes: dict[NodeId, CoronaNode] = {
-            node_id: CoronaNode(
-                node_id,
-                config,
-                rng_seed=seed,
-                notifier=notifier,
-                memo_solve=memo_solve,
-                solver_work=self.solver_work,
-                on_factors_changed=self._mark_owner_dirty,
-            )
+            node_id: self._new_node(node_id, rng_seed=seed)
             for node_id in self.overlay.node_ids()
         }
         self.aggregator = DecentralizedAggregator.for_overlay(
@@ -211,6 +206,18 @@ class CoronaSystem:
         # SHA-512, so it is stable across processes) and advancing
         # across calls, so successive crash waves draw independently.
         self._churn_rng = random.Random(f"corona-churn-{seed}")
+
+    def _new_node(self, node_id: NodeId, rng_seed: int) -> CoronaNode:
+        """The one place a cloud member is built, whenever it joins."""
+        return CoronaNode(
+            node_id,
+            self.config,
+            rng_seed=rng_seed,
+            notifier=self.notifier,
+            memo_solve=self.memo_solve,
+            solver_work=self.solver_work,
+            on_factors_changed=self._mark_owner_dirty,
+        )
 
     def _mark_owner_dirty(self, node_id: NodeId) -> None:
         """Structural dirty hook: a node's channel factors moved.
@@ -305,15 +312,9 @@ class CoronaSystem:
         joined: list[NodeId] = []
         for address in addresses:
             pastry_node = self.overlay.add_node(address)
-            node = CoronaNode(
-                pastry_node.node_id,
-                self.config,
-                rng_seed=len(self.nodes),
-                memo_solve=self.memo_solve,
-                solver_work=self.solver_work,
-                on_factors_changed=self._mark_owner_dirty,
+            self.nodes[pastry_node.node_id] = self._new_node(
+                pastry_node.node_id, rng_seed=len(self.nodes)
             )
-            self.nodes[pastry_node.node_id] = node
             joined.append(pastry_node.node_id)
             if not self.incremental_churn:
                 self._rebuild_aggregator()

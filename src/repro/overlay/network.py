@@ -190,14 +190,25 @@ class OverlayNetwork:
 
         Reaches the same end state as the announcement-based join — the
         newcomer's table is as complete as the population allows and
-        every affected peer learns of it — in O(log N)-ish work:
+        every affected peer learns of it — in O(log N)-ish work, and
+        writes it directly on raw identifier values: the invariants
+        below already say what every ``observe`` handshake would
+        decide, so none is performed.
 
-        * the newcomer's leaf set is the exact ring slice around its
-          identifier, and those neighbours reciprocally admit it (no
-          other node's leaf set can contain it);
-        * the newcomer's routing slots are filled by prefix-range
-          bisection into the sorted index;
-        * survivors are updated through the per-region empty-slot
+        * Leaf sets are exact ring slices.  The newcomer's two sides
+          are therefore the successors and predecessors this loop
+          walks, nearest first, and the newcomer lands at index
+          ``offset`` of the side its ``offset``-th neighbour turns
+          toward it (pushing that side's farthest leaf out once it is
+          full).  No other node's leaf set can contain it.  On rings
+          of fewer than ``2 * leaf_size`` nodes one node is both a
+          successor and a predecessor; its two sides are two distinct
+          lists, each written once.
+        * The newcomer's routing slots take its ring neighbours first,
+          in handshake order (first-observed wins), then every slot
+          left is filled by prefix-range bisection into the sorted
+          index.
+        * Survivors are updated through the per-region empty-slot
           argument: survivor S files the newcomer X into slot
           ``(spl(S, X), digit)`` whose identifier region is exactly
           ``prefix(X, spl(S, X) + 1)``.  The incremental invariant — a
@@ -207,31 +218,51 @@ class OverlayNetwork:
           non-empty enclosing prefix region* (everyone deeper shares
           more digits, and that region is empty by maximality; for
           everyone shallower the region already held a node, so
-          first-observed-wins keeps their existing entry).  The
-          deepest enclosing region is found from X's sorted-index
-          neighbours, so a join costs two bisects plus one slot write
-          per region member instead of a population scan.
+          first-observed-wins keeps their existing entry).  That holds
+          for ring neighbours like for anyone else, so they get no
+          table write of their own.  The deepest enclosing region is
+          found from X's sorted-index neighbours, so a join costs two
+          bisects plus one slot write per region member instead of a
+          population scan.
         """
         if not self.nodes:
             return
         ids = self._ids
         n = len(ids)
+        by_value = self._by_value
+        nodes = self.nodes
         stats = self.join_stats
         stats["joins"] += 1
-        position = bisect_left(ids, joining.node_id.value)
-        span = min(self.leaf_size, n)
-        for offset in range(span):
-            successor = self._by_value[ids[(position + offset) % n]]
-            predecessor = self._by_value[ids[(position - 1 - offset) % n]]
-            for neighbour_id in (successor, predecessor):
-                joining.observe(neighbour_id)
-                self.nodes[neighbour_id].observe(joining.node_id)
-                stats["leaf_updates"] += 2
-        self._fill_table_from_index(joining)
         new_id = joining.node_id
         value = new_id.value
         bpd = bits_per_digit(self.base)
         mask = self.base - 1
+        leaf_size = self.leaf_size
+        position = bisect_left(ids, value)
+        span = min(leaf_size, n)
+        clockwise = joining.leaves._cw
+        counter_clockwise = joining.leaves._ccw
+        rows = joining.table._rows
+        for offset in range(span):
+            successor = by_value[ids[(position + offset) % n]]
+            predecessor = by_value[ids[(position - 1 - offset) % n]]
+            clockwise.append(successor)
+            counter_clockwise.append(predecessor)
+            for neighbour_id, facing in (
+                (successor, nodes[successor].leaves._ccw),
+                (predecessor, nodes[predecessor].leaves._cw),
+            ):
+                facing.insert(offset, new_id)
+                if len(facing) > leaf_size:
+                    facing.pop()
+                row, col = _slot_for_values(
+                    value, neighbour_id.value, bpd, mask
+                )
+                bucket = rows.setdefault(row, {})
+                if col not in bucket:
+                    bucket[col] = neighbour_id
+        stats["leaf_updates"] += 4 * span
+        self._fill_table_from_index(joining)
         # Deepest enclosing non-empty region: the maximal shared prefix
         # is always achieved at a sorted neighbour.
         pred = ids[(position - 1) % n]
@@ -244,51 +275,59 @@ class OverlayNetwork:
         col = (value >> (shift - bpd)) & mask
         stats["survivor_updates"] += right - left
         for index in range(left, right):
-            survivor = self.nodes[self._by_value[ids[index]]]
+            survivor = nodes[by_value[ids[index]]]
             # The newcomer fits exactly slot (depth, col) of every
             # region member; fill only if empty (first-observed wins).
             bucket = survivor.table._rows.setdefault(depth, {})
             if col not in bucket:
                 bucket[col] = new_id
 
-    def _fill_table_from_index(self, node: PastryNode) -> None:
+    def _fill_table_from_index(self, joining: PastryNode) -> None:
         """Populate every routing slot that has a live candidate.
 
-        Row ``r`` column ``c`` wants a node matching ``node``'s first
-        ``r`` digits with ``c`` as digit ``r`` — an aligned identifier
-        range, resolved by bisection.  Slots already filled (by leaf
-        neighbours) are kept; rows past the node's deepest non-empty
-        prefix region are skipped entirely.
+        Row ``r`` column ``c`` wants a node matching the newcomer's
+        first ``r`` digits with ``c`` as digit ``r`` — an aligned
+        identifier range, resolved by bisection and written straight
+        into ``(r, c)``.  Slots already filled (by leaf neighbours) are
+        kept; rows past the newcomer's deepest non-empty prefix region
+        are skipped entirely, and a row with no candidate gets no
+        bucket.  ``joining`` is not in the index yet.
         """
         ids = self._ids
-        value = node.node_id.value
-        bpd = bits_per_digit(self.base)
-        stats = self.join_stats
-        for row in range(digits_per_id(self.base)):
+        by_value = self._by_value
+        value = joining.node_id.value
+        rows = joining.table._rows
+        base = self.base
+        bpd = bits_per_digit(base)
+        probes = 0
+        left, right = 0, len(ids)
+        for row in range(digits_per_id(base)):
             shift = ID_BITS - (row + 1) * bpd
             top = value >> (shift + bpd)
-            own_digit = (value >> shift) & (self.base - 1)
+            own_digit = (value >> shift) & (base - 1)
             # Any candidate in rows >= row shares the first `row`
-            # digits; if that region holds no other live node, deeper
-            # rows are empty too.
+            # digits; if that region holds no live node, deeper rows
+            # are empty too.  Regions nest, so each bisects the last.
             region_lo = top << (shift + bpd)
             region_hi = region_lo + (1 << (shift + bpd))
-            left = bisect_left(ids, region_lo)
-            right = bisect_left(ids, region_hi)
-            stats["fill_probes"] += 2
-            occupied = right - left
-            if node.node_id.value in self._by_value:
-                occupied -= 1  # the node itself, when already indexed
-            if occupied <= 0:
+            left = bisect_left(ids, region_lo, left, right)
+            right = bisect_left(ids, region_hi, left, right)
+            probes += 2
+            if right <= left:
                 break
-            for col in range(self.base):
+            probes += base - 1
+            bucket = rows.get(row)
+            for col in range(base):
                 if col == own_digit:
                     continue
                 lo = ((top << bpd) | col) << shift
                 index = bisect_left(ids, lo, left, right)
-                stats["fill_probes"] += 1
                 if index < right and ids[index] < lo + (1 << shift):
-                    node.table.observe(self._by_value[ids[index]])
+                    if bucket is None:
+                        bucket = rows[row] = {}
+                    if col not in bucket:
+                        bucket[col] = by_value[ids[index]]
+        self.join_stats["fill_probes"] += probes
 
     def _join(self, joining: PastryNode) -> None:
         """Pastry join: learn state from the route toward our own id.

@@ -20,14 +20,22 @@ def running_system(fast_config, small_farm):
             system.subscribe(url, f"client-{client}", now=0.0)
             client += 1
     # Warm up: a couple of maintenance rounds and some polls.
-    now = 0.0
-    for step in range(20):
+    return system, _drive(system, small_farm, 0.0, steps=20)
+
+
+def _drive(system, farm, now, steps=40):
+    """Poll every 30 s, maintain every fourth step; returns the clock."""
+    for step in range(steps):
         now += 30.0
-        small_farm.advance_to(now)
+        farm.advance_to(now)
         system.poll_due(now)
         if step % 4 == 3:
             system.run_maintenance_round(now)
-    return system, now
+    return now
+
+
+def _managed_by(system, node_id):
+    return {url for url, m in system.managers.items() if m == node_id}
 
 
 class TestFailNode:
@@ -367,3 +375,66 @@ class TestTargetPoolsAtScale:
         assert len(victims) == 32
         assert not set(victims) & managers
         assert big_system.counters.rehomed_channels == rehomed_before
+
+
+class TestNotifierSurvivesChurn:
+    """Every node is built through ``CoronaSystem._new_node``, so a
+    channel re-homed to a joiner or a recovered node keeps telling its
+    subscribers about updates."""
+
+    @pytest.fixture()
+    def notified_system(self, fast_config, small_farm):
+        calls = []
+        system = CoronaSystem(
+            n_nodes=40,
+            config=fast_config,
+            fetcher=small_farm,
+            seed=51,
+            notifier=lambda url, subscribers, diff, now: calls.append(
+                (url, frozenset(subscribers))
+            ),
+        )
+        for rank in range(10):
+            for index in range(3):
+                system.subscribe(
+                    f"http://feed{rank}.example/rss", f"c{rank}-{index}"
+                )
+        return system, calls
+
+    def test_channel_rehomed_to_a_joiner_still_notifies(
+        self, notified_system, small_farm
+    ):
+        system, calls = notified_system
+        now = _drive(system, small_farm, 0.0, steps=8)
+        joined = system.add_node(_takeover_address(system), now=now)
+        taken = _managed_by(system, joined)
+        assert taken
+        del calls[:]
+        _drive(system, small_farm, now)
+        assert _managed_by(system, joined) == taken
+        notified = {url: clients for url, clients in calls if url in taken}
+        assert set(notified) == taken
+        for url, clients in notified.items():
+            rank = url.removeprefix("http://feed").split(".")[0]
+            assert clients == {f"c{rank}-{index}" for index in range(3)}
+
+    def test_channel_rehomed_to_a_recovered_manager_still_notifies(
+        self, notified_system, small_farm
+    ):
+        system, calls = notified_system
+        now = _drive(system, small_farm, 0.0, steps=8)
+        (victim,) = system.crash_nodes(1, now=now, target="managers")
+        assert not _managed_by(system, victim)
+        assert system.recover_nodes(1, now=now) == [victim]
+        owned = _managed_by(system, victim)
+        assert owned
+        del calls[:]
+        _drive(system, small_farm, now)
+        assert owned <= {url for url, _ in calls}
+
+    def test_without_a_notifier_joiners_get_none(self, running_system):
+        """The scenario runner's case: nothing to call, before or after
+        a join (``ci/baselines`` are recorded this way)."""
+        system, now = running_system
+        (joined,) = system.join_nodes(1, now=now)
+        assert system.nodes[joined].notifier is None

@@ -10,6 +10,7 @@ golden vectors.
 import json
 from pathlib import Path
 
+from repro.core.system import CoronaSystem
 from repro.diffengine.extractor import CoreContentExtractor
 from repro.faults.chaos import chaos_timeline
 from repro.scenarios import ScenarioRunner, get_scenario
@@ -27,6 +28,14 @@ class TestScenarios:
             "core_lines",
             lambda self, document: calls.append(1) or real(self, document),
         )
+        systems = []
+        real_init = CoronaSystem.__init__
+        monkeypatch.setattr(
+            CoronaSystem,
+            "__init__",
+            lambda self, *args, **kwargs: real_init(self, *args, **kwargs)
+            or systems.append(self),
+        )
         metrics = ScenarioRunner(get_scenario("steady-state"), seed=0).run()
         actual = metrics.to_dict()
         baseline = json.loads(BASELINE.read_text())["base"]
@@ -36,6 +45,12 @@ class TestScenarios:
         # One parse per poll: cost follows bytes fetched, whatever the
         # mix of versioned and version-less feeds.
         assert len(calls) == actual["polls"] == 6161
+        # Stagger generators are built on a node's first poll task
+        # (the counts above pin that the draws are unchanged); a node
+        # that was never given one holds none.
+        (system,) = systems
+        pollers = [n for n in system.nodes.values() if n.scheduler._rng]
+        assert sum(n.polls_issued for n in pollers) == actual["polls"]
 
     def test_rate_limited_replays_stay_invariant_clean(self):
         """A capped server answers with its last snapshot *and* that

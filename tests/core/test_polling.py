@@ -2,11 +2,14 @@
 
 import random
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.core.polling import PollScheduler
 
 
 def scheduler(seed=1, interval=600.0) -> PollScheduler:
-    return PollScheduler(interval=interval, rng=random.Random(seed))
+    return PollScheduler(interval=interval, seed=seed)
 
 
 class TestStagger:
@@ -78,3 +81,52 @@ class TestMembership:
         for index in range(5):
             sched.start(f"http://{index}/", 1, now=0.0)
         assert sched.polls_per_interval() == 5
+
+
+class TestLazyGenerator:
+    """The scheduler is handed a seed and builds ``random.Random(seed)``
+    on the first draw — same staggers, no generator on idle nodes."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**40),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                st.booleans(),
+                st.floats(min_value=0.0, max_value=1e6),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_the_staggers_of_a_generator_built_up_front(
+        self, seed, calls
+    ):
+        """Over any sequence of start/stop calls: one draw per *new*
+        task, none for a restart, all from ``random.Random(seed)``."""
+        sched = PollScheduler(interval=600.0, seed=seed)
+        reference = random.Random(seed)
+        for name, stop_first, now in calls:
+            url = f"http://{name}/"
+            if stop_first:
+                sched.stop(url)
+            known = sched.is_polling(url)
+            before = sched.tasks[url].next_poll if known else None
+            task = sched.start(url, level=1, now=now)
+            if known:
+                assert task.next_poll == before
+            else:
+                assert task.next_poll == now + reference.uniform(0.0, 600.0)
+
+    def test_idle_scheduler_holds_no_generator(self):
+        sched = scheduler()
+        assert sched._rng is None
+        sched.stop("http://a/")
+        assert sched.due(1e9) == [] and sched.next_due_time() is None
+        assert sched._rng is None
+        sched.start("http://a/", 1, now=0.0)
+        assert sched._rng is not None
+
+    def test_default_seed_draws_from_random_zero(self):
+        task = PollScheduler(interval=600.0).start("http://a/", 1, now=0.0)
+        assert task.next_poll == random.Random(0).uniform(0.0, 600.0)
