@@ -60,11 +60,13 @@ class FetchResult:
     modification timestamp when the server provides one, else 0 (the
     manager then assigns version numbers, §3.4).  ``published_at`` is
     simulation ground truth carried through for metrics only — the
-    protocol never reads it.
+    protocol never reads it.  A *not modified* reply — the poller
+    already holds ``server_version`` — carries the version and
+    ``published_at`` with ``document=None`` and ``size=0``.
     """
 
     url: str
-    document: str
+    document: str | None
     size: int
     server_version: int = 0
     published_at: float | None = None
@@ -541,6 +543,11 @@ class CoronaNode:
         self.polls_issued += 1
         task.advance()
         task.record_success()
+        if 0 < fetched.server_version <= task.content.version:
+            # Conditional GET: parsed, this could only come out as the
+            # cached core lines or as a stale copy of older ones (a
+            # lagging server cache) — nothing to report either way.
+            return None
         new_lines = tuple(self.extractor.core_lines(fetched.document))
         if not task.content.lines and task.content.version == 0:
             # First fetch: prime the cache silently; there is nothing
@@ -548,12 +555,6 @@ class CoronaNode:
             task.content.replace(fetched.server_version or 1, new_lines)
             return None
         if new_lines == task.content.lines:
-            return None
-        if (
-            fetched.server_version
-            and fetched.server_version <= task.content.version
-        ):
-            # Stale or replayed content (e.g. a lagging cache).
             return None
         base_version = task.content.version
         old_lines = list(task.content.lines)

@@ -42,13 +42,16 @@ _log = get_logger(__name__)
 class Fetcher:
     """Interface the content substrate implements.
 
-    ``fetch`` performs one HTTP poll; ``published_at`` exposes the
-    ground-truth publication time of the current version for metrics
-    (simulation only — the protocol never reads it).
+    ``fetch`` performs one HTTP poll — conditional on ``have_version``,
+    the version the poller holds: a server about to serve that version
+    or an older one may answer without a document; ``published_at``
+    exposes the ground-truth publication time of the current version
+    for metrics (simulation only — the protocol never reads it).
     """
 
     def fetch(
-        self, url: str, now: float, source: str = "corona"
+        self, url: str, now: float, source: str = "corona",
+        have_version: int = 0,
     ) -> FetchResult:  # pragma: no cover
         raise NotImplementedError
 
@@ -1034,7 +1037,8 @@ class CoronaSystem:
                         task.record_failure()
                         continue
                     fetched = self.fetcher.fetch(
-                        task.url, now, source=node_id.hex()
+                        task.url, now, source=node_id.hex(),
+                        have_version=task.content.version,
                     )
                     self.counters.polls += 1
                     version_before = task.content.version

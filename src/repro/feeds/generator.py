@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.feeds.rss import RssChannel, RssItem, rfc822_date
 
@@ -22,6 +23,31 @@ _LOREM = (
     "micronews weblog wiki syndication update latency bandwidth polling "
     "cooperative wedge honeycomb optimization channel subscriber notify"
 ).split()
+
+
+class PendingDocument(NamedTuple):
+    """One request's document, drawn but not yet built.
+
+    Holds what the request fixed — the serialized items (an immutable
+    string, shared with the generator's cache), the fetch time and the
+    drawn ad copy and hit counter — so the same bytes can be built
+    now, later, or never (a *not modified* reply sends no body).
+    """
+
+    base: str
+    now: float
+    noise: tuple[str, int] | None
+
+    def materialise(self) -> str:
+        if self.noise is None:
+            return self.base
+        ad_copy, hits = self.noise
+        noise = (
+            f"<lastBuildDate>{rfc822_date(self.now)}</lastBuildDate>"
+            f'<div class="ad-banner">{ad_copy}</div>'
+            f"<p>Views: {hits:,}</p>"
+        )
+        return self.base.replace("</channel>", noise + "</channel>")
 
 
 @dataclass
@@ -48,6 +74,8 @@ class FeedGenerator:
     version: int = field(default=0)
     _items: list[RssItem] = field(default_factory=list)
     _serial: int = 0
+    _base_cache_version: int = field(default=-1)
+    _base_cache: str = field(default="")
 
     def __post_init__(self) -> None:
         # crc32, not hash(): str hashes are randomized per process
@@ -77,9 +105,6 @@ class FeedGenerator:
         )
 
     # ------------------------------------------------------------------
-    _base_cache_version: int = field(default=-1)
-    _base_cache: str = field(default="")
-
     def publish_update(self, now: float) -> int:
         """Mutate the feed (a real content update); returns new version.
 
@@ -104,13 +129,16 @@ class FeedGenerator:
         self.version += 1
         return self.version
 
-    def render(self, now: float) -> str:
-        """Current document, with fetch-time volatile noise if enabled.
+    def request(self, now: float) -> PendingDocument:
+        """Advance the per-request volatile state; build no string.
 
         The expensive item serialization is cached per content version;
         only the volatile noise (lastBuildDate, rotating ad, counter)
         is stamped per fetch — which is also exactly how real servers
-        behave: static content, dynamic decorations.
+        behave: static content, dynamic decorations.  The ad rotates
+        and the counter ticks on every request, sent a body or not (a
+        hit counter counts 304s too): the draws come from the generator
+        that writes item text, so skipping them changes every later item.
         """
         if self._base_cache_version != self.version:
             channel = RssChannel(
@@ -122,18 +150,11 @@ class FeedGenerator:
             )
             self._base_cache = channel.render()
             self._base_cache_version = self.version
-        document = self._base_cache
+        noise = None
         if self.include_noise:
-            ad_copy = self._sentence(3)
-            hits = self.rng.randint(1000, 999999)
-            noise = (
-                f"<lastBuildDate>{rfc822_date(now)}</lastBuildDate>"
-                f'<div class="ad-banner">{ad_copy}</div>'
-                f"<p>Views: {hits:,}</p>"
-            )
-            document = document.replace("</channel>", noise + "</channel>")
-        return document
+            noise = (self._sentence(3), self.rng.randint(1000, 999999))
+        return PendingDocument(self._base_cache, now, noise)
 
-    def content_size(self, now: float) -> int:
-        """Document size in bytes (the tradeoff factor s_i)."""
-        return len(self.render(now).encode("utf-8"))
+    def render(self, now: float) -> str:
+        """Current document, with fetch-time volatile noise if enabled."""
+        return self.request(now).materialise()

@@ -8,7 +8,12 @@ channel URL and gives each the observable surface a real server has:
   survey-drawn update interval, jittered, regardless of who polls;
 * conditional-GET semantics — a ``Last-Modified``-style version token
   when the feed carries timestamps, or none (forcing owner-assigned
-  versions, §3.4);
+  versions, §3.4).  A poller names the version it holds
+  (``have_version``, the ``If-Modified-Since`` of the request); when
+  the version about to be served is no newer the reply is *not
+  modified*: version and ``published_at`` only, ``document=None``,
+  ``size=0``, no document built.  The request is still counted, still
+  rate-limited, and still rotates the feed's ad and hit counter;
 * per-source rate limiting — the "hard rate-limits based on IP
   addresses" the paper describes content providers imposing (§1);
 * poll accounting — the per-channel and aggregate load series that
@@ -22,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.node import FetchResult
-from repro.feeds.generator import FeedGenerator
+from repro.feeds.generator import FeedGenerator, PendingDocument
 
 
 @dataclass
@@ -37,11 +42,13 @@ class HostedChannel:
     last_published: float = 0.0
     polls_served: int = 0
     rate_limited: int = 0
+    not_modified: int = 0  # polls answered without a body
     #: The (document, version, published_at) snapshot of the last
     #: successfully served poll — what a rate-limited source is handed
     #: instead of fresh content (the server refuses to do work; the
     #: refusal surfaces to the poller as staleness, not an error).
-    last_served: tuple[str, int, float | None] | None = None
+    #: The document is kept unbuilt: that poll may have sent no body.
+    last_served: tuple[PendingDocument, int, float | None] | None = None
 
     def version_token(self) -> int:
         """The Last-Modified-derived version, or 0 when unsupported."""
@@ -89,6 +96,7 @@ class WebServerFarm:
         self.limiter = RateLimiter(min_spacing=rate_limit_spacing)
         self.noise = noise
         self.total_polls = 0
+        self.total_not_modified = 0
         self.total_updates = 0
         self._now = 0.0
 
@@ -147,7 +155,8 @@ class WebServerFarm:
 
     # ------------------------------------------------------------------
     def fetch(
-        self, url: str, now: float, source: str = "corona"
+        self, url: str, now: float, source: str = "corona",
+        have_version: int = 0,
     ) -> FetchResult:
         """Serve one poll (the ``Fetcher`` interface of the core)."""
         hosted = self.channels.get(url)
@@ -156,31 +165,32 @@ class WebServerFarm:
         self.advance_to(max(now, self._now))
         hosted.polls_served += 1
         self.total_polls += 1
-        if not self.limiter.allow(source, url, now):
+        allowed = self.limiter.allow(source, url, now)
+        if not allowed:
             hosted.rate_limited += 1
-            if hosted.last_served is not None:
-                # A banned poll is answered with the previously served
-                # snapshot — the server refuses to do work, it does
-                # not error, so over-cap polling surfaces purely as
-                # staleness on the poller's side.
-                document, version, published = hosted.last_served
-                return FetchResult(
-                    url=url,
-                    document=document,
-                    size=len(document.encode("utf-8")),
-                    server_version=version,
-                    published_at=published,
-                )
-        document = hosted.generator.render(now)
-        published_at = hosted.last_published or None
-        hosted.last_served = (
-            document, hosted.version_token(), published_at
-        )
+        # A banned poll is answered with the previously served
+        # snapshot — the server refuses to do work, it does not error,
+        # so over-cap polling surfaces purely as staleness on the
+        # poller's side.
+        if allowed or hosted.last_served is None:
+            hosted.last_served = (
+                hosted.generator.request(now),
+                hosted.version_token(),
+                hosted.last_published or None,
+            )
+        pending, version, published_at = hosted.last_served
+        if 0 < version <= have_version:
+            hosted.not_modified += 1
+            self.total_not_modified += 1
+            document, size = None, 0
+        else:
+            document = pending.materialise()
+            size = len(document.encode("utf-8"))
         return FetchResult(
             url=url,
             document=document,
-            size=len(document.encode("utf-8")),
-            server_version=hosted.version_token(),
+            size=size,
+            server_version=version,
             published_at=published_at,
         )
 

@@ -155,8 +155,9 @@ class SpyExtractor:
 
 
 class TestServerVersions:
-    """Every poll is parsed exactly once; the server's version token
-    only decides what a *differing* document means."""
+    """The conditional GET: a reply whose version the cache already
+    holds is not parsed at all — whatever body came with it; every
+    other reply is parsed exactly once."""
 
     def _primed(self, version, body="<item>one</item>"):
         node = make_node()
@@ -168,20 +169,41 @@ class TestServerVersions:
         return node, task, spy
 
     @pytest.mark.parametrize("served", [10, 9, 1])
-    def test_same_or_older_version_reports_nothing(self, served):
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            # A fetcher that ignored ``have_version``: a full body, and
+            # a differing one — a stale replay (a lagging server
+            # cache), not an update.
+            lambda served: fetch(URL, "<item>two</item>", version=served),
+            # What ``WebServerFarm`` sends: no body.
+            lambda served: FetchResult(
+                url=URL, document=None, size=0, server_version=served
+            ),
+        ],
+        ids=["stale-body", "not-modified"],
+    )
+    def test_same_or_older_version_is_not_parsed(self, served, reply):
         node, task, spy = self._primed(version=10)
         before = (task.content.version, task.content.lines, task.content.size)
         next_due = task.next_poll
-        # A differing document under a version the cache already holds
-        # is a stale replay (a lagging server cache), not an update.
-        result = node.execute_poll(
-            task, fetch(URL, "<item>two</item>", version=served), 61.0
-        )
-        assert result is None
-        assert spy.calls == 1
+        assert node.execute_poll(task, reply(served), 61.0) is None
+        assert spy.calls == 0
         assert (task.content.version, task.content.lines, task.content.size) == before
         assert node.polls_issued == 2
         assert task.next_poll > next_due  # advance() still ran
+
+    @pytest.mark.parametrize("served", [0, 1, 10])
+    def test_unprimed_task_is_never_short_circuited(self, served):
+        node = make_node()
+        node.extractor = spy = SpyExtractor()
+        node.adopt_channel(URL, 3, 3, now=0.0)
+        task = node.scheduler.tasks[URL]
+        assert task.content.version == 0
+        first = fetch(URL, "<item>one</item>", version=served)
+        assert node.execute_poll(task, first, 1.0) is None
+        assert spy.calls == 1
+        assert task.content.version == (served or 1) and task.content.lines
 
     def test_versionless_feed_is_compared_by_content(self):
         node, task, spy = self._primed(0, "<item>one</item><p>Views: 1</p>")
@@ -200,16 +222,6 @@ class TestServerVersions:
         assert spy.calls == 1
         assert msg is not None and msg.version == 11
         assert task.content.version == 11
-
-    def test_first_fetch_primes_silently(self):
-        node = make_node()
-        node.extractor = spy = SpyExtractor()
-        node.adopt_channel(URL, 3, 3, now=0.0)
-        task = node.scheduler.tasks[URL]
-        first = fetch(URL, "<item>one</item>", version=10)
-        assert node.execute_poll(task, first, 1.0) is None
-        assert spy.calls == 1
-        assert task.content.version == 10 and task.content.lines
 
     def test_nodes_share_one_default_extractor(self):
         assert make_node().extractor is make_node().extractor

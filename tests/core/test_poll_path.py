@@ -2,9 +2,10 @@
 -> ``CoreContentExtractor.core_lines`` (unit tests: ``test_node.py``,
 ``tests/diffengine``).
 
-The one-pass extractor must move no simulated count: what a poll
-reports depends on the core lines only, and those are pinned by the
-golden vectors.
+Neither the one-pass extractor nor the conditional GET may move a
+simulated count: what a poll reports depends on the core lines only
+(pinned by the golden vectors), and a reply whose version the poller
+holds could only have reported nothing.
 """
 
 import json
@@ -42,13 +43,15 @@ class TestScenarios:
         for key in ("polls", "server_polls", "detections", "diff_messages",
                     "detection_delays"):
             assert actual[key] == baseline[key], key
-        # One parse per poll: cost follows bytes fetched, whatever the
-        # mix of versioned and version-less feeds.
-        assert len(calls) == actual["polls"] == 6161
+        # Only first fetches, newer versions and version-less feeds
+        # are parsed; the other 4134 polls were answered not-modified.
+        assert actual["polls"] == 6161
+        assert len(calls) == 2027
+        (system,) = systems
+        assert system.fetcher.total_not_modified == 6161 - 2027
         # Stagger generators are built on a node's first poll task
         # (the counts above pin that the draws are unchanged); a node
         # that was never given one holds none.
-        (system,) = systems
         pollers = [n for n in system.nodes.values() if n.scheduler._rng]
         assert sum(n.polls_issued for n in pollers) == actual["polls"]
 

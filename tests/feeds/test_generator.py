@@ -1,5 +1,8 @@
 """Synthetic feed generator: update shapes and noise behaviour."""
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.diffengine.extractor import extract_core_lines
 from repro.feeds.generator import FeedGenerator
 from repro.feeds.rss import parse_rss
@@ -63,13 +66,49 @@ class TestGenerator:
         diff = diff_lines(old, new)
         assert 0 < diff.changed_lines() < len(old) * 0.5
 
-    def test_content_size_reported(self):
+
+class TestRequestWithoutBody:
+    """``request`` makes a fetch's draws and builds no string;
+    ``render`` is ``request`` + ``materialise``."""
+
+    def test_request_materialises_to_the_rendered_document(self):
+        a = FeedGenerator(url="http://g.example/f", seed=8)
+        b = FeedGenerator(url="http://g.example/f", seed=8)
+        assert b.request(5.0).materialise() == a.render(5.0)
+
+    def test_noise_free_request_is_the_serialized_items(self):
         generator = FeedGenerator(
             url="http://g.example/f", seed=8, include_noise=False
         )
-        assert generator.content_size(0.0) == len(
-            generator.render(0.0).encode("utf-8")
+        state = generator.rng.getstate()
+        pending = generator.request(5.0)
+        assert pending.noise is None
+        assert pending.materialise() is pending.base
+        assert generator.rng.getstate() == state
+
+    @given(
+        st.lists(
+            st.one_of(st.just("publish"), st.just("fetch")), max_size=40
         )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draw_parity_whether_or_not_bodies_are_built(self, ops):
+        """One generator is asked for a body on every request, its twin
+        never: every document either would have sent is the same, also
+        when built after the feed has long moved on."""
+        eager = FeedGenerator(url="http://g.example/f", seed=9, target_items=5)
+        lazy = FeedGenerator(url="http://g.example/f", seed=9, target_items=5)
+        sent, unsent = [], []
+        for step, op in enumerate(ops):
+            now = 10.0 * step
+            if op == "publish":
+                assert eager.publish_update(now) == lazy.publish_update(now)
+            else:
+                sent.append(eager.render(now))
+                unsent.append(lazy.request(now))
+        assert [pending.materialise() for pending in unsent] == sent
+        assert lazy.render(999.0) == eager.render(999.0)
+        assert lazy.rng.getstate() == eager.rng.getstate()
 
 
 class TestCrossProcessDeterminism:

@@ -84,6 +84,98 @@ class TestFetch:
         assert farm.total_polls == 3
 
 
+class TestConditionalGet:
+    URL = "http://t.example/rss"
+
+    def _farm(
+        self, timestamp_fraction=1.0, update_interval=50.0, **kwargs
+    ) -> WebServerFarm:
+        farm = WebServerFarm(
+            seed=1, timestamp_fraction=timestamp_fraction, **kwargs
+        )
+        farm.host(self.URL, update_interval=update_interval)
+        return farm
+
+    def test_same_version_sends_no_body(self):
+        farm = self._farm()
+        farm.advance_to(200.0)
+        full = farm.fetch(self.URL, 200.0)
+        assert full.published_at is not None
+        for held in (full.server_version, full.server_version + 3):
+            reply = farm.fetch(self.URL, 200.0, have_version=held)
+            assert reply.document is None
+            assert reply.size == 0
+            assert reply.server_version == full.server_version
+            assert reply.published_at == full.published_at
+        hosted = farm.channels[self.URL]
+        assert hosted.polls_served == farm.total_polls == 3
+        assert hosted.not_modified == farm.total_not_modified == 2
+
+    def test_newer_content_or_no_version_held_sends_the_body(self):
+        farm = self._farm()
+        first = farm.fetch(self.URL, 0.0)
+        farm.advance_to(200.0)
+        newer = farm.fetch(self.URL, 200.0, have_version=first.server_version)
+        assert newer.server_version > first.server_version
+        for reply in (newer, farm.fetch(self.URL, 200.0, have_version=0)):
+            assert reply.size == len(reply.document.encode("utf-8")) > 0
+        assert farm.total_not_modified == 0
+
+    def test_timestampless_channel_never_answers_not_modified(self):
+        farm = self._farm(timestamp_fraction=0.0)
+        for held in (0, 1, 99):
+            reply = farm.fetch(self.URL, 0.0, have_version=held)
+            assert reply.server_version == 0
+            assert reply.document is not None
+        assert farm.total_not_modified == 0
+
+    def test_bodiless_replies_leave_later_documents_unchanged(self):
+        """A not-modified reply makes the same draws as a full one."""
+        asked, never = self._farm(), self._farm()
+        for now in (0.0, 40.0, 90.0, 160.0, 300.0):
+            sent = asked.fetch(self.URL, now)
+            unsent = never.fetch(self.URL, now, have_version=10**9)
+            assert unsent.document is None
+            assert unsent.server_version == sent.server_version
+        assert never.total_not_modified == 5
+        assert (
+            never.fetch(self.URL, 400.0).document
+            == asked.fetch(self.URL, 400.0).document
+        )
+
+    def test_banned_source_is_answered_from_the_last_served_snapshot(self):
+        """...with not-modified when it holds that version, else with
+        the bytes the last served poll produced — or would have, had
+        it been asked for a body."""
+        # Updates every 14-26 s, so content moves between any two of
+        # the polls below; sources may poll once a minute.
+        reference = self._farm(update_interval=20.0, rate_limit_spacing=60.0)
+        farm = self._farm(update_interval=20.0, rate_limit_spacing=60.0)
+        for f in (reference, farm):
+            f.fetch(self.URL, 200.0, source="ip1")
+        served = reference.fetch(self.URL, 230.0, source="ip2")
+        assert served.published_at is not None
+        unsent = farm.fetch(
+            self.URL, 230.0, source="ip2", have_version=served.server_version
+        )
+        assert unsent.document is None
+        replay = farm.fetch(self.URL, 259.0, source="ip1")  # banned
+        hosted = farm.channels[self.URL]
+        assert hosted.generator.version > served.server_version
+        assert replay.document == served.document
+        assert replay.size == served.size
+        assert replay.server_version == served.server_version
+        assert replay.published_at == served.published_at
+        again = farm.fetch(
+            self.URL, 259.5, source="ip1", have_version=served.server_version
+        )  # banned, and holds the snapshot's version
+        assert again.document is None
+        assert again.server_version == served.server_version
+        assert hosted.rate_limited == 2
+        assert hosted.not_modified == 2
+        assert hosted.polls_served == 4
+
+
 class TestRateLimitAndFlashCrowd:
     def test_rate_limiter_spacing(self):
         farm = WebServerFarm(seed=2, rate_limit_spacing=60.0)
