@@ -20,7 +20,7 @@ import time
 from benchmarks.conftest import write_artifact
 
 from repro.honeycomb.aggregation import DecentralizedAggregator
-from repro.honeycomb.clusters import ChannelFactors
+from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.overlay.network import OverlayNetwork
 
 N_NODES = 1024
@@ -31,22 +31,21 @@ MIN_SPEEDUP = 5.0
 
 
 def synthetic_channels(node_id):
-    """Deterministic per-node channel factors (some nodes own none)."""
+    """Deterministic per-node local summary (some nodes own none)."""
+    summary = ClusterSummary(bins=16)
     value = node_id.value
-    if value % 3 == 0:
-        return []
-    return [
-        (
+    if value % 3:
+        summary.add_channel(
             ChannelFactors(
                 subscribers=1 + value % 13,
                 size=100.0 + value % 900,
                 update_interval=60.0 * (1 + value % 7),
                 level=value % 4,
             ),
-            value % 5 == 0,
-            float(1 + value % 11),
+            orphan=value % 5 == 0,
+            ratio=float(1 + value % 11),
         )
-    ]
+    return summary
 
 
 def build_converged(n_nodes: int, delta: bool) -> DecentralizedAggregator:

@@ -2,6 +2,7 @@
 """Alternating parent/change pairs of the repo's end-to-end benchmark.
 
     python scripts/e2e_pairs.py --parent HEAD~1 --workload steady-poll
+    python scripts/e2e_pairs.py --parent HEAD~1 --workload all
 
 The measurement a change that claims a gain must show
 (``/opt/skills/guides/choosing-metrics`` §8): per seed, one run of the
@@ -19,8 +20,13 @@ neither side), and the quartile distance of the *change's* runs —
 inclusive and exclusive method — against ``bound x parent median``:
 a change whose runs spread wider than that over the seeds is refused
 as unresolvable however good its median (ISSUE 13's first version
-was).  Metrics equal on every seed (the simulated ones, when a change
-keeps behaviour) are reported as such.
+was).  ``separated: yes`` — every run of the change reads better than
+every run of the parent — is the only thing choosing-metrics §6.5
+accepts in place of *unresolved* when a side spreads wider than the
+bound.  Metrics equal on every seed (the simulated ones, when a change
+keeps behaviour) are reported as such.  ``--workload all`` measures
+the workloads one after the other: the rows a change does not claim
+have to be shown too.
 
 Exit status is 1 as soon as a run fails (non-zero exit, ``failed`` > 0
 or ``correct`` false).  Run nothing else while it measures.
@@ -99,11 +105,13 @@ def report(metric: dict, parent: list[float], change: list[float]) -> str:
     limit = metric["bound"] * abs(parent_median)
     inclusive = quartile_distance(change, "inclusive")
     exclusive = quartile_distance(change, "exclusive")
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
     return (
         f"{name}\n"
         f"  parent {cell(parent)}  ->  change {cell(change)}"
         f"  (change/parent {statistics.median(change) / parent_median:.3f})\n"
         f"  change ahead in {won} of {len(parent)} pairs, behind in {lost}\n"
+        f"  separated: {'yes' if separated else 'no'}\n"
         f"  change's quartile distance {inclusive:.4g} inclusive /"
         f" {exclusive:.4g} exclusive against"
         f" {metric['bound']} x parent median = {limit:.4g}: "
@@ -111,13 +119,31 @@ def report(metric: dict, parent: list[float], change: list[float]) -> str:
     )
 
 
+def measure(
+    trees: dict[str, Path], workload: str, seeds: list[int], seconds: float
+) -> dict[str, dict[str, list[float]]]:
+    """Every pair of one workload: side -> metric -> value per seed."""
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    for position, seed in enumerate(seeds):
+        for side in ("parent", "change")[:: -1 if position % 2 else 1]:
+            metrics = run_once(trees[side], workload, seed, seconds)
+            for name, value in metrics.items():
+                values[side].setdefault(name, []).append(value)
+            print(
+                f"{workload} seed {seed} {side:6s} "
+                + " ".join(f"{k}={v:.6g}" for k, v in metrics.items()),
+                flush=True,
+            )
+    return values
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV")
     parser.add_argument(
-        "--workload", required=True,
-        choices=[w["name"] for w in benchmark["workloads"]],
+        "--workload", required=True, choices=[*workloads, "all"]
     )
     parser.add_argument("--seeds", type=parse_seeds, default="0-9")
     parser.add_argument(
@@ -128,33 +154,23 @@ def main(argv: list[str] | None = None) -> int:
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
-    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     with tempfile.TemporaryDirectory(prefix="e2e-parent-") as scratch:
         unpack(args.parent, Path(scratch))
         trees = {"parent": Path(scratch), "change": REPO_ROOT}
-        for position, seed in enumerate(args.seeds):
-            for side in ("parent", "change")[:: -1 if position % 2 else 1]:
-                metrics = run_once(
-                    trees[side], args.workload, seed, args.seconds
-                )
-                for name, value in metrics.items():
-                    values[side].setdefault(name, []).append(value)
-                print(
-                    f"seed {seed} {side:6s} "
-                    + " ".join(f"{k}={v:.6g}" for k, v in metrics.items()),
-                    flush=True,
-                )
-    print(
-        f"\n{args.workload}: {len(args.seeds)} pairs (seeds {args.seeds}),"
-        f" parent {args.parent}, {args.seconds:g} s per run,"
-        " medians [inclusive quartiles]"
-    )
-    for metric in benchmark["end_to_end"]:
-        print(report(
-            metric,
-            values["parent"][metric["name"]],
-            values["change"][metric["name"]],
-        ))
+        chosen = workloads if args.workload == "all" else [args.workload]
+        for workload in chosen:
+            values = measure(trees, workload, args.seeds, args.seconds)
+            print(
+                f"\n{workload}: {len(args.seeds)} pairs (seeds {args.seeds}),"
+                f" parent {args.parent}, {args.seconds:g} s per run,"
+                " medians [inclusive quartiles]"
+            )
+            for metric in benchmark["end_to_end"]:
+                print(report(
+                    metric,
+                    values["parent"][metric["name"]],
+                    values["change"][metric["name"]],
+                ), flush=True)
     return 0
 
 

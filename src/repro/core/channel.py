@@ -10,16 +10,21 @@ and announce nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
-from repro.honeycomb.clusters import ChannelFactors
+from repro.core.config import CoronaConfig
+from repro.core.objectives import binning_ratio, scheme_by_name
+from repro.honeycomb.clusters import ChannelFactors, ratio_bin
 from repro.overlay.hashing import channel_id
 from repro.overlay.nodeid import NodeId
 
 
 #: ChannelStats attributes whose value feeds :meth:`ChannelStats.
 #: factors` (directly or through the ``update_interval`` clamp).
-#: Assigning any of them notifies the bound listener — see
+#: Assigning any of them a new value drops the cached
+#: :meth:`ChannelStats.record` and notifies the bound listener — see
 #: :meth:`ChannelStats.bind`.
 _FACTOR_FIELDS = frozenset(
     {
@@ -52,6 +57,11 @@ class ChannelStats:
     future — can move a factor without the delta machinery hearing
     about it (closing the convention hole where each facade call site
     had to remember ``mark_local_dirty``).
+
+    The same hook is the single invalidation point of :meth:`record`,
+    the cached derived values the optimization and aggregation phases
+    read every round: ``__setattr__`` drops it exactly where it detects
+    that a factor field actually moved, listener or not.
     """
 
     subscribers: int = 0
@@ -63,19 +73,27 @@ class ChannelStats:
     _last_update_time: float | None = None
     _interval_estimate: float | None = None
     updates_seen: int = 0
+    #: ``(config, log u, binning ratio, ratio bin)`` — see
+    #: :meth:`record`.  A declared field so every instance keeps the
+    #: class's shared attribute layout; holds derived values only.
+    _record: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __setattr__(self, name: str, value) -> None:
-        # Notify only when a factor value actually moved: a no-op
+        if name not in _FACTOR_FIELDS:
+            object.__setattr__(self, name, value)
+            return
+        # Act only when a factor value actually moved: a no-op
         # re-assignment (idempotent subscriber recounts, an unchanged
         # content size on detection) must not dirty the owner.
-        notify = (
-            name in _FACTOR_FIELDS
-            and getattr(self, "_listener", None) is not None
-            and getattr(self, name, _UNSET) != value
-        )
-        super().__setattr__(name, value)
-        if notify:
-            self._listener()
+        moved = getattr(self, name, _UNSET) != value
+        object.__setattr__(self, name, value)
+        if moved:
+            object.__setattr__(self, "_record", None)
+            listener = getattr(self, "_listener", None)
+            if listener is not None:
+                listener()
 
     def bind(self, listener) -> None:
         """Route factor-attribute changes to ``listener`` (no args).
@@ -126,6 +144,34 @@ class ChannelStats:
             update_interval=self.update_interval,
             level=level,
         )
+
+    def record(self, config: CoronaConfig) -> tuple:
+        """``(config, log u, binning ratio, ratio bin)`` under ``config``.
+
+        What a round needs of this channel beyond the factors
+        themselves, and what is costly to derive: the logarithm of the
+        clamped interval (clusters average intervals geometrically),
+        the scheme's cluster-binning ratio (§3.2) and the bin it lands
+        in.  Derived through a validated
+        :meth:`factors` snapshot and kept until a factor field moves;
+        stats travel between nodes on ownership transfer, so a record
+        answers only for the frozen config *object* it was derived
+        under.
+        """
+        cached = self._record
+        if cached is None or cached[0] is not config:
+            factors = self.factors(0)
+            ratio = binning_ratio(
+                scheme_by_name(config.scheme), config, factors
+            )
+            cached = (
+                config,
+                math.log(factors.update_interval),
+                ratio,
+                ratio_bin(ratio, config.tradeoff_bins),
+            )
+            self._record = cached
+        return cached
 
 
 @dataclass
@@ -189,7 +235,7 @@ class Channel:
         """
         if self.is_orphan():
             return (self.max_level,)
-        return tuple(range(self.max_level + 1))
+        return _levels_through(self.max_level)
 
     def clamp_level(self) -> None:
         """Snap ``level`` onto the nearest allowed level (from above)."""
@@ -198,3 +244,9 @@ class Channel:
             return
         deeper = [lvl for lvl in allowed if lvl >= self.level]
         self.level = min(deeper) if deeper else max(allowed)
+
+
+@cache
+def _levels_through(max_level: int) -> tuple[int, ...]:
+    """``(0, ..., max_level)``, one shared tuple per depth."""
+    return tuple(range(max_level + 1))

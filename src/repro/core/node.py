@@ -211,25 +211,32 @@ class CoronaNode:
             channel.stats.subscribers = self.registry.count(url)
         return removed
 
-    def local_factors(self) -> list[tuple[ChannelFactors, bool, float]]:
-        """Own channels' factors for the aggregation phase.
+    def _channel_records(self):
+        """Per managed channel, in order: ``(channel, ratio, record)``.
 
-        Each entry carries the scheme's cluster-binning ratio so that
-        remote nodes bin our channels with curve-alikes (§3.2).
+        ``record`` is the flat ``(slot, q, s, log u, level)`` row a
+        summary folds: the channel sits in its scheme's ratio bin so
+        that remote nodes cluster it with curve-alikes (§3.2) — an
+        orphan in the slack slot — at its current polling level.
         """
-        from repro.core.objectives import binning_ratio
-
-        result = []
+        config = self.config
+        slack = config.tradeoff_bins
         for channel in self.managed.values():
-            factors = channel.stats.factors(channel.level)
-            result.append(
-                (
-                    factors,
-                    channel.is_orphan(),
-                    binning_ratio(self.scheme, self.config, factors),
-                )
+            stats = channel.stats
+            _, log_u, ratio, slot = stats.record(config)
+            yield channel, ratio, (
+                slack if channel.is_orphan() else slot,
+                float(stats.subscribers),
+                float(stats.content_size),
+                log_u,
+                channel.level,
             )
-        return result
+
+    def local_summary(self) -> ClusterSummary:
+        """Own channels as the summary the aggregation phase loads."""
+        return ClusterSummary(bins=self.config.tradeoff_bins).with_channels(
+            record for _, _, record in self._channel_records()
+        )
 
     # ------------------------------------------------------------------
     # optimization phase (§3.3)
@@ -263,48 +270,56 @@ class CoronaNode:
         fine-grained knowledge where it is actually useful.  Returns
         the desired level per managed URL.
 
-        With ``memo_solve`` the phase is delta-driven at two grains:
-        if neither the remote summary's value nor this node's own
-        contribution (channel identities, factors, orphan structure)
-        moved since the last call, the whole phase short-circuits to
-        one fingerprint comparison and replays the previous desired
-        levels (the controller already holds the targets).  Otherwise,
-        when the driver supplies a round-scoped ``solve_cache``,
-        managers whose *combined* instance fingerprints collide reuse
-        one solution per round — only the local split-bin resolution
-        below stays per-node — so a round solves O(distinct problems)
-        instead of O(managers).
-        """
-        from repro.core.objectives import binning_ratio
-        from repro.honeycomb.clusters import ratio_bin
+        With ``memo_solve`` the phase is delta-driven at two grains.
+        The answer is a pure function of ``n_nodes``, the remote
+        summary's *sums* and this node's own channels in order
+        (identity, ``q``, ``s``, ``u``, ``anchor_prefix``,
+        ``max_level``) — scheme and config are fixed per node — so if
+        none of those moved since the last call the whole phase
+        short-circuits to one comparison and replays the previous
+        desired levels (the controller already holds the targets).
+        Polling levels, own and in the remote histogram, are *not* in
+        that key: no curve, budget or snap to an allowed level reads
+        them, and since a level move crosses the overlay two prefix
+        digits per control round, a key holding them keeps missing for
+        as long as identifiers collide deep, re-deriving one answer.
+        Otherwise, when the driver supplies a round-scoped
+        ``solve_cache``, managers whose *combined* instance
+        fingerprints collide reuse one solution per round — only the
+        local split-bin resolution below stays per-node — so a round
+        solves O(distinct problems) instead of O(managers).
 
+        A missed instance folds each channel's cached
+        :meth:`~repro.core.channel.ChannelStats.record` onto the remote
+        sums in channel order: the float additions ``add_channel``
+        would make, in the same order.
+        """
+        bins = self.config.tradeoff_bins
+        if remote.bins != bins:
+            raise ValueError("summaries must use the same bin count")
         if self.memo_solve:
             fingerprint = (
                 n_nodes,
-                remote.fingerprint(),
+                remote.sums_key(),
                 self._own_contribution_fingerprint(),
             )
             if fingerprint == self._opt_fingerprint:
                 self.solver.work.memo_hits += 1
                 return dict(self._opt_desired)
 
-        local = [
-            channel
-            for channel in self.managed.values()
-            if not channel.is_orphan()
-        ]
-        orphans = [
-            channel for channel in self.managed.values() if channel.is_orphan()
-        ]
-        inputs = self._problem_inputs(local, orphans, remote)
-        combined = remote.copy()
+        local: list[Channel] = []
+        orphans: list[Channel] = []
+        records = []
         own_bins: dict[int, list[tuple[float, Channel]]] = {}
-        for channel in local:
-            factors = channel.stats.factors(channel.level)
-            ratio = binning_ratio(self.scheme, self.config, factors)
-            bin_key = ratio_bin(ratio, combined.bins)
-            combined.add_channel(factors, ratio=ratio)
-            own_bins.setdefault(bin_key, []).append((ratio, channel))
+        for channel, ratio, record in self._channel_records():
+            if channel.is_orphan():
+                orphans.append(channel)
+                continue
+            local.append(channel)
+            records.append(record)
+            own_bins.setdefault(record[0], []).append((ratio, channel))
+        inputs = self._problem_inputs(local, orphans, remote)
+        combined = remote.with_channels(records)
 
         desired: dict[str, int] = {}
         for channel in orphans:
@@ -315,15 +330,25 @@ class CoronaNode:
             (channel.max_level for channel in self.managed.values()),
             default=0,
         )
+        levels = tuple(range(max_level + 1))
+        counts, subscribers, sizes, log_intervals = combined.sums()
+        # One entry per non-empty bin: the cluster's mean channel
+        # (intervals averaged geometrically), weighted by its count.
+        # The curves never read a level, so the means carry none.
         entries: list[tuple[object, ChannelFactors, Sequence[int], int]] = [
             (
-                bin_key,
-                cluster.mean_factors(),
-                tuple(range(max_level + 1)),
-                cluster.count,
+                slot,
+                ChannelFactors(
+                    subscribers=subscribers[slot] / count,
+                    size=sizes[slot] / count,
+                    update_interval=math.exp(log_intervals[slot] / count),
+                    level=0,
+                ),
+                levels,
+                int(count),
             )
-            for bin_key, cluster in combined.clusters.items()
-            if cluster.count > 0
+            for slot, count in enumerate(counts[:bins])
+            if count > 0
         ]
         if not entries:
             if self.memo_solve:
@@ -378,18 +403,17 @@ class CoronaNode:
     def _own_contribution_fingerprint(self) -> tuple:
         """Hashable identity of this node's optimization inputs.
 
-        Covers everything :meth:`run_optimization` reads from the
-        managed channels, in iteration order (split-bin tie-breaks are
-        order-sensitive): identity, the clamped factors at the current
-        level (the same values ``stats.factors(level)`` snapshots) and
-        the orphan/allowed-level structure.  Together with the remote
-        summary's fingerprint and ``n_nodes`` this is a complete input
-        hash — scheme and config are fixed per node.
+        Covers everything :meth:`run_optimization`'s answer depends on
+        in the managed channels, in iteration order (split-bin
+        tie-breaks are order-sensitive): identity, the clamped factors
+        and the orphan/allowed-level structure — not the current level,
+        which decides nothing.  Together with the remote sums and
+        ``n_nodes`` this is a complete input hash — scheme and config
+        are fixed per node.
         """
         return tuple(
             (
                 url,
-                channel.level,
                 channel.stats.subscribers,
                 channel.stats.content_size,
                 channel.stats.update_interval,
@@ -408,11 +432,10 @@ class CoronaNode:
         Demotes the node's share of the bin (the split's global
         fraction times its member count), lowest binning ratio first;
         the fractional boundary member is demoted with probability
-        equal to the remainder, decided by a uniform hash of its URL so
-        the choice is deterministic yet uncorrelated across nodes.
+        equal to the remainder, decided by its ring identifier (a
+        uniform hash of its URL) so the choice is deterministic yet
+        uncorrelated across nodes.
         """
-        from repro.overlay.hashing import channel_id as hash_url
-
         total = max(1, split.count_low + split.count_high)
         demote_share = split.demoted_count / total * len(members)
         whole = int(demote_share)
@@ -423,7 +446,7 @@ class CoronaNode:
             if index < whole:
                 level = split.demoted_level
             elif index == whole and remainder > 0:
-                draw = (hash_url(channel.url).value & 0xFFFFFFFF) / 2**32
+                draw = (channel.cid.value & 0xFFFFFFFF) / 2**32
                 level = (
                     split.demoted_level
                     if draw < remainder
@@ -437,8 +460,8 @@ class CoronaNode:
     @staticmethod
     def _nearest_allowed(channel: Channel, level: int) -> int:
         """Snap a desired level onto the channel's allowed set."""
-        allowed = channel.allowed_levels()
-        if level in allowed:
+        allowed = channel.allowed_levels()  # one level, or all of 0..K
+        if allowed[0] <= level <= allowed[-1]:
             return level
         return min(allowed, key=lambda candidate: abs(candidate - level))
 
@@ -459,30 +482,30 @@ class CoronaNode:
             channel.stats.subscribers * channel.stats.content_size
             for channel in orphans
         )
-        slack = remote.slack
+        counts, subscribers, sizes, _ = remote.sums()
+        *counts, slack_count = counts
+        slack_subs, slack_size = subscribers[-1], sizes[-1]
         total_subs = (
             local_subs
             + orphan_subs
             + remote.total_subscribers()
-            + slack.sum_subscribers
+            + slack_subs
         )
+        # Demand of a cluster: its subscribers times its mean size.
         total_bw = local_bw + orphan_bw
-        for cluster in remote.clusters.values():
-            if cluster.count:
-                mean = cluster.mean_factors()
-                total_bw += cluster.sum_subscribers * mean.size
-        if slack.count:
-            total_bw += slack.sum_subscribers * (slack.sum_size / slack.count)
+        for slot, count in enumerate(counts):
+            if count:
+                total_bw += subscribers[slot] * (sizes[slot] / count)
+        if slack_count:
+            total_bw += slack_subs * (slack_size / slack_count)
         # Orphans poll owner-only: one poll per tau each, latency tau/2.
-        orphan_count = len(orphans) + slack.count
         if self.config.load_metric == "bandwidth":
-            orphan_sizes = sum(
+            orphan_load = sum(
                 channel.stats.content_size for channel in orphans
-            ) + slack.sum_size
-            orphan_load = orphan_sizes
+            ) + slack_size
         else:
-            orphan_load = float(orphan_count)
-        orphan_latency = (orphan_subs + slack.sum_subscribers) * tau / 2.0
+            orphan_load = len(orphans) + slack_count
+        orphan_latency = (orphan_subs + slack_subs) * tau / 2.0
         return ProblemInputs(
             total_subscriptions=float(total_subs),
             total_bandwidth_demand=float(total_bw),

@@ -29,7 +29,7 @@ the system").
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -153,6 +153,57 @@ def binning_ratio(
 # ----------------------------------------------------------------------
 # tradeoff construction
 # ----------------------------------------------------------------------
+def _level_tables(
+    config: CoronaConfig,
+    n_nodes: int,
+    levels: Sequence[int],
+    sizes: Sequence[float] | None = None,
+) -> tuple:
+    """``(levels, detection times, pollers)`` of one instance's levels.
+
+    Neither depends on the channel, so a problem tabulates them once
+    and every curve scales them by its own factors.
+    """
+    levels = tuple(levels)
+    tau, base = config.polling_interval, config.base
+    return (
+        levels,
+        tuple(
+            detection_time(level, tau, n_nodes, base, sizes=sizes)
+            for level in levels
+        ),
+        tuple(
+            server_load(level, n_nodes, base, sizes=sizes) for level in levels
+        ),
+    )
+
+
+def _tradeoff(
+    scheme: Scheme,
+    key,
+    factors: ChannelFactors,
+    config: CoronaConfig,
+    weight: int,
+    tables: tuple,
+) -> ChannelTradeoff:
+    """One channel's curves, scaled from the per-level ``tables``."""
+    levels, latency, pollers = tables
+    q = factors.subscribers
+    if config.load_metric == "bandwidth":
+        size = factors.size
+        load = tuple(count * size for count in pollers)
+    else:
+        load = pollers
+    if scheme is Scheme.FAST:
+        f, g = load, tuple(q * delay for delay in latency)
+    else:
+        fair = fairness_weight(
+            scheme, config.polling_interval, factors.update_interval
+        )
+        f, g = tuple(q * delay * fair for delay in latency), load
+    return ChannelTradeoff(key=key, levels=levels, f=f, g=g, weight=weight)
+
+
 def build_tradeoff(
     scheme: Scheme,
     key,
@@ -170,32 +221,8 @@ def build_tradeoff(
     subscriber-weighted latency, bounded by ``T·Σq`` at the problem
     level.
     """
-    tau = config.polling_interval
-
-    def latency(level: int) -> float:
-        return detection_time(level, tau, n_nodes, config.base, sizes=sizes)
-
-    def load(level: int) -> float:
-        return server_load(
-            level,
-            n_nodes,
-            config.base,
-            size=factors.size,
-            metric=config.load_metric,
-            sizes=sizes,
-        )
-
-    q = factors.subscribers
-    if scheme is Scheme.FAST:
-        f_fn: Callable[[int], float] = load
-        g_fn: Callable[[int], float] = lambda level: q * latency(level)
-    else:
-        fair = fairness_weight(scheme, tau, factors.update_interval)
-        f_fn = lambda level: q * latency(level) * fair
-        g_fn = load
-    return ChannelTradeoff.from_functions(
-        key=key, levels=levels, f_of_level=f_fn, g_of_level=g_fn, weight=weight
-    )
+    tables = _level_tables(config, n_nodes, levels, sizes)
+    return _tradeoff(scheme, key, factors, config, weight, tables)
 
 
 @dataclass(frozen=True)
@@ -239,30 +266,19 @@ def build_problem(
     n_nodes: int,
     entries: Sequence[tuple[object, ChannelFactors, Sequence[int], int]],
     inputs: ProblemInputs,
-    sizes_of: Callable[[object], Sequence[float] | None] | None = None,
 ) -> TradeoffProblem:
     """Assemble a full :class:`TradeoffProblem` for ``scheme``.
 
     ``entries`` lists ``(key, factors, allowed_levels, weight)`` per
-    channel or cluster; ``sizes_of`` optionally supplies measured wedge
-    populations by key.  Orphans should *not* be included — their
+    channel or cluster.  Orphans should *not* be included — their
     effect enters through ``inputs`` (slack correction).
     """
     problem = TradeoffProblem(target=constraint_target(scheme, config, inputs))
+    tabulated = tables = None
     for key, factors, levels, weight in entries:
-        sizes = sizes_of(key) if sizes_of is not None else None
-        problem.add(
-            build_tradeoff(
-                scheme,
-                key,
-                factors,
-                config,
-                n_nodes,
-                levels,
-                weight=weight,
-                sizes=sizes,
-            )
-        )
+        if tables is None or levels != tabulated:
+            tabulated, tables = levels, _level_tables(config, n_nodes, levels)
+        problem.add(_tradeoff(scheme, key, factors, config, weight, tables))
     return problem
 
 

@@ -692,7 +692,7 @@ class CoronaSystem:
         responses (§3.3).
         """
         self.aggregator.refresh_locals(
-            lambda node_id: self.nodes[node_id].local_factors()
+            lambda node_id: self.nodes[node_id].local_summary()
         )
         self.aggregator.run_round()
         self.aggregator.run_round()

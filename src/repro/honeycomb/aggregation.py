@@ -165,9 +165,9 @@ class AggregationState:
 class DecentralizedAggregator:
     """Runs aggregation rounds across a population of nodes.
 
-    ``local_channels`` supplies, per node, the factors of the channels
-    that node currently owns; :meth:`load_local` rebuilds
-    radius-``rows`` summaries from it (all nodes, or just the ones
+    ``local_summary`` supplies, per node, a fresh summary of the
+    channels that node currently owns; :meth:`load_local` installs it
+    as the radius-``rows`` summary (all nodes, or just the ones
     marked dirty via :meth:`mark_local_dirty` — see
     :meth:`load_dirty_locals`) and :meth:`run_round` extends horizons
     one digit.
@@ -375,17 +375,16 @@ class DecentralizedAggregator:
 
     def load_local(
         self,
-        local_channels: Callable[[NodeId], list],
+        local_summary: Callable[[NodeId], ClusterSummary],
         node_ids: Iterable[NodeId] | None = None,
     ) -> None:
         """Rebuild own-channel summaries (all nodes, or ``node_ids``).
 
-        ``local_channels(node)`` yields ``(factors, is_orphan)`` or
-        ``(factors, is_orphan, binning_ratio)`` tuples for the channels
-        the node owns; the optional ratio is the scheme-specific f/g
-        metric channels are clustered by.  A rebuilt summary equal in
-        value to the stored one is discarded (no epoch advance), which
-        is what lets delta rounds quiesce even though the eager driver
+        ``local_summary(node)`` returns a new :class:`ClusterSummary`
+        of the channels the node owns (orphans in the slack slot),
+        which the aggregator keeps.  A rebuilt summary equal in value
+        to the stored one is discarded (no epoch advance), which is
+        what lets delta rounds quiesce even though the eager driver
         reloads every node every round.
         """
         if node_ids is None:
@@ -396,27 +395,23 @@ class DecentralizedAggregator:
             self._dirty_local.difference_update(targets)
         dirtied = 0
         for node_id in targets:
-            state = self.states[node_id]
-            summary = ClusterSummary(bins=self.bins)
-            for entry in local_channels(node_id):
-                factors, orphan = entry[0], entry[1]
-                ratio = entry[2] if len(entry) > 2 else None
-                summary.add_channel(factors, orphan=orphan, ratio=ratio)
-            if self._install_local(state, summary):
+            if self._install_local(
+                self.states[node_id], local_summary(node_id)
+            ):
                 dirtied += 1
         self.work.nodes_dirtied += dirtied
 
     def load_dirty_locals(
-        self, local_channels: Callable[[NodeId], list]
+        self, local_summary: Callable[[NodeId], ClusterSummary]
     ) -> None:
         """Rebuild locals only for nodes marked dirty since last load."""
         if not self._dirty_local:
             return
         order = sorted(self._dirty_local, key=lambda node_id: node_id.value)
-        self.load_local(local_channels, node_ids=order)
+        self.load_local(local_summary, node_ids=order)
 
     def refresh_locals(
-        self, local_channels: Callable[[NodeId], list]
+        self, local_summary: Callable[[NodeId], ClusterSummary]
     ) -> None:
         """Reload local summaries the way the active round mode needs.
 
@@ -424,9 +419,9 @@ class DecentralizedAggregator:
         the dirty set, the eager reference reloads the population.
         """
         if self.delta_rounds:
-            self.load_dirty_locals(local_channels)
+            self.load_dirty_locals(local_summary)
         else:
-            self.load_local(local_channels)
+            self.load_local(local_summary)
 
     def _install_local(
         self, state: AggregationState, summary: ClusterSummary

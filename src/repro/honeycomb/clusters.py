@@ -24,10 +24,12 @@ Representation
 aggregation round — stores its clusters as fixed-size parallel arrays
 keyed by ratio bin (slot ``bins`` is the slack cluster), so ``merge``
 is an in-place array walk with no per-cluster object allocation and
-``copy``/``replace_with`` are flat list copies.  The per-cluster
-object API survives as materialized :class:`TradeoffCluster` views
-(the ``clusters``/``slack`` properties) for the optimizer and the
-tests.  :class:`ObjectClusterSummary` retains the original
+``copy``/``replace_with`` are flat list copies.  The optimizer reads
+the sums as plain lists (:meth:`ClusterSummary.sums`) and nodes fold
+their channels in as flat records (:meth:`ClusterSummary.
+with_channels`); the per-cluster object API survives as materialized
+:class:`TradeoffCluster` views (the ``clusters``/``slack`` properties)
+for inspection and the tests.  :class:`ObjectClusterSummary` retains the original
 dict-of-dataclasses representation as the reference the micro-kernel
 benchmarks compare the flat arrays against.
 """
@@ -243,6 +245,46 @@ class ClusterSummary:
         levels[key] = levels.get(key, 0) + 1
         self._fp = None
 
+    def with_channels(self, records) -> "ClusterSummary":
+        """A new summary: this one plus a batch of channels.
+
+        ``records`` yields one flat ``(slot, q, s, log u, level)`` per
+        channel — ``slot`` its ratio bin, or ``bins`` for an orphan.
+        The sums accumulate as Python floats and are packed once; each
+        addition is the one :meth:`add_channel` would perform, in the
+        same order, so the result is bit-identical to ``copy()``
+        followed by an ``add_channel`` per record.
+        """
+        combined = self.copy()
+        counts, subscribers, sizes, log_intervals = rows = self.sums()
+        levels = combined._levels
+        shift = self.LEVEL_SHIFT
+        for slot, q, s, log_u, level in records:
+            if not 0 <= level < 1 << shift:
+                raise ValueError("polling level out of range")
+            counts[slot] += 1.0
+            subscribers[slot] += q
+            sizes[slot] += s
+            log_intervals[slot] += log_u
+            key = (slot << shift) | level
+            levels[key] = levels.get(key, 0) + 1
+        combined._sums[:] = rows
+        combined._fp = None
+        return combined
+
+    def sums(self) -> list[list[float]]:
+        """A copy of the sums as lists: counts, Σq, Σs, Σlog u per slot.
+
+        Slot ``bins`` (last) is the slack cluster.  This is all of a
+        summary the optimizer's answer depends on; the level histogram
+        is bookkeeping it never reads.
+        """
+        return self._sums.tolist()
+
+    def sums_key(self) -> bytes:
+        """:meth:`sums` byte for byte: a compact, hashable value key."""
+        return self._sums.tobytes()
+
     def merge(self, other: "ClusterSummary") -> None:
         """Fold another summary into this one, preserving the bin cap."""
         if other.bins != self.bins:
@@ -281,18 +323,19 @@ class ClusterSummary:
         """Cheap, hashable value identity of this summary.
 
         Equal fingerprints ⇔ equal summaries (the packed sums compared
-        byte for byte plus the canonicalized level histogram), so the
-        optimization phase can detect "my inputs did not move" and
-        "our combined problems collide" with one tuple hash instead of
-        re-solving — the solve-memo analogue of the delta rounds'
-        epoch stamps.  Cached until the next mutation: a converged
-        cloud fingerprints each remote summary once, not once per
-        round.
+        byte for byte plus the canonicalized level histogram).  Its one
+        consumer is the round-scoped shared-solution cache key of
+        :meth:`~repro.core.node.CoronaNode.run_optimization`, which
+        keeps the histogram part only so that "our combined problems
+        collide" discriminates as it always has; a manager's own
+        whole-phase memo compares :meth:`sums_key` alone, because the
+        histogram decides nothing about the answer.  Cached until the
+        next mutation.
         """
         if self._fp is None:
             self._fp = (
                 self.bins,
-                self._sums.tobytes(),
+                self.sums_key(),
                 tuple(sorted(self._levels.items())),
             )
         return self._fp

@@ -37,6 +37,7 @@ from repro.core.config import CoronaConfig
 from repro.core.node import CoronaNode
 from repro.faults import FaultPlane
 from repro.honeycomb.aggregation import DecentralizedAggregator
+from repro.honeycomb.clusters import ClusterSummary
 from repro.honeycomb.solver import SolverWork
 from repro.obs import NULL_SPAN, Observability
 from repro.overlay.hashing import channel_id
@@ -276,9 +277,9 @@ class MacroSimulator:
         # reference reloads the population.
         self.aggregator.refresh_locals(
             lambda node_id: (
-                self.nodes[node_id].local_factors()
+                self.nodes[node_id].local_summary()
                 if node_id in self.nodes
-                else []
+                else ClusterSummary(bins=self.config.tradeoff_bins)
             )
         )
         self.aggregator.run_round()
@@ -288,14 +289,17 @@ class MacroSimulator:
         for node_id, node in self.nodes.items():
             remote = self.aggregator.states[node_id].best_remote()
             node.run_optimization(remote, self.n_nodes, solve_cache=solve_cache)
+            controller = node.controller
             moved = False
             for url, channel in node.managed.items():
-                index = self._channel_index[url]
                 before = channel.level
-                new_level = node.controller.step(url, channel.level)
-                channel.level = new_level
+                if controller.settled(url, before):
+                    # Levels are clamped on every write, so a channel
+                    # at its target has nowhere to step or snap to.
+                    continue
+                channel.level = controller.step(url, before)
                 channel.clamp_level()
-                self.levels[index] = channel.level
+                self.levels[self._channel_index[url]] = channel.level
                 if channel.level != before:
                     moved = True
             if moved:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.config import CoronaConfig
 from repro.core.node import CoronaNode, FetchResult
+from repro.core.objectives import binning_ratio
 from repro.diffengine.extractor import CoreContentExtractor
+from repro.honeycomb.clusters import ClusterSummary
 from repro.overlay.hashing import node_id_for_address
 
 
@@ -63,14 +65,24 @@ class TestSubscriptions:
         node.unsubscribe(URL, "alice")
         assert node.managed[URL].stats.subscribers == 1
 
-    def test_local_factors_include_binning_ratio(self):
+    def test_local_summary_bins_by_the_scheme_ratio(self):
         node = make_node()
         node.adopt_channel(URL, 3, 3, now=0.0)
+        node.adopt_channel(URL + "2", 3, 0, now=0.0)  # an orphan
         node.subscribe(URL, "alice", 0.0)
-        ((factors, orphan, ratio),) = node.local_factors()
-        assert factors.subscribers == 1
-        assert not orphan
-        assert ratio > 0
+        expected = ClusterSummary(bins=node.config.tradeoff_bins)
+        for channel in node.managed.values():
+            factors = channel.stats.factors(channel.level)
+            expected.add_channel(
+                factors,
+                orphan=channel.is_orphan(),
+                ratio=binning_ratio(node.scheme, node.config, factors),
+            )
+        summary = node.local_summary()
+        assert summary == expected
+        assert summary.total_subscribers() == 1
+        assert summary.slack.count == 1
+        assert summary is not node.local_summary()  # the aggregator keeps it
 
 
 class TestPollingFlow:

@@ -7,6 +7,7 @@ from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.hashing import channel_id
 from repro.overlay.network import OverlayNetwork
+from tests.honeycomb.conftest import summary_of
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestAggregation:
         agg = DecentralizedAggregator(
             tables=net.routing_tables(), rows=net.aggregation_rows(), bins=16
         )
-        agg.load_local(lambda node_id: assignments[node_id])
+        agg.load_local(lambda node_id: summary_of(assignments[node_id]))
         rounds = agg.run_to_convergence()
         assert rounds >= 1
         for node_id in net.node_ids():
@@ -61,7 +62,7 @@ class TestAggregation:
         agg = DecentralizedAggregator(
             tables=net.routing_tables(), rows=rows, bins=16
         )
-        agg.load_local(lambda node_id: assignments[node_id])
+        agg.load_local(lambda node_id: summary_of(assignments[node_id]))
         node = net.node_ids()[0]
         assert agg.horizon_at(node) == rows
         previous = rows
@@ -77,7 +78,7 @@ class TestAggregation:
         agg = DecentralizedAggregator(
             tables=net.routing_tables(), rows=net.aggregation_rows(), bins=16
         )
-        agg.load_local(lambda node_id: assignments[node_id])
+        agg.load_local(lambda node_id: summary_of(assignments[node_id]))
         agg.run_to_convergence()
         for node_id in net.node_ids():
             own_q = sum(entry[0].subscribers for entry in assignments[node_id])
@@ -90,7 +91,7 @@ class TestAggregation:
         agg = DecentralizedAggregator(
             tables=net.routing_tables(), rows=net.aggregation_rows(), bins=16
         )
-        agg.load_local(lambda node_id: assignments[node_id])
+        agg.load_local(lambda node_id: summary_of(assignments[node_id]))
         agg.run_to_convergence()
         expected_orphans = sum(
             1
@@ -107,11 +108,11 @@ class TestAggregation:
         agg = DecentralizedAggregator(
             tables=net.routing_tables(), rows=net.aggregation_rows(), bins=16
         )
-        agg.load_local(lambda node_id: assignments[node_id])
+        agg.load_local(lambda node_id: summary_of(assignments[node_id]))
         agg.run_to_convergence()
 
         def doubled(node_id):
-            return [
+            return summary_of(
                 (
                     ChannelFactors(
                         subscribers=entry[0].subscribers * 2,
@@ -123,7 +124,7 @@ class TestAggregation:
                     entry[2] * 2,
                 )
                 for entry in assignments[node_id]
-            ]
+            )
 
         agg.load_local(doubled)
         for _ in range(net.aggregation_rows() + 1):

@@ -22,25 +22,29 @@ from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.network import OverlayNetwork
 from repro.simulation.webserver import WebServerFarm
+from tests.honeycomb.conftest import summary_of
 
 
 def synthetic_channels(node_id):
-    """Deterministic per-node channel factors (some nodes own none)."""
+    """Deterministic per-node local summary (some nodes own none)."""
     value = node_id.value
     if value % 3 == 0:
-        return []
-    return [
-        (
-            ChannelFactors(
-                subscribers=1 + value % 13,
-                size=100.0 + value % 900,
-                update_interval=60.0 * (1 + value % 7),
-                level=value % 4,
-            ),
-            value % 5 == 0,  # orphan flag
-            float(1 + value % 11),
-        )
-    ]
+        return summary_of([], bins=8)
+    return summary_of(
+        [
+            (
+                ChannelFactors(
+                    subscribers=1 + value % 13,
+                    size=100.0 + value % 900,
+                    update_interval=60.0 * (1 + value % 7),
+                    level=value % 4,
+                ),
+                value % 5 == 0,  # orphan flag
+                float(1 + value % 11),
+            )
+        ],
+        bins=8,
+    )
 
 
 def converged_states(aggregator, local_channels):
@@ -216,7 +220,7 @@ class TestSystemChurnEquivalence:
             if step % 2 == 1:
                 system.run_maintenance_round(now)
         def local_channels(node_id):
-            return system.nodes[node_id].local_factors()
+            return system.nodes[node_id].local_summary()
 
         assert_equivalent(system.aggregator, system.overlay, local_channels)
 
@@ -244,7 +248,7 @@ class TestSystemChurnEquivalence:
             system.run_maintenance_round(now)
 
         def local_channels(node_id):
-            return system.nodes[node_id].local_factors()
+            return system.nodes[node_id].local_summary()
 
         assert_equivalent(system.aggregator, system.overlay, local_channels)
 

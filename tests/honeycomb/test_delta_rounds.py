@@ -18,26 +18,30 @@ import pytest
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.network import OverlayNetwork
+from tests.honeycomb.conftest import summary_of
 
 
 def factors_for(node_id, boost: int = 0):
-    """Deterministic per-node channel factors, scalable by ``boost``."""
+    """Deterministic per-node local summary, scalable by ``boost``."""
     value = node_id.value
     if value % 3 == 0 and not boost:
-        return []
+        return summary_of([], bins=8)
     q = 1 + value % 13 + 10 * boost
-    return [
-        (
-            ChannelFactors(
-                subscribers=float(q),
-                size=100.0 + value % 900,
-                update_interval=60.0 * (1 + value % 7),
-                level=(value + boost) % 4,
-            ),
-            value % 5 == 0,
-            float(q % 11 + 1),
-        )
-    ]
+    return summary_of(
+        [
+            (
+                ChannelFactors(
+                    subscribers=float(q),
+                    size=100.0 + value % 900,
+                    update_interval=60.0 * (1 + value % 7),
+                    level=(value + boost) % 4,
+                ),
+                value % 5 == 0,
+                float(q % 11 + 1),
+            )
+        ],
+        bins=8,
+    )
 
 
 class MirroredPair:

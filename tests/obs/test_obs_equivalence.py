@@ -124,6 +124,43 @@ def test_work_baseline_byte_identical_with_tracing_on():
     assert actual == baseline
 
 
+#: ``(problems_solved, solve_hits)`` per committed baseline and variant
+#: as they stood before PR 20 re-keyed the whole-phase memo (commit
+#: b6ca930).  Their sum is the number of optimization instances the
+#: protocol *posed* — a property of the run, not of the caches.
+SOLVER_WORK_BEFORE_VALUE_KEY = {
+    ("asymmetric-loss.json", "base"): (49, 71),
+    ("churn-scale-sweep.work.json", "n512"): (88, 199),
+    ("congested-relay.json", "base"): (49, 71),
+    ("heavy-churn.json", "base"): (62, 32),
+    ("lossy-overlay.json", "base"): (49, 71),
+    ("partition-heal.json", "base"): (67, 29),
+    ("steady-state.json", "base"): (49, 71),
+}
+
+
+def test_solver_counter_baselines_only_move_work_into_hits():
+    """A cache change may answer more instances, never pose or solve more.
+
+    What makes a diff of the solver counters reviewable: in every
+    committed baseline ``problems_solved + solve_hits`` is still the
+    recorded number of posed instances, and ``problems_solved`` is no
+    higher than it was.
+    """
+    seen = set()
+    for path in sorted(BASELINE_DIR.glob("*.json")):
+        for label, metrics in json.loads(path.read_text()).items():
+            solved = metrics["solver_work_problems_solved"]
+            hits = metrics["solver_work_solve_hits"]
+            was_solved, was_hits = SOLVER_WORK_BEFORE_VALUE_KEY[
+                path.name, label
+            ]
+            assert solved + hits == was_solved + was_hits, (path.name, label)
+            assert solved <= was_solved, (path.name, label)
+            seen.add((path.name, label))
+    assert seen == set(SOLVER_WORK_BEFORE_VALUE_KEY)
+
+
 class TestOnOffEquivalence:
     """Direct on-vs-off comparison inside one process."""
 

@@ -24,6 +24,19 @@ THROUGHPUT = {
 }
 
 
+STUB_RESULT = {
+    "correct": True, "attempted": 3, "failed": 0,
+    "metrics": {"run_wall_s": {"value": 1.5, "unit": "s"}},
+}
+
+
+def _stub_tree(tmp_path, body: str) -> Path:
+    run = tmp_path / "benchmarks" / "e2e" / "run.py"
+    run.parent.mkdir(parents=True)
+    run.write_text(body)
+    return tmp_path
+
+
 def test_parse_seeds(pairs):
     assert pairs.parse_seeds("0-3") == [0, 1, 2, 3]
     assert pairs.parse_seeds("7") == [7]
@@ -52,22 +65,81 @@ def test_report_flags_a_spread_wider_than_bound_times_parent_median(pairs):
 def test_report_says_when_a_metric_did_not_move(pairs):
     text = pairs.report(THROUGHPUT, [5.0, 6.0], [5.0, 6.0])
     assert "equal on every seed" in text
+    assert "separated" not in text
 
 
-def _stub_tree(tmp_path, body: str) -> Path:
-    run = tmp_path / "benchmarks" / "e2e" / "run.py"
-    run.parent.mkdir(parents=True)
-    run.write_text(body)
-    return tmp_path
+def test_report_says_whether_every_change_run_beats_every_parent_run(pairs):
+    parent = [100.0, 104.0, 98.0, 101.0]
+    separated = pairs.report(THROUGHPUT, parent, [105.0, 130.0, 110.0, 120.0])
+    assert "\n  separated: yes\n" in separated
+    # Ahead in every pair, yet one change run reads below a parent run.
+    overlapping = pairs.report(THROUGHPUT, parent, [103.0, 130.0, 110.0, 120.0])
+    assert "change ahead in 4 of 4 pairs" in overlapping
+    assert "\n  separated: no\n" in overlapping
+    # Touching ranges are not separated, and direction follows `better`.
+    assert "separated: no" in pairs.report(
+        THROUGHPUT, parent, [104.0, 130.0, 110.0, 120.0]
+    )
+    lower = dict(THROUGHPUT, name="run_wall_s", unit="s", better="lower")
+    assert "separated: yes" in pairs.report(lower, parent, [90.0, 97.0, 80.0, 85.0])
+    assert "separated: no" in pairs.report(lower, parent, [90.0, 99.0, 80.0, 85.0])
+
+
+def test_a_spread_over_the_bound_can_still_be_separated(pairs):
+    """The case §6.5 is about: OVER, but no run of the change is worse."""
+    parent = [100.0, 101.0, 99.0, 100.0]
+    text = pairs.report(THROUGHPUT, parent, [200.0, 260.0, 170.0, 230.0])
+    assert "separated: yes" in text
+    assert text.endswith("OVER")
+
+
+def test_measure_alternates_which_side_runs_first(pairs, tmp_path, capsys):
+    tree = _stub_tree(tmp_path, f"print({json.dumps(STUB_RESULT)!r})\n")
+    values = pairs.measure(
+        {"parent": tree, "change": tree}, "steady-poll", [0, 1, 2], 1.0
+    )
+    assert values == {
+        "parent": {"run_wall_s": [1.5] * 3},
+        "change": {"run_wall_s": [1.5] * 3},
+    }
+    sides = [line.split()[3] for line in capsys.readouterr().out.splitlines()]
+    assert sides == ["parent", "change", "change", "parent", "parent", "change"]
+
+
+def test_workload_all_reports_every_workload(
+    pairs, tmp_path, capsys, monkeypatch
+):
+    """The rows a change does not claim have to be shown too."""
+    tree = _stub_tree(tmp_path, f"print({json.dumps(STUB_RESULT)!r})\n")
+    (tree / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "workloads": [{"name": "steady-poll"}, {"name": "macro-table2"}],
+        "end_to_end": [
+            {"name": "run_wall_s", "unit": "s", "better": "lower",
+             "bound": 0.25},
+        ],
+    }))
+    monkeypatch.setattr(pairs, "REPO_ROOT", tree)
+    monkeypatch.setattr(
+        pairs, "unpack",
+        lambda rev, into: _stub_tree(
+            into, f"print({json.dumps(STUB_RESULT)!r})\n"
+        ),
+    )
+    assert pairs.main(
+        ["--parent", "HEAD", "--workload", "all", "--seeds", "0-1"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.index("steady-poll: 2 pairs") < out.index("macro-table2: 2 pairs")
+    assert out.count("equal on every seed") == 2
+    with pytest.raises(SystemExit):
+        pairs.main(["--parent", "HEAD", "--workload", "nonesuch"])
 
 
 def test_run_once_returns_the_values_of_the_last_stdout_line(pairs, tmp_path):
-    result = {
-        "correct": True, "attempted": 3, "failed": 0,
-        "metrics": {"run_wall_s": {"value": 1.5, "unit": "s"}},
-    }
     tree = _stub_tree(
-        tmp_path, f"print('progress')\nprint({json.dumps(result)!r})\n"
+        tmp_path,
+        f"print('progress')\nprint({json.dumps(STUB_RESULT)!r})\n",
     )
     assert pairs.run_once(tree, "steady-poll", 0, 1.0) == {"run_wall_s": 1.5}
 
