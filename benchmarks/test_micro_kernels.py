@@ -15,7 +15,6 @@ from repro.feeds.generator import FeedGenerator
 from repro.honeycomb.clusters import (
     ChannelFactors,
     ClusterSummary,
-    ObjectClusterSummary,
 )
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
 from repro.honeycomb.solver import HoneycombSolver, ObjectHoneycombSolver
@@ -72,18 +71,17 @@ def test_micro_poll_path(benchmark):
     assert not delta.is_empty
 
 
-def _populate_summaries(cls, count: int = 17) -> list:
+def _populate_summaries(count: int = 17) -> list:
     """``count`` summaries shaped like one node's aggregation inputs."""
     summaries = []
     for rank in range(count):
-        summary = cls(bins=16)
+        summary = ClusterSummary(bins=16)
         for member in range(24):
             summary.add_channel(
                 ChannelFactors(
                     subscribers=1.0 + (rank * 31 + member) % 50,
                     size=200.0 + member * 37,
                     update_interval=60.0 * (1 + member % 9),
-                    level=member % 4,
                 ),
                 orphan=member % 11 == 0,
                 ratio=float(1 + (rank + member) % 13),
@@ -114,28 +112,14 @@ def _round_kernel(summaries, fanout: int = 16, radii: int = 3) -> int:
 
 def test_micro_summary_merge_flat(benchmark):
     """Flat-array ClusterSummary merge (the production representation)."""
-    summaries = _populate_summaries(ClusterSummary)
-    total = benchmark(lambda: _merge_kernel(summaries))
-    assert total == 17 * 24 - sum(1 for m in range(24) if m % 11 == 0) * 17
-
-
-def test_micro_summary_merge_objects(benchmark):
-    """Dict-of-objects merge (the pre-flat reference representation)."""
-    summaries = _populate_summaries(ObjectClusterSummary)
+    summaries = _populate_summaries()
     total = benchmark(lambda: _merge_kernel(summaries))
     assert total == 17 * 24 - sum(1 for m in range(24) if m % 11 == 0) * 17
 
 
 def test_micro_round_kernel_flat(benchmark):
     """run_round's copy+merge inner loop on flat arrays."""
-    summaries = _populate_summaries(ClusterSummary)
-    folded = benchmark(lambda: _round_kernel(summaries))
-    assert folded == 48
-
-
-def test_micro_round_kernel_objects(benchmark):
-    """run_round's copy+merge inner loop on the object-dict reference."""
-    summaries = _populate_summaries(ObjectClusterSummary)
+    summaries = _populate_summaries()
     folded = benchmark(lambda: _round_kernel(summaries))
     assert folded == 48
 

@@ -40,7 +40,6 @@ def synthetic_channels(node_id):
                 subscribers=1 + value % 13,
                 size=100.0 + value % 900,
                 update_interval=60.0 * (1 + value % 7),
-                level=value % 4,
             ),
             orphan=value % 5 == 0,
             ratio=float(1 + value % 11),

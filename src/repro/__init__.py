@@ -24,7 +24,7 @@ Quickstart::
             corona.run_maintenance_round(now)
     print(corona.detections)
 
-Package map (one subpackage per subsystem; see DESIGN.md):
+Package map (one subpackage per subsystem; see README.md, "Layout"):
 
 ========================  ==============================================
 ``repro.core``            Corona itself: channels, objectives (Table 1),

@@ -136,13 +136,12 @@ class ChannelStats:
             return self.default_update_interval
         return min(self.max_interval, max(self.min_interval, self._interval_estimate))
 
-    def factors(self, level: int) -> ChannelFactors:
+    def factors(self) -> ChannelFactors:
         """Snapshot as the optimization's input record."""
         return ChannelFactors(
             subscribers=float(self.subscribers),
             size=float(self.content_size),
             update_interval=self.update_interval,
-            level=level,
         )
 
     def record(self, config: CoronaConfig) -> tuple:
@@ -160,7 +159,7 @@ class ChannelStats:
         """
         cached = self._record
         if cached is None or cached[0] is not config:
-            factors = self.factors(0)
+            factors = self.factors()
             ratio = binning_ratio(
                 scheme_by_name(config.scheme), config, factors
             )

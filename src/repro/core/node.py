@@ -214,10 +214,10 @@ class CoronaNode:
     def _channel_records(self):
         """Per managed channel, in order: ``(channel, ratio, record)``.
 
-        ``record`` is the flat ``(slot, q, s, log u, level)`` row a
-        summary folds: the channel sits in its scheme's ratio bin so
-        that remote nodes cluster it with curve-alikes (§3.2) — an
-        orphan in the slack slot — at its current polling level.
+        ``record`` is the flat ``(slot, q, s, log u)`` row a summary
+        folds: the channel sits in its scheme's ratio bin so that
+        remote nodes cluster it with curve-alikes (§3.2) — an orphan in
+        the slack slot.
         """
         config = self.config
         slack = config.tradeoff_bins
@@ -229,7 +229,6 @@ class CoronaNode:
                 float(stats.subscribers),
                 float(stats.content_size),
                 log_u,
-                channel.level,
             )
 
     def local_summary(self) -> ClusterSummary:
@@ -272,22 +271,19 @@ class CoronaNode:
 
         With ``memo_solve`` the phase is delta-driven at two grains.
         The answer is a pure function of ``n_nodes``, the remote
-        summary's *sums* and this node's own channels in order
-        (identity, ``q``, ``s``, ``u``, ``anchor_prefix``,
-        ``max_level``) — scheme and config are fixed per node — so if
-        none of those moved since the last call the whole phase
-        short-circuits to one comparison and replays the previous
-        desired levels (the controller already holds the targets).
-        Polling levels, own and in the remote histogram, are *not* in
-        that key: no curve, budget or snap to an allowed level reads
-        them, and since a level move crosses the overlay two prefix
-        digits per control round, a key holding them keeps missing for
-        as long as identifiers collide deep, re-deriving one answer.
+        summary and this node's own channels in order (identity,
+        ``q``, ``s``, ``u``, ``anchor_prefix``, ``max_level``) — scheme
+        and config are fixed per node — so if none of those moved since
+        the last call the whole phase short-circuits to one comparison
+        and replays the previous desired levels (the controller already
+        holds the targets).  Own polling levels are *not* in that key:
+        no curve, budget or snap to an allowed level reads them.
         Otherwise, when the driver supplies a round-scoped
-        ``solve_cache``, managers whose *combined* instance
-        fingerprints collide reuse one solution per round — only the
-        local split-bin resolution below stays per-node — so a round
-        solves O(distinct problems) instead of O(managers).
+        ``solve_cache``, managers whose *combined* sums
+        (:meth:`~repro.honeycomb.clusters.ClusterSummary.sums_key`)
+        collide reuse one solution per round — only the local
+        split-bin resolution below stays per-node — so a round solves
+        O(distinct problems) instead of O(managers).
 
         A missed instance folds each channel's cached
         :meth:`~repro.core.channel.ChannelStats.record` onto the remote
@@ -334,7 +330,6 @@ class CoronaNode:
         counts, subscribers, sizes, log_intervals = combined.sums()
         # One entry per non-empty bin: the cluster's mean channel
         # (intervals averaged geometrically), weighted by its count.
-        # The curves never read a level, so the means carry none.
         entries: list[tuple[object, ChannelFactors, Sequence[int], int]] = [
             (
                 slot,
@@ -342,7 +337,6 @@ class CoronaNode:
                     subscribers=subscribers[slot] / count,
                     size=sizes[slot] / count,
                     update_interval=math.exp(log_intervals[slot] / count),
-                    level=0,
                 ),
                 levels,
                 int(count),
@@ -366,7 +360,7 @@ class CoronaNode:
                 n_nodes,
                 max_level,
                 inputs,
-                combined.fingerprint(),
+                combined.sums_key(),
             )
             cached = solve_cache.get(problem_key)
             if cached is not None:
@@ -537,7 +531,7 @@ class CoronaNode:
                 MaintenanceMsg(
                     url=channel.url,
                     level=channel.level,
-                    factors=channel.stats.factors(channel.level),
+                    factors=channel.stats.factors(),
                     row=channel.level,
                 )
             )

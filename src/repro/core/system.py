@@ -760,25 +760,7 @@ class CoronaSystem:
                 node.run_optimization(
                     remote, n_nodes, solve_cache=solve_cache
                 )
-                if self.delta_rounds:
-                    # Level moves change the factors this node
-                    # aggregates; the next phase must rebuild its local
-                    # summary.  (The eager reference reloads everyone
-                    # wholesale, so the tracking would be dead weight on
-                    # the reference path.)
-                    levels_before = {
-                        url: channel.level
-                        for url, channel in node.managed.items()
-                    }
-                    msgs = node.run_maintenance(now)
-                    if any(
-                        channel.level != levels_before.get(url)
-                        for url, channel in node.managed.items()
-                    ):
-                        self.aggregator.mark_local_dirty(node_id)
-                else:
-                    msgs = node.run_maintenance(now)
-                for msg in msgs:
+                for msg in node.run_maintenance(now):
                     attempted, reached = self._flood_maintenance(
                         node_id, msg, now
                     )

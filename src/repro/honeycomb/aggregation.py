@@ -367,8 +367,10 @@ class DecentralizedAggregator:
 
         The drivers call this on every event that can move a factor a
         local summary is built from — subscribe/unsubscribe, channel
-        re-homes, detected updates (interval/size estimators), level
-        steps — so :meth:`load_dirty_locals` touches only those nodes.
+        re-homes, detected updates (interval/size estimators) — so
+        :meth:`load_dirty_locals` touches only those nodes.  A polling
+        level step is not one: a summary is its sums, and no sum reads
+        a level.
         """
         if node_id in self.states:
             self._dirty_local.add(node_id)

@@ -21,47 +21,36 @@ than entering the optimization itself.
 Representation
 --------------
 :class:`ClusterSummary` — the unit merged thousands of times per
-aggregation round — stores its clusters as fixed-size parallel arrays
-keyed by ratio bin (slot ``bins`` is the slack cluster), so ``merge``
-is an in-place array walk with no per-cluster object allocation and
-``copy``/``replace_with`` are flat list copies.  The optimizer reads
-the sums as plain lists (:meth:`ClusterSummary.sums`) and nodes fold
-their channels in as flat records (:meth:`ClusterSummary.
+aggregation round — *is* its sums: one ``(4, bins + 1)`` float array
+of channel count, Σq, Σs and Σlog u per ratio bin (slot ``bins`` is
+the slack cluster), and nothing else.  ``merge`` is one array add,
+``copy`` one array copy, equality a comparison of the sums.  The
+optimizer reads them as plain lists (:meth:`ClusterSummary.sums`) and
+nodes fold their channels in as flat records (:meth:`ClusterSummary.
 with_channels`); the per-cluster object API survives as materialized
 :class:`TradeoffCluster` views (the ``clusters``/``slack`` properties)
-for inspection and the tests.  :class:`ObjectClusterSummary` retains the original
-dict-of-dataclasses representation as the reference the micro-kernel
-benchmarks compare the flat arrays against.
+for inspection and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-#: Bits reserved for the polling level inside a flattened histogram key
-#: (``slot << LEVEL_KEY_SHIFT | level`` in :class:`ClusterSummary`).
-#: Levels are prefix depths (≤ identifier digit count, ≤ 160), far
-#: under the bound; :class:`ChannelFactors` enforces it at creation so
-#: keys stay collision-free.
-LEVEL_KEY_SHIFT = 20
 
 
 @dataclass(frozen=True)
 class ChannelFactors:
     """The per-channel quantities the optimization consumes (Table 1).
 
-    ``subscribers`` is q_i, ``size`` is s_i (content size in bytes),
-    ``update_interval`` is u_i (seconds between content changes), and
-    ``level`` the channel's current polling level.
+    ``subscribers`` is q_i, ``size`` is s_i (content size in bytes) and
+    ``update_interval`` is u_i (seconds between content changes).
     """
 
     subscribers: float
     size: float
     update_interval: float
-    level: int
 
     def __post_init__(self) -> None:
         if self.subscribers < 0:
@@ -70,10 +59,6 @@ class ChannelFactors:
             raise ValueError("content size must be positive")
         if self.update_interval <= 0:
             raise ValueError("update interval must be positive")
-        if self.level < 0:
-            raise ValueError("polling level cannot be negative")
-        if self.level >= 1 << LEVEL_KEY_SHIFT:
-            raise ValueError("polling level out of range")
 
 
 @dataclass
@@ -81,16 +66,13 @@ class TradeoffCluster:
     """Aggregate of ``count`` channels with similar tradeoff factors.
 
     Factor sums (not means) are stored so that merging two clusters is
-    exact; means are derived on demand.  ``levels`` histograms the
-    current polling levels of the member channels — the aggregate view
-    every node has of the system's realized polling state.
+    exact; means are derived on demand.
     """
 
     count: int = 0
     sum_subscribers: float = 0.0
     sum_size: float = 0.0
     sum_log_update_interval: float = 0.0
-    levels: dict[int, int] = field(default_factory=dict)
 
     def add(self, factors: ChannelFactors) -> None:
         """Fold one channel into the cluster."""
@@ -98,7 +80,6 @@ class TradeoffCluster:
         self.sum_subscribers += factors.subscribers
         self.sum_size += factors.size
         self.sum_log_update_interval += math.log(factors.update_interval)
-        self.levels[factors.level] = self.levels.get(factors.level, 0) + 1
 
     def merge(self, other: "TradeoffCluster") -> None:
         """Fold another cluster (same ratio bin) into this one."""
@@ -106,25 +87,6 @@ class TradeoffCluster:
         self.sum_subscribers += other.sum_subscribers
         self.sum_size += other.sum_size
         self.sum_log_update_interval += other.sum_log_update_interval
-        for level, count in other.levels.items():
-            self.levels[level] = self.levels.get(level, 0) + count
-
-    # ------------------------------------------------------------------
-    def majority_level(self) -> int:
-        """The most common current level among member channels.
-
-        Ties break toward the shallower level — a canonical rule, so
-        two value-equal histograms always agree regardless of the
-        order their entries were inserted in (delta rounds keep old
-        summary objects where the eager sweep would rebuild equal
-        ones; an order-dependent tie-break would let the two modes
-        diverge).
-        """
-        if not self.levels:
-            return 0
-        return max(
-            self.levels.items(), key=lambda item: (item[1], -item[0])
-        )[0]
 
     def mean_factors(self) -> ChannelFactors:
         """The representative (mean) channel this cluster stands for.
@@ -141,13 +103,11 @@ class TradeoffCluster:
             update_interval=math.exp(
                 self.sum_log_update_interval / self.count
             ),
-            level=self.majority_level(),
         )
 
     def copy(self) -> "TradeoffCluster":
         """An independent copy (merging mutates in place)."""
-        duplicate = replace(self, levels=dict(self.levels))
-        return duplicate
+        return replace(self)
 
 
 def default_ratio(factors: ChannelFactors) -> float:
@@ -183,29 +143,25 @@ class ClusterSummary:
     """Capped set of tradeoff clusters, plus the slack cluster.
 
     This is the unit exchanged between nodes during the aggregation
-    phase.  Channels land in a ratio bin (the per-level composition
-    lives in each bin's level histogram: channels at different levels
-    with the same ratio have identical tradeoff *curves*, so binning by
-    ratio alone loses nothing for the solver while keeping the summary
-    within the paper's per-level state cap).  The slack slot aggregates
-    orphan channels whose levels are frozen (§4).
+    phase.  Channels land in a ratio bin whatever level they are
+    polled at: channels at different levels with the same ratio have
+    identical tradeoff *curves*, so binning by ratio alone loses
+    nothing for the solver while keeping the summary within the
+    paper's per-level state cap.  The slack slot aggregates orphan
+    channels whose levels are frozen (§4).
 
-    Internally the factor sums live in one ``(4, bins + 1)`` float
-    array — rows are channel count, Σq, Σs, Σlog u; columns are ratio
-    bins with the slack cluster at column ``bins`` — so ``merge`` is a
-    single vectorized in-place add and ``copy`` one C-level array copy.
-    The per-bin level histograms are flattened into one dict keyed
-    ``slot << LEVEL_SHIFT | level`` so merging them folds a single
-    dict.  ``clusters`` and ``slack`` materialize read-only
+    The whole state is one ``(4, bins + 1)`` float array — rows are
+    channel count, Σq, Σs, Σlog u; columns are ratio bins with the
+    slack cluster at column ``bins`` — so ``merge`` is a single
+    vectorized in-place add and ``copy`` one C-level array copy.  A
+    summary carries no polling levels: a level step changes no sum, so
+    it dirties nothing and nothing about it crosses the overlay.
+    ``clusters`` and ``slack`` materialize read-only
     :class:`TradeoffCluster` views for consumers that want the object
     API; mutating a view does not write back.
     """
 
-    __slots__ = ("bins", "_sums", "_levels", "_fp")
-
-    #: See :data:`LEVEL_KEY_SHIFT` — shared with the
-    #: :class:`ChannelFactors` level bound.
-    LEVEL_SHIFT = LEVEL_KEY_SHIFT
+    __slots__ = ("bins", "_sums")
 
     #: Row indices of the packed sums array.
     _COUNT, _SUBS, _SIZE, _LOGU = 0, 1, 2, 3
@@ -213,10 +169,6 @@ class ClusterSummary:
     def __init__(self, bins: int = 16) -> None:
         self.bins = bins
         self._sums = np.zeros((4, bins + 1), dtype=np.float64)
-        #: Flattened (slot, level) → channel count histogram.
-        self._levels: dict[int, int] = {}
-        #: Cached :meth:`fingerprint`; every mutator resets it.
-        self._fp: tuple | None = None
 
     def add_channel(
         self,
@@ -240,15 +192,11 @@ class ClusterSummary:
         column[1] += factors.subscribers
         column[2] += factors.size
         column[3] += math.log(factors.update_interval)
-        key = (slot << self.LEVEL_SHIFT) | factors.level
-        levels = self._levels
-        levels[key] = levels.get(key, 0) + 1
-        self._fp = None
 
     def with_channels(self, records) -> "ClusterSummary":
         """A new summary: this one plus a batch of channels.
 
-        ``records`` yields one flat ``(slot, q, s, log u, level)`` per
+        ``records`` yields one flat ``(slot, q, s, log u)`` per
         channel — ``slot`` its ratio bin, or ``bins`` for an orphan.
         The sums accumulate as Python floats and are packed once; each
         addition is the one :meth:`add_channel` would perform, in the
@@ -257,32 +205,29 @@ class ClusterSummary:
         """
         combined = self.copy()
         counts, subscribers, sizes, log_intervals = rows = self.sums()
-        levels = combined._levels
-        shift = self.LEVEL_SHIFT
-        for slot, q, s, log_u, level in records:
-            if not 0 <= level < 1 << shift:
-                raise ValueError("polling level out of range")
+        for slot, q, s, log_u in records:
             counts[slot] += 1.0
             subscribers[slot] += q
             sizes[slot] += s
             log_intervals[slot] += log_u
-            key = (slot << shift) | level
-            levels[key] = levels.get(key, 0) + 1
         combined._sums[:] = rows
-        combined._fp = None
         return combined
 
     def sums(self) -> list[list[float]]:
         """A copy of the sums as lists: counts, Σq, Σs, Σlog u per slot.
 
-        Slot ``bins`` (last) is the slack cluster.  This is all of a
-        summary the optimizer's answer depends on; the level histogram
-        is bookkeeping it never reads.
+        Slot ``bins`` (last) is the slack cluster.  This is all there
+        is to a summary.
         """
         return self._sums.tolist()
 
     def sums_key(self) -> bytes:
-        """:meth:`sums` byte for byte: a compact, hashable value key."""
+        """:meth:`sums` byte for byte: the hashable value key.
+
+        Equal keys ⇔ equal summaries of one bin count; both the
+        whole-phase memo and the round-scoped shared-solution cache of
+        :meth:`~repro.core.node.CoronaNode.run_optimization` key on it.
+        """
         return self._sums.tobytes()
 
     def merge(self, other: "ClusterSummary") -> None:
@@ -290,19 +235,12 @@ class ClusterSummary:
         if other.bins != self.bins:
             raise ValueError("summaries must use the same bin count")
         self._sums += other._sums
-        levels = self._levels
-        get = levels.get
-        for key, count in other._levels.items():
-            levels[key] = get(key, 0) + count
-        self._fp = None
 
     def copy(self) -> "ClusterSummary":
         """Deep-enough copy for exchange without aliasing."""
         duplicate = ClusterSummary.__new__(ClusterSummary)
         duplicate.bins = self.bins
         duplicate._sums = self._sums.copy()
-        duplicate._levels = dict(self._levels)
-        duplicate._fp = self._fp  # same value ⇒ same fingerprint
         return duplicate
 
     def replace_with(self, other: "ClusterSummary") -> "ClusterSummary":
@@ -314,39 +252,13 @@ class ClusterSummary:
         if other.bins != self.bins:
             raise ValueError("summaries must use the same bin count")
         self._sums[:] = other._sums
-        self._levels.clear()
-        self._levels.update(other._levels)
-        self._fp = other._fp
         return self
-
-    def fingerprint(self) -> tuple:
-        """Cheap, hashable value identity of this summary.
-
-        Equal fingerprints ⇔ equal summaries (the packed sums compared
-        byte for byte plus the canonicalized level histogram).  Its one
-        consumer is the round-scoped shared-solution cache key of
-        :meth:`~repro.core.node.CoronaNode.run_optimization`, which
-        keeps the histogram part only so that "our combined problems
-        collide" discriminates as it always has; a manager's own
-        whole-phase memo compares :meth:`sums_key` alone, because the
-        histogram decides nothing about the answer.  Cached until the
-        next mutation.
-        """
-        if self._fp is None:
-            self._fp = (
-                self.bins,
-                self.sums_key(),
-                tuple(sorted(self._levels.items())),
-            )
-        return self._fp
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClusterSummary):
             return NotImplemented
-        return (
-            self.bins == other.bins
-            and self._levels == other._levels
-            and bool(np.array_equal(self._sums, other._sums))
+        return self.bins == other.bins and bool(
+            np.array_equal(self._sums, other._sums)
         )
 
     __hash__ = None  # mutable, like the dataclass it replaced
@@ -362,40 +274,20 @@ class ClusterSummary:
     # object-API views
     # ------------------------------------------------------------------
     def _cluster_view(self, slot: int) -> TradeoffCluster:
-        shift = self.LEVEL_SHIFT
-        mask = (1 << shift) - 1
         column = self._sums[:, slot]
         return TradeoffCluster(
             count=int(column[0]),
             sum_subscribers=float(column[1]),
             sum_size=float(column[2]),
             sum_log_update_interval=float(column[3]),
-            levels={
-                key & mask: count
-                for key, count in self._levels.items()
-                if key >> shift == slot
-            },
         )
 
     @property
     def clusters(self) -> dict[int, TradeoffCluster]:
-        """Materialized bin → cluster view (read-only snapshot)."""
-        shift = self.LEVEL_SHIFT
-        mask = (1 << shift) - 1
-        by_slot: dict[int, dict[int, int]] = {}
-        for key, count in self._levels.items():
-            by_slot.setdefault(key >> shift, {})[key & mask] = count
-        sums = self._sums
+        """Materialized bin → cluster view of the non-empty bins."""
         return {
-            slot: TradeoffCluster(
-                count=int(sums[0, slot]),
-                sum_subscribers=float(sums[1, slot]),
-                sum_size=float(sums[2, slot]),
-                sum_log_update_interval=float(sums[3, slot]),
-                levels=levels,
-            )
-            for slot, levels in sorted(by_slot.items())
-            if slot < self.bins
+            int(slot): self._cluster_view(slot)
+            for slot in np.flatnonzero(self._sums[0, : self.bins])
         }
 
     @property
@@ -423,59 +315,3 @@ class ClusterSummary:
         strictly tighter — at most ``bins`` clusters total.)
         """
         return self.cluster_count()
-
-
-@dataclass
-class ObjectClusterSummary:
-    """The original dict-of-:class:`TradeoffCluster` representation.
-
-    Semantically identical to :class:`ClusterSummary`; retained as the
-    reference the micro-kernel benchmarks compare the flat-array
-    representation against (``benchmarks/test_micro_kernels.py``).
-    Nothing on the protocol paths uses it.
-    """
-
-    bins: int = 16
-    clusters: dict[int, TradeoffCluster] = field(default_factory=dict)
-    slack: TradeoffCluster = field(default_factory=TradeoffCluster)
-
-    def add_channel(
-        self,
-        factors: ChannelFactors,
-        orphan: bool = False,
-        ratio: float | None = None,
-    ) -> None:
-        """Fold one channel into the summary (slack if it is an orphan)."""
-        if orphan:
-            self.slack.add(factors)
-            return
-        key = ratio_bin(
-            default_ratio(factors) if ratio is None else ratio, self.bins
-        )
-        cluster = self.clusters.get(key)
-        if cluster is None:
-            cluster = TradeoffCluster()
-            self.clusters[key] = cluster
-        cluster.add(factors)
-
-    def merge(self, other: "ObjectClusterSummary") -> None:
-        """Fold another summary into this one, preserving the bin cap."""
-        if other.bins != self.bins:
-            raise ValueError("summaries must use the same bin count")
-        for key, cluster in other.clusters.items():
-            mine = self.clusters.get(key)
-            if mine is None:
-                self.clusters[key] = cluster.copy()
-            else:
-                mine.merge(cluster)
-        self.slack.merge(other.slack)
-
-    def copy(self) -> "ObjectClusterSummary":
-        """Deep-enough copy for exchange without aliasing."""
-        duplicate = ObjectClusterSummary(bins=self.bins)
-        duplicate.merge(self)
-        return duplicate
-
-    def total_channels(self) -> int:
-        """Channels summarized, excluding the slack cluster."""
-        return sum(cluster.count for cluster in self.clusters.values())

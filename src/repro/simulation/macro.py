@@ -272,9 +272,9 @@ class MacroSimulator:
         what lets global knowledge converge within the couple of
         phases Figure 3 shows.
         """
-        # Delta rounds reload only managers whose levels moved last
-        # round (plus the initial everyone-dirty load); the eager
-        # reference reloads the population.
+        # Delta rounds reload only managers whose factors moved since
+        # the last round (plus the initial everyone-dirty load); the
+        # eager reference reloads the population.
         self.aggregator.refresh_locals(
             lambda node_id: (
                 self.nodes[node_id].local_summary()
@@ -290,7 +290,6 @@ class MacroSimulator:
             remote = self.aggregator.states[node_id].best_remote()
             node.run_optimization(remote, self.n_nodes, solve_cache=solve_cache)
             controller = node.controller
-            moved = False
             for url, channel in node.managed.items():
                 before = channel.level
                 if controller.settled(url, before):
@@ -300,10 +299,6 @@ class MacroSimulator:
                 channel.level = controller.step(url, before)
                 channel.clamp_level()
                 self.levels[self._channel_index[url]] = channel.level
-                if channel.level != before:
-                    moved = True
-            if moved:
-                self.aggregator.mark_local_dirty(node_id)
 
     # ------------------------------------------------------------------
     # measurement

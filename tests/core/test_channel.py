@@ -39,9 +39,8 @@ class TestChannelStats:
     def test_factors_snapshot(self):
         stats = ChannelStats()
         stats.subscribers = 12
-        factors = stats.factors(level=2)
+        factors = stats.factors()
         assert factors.subscribers == 12.0
-        assert factors.level == 2
         assert factors.update_interval == stats.update_interval
 
     def test_updates_seen_counter(self):
@@ -57,7 +56,7 @@ class TestCachedRecord:
     CONFIG = CoronaConfig(scheme="fair", load_metric="bandwidth")
 
     def fresh(self, stats, config):
-        factors = stats.factors(0)
+        factors = stats.factors()
         ratio = binning_ratio(scheme_by_name(config.scheme), config, factors)
         return (
             config,

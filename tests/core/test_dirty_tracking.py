@@ -15,7 +15,9 @@ transfers move the stats object between nodes.
 import pytest
 
 from repro.core.channel import ChannelStats
+from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
+from repro.simulation.macro import MacroSimulator
 from repro.simulation.webserver import WebServerFarm
 
 
@@ -204,3 +206,66 @@ class TestEveryPublicPath:
             delta_sys.aggregator.work.as_dict()
             == eager_sys.aggregator.work.as_dict()
         )
+
+
+class TestLevelStepsDirtyNothing:
+    """A summary is its sums, and no sum reads a polling level: a round
+    in which only levels move gives the aggregation phase nothing to do.
+    """
+
+    @staticmethod
+    def retarget_every_channel(nodes) -> int:
+        """One allowed step away from the current level, by hand."""
+        retargeted = 0
+        for node in nodes:
+            for url, channel in node.managed.items():
+                allowed = channel.allowed_levels()
+                if len(allowed) < 2:
+                    continue  # an orphan has nowhere to go
+                step = -1 if channel.level > allowed[0] else 1
+                node.controller.set_target(url, channel.level + step)
+                retargeted += 1
+        return retargeted
+
+    def test_system_round_of_level_moves_only(self, system):
+        now = 0.0
+        for _ in range(12):  # converge: levels settled, nothing in flight
+            now += 120.0
+            system.run_maintenance_round(now)
+        aggregator = system.aggregator
+        assert aggregator._quiescent and not dirty(system)
+        levels = {
+            url: system.channel_level(url) for url in system.managers
+        }
+        work = aggregator.work.as_dict()
+
+        assert self.retarget_every_channel(system.nodes.values())
+        for _ in range(4):  # the move, then time to cross the overlay
+            now += 120.0
+            system.run_maintenance_round(now)
+        moved = {
+            url
+            for url in system.managers
+            if system.channel_level(url) != levels[url]
+        }
+        assert moved, "no polling level moved"
+        assert aggregator.work.as_dict() == work
+        assert aggregator._quiescent and not dirty(system)
+
+    def test_macro_control_round_of_level_moves_only(self, tiny_trace):
+        simulator = MacroSimulator(
+            tiny_trace, CoronaConfig(scheme="lite"), n_nodes=32, seed=4
+        )
+        for _ in range(12):
+            simulator._run_control_round()
+        aggregator = simulator.aggregator
+        assert aggregator._quiescent and not aggregator._dirty_local
+        levels = simulator.levels.copy()
+        work = aggregator.work.as_dict()
+
+        assert self.retarget_every_channel(simulator.nodes.values())
+        for _ in range(4):
+            simulator._run_control_round()
+        assert (simulator.levels != levels).any(), "no polling level moved"
+        assert aggregator.work.as_dict() == work
+        assert aggregator._quiescent and not aggregator._dirty_local

@@ -72,7 +72,7 @@ class TestSubscriptions:
         node.subscribe(URL, "alice", 0.0)
         expected = ClusterSummary(bins=node.config.tradeoff_bins)
         for channel in node.managed.values():
-            factors = channel.stats.factors(channel.level)
+            factors = channel.stats.factors()
             expected.add_channel(
                 factors,
                 orphan=channel.is_orphan(),

@@ -22,8 +22,8 @@ from repro.core.objectives import (
 from repro.honeycomb.clusters import ChannelFactors
 
 
-def factors(q=10.0, s=1000.0, u=3600.0, level=2) -> ChannelFactors:
-    return ChannelFactors(subscribers=q, size=s, update_interval=u, level=level)
+def factors(q=10.0, s=1000.0, u=3600.0) -> ChannelFactors:
+    return ChannelFactors(subscribers=q, size=s, update_interval=u)
 
 
 class TestAnalyticEstimates:

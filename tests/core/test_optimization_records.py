@@ -5,13 +5,13 @@ subscription churn, detected updates, clamp changes, a wholesale
 ``channel.stats`` swap, an ownership transfer to a node whose config is
 equal but another object — the cached :meth:`ChannelStats.record` equals
 a fresh derivation and the node's local summary equals the one
-``add_channel`` builds from ``stats.factors(level)``.
+``add_channel`` builds from ``stats.factors()``.
 
 *Key soundness*: the whole-phase memo of ``run_optimization`` keys on
-what decides the answer.  Moving own polling levels or the remote level
-histogram (sums fixed) hits it, and the replayed answer is what a fresh
-memo-less node computes from the moved state; moving a sum, ``n_nodes``,
-a factor, ``anchor_prefix`` or the channel order misses it.
+what decides the answer.  Moving own polling levels hits it, and the
+replayed answer is what a fresh memo-less node computes from the moved
+state; moving a sum, ``n_nodes``, a factor, ``anchor_prefix`` or the
+channel order misses it.
 """
 
 import dataclasses
@@ -74,7 +74,7 @@ def make_node(config, specs, memo_solve=True, address="records") -> CoronaNode:
 # coherence
 # ----------------------------------------------------------------------
 def fresh_record(stats: ChannelStats, config: CoronaConfig) -> tuple:
-    factors = stats.factors(0)
+    factors = stats.factors()
     ratio = binning_ratio(scheme_by_name(config.scheme), config, factors)
     return (
         config,
@@ -87,7 +87,7 @@ def fresh_record(stats: ChannelStats, config: CoronaConfig) -> tuple:
 def reference_summary(node: CoronaNode) -> ClusterSummary:
     summary = ClusterSummary(bins=node.config.tradeoff_bins)
     for channel in node.managed.values():
-        factors = channel.stats.factors(channel.level)
+        factors = channel.stats.factors()
         summary.add_channel(
             factors,
             orphan=channel.is_orphan(),
@@ -187,31 +187,24 @@ def test_cached_records_stay_coherent(config, specs, timeline):
 # ----------------------------------------------------------------------
 # key soundness
 # ----------------------------------------------------------------------
-#: Remote channels as flat (slot fraction, q, s, log u, level) rows; the
-#: slot is scaled to the config's bin count (the last one is slack).
+#: Remote channels as flat (slot fraction, q, s, log u) rows; the slot
+#: is scaled to the config's bin count (the last one is slack).
 remote_rows = st.lists(
     st.tuples(
         st.floats(0.0, 1.0),
         st.integers(0, 400).map(float),
         st.integers(1, 60_000).map(float),
         intervals.map(math.log),
-        st.integers(0, MAX_LEVEL),
     ),
     max_size=12,
 )
 
 
-def remote_summary(config, rows, level_shift=0) -> ClusterSummary:
+def remote_summary(config, rows) -> ClusterSummary:
     bins = config.tradeoff_bins
     return ClusterSummary(bins=bins).with_channels(
-        (
-            min(bins, int(fraction * (bins + 1))),
-            q,
-            size,
-            log_u,
-            (level + level_shift) % (MAX_LEVEL + 1),
-        )
-        for fraction, q, size, log_u, level in rows
+        (min(bins, int(fraction * (bins + 1))), q, size, log_u)
+        for fraction, q, size, log_u in rows
     )
 
 
@@ -255,23 +248,21 @@ def shifted_levels(specs, shift):
 def test_levels_are_not_part_of_the_key(config, specs, rows, n_nodes, shift):
     node = make_node(config, specs)
     solves = spy_on_solves(node)
-    node.run_optimization(remote_summary(config, rows), n_nodes)
+    remote = remote_summary(config, rows)
+    node.run_optimization(remote, n_nodes)
     posed = len(solves)
 
-    # Move every own level and the whole remote level histogram; every
-    # sum is the same additions in the same order, hence the same bits.
+    # Move every own level; no sum moves with them.
     moved_specs = shifted_levels(specs, shift)
     for channel, spec in zip(node.managed.values(), moved_specs):
         channel.level = spec[4]
         channel.clamp_level()
-    moved_remote = remote_summary(config, rows, level_shift=shift)
-    assert moved_remote.sums() == remote_summary(config, rows).sums()
 
     hits = node.solver.work.memo_hits
-    replayed = node.run_optimization(moved_remote, n_nodes)
+    replayed = node.run_optimization(remote_summary(config, rows), n_nodes)
     assert len(solves) == posed
     assert node.solver.work.memo_hits == hits + 1
-    answer, targets = eager_answer(config, moved_specs, moved_remote, n_nodes)
+    answer, targets = eager_answer(config, moved_specs, remote, n_nodes)
     assert replayed == answer
     assert node.controller.desired == targets
 

@@ -17,7 +17,6 @@ def summary_of(entries, bins: int = 16) -> ClusterSummary:
             factors.subscribers,
             factors.size,
             math.log(factors.update_interval),
-            factors.level,
         )
         for factors, orphan, ratio in entries
     )

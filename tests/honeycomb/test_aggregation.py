@@ -27,7 +27,6 @@ def populated():
                     subscribers=q,
                     size=1000.0,
                     update_interval=3600.0 * (1 + index % 5),
-                    level=2,
                 ),
                 index % 29 == 0,  # sprinkle some orphans
                 q,  # binning ratio
@@ -118,7 +117,6 @@ class TestAggregation:
                         subscribers=entry[0].subscribers * 2,
                         size=entry[0].size,
                         update_interval=entry[0].update_interval,
-                        level=entry[0].level,
                     ),
                     entry[1],
                     entry[2] * 2,

@@ -13,10 +13,8 @@ from repro.honeycomb.clusters import (
 )
 
 
-def factors(q=10.0, s=1000.0, u=3600.0, level=1) -> ChannelFactors:
-    return ChannelFactors(
-        subscribers=q, size=s, update_interval=u, level=level
-    )
+def factors(q=10.0, s=1000.0, u=3600.0) -> ChannelFactors:
+    return ChannelFactors(subscribers=q, size=s, update_interval=u)
 
 
 class TestChannelFactors:
@@ -27,8 +25,6 @@ class TestChannelFactors:
             factors(s=0)
         with pytest.raises(ValueError):
             factors(u=0)
-        with pytest.raises(ValueError):
-            factors(level=-1)
 
 
 class TestTradeoffCluster:
@@ -53,7 +49,6 @@ class TestTradeoffCluster:
         assert a.sum_log_update_interval == pytest.approx(
             combined.sum_log_update_interval
         )
-        assert a.levels == combined.levels
 
     def test_mean_factors_geometric_interval(self):
         cluster = TradeoffCluster()
@@ -65,13 +60,6 @@ class TestTradeoffCluster:
     def test_empty_cluster_has_no_representative(self):
         with pytest.raises(ValueError):
             TradeoffCluster().mean_factors()
-
-    def test_majority_level(self):
-        cluster = TradeoffCluster()
-        cluster.add(factors(level=1))
-        cluster.add(factors(level=2))
-        cluster.add(factors(level=2))
-        assert cluster.majority_level() == 2
 
     def test_copy_is_independent(self):
         cluster = TradeoffCluster()

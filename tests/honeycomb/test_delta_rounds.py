@@ -34,7 +34,6 @@ def factors_for(node_id, boost: int = 0):
                     subscribers=float(q),
                     size=100.0 + value % 900,
                     update_interval=60.0 * (1 + value % 7),
-                    level=(value + boost) % 4,
                 ),
                 value % 5 == 0,
                 float(q % 11 + 1),

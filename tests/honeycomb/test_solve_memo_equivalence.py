@@ -197,7 +197,6 @@ def remote_summary(count=20, bins=16):
                 subscribers=1.0 + rank % 7,
                 size=300.0 + 40 * rank,
                 update_interval=120.0 * (1 + rank % 5),
-                level=rank % 4,
             ),
             ratio=float(1 + rank % 9),
         )
@@ -251,7 +250,6 @@ class TestNodePhaseMemo:
                     subscribers=50.0,
                     size=100.0,
                     update_interval=60.0,
-                    level=1,
                 ),
                 ratio=3.0,
             ),

@@ -11,6 +11,7 @@ off configuration via ``scripts/check_baselines.py``).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -124,41 +125,96 @@ def test_work_baseline_byte_identical_with_tracing_on():
     assert actual == baseline
 
 
-#: ``(problems_solved, solve_hits)`` per committed baseline and variant
+#: Per committed baseline and variant: ``(problems_solved, solve_hits)``
 #: as they stood before PR 20 re-keyed the whole-phase memo (commit
-#: b6ca930).  Their sum is the number of optimization instances the
-#: protocol *posed* — a property of the run, not of the caches.
-SOLVER_WORK_BEFORE_VALUE_KEY = {
-    ("asymmetric-loss.json", "base"): (49, 71),
-    ("churn-scale-sweep.work.json", "n512"): (88, 199),
-    ("congested-relay.json", "base"): (49, 71),
-    ("heavy-churn.json", "base"): (62, 32),
-    ("lossy-overlay.json", "base"): (49, 71),
-    ("partition-heal.json", "base"): (67, 29),
-    ("steady-state.json", "base"): (49, 71),
+#: b6ca930) — their sum is the number of optimization instances the
+#: protocol *posed*, a property of the run, not of the caches — then
+#: ``(work_summaries_rebuilt, work_cluster_merges, work_nodes_dirtied)``
+#: as they stood before PR 21 took the level histogram out of a
+#: summary (commit b476531): the aggregation work a run may no longer
+#: exceed.
+WORK_BEFORE = {
+    ("asymmetric-loss.json", "base"): (49, 71, 963, 767, 494),
+    ("churn-scale-sweep.work.json", "n512"): (88, 199, 3990, 80, 3791),
+    ("congested-relay.json", "base"): (49, 71, 963, 767, 494),
+    ("heavy-churn.json", "base"): (62, 32, 940, 550, 642),
+    ("lossy-overlay.json", "base"): (49, 71, 963, 767, 494),
+    ("partition-heal.json", "base"): (67, 29, 1037, 992, 665),
+    ("steady-state.json", "base"): (49, 71, 963, 767, 494),
+}
+
+#: sha256 of each committed baseline without its ``work_*`` /
+#: ``solver_work_*`` keys (see :func:`_protocol_digest`), recorded from
+#: commit b476531 via ``git show``: everything a run *decided*.
+PROTOCOL_DIGEST = {
+    "asymmetric-loss.json":
+        "ad88fc2c62ec5b427d93a93d1fc1e755f3862af64447a2fdae0ff97f09006daa",
+    "churn-scale-sweep.work.json":
+        "0ceaea2a56ffcd6bb93dd2493e310268c8229d1339fb90f006e4093e035197d7",
+    "congested-relay.json":
+        "f9035fd50c2450f3428f932ac9f4b0f79aaa935f9b38ac2a5bd6f18200fc3ee6",
+    "heavy-churn.json":
+        "a8a8b2fd1f60dfbae0eed42fd450838a34da1183b9c3e9806709cb6e2fb6c484",
+    "lossy-overlay.json":
+        "89480a402a0c0e36af9341c1c3d196de2bab7af9d3295efc68879c4ae5a82253",
+    "partition-heal.json":
+        "f93270ff8bde73d95baf76f6432140e151de44be7da3a2b56b495350c6a54f92",
+    "steady-state.json":
+        "1550613a473ec7d8c00adcb74a6da7af55581548738e672fa37a9b2c98699ea5",
 }
 
 
 def test_solver_counter_baselines_only_move_work_into_hits():
-    """A cache change may answer more instances, never pose or solve more.
+    """A cheaper round may answer more instances and merge fewer
+    summaries, never pose, solve or aggregate more.
 
-    What makes a diff of the solver counters reviewable: in every
+    What makes a diff of the work counters reviewable: in every
     committed baseline ``problems_solved + solve_hits`` is still the
-    recorded number of posed instances, and ``problems_solved`` is no
-    higher than it was.
+    recorded number of posed instances, ``problems_solved`` is no
+    higher than it was, and neither is any aggregation counter.
     """
     seen = set()
     for path in sorted(BASELINE_DIR.glob("*.json")):
         for label, metrics in json.loads(path.read_text()).items():
             solved = metrics["solver_work_problems_solved"]
             hits = metrics["solver_work_solve_hits"]
-            was_solved, was_hits = SOLVER_WORK_BEFORE_VALUE_KEY[
+            was_solved, was_hits, *was_aggregated = WORK_BEFORE[
                 path.name, label
             ]
             assert solved + hits == was_solved + was_hits, (path.name, label)
             assert solved <= was_solved, (path.name, label)
+            for key, was in zip(
+                (
+                    "work_summaries_rebuilt",
+                    "work_cluster_merges",
+                    "work_nodes_dirtied",
+                ),
+                was_aggregated,
+            ):
+                assert metrics[key] <= was, (path.name, label, key)
             seen.add((path.name, label))
-    assert seen == set(SOLVER_WORK_BEFORE_VALUE_KEY)
+    assert seen == set(WORK_BEFORE)
+
+
+def _protocol_digest(text: str) -> str:
+    decided = {
+        label: {
+            key: value
+            for key, value in metrics.items()
+            if not key.startswith(("work_", "solver_work_"))
+        }
+        for label, metrics in json.loads(text).items()
+    }
+    payload = json.dumps(decided, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_baselines_outside_the_work_counters_are_the_recorded_ones():
+    """The work counters are the only baseline keys that have moved."""
+    assert {
+        path.name: _protocol_digest(path.read_text())
+        for path in BASELINE_DIR.glob("*.json")
+    } == PROTOCOL_DIGEST
 
 
 class TestOnOffEquivalence:

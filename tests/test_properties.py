@@ -131,7 +131,7 @@ def test_property_schemes_produce_feasible_monotone_solutions(
         (
             index,
             ChannelFactors(
-                subscribers=q, size=1000.0, update_interval=3600.0, level=2
+                subscribers=q, size=1000.0, update_interval=3600.0
             ),
             range(4),
             1,
@@ -184,7 +184,6 @@ def test_property_cluster_merge_conserves_mass(counts, bins):
                     subscribers=q,
                     size=500.0 + member,
                     update_interval=60.0 * (1 + member),
-                    level=member % 4,
                 ),
                 ratio=q,
             )
