@@ -3,16 +3,18 @@
 The eager reference reloads every node's local summary and recomputes
 every radius for every node each round — O(N · rows · base) summary
 merges forever, even when nothing changed.  Delta rounds
-(``delta_rounds=True``, the default) stamp summaries with value-change
-epochs and rebuild only what moved, so a converged steady-state round
-does no summary work at all.  This bench replays the aggregation
-phase exactly as :meth:`CoronaSystem.run_aggregation_phase` drives it
-(dirty-local load + two rounds) on a converged 1024-node population
-and gates on the ≥5x PR acceptance floor (measured locally at several
-orders of magnitude); the 4096-node probe extends the scale sweep and
-is recorded, not gated.  Results land in
-``BENCH_round_delta_1024.json`` so the trajectory is tracked across
-PRs.
+(``delta_rounds=True``, the default) push a pending mark to the radii
+that read a changed summary and rebuild only those, so a converged
+steady-state round does no summary work at all.  This bench replays
+the aggregation phase exactly as
+:meth:`CoronaSystem.run_aggregation_phase` drives it (dirty-local load
++ two rounds) on a converged 1024-node population and gates on the ≥5x
+PR acceptance floor (measured locally at several orders of magnitude);
+the 4096-node probe extends the scale sweep and adds a cold
+convergence — every radius of every node built from nothing, the case
+where a round's cost is its rebuilds — recorded, not gated.  Results
+land in ``BENCH_round_delta_1024.json`` / ``_4096.json`` so the
+trajectory is tracked across PRs.
 """
 
 import time
@@ -121,13 +123,23 @@ def test_steady_state_round_speedup_1024(benchmark):
 
 
 def test_steady_state_probe_4096(benchmark):
-    """The scale-sweep probe: converged delta phases at 4096 nodes.
+    """The scale-sweep probe: cold convergence, then converged delta
+    phases, at 4096 nodes.
 
     Recorded (BENCH_round_delta_4096.json), not gated — the point is
-    that the phase stays O(change) as N quadruples past the paper's
+    that a round costs its rebuilds (the cold rows) and the phase stays
+    O(change) (the converged row) as N quadruples past the paper's
     1024-node evaluation scale.
     """
-    aggregator = build_converged(PROBE_NODES, delta=True)
+    overlay = OverlayNetwork.build(
+        PROBE_NODES, base=16, leaf_size=4, seed=5, address_prefix="delta"
+    )
+    aggregator = DecentralizedAggregator.for_overlay(overlay, bins=16)
+    aggregator.load_local(synthetic_channels)
+    start = time.perf_counter()
+    cold_rounds = aggregator.run_to_convergence()
+    cold_seconds = time.perf_counter() - start
+    cold_rebuilt = aggregator.work.summaries_rebuilt
     benchmark.pedantic(
         lambda: steady_state_phase(aggregator), rounds=3, iterations=1
     )
@@ -137,11 +149,21 @@ def test_steady_state_probe_4096(benchmark):
     )
     write_artifact(
         "round_delta_4096.txt",
-        f"Steady-state delta aggregation phase at {PROBE_NODES} nodes: "
-        f"{phase_seconds * 1000:.4f} ms",
+        "\n".join(
+            [
+                f"Delta aggregation at {PROBE_NODES} nodes",
+                f"  cold convergence : {cold_seconds * 1000:10.2f} ms "
+                f"over {cold_rounds} rounds, "
+                f"{cold_rebuilt} summaries rebuilt",
+                f"  converged phase  : {phase_seconds * 1000:10.4f} ms",
+            ]
+        ),
         data={
             "n_nodes": PROBE_NODES,
             "rows": aggregator.rows,
+            "cold_seconds": cold_seconds,
+            "cold_rounds": cold_rounds,
+            "cold_summaries_rebuilt": cold_rebuilt,
             "delta_seconds": phase_seconds,
             "work": aggregator.work.as_dict(),
         },

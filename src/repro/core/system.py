@@ -685,8 +685,8 @@ class CoronaSystem:
         With ``delta_rounds`` only the nodes whose channel factors
         changed since the previous phase rebuild their local summary
         (the facade marks them dirty on every factor-moving event), and
-        each round recomputes only the radii whose epoch triggers
-        fired; the eager mode reloads and recomputes everything.  Both
+        each round recomputes only the radii a changed input marked
+        pending; the eager mode reloads and recomputes everything.  Both
         produce bit-identical summaries — two rounds per phase because
         summaries ride the maintenance messages and again on their
         responses (§3.3).

@@ -30,19 +30,20 @@ Delta-driven rounds
 The recursion above makes each radius a pure function of the previous
 round's radius-``r+1`` summaries, so a converged system recomputes the
 same values forever.  The default ``delta_rounds`` mode therefore
-stamps every per-radius summary with the epoch (round clock) at which
-its *value* last changed, and a node rebuilds radius ``r`` only when
-its own radius-``r+1`` epoch or some row-``r`` contact's radius-``r+1``
-epoch advanced since the node last built ``r`` (or the radius is
-missing outright — after churn trimmed it).  Rebuilds read the
-previous round's values and are committed after the sweep (a double
-buffer), preserving the one-maintenance-interval staleness of
-piggy-backed aggregation data bit for bit: a skipped radius is exactly
-the value the eager recomputation would have produced, and dirt still
-propagates one prefix digit per round.  A fully converged round does
-no summary work at all.  ``delta_rounds=False`` retains the original
-recompute-everything sweep as the benchmark reference
-(``benchmarks/test_round_delta.py`` gates the speedup).
+pushes change to where it is read: building radius ``r``, a node
+registers as a *reader* of radius ``r+1`` at its row-``r`` contacts,
+and a value change of radius ``k`` at node X marks radius ``k-1``
+*pending* at X and at X's readers of ``k``.  A round rebuilds only
+pending or missing radii (churn drops every radius built from a row it
+changed), reading the previous round's values and committing after
+the sweep (a double buffer), which preserves the one-maintenance-
+interval staleness of piggy-backed aggregation data bit for bit.  An
+empty radius holds the shared :meth:`ClusterSummary.empty`, and a
+rebuild adding nothing returns its inner summary itself; committed
+summaries are never mutated, so they may be aliased.  A converged
+round does no summary work at all.  ``delta_rounds=False`` retains the
+original recompute-everything sweep as the reference
+(``benchmarks/test_round_delta.py`` times both).
 
 Both modes maintain the same :class:`AggregationWork` counters, which
 deliberately count *value changes* rather than raw recomputation —
@@ -54,13 +55,29 @@ independent of how cleverly the round is executed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.honeycomb.clusters import ClusterSummary
 from repro.obs.metrics import CounterStruct
-from repro.overlay.nodeid import NodeId
+from repro.overlay.nodeid import ID_BITS, NodeId, bits_per_digit
 from repro.overlay.routing import RoutingTable
+
+
+def deepest_shared_prefix(value: int, wave: list[int], digit_bits: int) -> int:
+    """Longest digit prefix ``value`` shares with a member of ``wave``.
+
+    ``wave`` is sorted and non-empty.  The longest shared bit prefix is
+    with one of ``value``'s two neighbours in it, and digit prefixes
+    grow with bit prefixes: two XORs, not one per member.
+    """
+    index = bisect_left(wave, value)
+    nearest = value ^ wave[min(index, len(wave) - 1)]
+    if index:
+        nearest = min(nearest, value ^ wave[index - 1])
+    return (ID_BITS - nearest.bit_length()) // digit_bits
 
 
 class AggregationWork(CounterStruct):
@@ -110,12 +127,12 @@ class AggregationState:
     the node's own channels, radius 0 is the whole system.
 
     The trailing fields are delta-round bookkeeping (excluded from
-    equality, which compares protocol state only): ``changed[r]`` is
-    the round clock at which the radius-``r`` summary pair last changed
-    value (or was dropped by churn trimming), ``built[r]`` the clock at
-    which this node last rebuilt radius ``r``, and ``complete[r]``
-    whether that rebuild saw contributions from every row-``r``
-    contact.
+    equality, which compares protocol state only): ``pending`` holds
+    the radii whose inputs changed since this node last built them,
+    ``readers[k]`` the ``NodeId.value`` of every node that built its
+    radius ``k-1`` from this node's radius ``k``, and ``complete[r]``
+    whether the last rebuild of radius ``r`` saw contributions from
+    every row-``r`` contact.
     """
 
     node_id: NodeId
@@ -126,40 +143,39 @@ class AggregationState:
     #: local optimizer combines fine-grained own-channel data with
     #: ``remote[0]`` so nothing is counted twice.
     remote: dict[int, ClusterSummary] = field(default_factory=dict)
-    changed: dict[int, int] = field(default_factory=dict, compare=False)
-    built: dict[int, int] = field(default_factory=dict, compare=False)
+    pending: set[int] = field(default_factory=set, compare=False)
+    readers: defaultdict[int, set[int]] = field(
+        default_factory=lambda: defaultdict(set), compare=False
+    )
     complete: dict[int, bool] = field(default_factory=dict, compare=False)
-
-    def local_summary(self) -> ClusterSummary:
-        """The radius-``rows`` summary: this node's own channels."""
-        return self.summaries.setdefault(
-            self.rows, ClusterSummary(bins=self.bins)
-        )
-
-    def set_local(self, summary: ClusterSummary) -> None:
-        """Replace the own-channel summary (rebuilt on factor changes)."""
-        self.summaries[self.rows] = summary
-        self.remote[self.rows] = ClusterSummary(bins=self.bins)
-
-    def global_summary(self) -> ClusterSummary:
-        """Best current approximation of the whole system's channels."""
-        return self.summaries.get(0, self.best_summary())
 
     def best_summary(self) -> ClusterSummary:
         """The widest-radius summary available so far."""
         for radius in sorted(self.summaries):
             return self.summaries[radius]
-        return ClusterSummary(bins=self.bins)
+        return ClusterSummary.empty(self.bins)
 
     def best_remote(self) -> ClusterSummary:
         """Widest remote-channel summary (own channels excluded)."""
         for radius in sorted(self.remote):
             return self.remote[radius]
-        return ClusterSummary(bins=self.bins)
+        return ClusterSummary.empty(self.bins)
 
     def horizon(self) -> int:
         """Smallest radius (widest coverage) currently known."""
         return min(self.summaries, default=self.rows)
+
+
+def _plus(base: ClusterSummary, added: list[ClusterSummary]) -> ClusterSummary:
+    """``base`` with ``added`` merged in order; ``base`` itself if none.
+
+    Empties are left out: adding +0.0 changes no bit (no sum is −0.0)."""
+    if not added:
+        return base
+    combined = base.copy()
+    for contribution in added:
+        combined.merge(contribution)
+    return combined
 
 
 class DecentralizedAggregator:
@@ -185,9 +201,8 @@ class DecentralizedAggregator:
     (see :meth:`repro.overlay.network.OverlayNetwork.routing_tables`)
     so membership changes never require re-materializing it; with
     ``delta_rounds`` the tables must only change through
-    :meth:`add_nodes`/:meth:`remove_nodes` events (the epoch stamps
-    learn about contact changes from the horizon trimming those
-    perform).
+    :meth:`add_nodes`/:meth:`remove_nodes` events (pending marks learn
+    about contact changes from the horizon trimming those perform).
     """
 
     def __init__(
@@ -212,9 +227,11 @@ class DecentralizedAggregator:
             node_id: AggregationState(node_id=node_id, rows=rows, bins=bins)
             for node_id in tables
         }
+        #: ``states`` by ``NodeId.value``: an int hashes in C, a NodeId not.
+        self._by_value: dict[int, AggregationState] = {
+            node_id.value: state for node_id, state in self.states.items()
+        }
         self.work = AggregationWork(registry)
-        #: Monotone round clock the delta epoch stamps are drawn from.
-        self._clock = 0
         #: Nodes whose owned-channel factors changed since their local
         #: summary was last rebuilt.  Everyone starts dirty so the
         #: first load covers the whole population.
@@ -222,9 +239,6 @@ class DecentralizedAggregator:
         #: True when the previous round committed nothing and rebuilt
         #: nothing — the next delta round is then a guaranteed no-op.
         self._quiescent = False
-        #: Scratch summaries recycled across delta rebuilds whose
-        #: result turned out unchanged (bounded pool).
-        self._scratch: list[ClusterSummary] = []
 
     @classmethod
     def for_overlay(
@@ -264,12 +278,13 @@ class DecentralizedAggregator:
         for node_id in joined:
             if node_id in self.states:
                 raise ValueError(f"node {node_id!r} already aggregated")
-            self.states[node_id] = AggregationState(
+            state = AggregationState(
                 node_id=node_id, rows=self.rows, bins=self.bins
             )
+            self.states[node_id] = self._by_value[node_id.value] = state
             self._dirty_local.add(node_id)
         self._quiescent = False
-        self._trim_changed_regions(joined, skip=set(joined))
+        self._trim_changed_regions(joined)
         if rows is not None:
             self.set_rows(rows)
 
@@ -289,45 +304,42 @@ class DecentralizedAggregator:
                 raise KeyError(f"node {node_id!r} not aggregated")
         for node_id in victims:
             del self.states[node_id]
+            del self._by_value[node_id.value]
             self._dirty_local.discard(node_id)
         self._quiescent = False
-        self._trim_changed_regions(victims, skip=frozenset())
+        self._trim_changed_regions(victims)
         if rows is not None:
             self.set_rows(rows)
 
-    def _trim_changed_regions(
-        self, changed: list[NodeId], skip: frozenset[NodeId] | set[NodeId]
-    ) -> None:
+    def _trim_changed_regions(self, changed: list[NodeId]) -> None:
         """Shrink survivors' horizons only where membership changed.
 
         A survivor's radius-``r`` summary covers the nodes sharing
         ``r`` prefix digits with it; a membership event at shared
-        prefix ``p`` therefore staled exactly the radii ``r <= p``.
+        prefix ``p`` therefore staled exactly the radii ``r <= p`` —
+        which include every radius built from a row the event changed.
         The local (radius-``rows``) summary is never dropped — it is
         rebuilt from owned channels when the owner's factors change.
-        Every dropped radius is epoch-stamped so delta rounds at the
-        dependents (radius ``r-1`` here and at nodes holding this one
-        as a row-``r-1`` contact) rebuild from the trimmed state.
+        Every dropped radius marks its readers so delta rounds rebuild
+        them from the trimmed state.  Joiners hold no summary yet.
         """
         if not changed:
             return
+        wave = sorted(node_id.value for node_id in changed)
+        digit_bits = bits_per_digit(self.base)
         for state in self.states.values():
-            if state.node_id in skip:
-                continue
             horizon = min(state.summaries, default=state.rows)
             if horizon >= state.rows:
                 continue  # only the local summary left — nothing stale
-            deepest = max(
-                state.node_id.shared_prefix_len(node_id, self.base)
-                for node_id in changed
+            deepest = deepest_shared_prefix(
+                state.node_id.value, wave, digit_bits
             )
             for radius in range(horizon, min(deepest, state.rows - 1) + 1):
                 dropped = state.summaries.pop(radius, None)
                 state.remote.pop(radius, None)
-                state.built.pop(radius, None)
                 state.complete.pop(radius, None)
                 if dropped is not None:
-                    self._stamp(state, radius)
+                    self._touch(state, radius)
 
     def set_rows(self, rows: int) -> None:
         """Adjust the aggregation depth after a collision-depth change.
@@ -346,18 +358,21 @@ class DecentralizedAggregator:
             state.summaries = {} if local is None else {rows: local}
             state.remote = {} if local_remote is None else {rows: local_remote}
             state.rows = rows
-            # All other radii are gone (absent radii always rebuild),
-            # so only the re-keyed local needs a fresh epoch stamp for
-            # the dependents' triggers; stale build records go with it.
-            state.changed = {rows: self._clock}
-            state.built = {}
+            # Every other radius is gone; rebuilds register afresh.
+            state.pending.clear()
+            state.readers.clear()
             state.complete = {}
         self.rows = rows
 
-    def _stamp(self, state: AggregationState, radius: int) -> None:
-        """Record a value change of ``radius`` at the current clock."""
-        state.changed[radius] = self._clock
+    def _touch(self, state: AggregationState, radius: int) -> None:
+        """Mark what reads ``radius`` of ``state``, whose value changed."""
         self._quiescent = False
+        if radius:  # radius 0 is read by nothing
+            state.pending.add(radius - 1)
+            for value in state.readers.get(radius, ()):
+                reader = self._by_value.get(value)
+                if reader is not None:
+                    reader.pending.add(radius - 1)
 
     # ------------------------------------------------------------------
     # local summaries
@@ -385,7 +400,7 @@ class DecentralizedAggregator:
         ``local_summary(node)`` returns a new :class:`ClusterSummary`
         of the channels the node owns (orphans in the slack slot),
         which the aggregator keeps.  A rebuilt summary equal in value
-        to the stored one is discarded (no epoch advance), which is
+        to the stored one is discarded (nothing is marked), which is
         what lets delta rounds quiesce even though the eager driver
         reloads every node every round.
         """
@@ -430,12 +445,14 @@ class DecentralizedAggregator:
     ) -> bool:
         """Commit a rebuilt local summary; returns True if it changed."""
         changed = state.summaries.get(state.rows) != summary
+        empty = ClusterSummary.empty(self.bins)
         if changed:
-            state.set_local(summary)
+            state.summaries[state.rows] = empty if summary == empty else summary
+            state.remote[state.rows] = empty
             self.work.summaries_rebuilt += 1
-            self._stamp(state, state.rows)
+            self._touch(state, state.rows)
         elif state.rows not in state.remote:
-            state.remote[state.rows] = ClusterSummary(bins=self.bins)
+            state.remote[state.rows] = empty
         return changed
 
     # ------------------------------------------------------------------
@@ -460,7 +477,6 @@ class DecentralizedAggregator:
 
     def _run_round_eager(self) -> None:
         """The original recompute-everything sweep (reference path)."""
-        self._clock += 1
         snapshot: dict[NodeId, dict[int, ClusterSummary]] = {
             node_id: dict(state.summaries)
             for node_id, state in self.states.items()
@@ -513,115 +529,90 @@ class DecentralizedAggregator:
         work.nodes_dirtied += dirtied
 
     def _run_round_delta(self) -> None:
-        """Epoch-driven sweep: rebuild only radii whose inputs moved.
+        """Mark-driven sweep: rebuild only radii whose inputs moved.
 
-        Walks every node's radii exactly like the eager sweep (same
-        break conditions, same contribution order, reading only
-        pre-round values) but rebuilds a radius only when its epoch
-        trigger fires; rebuilt pairs are committed after the sweep so
-        within-round reads stay double-buffered.  A rebuild whose value
-        did not change keeps the stored objects and advances no epoch,
-        so change waves die out exactly as fast as the values converge.
+        Walks the nodes with a pending or missing radius, in ``states``
+        order, like the eager sweep (same break conditions, same
+        contribution order, reading only pre-round values), rebuilding
+        only pending or missing radii; commits follow the sweep so
+        within-round reads stay double-buffered.  A value-identical
+        rebuild keeps the stored objects and marks nothing, so change
+        waves die out exactly as fast as the values converge.
         """
-        self._clock += 1
         if self._quiescent:
             return
-        clock = self._clock
-        states = self.states
-        get_state = states.get
-        empty = ClusterSummary(bins=self.bins)
+        by_value = self._by_value
+        empty = ClusterSummary.empty(self.bins)
         commits: list[
             tuple[AggregationState, int, ClusterSummary, ClusterSummary, int]
         ] = []
         built_any = False
-        for node_id, state in states.items():
-            table = self.tables[node_id]
+        for node_id, state in self.states.items():
             summaries = state.summaries
-            remote = state.remote
-            changed_map = state.changed
-            built_map = state.built
+            pending = state.pending
+            if not pending and 0 in summaries:
+                continue  # converged and untouched since its last build
+            table = self.tables[node_id]
+            me = node_id.value
             for radius in range(self.rows - 1, -1, -1):
                 inner = summaries.get(radius + 1)
                 if inner is None:
                     break  # cannot widen past a missing inner radius
-                row = table.row(radius)
-                built_at = built_map.get(radius, -1)
-                need = (
-                    radius not in summaries
-                    or changed_map.get(radius + 1, -1) >= built_at
-                )
-                if not need:
-                    for contact in row.values():
-                        contact_state = get_state(contact)
-                        if (
-                            contact_state is not None
-                            and contact_state.changed.get(radius + 1, -1)
-                            >= built_at
-                        ):
-                            need = True
-                            break
-                if not need:
+                if radius in summaries and radius not in pending:
                     if not state.complete.get(radius, True):
                         break  # the eager sweep would stop here too
                     continue
+                pending.discard(radius)
                 built_any = True
-                inner_remote = remote.get(radius + 1)
-                combined = self._borrow(inner)
-                combined_remote = self._borrow(
-                    empty if inner_remote is None else inner_remote
-                )
                 complete = True
                 merges = 0
-                for contact in row.values():
-                    contact_state = get_state(contact)
-                    contribution = (
-                        None
-                        if contact_state is None
-                        else contact_state.summaries.get(radius + 1)
-                    )
+                added: list[ClusterSummary] = []
+                for contact in table.row(radius).values():
+                    contact_state = by_value.get(contact.value)
+                    if contact_state is None:
+                        complete = False
+                        continue
+                    contact_state.readers[radius + 1].add(me)
+                    contribution = contact_state.summaries.get(radius + 1)
                     if contribution is None:
                         complete = False
                         continue
-                    combined.merge(contribution)
-                    combined_remote.merge(contribution)
                     merges += 1
-                built_map[radius] = clock
+                    if contribution is not empty:
+                        added.append(contribution)
                 state.complete[radius] = complete
                 commits.append(
-                    (state, radius, combined, combined_remote, merges)
+                    (
+                        state,
+                        radius,
+                        _plus(inner, added),
+                        _plus(state.remote.get(radius + 1, empty), added),
+                        merges,
+                    )
                 )
                 if not complete:
                     break
-        work = self.work
-        dirtied: set[NodeId] = set()
+        rebuilt = merged = 0
+        dirtied: set[int] = set()
         for state, radius, combined, combined_remote, merges in commits:
             if (
                 state.summaries.get(radius) == combined
                 and state.remote.get(radius) == combined_remote
             ):
-                # Value-identical rebuild: keep the stored objects, no
-                # epoch advance, recycle the buffers.
-                if len(self._scratch) < 32:
-                    self._scratch.append(combined)
-                    self._scratch.append(combined_remote)
-                continue
+                continue  # value-identical rebuild: keep, mark nothing
             state.summaries[radius] = combined
             state.remote[radius] = combined_remote
-            self._stamp(state, radius)
-            work.summaries_rebuilt += 1
-            work.cluster_merges += merges
-            dirtied.add(state.node_id)
+            self._touch(state, radius)
+            rebuilt += 1
+            merged += merges
+            dirtied.add(state.node_id.value)
+        work = self.work
+        work.summaries_rebuilt += rebuilt
+        work.cluster_merges += merged
         work.nodes_dirtied += len(dirtied)
         if not built_any:
-            # Nothing was even triggered: with no new epochs the next
-            # round cannot trigger anything either.
+            # Nothing to build and nothing marked: the next round idles.
             self._quiescent = True
-
-    def _borrow(self, source: ClusterSummary) -> ClusterSummary:
-        """A copy of ``source``, recycling a pooled scratch summary."""
-        if self._scratch:
-            return self._scratch.pop().replace_with(source)
-        return source.copy()
 
     def run_to_convergence(self) -> int:
         """Run rounds until every node covers radius 0; return rounds."""

@@ -24,7 +24,8 @@ Representation
 aggregation round — *is* its sums: one ``(4, bins + 1)`` float array
 of channel count, Σq, Σs and Σlog u per ratio bin (slot ``bins`` is
 the slack cluster), and nothing else.  ``merge`` is one array add,
-``copy`` one array copy, equality a comparison of the sums.  The
+``copy`` one array copy, equality a comparison of the sums; a summary
+of no channels is one shared object (:meth:`ClusterSummary.empty`).  The
 optimizer reads them as plain lists (:meth:`ClusterSummary.sums`) and
 nodes fold their channels in as flat records (:meth:`ClusterSummary.
 with_channels`); the per-cluster object API survives as materialized
@@ -139,6 +140,10 @@ def ratio_bin(ratio: float, bins: int) -> int:
     return min(bins - 1, max(0, int(position * bins)))
 
 
+#: bins -> the one read-only empty summary (:meth:`ClusterSummary.empty`).
+_SHARED_EMPTY: dict[int, "ClusterSummary"] = {}
+
+
 class ClusterSummary:
     """Capped set of tradeoff clusters, plus the slack cluster.
 
@@ -169,6 +174,16 @@ class ClusterSummary:
     def __init__(self, bins: int = 16) -> None:
         self.bins = bins
         self._sums = np.zeros((4, bins + 1), dtype=np.float64)
+
+    @classmethod
+    def empty(cls, bins: int = 16) -> "ClusterSummary":
+        """The one shared, read-only summary of no channels (by value:
+        any empty summary equals it; merging into it raises)."""
+        shared = _SHARED_EMPTY.get(bins)
+        if shared is None:
+            shared = _SHARED_EMPTY[bins] = cls(bins)
+            shared._sums.flags.writeable = False
+        return shared
 
     def add_channel(
         self,
@@ -243,22 +258,14 @@ class ClusterSummary:
         duplicate._sums = self._sums.copy()
         return duplicate
 
-    def replace_with(self, other: "ClusterSummary") -> "ClusterSummary":
-        """Overwrite this summary with ``other``'s contents, in place.
-
-        The aggregation rounds use this to recycle scratch summaries
-        instead of allocating a fresh copy per rebuilt radius.
-        """
-        if other.bins != self.bins:
-            raise ValueError("summaries must use the same bin count")
-        self._sums[:] = other._sums
-        return self
-
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, ClusterSummary):
             return NotImplemented
-        return self.bins == other.bins and bool(
-            np.array_equal(self._sums, other._sums)
+        return self.bins == other.bins and (  # equal bytes: a fast path
+            self._sums.tobytes() == other._sums.tobytes()
+            or bool(np.array_equal(self._sums, other._sums))
         )
 
     __hash__ = None  # mutable, like the dataclass it replaced

@@ -11,6 +11,7 @@ down a channel's wedge and to disseminate diffs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.overlay.nodeid import NodeId, digits_per_id
@@ -91,9 +92,9 @@ class RoutingTable:
         """Return the contact at (row, col), if any."""
         return self._rows.get(row, {}).get(col)
 
-    def row(self, row: int) -> dict[int, NodeId]:
-        """Return a copy of one routing-table row (column -> contact)."""
-        return dict(self._rows.get(row, {}))
+    def row(self, row: int) -> Mapping[int, NodeId]:
+        """One routing-table row (column -> contact): live, not a copy."""
+        return self._rows.get(row, {})
 
     def occupied_rows(self) -> list[int]:
         """Rows holding at least one contact, ascending."""

@@ -14,13 +14,19 @@ way (dataclass equality compares every cluster sum exactly).
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
-from repro.honeycomb.aggregation import DecentralizedAggregator
+from repro.honeycomb.aggregation import (
+    DecentralizedAggregator,
+    deepest_shared_prefix,
+)
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.nodeid import ID_BITS, ID_SPACE, NodeId, bits_per_digit
 from repro.simulation.webserver import WebServerFarm
 from tests.honeycomb.conftest import summary_of
 
@@ -113,8 +119,41 @@ class TestAggregatorChurnEquivalence:
         assert_equivalent(aggregator, overlay, synthetic_channels)
 
 
+@st.composite
+def value_and_wave(draw):
+    """An identifier and a wave clustered around it at random depths,
+    so deep shared prefixes (and exact hits) actually occur."""
+    value = draw(st.integers(0, ID_SPACE - 1))
+    wave = draw(
+        st.lists(
+            st.builds(
+                lambda shift, noise: value ^ (noise >> shift),
+                st.integers(0, ID_BITS),
+                st.integers(0, ID_SPACE - 1),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    return value, wave
+
+
 class TestHorizonTrimming:
     """Survivors keep summaries of untouched prefix regions only."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=value_and_wave(), base=st.sampled_from([2, 4, 16, 32, 256])
+    )
+    def test_deepest_prefix_by_bisect_matches_brute_force(self, drawn, base):
+        value, wave = drawn
+        expected = max(
+            NodeId(value).shared_prefix_len(NodeId(other), base)
+            for other in wave
+        )
+        digit_bits = bits_per_digit(base)
+        got = deepest_shared_prefix(value, sorted(wave), digit_bits)
+        assert got == expected
 
     def test_removal_trims_only_the_changed_region(self):
         overlay = OverlayNetwork.build(16, base=4, leaf_size=3, seed=3)

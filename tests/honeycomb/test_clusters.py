@@ -131,3 +131,37 @@ class TestClusterSummary:
         duplicate.add_channel(factors())
         assert summary.total_channels() == 1
         assert duplicate.total_channels() == 2
+
+
+class TestSharedEmpty:
+    def test_one_object_per_bin_count(self):
+        assert ClusterSummary.empty(8) is ClusterSummary.empty(8)
+        assert ClusterSummary.empty(8) is not ClusterSummary.empty(16)
+        assert ClusterSummary.empty(8).bins == 8
+
+    def test_merging_into_it_raises(self):
+        full = ClusterSummary(bins=8)
+        full.add_channel(factors())
+        shared = ClusterSummary.empty(8)
+        with pytest.raises(ValueError):
+            shared.merge(full)
+        with pytest.raises(ValueError):
+            shared.add_channel(factors())
+        assert shared == ClusterSummary(bins=8)
+
+    def test_equality_is_by_value(self):
+        shared = ClusterSummary.empty(8)
+        built_elsewhere = ClusterSummary(bins=8)
+        assert built_elsewhere == shared and shared == built_elsewhere
+        assert built_elsewhere is not shared
+        built_elsewhere.add_channel(factors())
+        assert built_elsewhere != shared
+
+    def test_copies_and_batches_are_writable(self):
+        shared = ClusterSummary.empty(8)
+        duplicate = shared.copy()
+        duplicate.add_channel(factors())
+        assert duplicate.total_channels() == 1
+        batch = shared.with_channels([(0, 1.0, 2.0, 3.0)])
+        assert batch.total_channels() == 1
+        assert shared == ClusterSummary(bins=8)

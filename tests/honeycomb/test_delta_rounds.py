@@ -1,7 +1,8 @@
-"""Delta-round property suite: epoch-skipped rounds == eager rounds.
+"""Delta-round property suite: mark-driven rounds == eager rounds.
 
 ``delta_rounds`` replaces the recompute-everything aggregation sweep
-with epoch-stamped rebuilds of only the radii whose inputs changed.
+with rebuilds of only the radii a pending mark names (or that churn
+dropped).
 The paper's §3.3 one-interval-staleness semantics must survive **bit
 for bit**: after every single round — not just at convergence — the
 delta aggregator's states must equal what the eager reference computes
@@ -11,12 +12,15 @@ local-factor changes and rounds.  The work counters must agree too
 proof that the dirty-local tracking misses nothing.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from benchmarks.test_round_delta import synthetic_channels
 from repro.honeycomb.aggregation import DecentralizedAggregator
-from repro.honeycomb.clusters import ChannelFactors
+from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.overlay.network import OverlayNetwork
 from tests.honeycomb.conftest import summary_of
 
@@ -62,7 +66,7 @@ class MirroredPair:
     def load(self):
         # The system drives the delta aggregator through the dirty set
         # and the eager one through a full reload; value-identical
-        # rebuilds advance no epoch either way.
+        # rebuilds mark nothing either way.
         self.delta.load_dirty_locals(self.local_channels)
         self.eager.load_local(self.local_channels)
 
@@ -74,11 +78,13 @@ class MirroredPair:
         self.delta.run_round()
         self.eager.run_round()
 
-    def join(self, address):
-        joined = self.overlay.add_node(address).node_id
+    def join(self, *addresses):
+        joined = [
+            self.overlay.add_node(address).node_id for address in addresses
+        ]
         rows = self.overlay.aggregation_rows()
-        self.delta.add_nodes([joined], rows=rows)
-        self.eager.add_nodes([joined], rows=rows)
+        self.delta.add_nodes(joined, rows=rows)
+        self.eager.add_nodes(joined, rows=rows)
         return joined
 
     def crash(self, victims):
@@ -121,6 +127,37 @@ class TestPerRoundEquivalence:
                 pair.round()
                 pair.assert_identical()
         # Drain to convergence and compare once more.
+        for _ in range(pair.delta.rows + 2):
+            pair.load()
+            pair.round()
+        pair.assert_identical()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_crash_and_join_waves_bit_identical_every_round(self, seed):
+        """Whole waves — several joiners or several victims spliced in
+        one call — between rounds of a converged cloud."""
+        rng = random.Random(100 + seed)
+        overlay = OverlayNetwork.build(40, base=4, leaf_size=3, seed=seed)
+        pair = MirroredPair(overlay)
+        pair.load()
+        for _ in range(pair.delta.rows + 2):
+            pair.round()
+        minted = 0
+        for wave in range(8):
+            if wave % 2:
+                pair.crash(rng.sample(overlay.node_ids(), rng.randint(2, 5)))
+            else:
+                addresses = []
+                for _ in range(rng.randint(2, 5)):
+                    minted += 1
+                    addresses.append(f"wave-{seed}-{minted}")
+                pair.join(*addresses)
+            for node_id in rng.sample(overlay.node_ids(), 2):
+                pair.bump_factors(node_id)
+            for _ in range(rng.randint(1, 3)):
+                pair.load()
+                pair.round()
+                pair.assert_identical()
         for _ in range(pair.delta.rows + 2):
             pair.load()
             pair.round()
@@ -209,3 +246,80 @@ class TestDirtyLocalBookkeeping:
         agg.mark_local_dirty(ghost)  # never aggregated: no-op
         agg.load_dirty_locals(factors_for)
         assert ghost not in agg.states
+
+
+def converged(overlay, local_channels, bins):
+    agg = DecentralizedAggregator.for_overlay(overlay, bins=bins)
+    agg.load_local(local_channels)
+    agg.run_to_convergence()
+    return agg
+
+
+class TestSharedEmptySummaries:
+    def test_empty_radii_share_one_object(self):
+        """Every empty radius is the shared empty, and the summaries
+        held are at most one object per non-empty entry plus it."""
+        overlay = OverlayNetwork.build(
+            1024, base=16, leaf_size=4, seed=5, address_prefix="delta"
+        )
+        agg = converged(overlay, synthetic_channels, bins=16)
+        empty = ClusterSummary.empty(16)
+        held = [
+            summary
+            for state in agg.states.values()
+            for table in (state.summaries, state.remote)
+            for summary in table.values()
+        ]
+        non_empty = 0
+        for summary in held:
+            if summary == empty:
+                assert summary is empty
+            else:
+                non_empty += 1
+        assert non_empty < len(held)
+        assert len({id(summary) for summary in held}) <= non_empty + 1
+
+
+class TestPendingMarks:
+    def test_marks_reach_only_the_owner_and_its_readers(self):
+        overlay = OverlayNetwork.build(64, base=4, leaf_size=3, seed=6)
+        agg = converged(overlay, factors_for, bins=8)
+        assert not any(state.pending for state in agg.states.values())
+        rows = agg.rows
+        owner = overlay.node_ids()[7]
+        # Readers of the owner's local summary are the nodes that hold
+        # it as a contact in the row their radius rows-1 is built from.
+        expected_readers = {
+            node_id
+            for node_id, table in overlay.routing_tables().items()
+            if owner in table.row(rows - 1).values()
+        }
+        agg.mark_local_dirty(owner)
+        agg.load_dirty_locals(lambda node_id: factors_for(node_id, 1))
+        marked = {
+            node_id
+            for node_id, state in agg.states.items()
+            if state.pending
+        }
+        assert marked == expected_readers | {owner}
+        for node_id in marked:
+            assert agg.states[node_id].pending == {rows - 1}
+        # The wave drains: once values settle, nothing stays marked.
+        for _ in range(rows + 2):
+            agg.run_round()
+        assert not any(state.pending for state in agg.states.values())
+
+    def test_departed_states_are_unreachable(self):
+        """Survivors name readers by identifier value, so a removed
+        node's state is garbage as soon as the aggregator drops it."""
+        overlay = OverlayNetwork.build(48, base=4, leaf_size=3, seed=8)
+        agg = converged(overlay, factors_for, bins=8)
+        victims = overlay.node_ids()[5:11]
+        refs = [weakref.ref(agg.states[node_id]) for node_id in victims]
+        overlay.remove_nodes(victims)
+        agg.remove_nodes(victims, rows=overlay.aggregation_rows())
+        for _ in range(agg.rows + 2):
+            agg.load_dirty_locals(factors_for)
+            agg.run_round()
+        gc.collect()
+        assert all(ref() is None for ref in refs)

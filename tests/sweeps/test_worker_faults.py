@@ -73,14 +73,15 @@ class TestParallelFailures:
         assert on_disk == merged
 
     def test_timeout_kills_worker_and_consumes_attempts(self):
-        # n4096 takes several seconds per attempt; a 1.5s budget is
-        # comfortably exceeded, so both attempts end in a kill.
+        # Building a 4096-node overlay alone takes far longer than
+        # 0.05s, however fast the simulator gets, so both attempts end
+        # in a kill.
         slow = SweepTask("churn-scale-sweep", "n4096", 0)
-        (result,) = run_tasks([slow], jobs=2, timeout=1.5, retries=1)
+        (result,) = run_tasks([slow], jobs=2, timeout=0.05, retries=1)
         assert result.status == "failed"
         assert result.attempts == 2
         assert result.payload is None
-        assert "timed out after 1.5s" in result.error
+        assert "timed out after 0.05s" in result.error
 
 
 class TestSerialFailures:
