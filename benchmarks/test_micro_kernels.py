@@ -17,7 +17,7 @@ from repro.honeycomb.clusters import (
     ClusterSummary,
 )
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
-from repro.honeycomb.solver import HoneycombSolver, ObjectHoneycombSolver
+from repro.honeycomb.solver import HoneycombSolver
 from repro.overlay.dag import dissemination_tree
 from repro.overlay.hashing import channel_id
 from repro.overlay.network import OverlayNetwork
@@ -162,33 +162,12 @@ def _solve_batch(solver, problems) -> float:
     return cost
 
 
-def test_micro_solver_flat(benchmark):
-    """The vectorized solve kernel (memo off: times the kernel)."""
+def test_micro_solver(benchmark):
+    """The bracketing kernel on manager-shaped instances (memo off)."""
     problems = _solver_problems()
-    solver = HoneycombSolver(validate=False, memo_solve=False)
+    solver = HoneycombSolver(memo_solve=False)
     cost = benchmark(lambda: _solve_batch(solver, problems))
     assert cost > 0
-
-
-def test_micro_solver_objects(benchmark):
-    """The object-graph solver (the pre-flat reference kernel)."""
-    problems = _solver_problems()
-    solver = ObjectHoneycombSolver(validate=False)
-    cost = benchmark(lambda: _solve_batch(solver, problems))
-    assert cost > 0
-
-
-def test_micro_solver_pair_bit_identical():
-    """The pair being compared must compute identical solutions."""
-    flat = HoneycombSolver(validate=False, memo_solve=False)
-    objects = ObjectHoneycombSolver(validate=False)
-    for problem in _solver_problems():
-        left = flat.solve(problem)
-        right = objects.solve(problem)
-        assert left.levels == right.levels
-        assert left.objective == right.objective
-        assert left.cost == right.cost
-        assert left.feasible == right.feasible
 
 
 def test_micro_control_round(benchmark):

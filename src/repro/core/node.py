@@ -131,9 +131,7 @@ class CoronaNode:
         #: instance even when nothing moved (the solve-memo
         #: benchmark's reference; outputs are bit-identical).
         self.memo_solve = memo_solve
-        self.solver = HoneycombSolver(
-            validate=False, memo_solve=memo_solve, work=solver_work
-        )
+        self.solver = HoneycombSolver(memo_solve=memo_solve, work=solver_work)
         #: Structural dirty notification: called with this node's id
         #: whenever a managed channel's factor attribute is assigned
         #: (the system routes it to ``aggregator.mark_local_dirty``).

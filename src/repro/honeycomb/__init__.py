@@ -33,7 +33,6 @@ from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
 from repro.honeycomb.solver import (
     BracketingSolution,
     HoneycombSolver,
-    ObjectHoneycombSolver,
     Solution,
     SolverWork,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ClusterSummary",
     "DecentralizedAggregator",
     "HoneycombSolver",
-    "ObjectHoneycombSolver",
     "Solution",
     "SolverWork",
     "TradeoffCluster",

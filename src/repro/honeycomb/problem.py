@@ -15,7 +15,7 @@ a node's local optimization without being enumerated individually.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 
@@ -55,25 +55,6 @@ class ChannelTradeoff:
         if list(self.levels) != sorted(set(self.levels)):
             raise ValueError("levels must be strictly ascending")
 
-    @classmethod
-    def from_functions(
-        cls,
-        key: Hashable,
-        levels: Sequence[int],
-        f_of_level,
-        g_of_level,
-        weight: int = 1,
-    ) -> "ChannelTradeoff":
-        """Tabulate callables ``f_of_level`` / ``g_of_level`` over levels."""
-        level_tuple = tuple(levels)
-        return cls(
-            key=key,
-            levels=level_tuple,
-            f=tuple(float(f_of_level(level)) for level in level_tuple),
-            g=tuple(float(g_of_level(level)) for level in level_tuple),
-            weight=weight,
-        )
-
     def is_monotonic(self) -> bool:
         """Check Honeycomb's precondition: f and g each monotonic in l."""
 
@@ -100,10 +81,6 @@ class TradeoffProblem:
         """Append one channel/cluster to the instance."""
         self.channels.append(tradeoff)
 
-    def total_weight(self) -> int:
-        """Number of (virtual) channels in the instance."""
-        return sum(channel.weight for channel in self.channels)
-
     def fingerprint(self) -> tuple:
         """Canonical, hashable identity of this instance.
 
@@ -129,19 +106,3 @@ class TradeoffProblem:
                 raise ValueError(
                     f"tradeoff for {channel.key!r} is not monotonic in l"
                 )
-
-    def objective(self, assignment: dict[Hashable, int]) -> float:
-        """Evaluate ``sum f_i(l_i)`` for a full assignment (weight-1 use)."""
-        return self._evaluate(assignment, attr="f")
-
-    def cost(self, assignment: dict[Hashable, int]) -> float:
-        """Evaluate ``sum g_i(l_i)`` for a full assignment (weight-1 use)."""
-        return self._evaluate(assignment, attr="g")
-
-    def _evaluate(self, assignment: dict[Hashable, int], attr: str) -> float:
-        total = 0.0
-        for channel in self.channels:
-            level = assignment[channel.key]
-            index = channel.levels.index(level)
-            total += channel.weight * getattr(channel, attr)[index]
-        return total

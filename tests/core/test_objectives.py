@@ -188,6 +188,7 @@ class TestBuildProblem:
         problem = build_problem(Scheme.LITE, config, 1024, entries, inputs)
         from repro.honeycomb.solver import HoneycombSolver
 
+        problem.validate()
         solution = HoneycombSolver().solve(problem)
         assert solution.feasible
         # Popular channels must get levels at least as low (more

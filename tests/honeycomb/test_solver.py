@@ -1,18 +1,21 @@
 """The Honeycomb solver: correctness against brute force, the paper's
 accuracy guarantee, weighted clusters, and degenerate cases."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.honeycomb import solver as solver_module
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
 from repro.honeycomb.solver import HoneycombSolver
 
 
-def corona_like_channel(key, q, s, base=4, k=3):
+def corona_like_channel(key, q, s, base=4, k=3, weight=1):
     """A Corona-Lite-shaped tradeoff: latency vs load."""
     levels = tuple(range(k + 1))
     return ChannelTradeoff(
@@ -20,7 +23,37 @@ def corona_like_channel(key, q, s, base=4, k=3):
         levels=levels,
         f=tuple(q * base**level for level in levels),
         g=tuple(s * 100.0 / base**level for level in levels),
+        weight=weight,
     )
+
+
+def recompute(problem, solution):
+    """``(objective, cost)`` re-derived from the channel tables, counting
+    a split cluster's members at both of its levels."""
+    objective = cost = 0.0
+    for channel in problem.channels:
+        split = solution.splits.get(channel.key)
+        if split is None:
+            parts = [(solution.levels[channel.key], channel.weight)]
+        else:
+            assert split.count_low + split.count_high == channel.weight
+            assert solution.levels[channel.key] in (
+                split.level_low,
+                split.level_high,
+            )
+            parts = [
+                (split.level_low, split.count_low),
+                (split.level_high, split.count_high),
+            ]
+        for level, count in parts:
+            index = channel.levels.index(level)
+            objective += count * channel.f[index]
+            cost += count * channel.g[index]
+    return objective, cost
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def brute_force(problem):
@@ -88,6 +121,85 @@ class TestAgainstBruteForce:
             slow = solver.solve_scan(problem)
             assert abs(fast.objective - slow.objective) < 1e-9
             assert abs(fast.cost - slow.cost) < 1e-9
+
+
+class TestBracketInvariants:
+    """What every bracket must satisfy, over weighted clusters, fixed
+    single-level channels, empty problems and budgets from infeasible
+    through slack to unconstrained."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_brackets_are_consistent(self, seed):
+        rng = random.Random(seed)
+        solver = HoneycombSolver(memo_solve=False)
+        for _ in range(60):
+            m, k = rng.randint(0, 9), rng.randint(0, 5)
+            channels = [
+                corona_like_channel(
+                    index,
+                    rng.uniform(0.1, 100),
+                    rng.uniform(0.1, 10),
+                    k=k,
+                    weight=rng.choice([1, 1, 1, 2, 7, 40, 500]),
+                )
+                for index in range(m)
+            ]
+            target = rng.choice([0.01, rng.uniform(1, m * 150 + 1), 1e9])
+            problem = TradeoffProblem(channels=channels, target=target)
+            bracket = solver.solve_bracketing(problem)
+            lower, upper = bracket.lower, bracket.upper
+
+            for solution in (lower, upper):
+                objective, cost = recompute(problem, solution)
+                assert close(objective, solution.objective)
+                assert close(cost, solution.cost)
+                assert solution.feasible == (solution.cost <= target)
+            assert len(lower.splits) <= 1
+            assert not upper.splits
+            differing = [
+                key for key in lower.levels
+                if lower.levels[key] != upper.levels[key]
+            ]
+            assert len(differing) <= 1
+            if upper is not lower:
+                # One move short of feasible, and the move only trades
+                # objective for cost.
+                assert lower.feasible and not upper.feasible
+                assert lower.cost < upper.cost
+                assert lower.objective >= upper.objective
+            if all(channel.weight == 1 for channel in channels):
+                scanned = solver.solve_scan(problem)
+                assert scanned.levels == lower.levels
+                assert close(scanned.objective, lower.objective)
+                assert close(scanned.cost, lower.cost)
+
+    def test_duplicate_points_and_saturated_levels(self):
+        """Levels whose wedge size saturates produce duplicate (g, f)
+        points; the hull keeps the lowest such level, and the cluster
+        splits across the last move exactly as far as the budget
+        needs."""
+        channel = ChannelTradeoff(
+            key="sat",
+            levels=(0, 1, 2, 3, 4),
+            f=(1.0, 4.0, 16.0, 16.0, 16.0),
+            g=(100.0, 25.0, 1.0, 1.0, 1.0),
+            weight=9,
+        )
+        problem = TradeoffProblem(channels=[channel], target=50.0)
+        bracket = HoneycombSolver().solve_bracketing(problem)
+        # From 9 x level 0 (cost 900): all 9 move to level 1 (cost 225),
+        # then ceil(175 / 24) = 8 of them on to level 2 (cost 33).
+        assert bracket.upper.levels == {"sat": 1}
+        assert bracket.upper.cost == 225.0
+        assert bracket.upper.objective == 36.0
+        assert bracket.lower.levels == {"sat": 2}
+        assert bracket.lower.cost == 33.0
+        assert bracket.lower.objective == 132.0
+        split = bracket.lower.splits["sat"]
+        assert (split.level_low, split.count_low) == (2, 8)
+        assert (split.level_high, split.count_high) == (1, 1)
+        assert bracket.lambda_star == 12.0 / 24.0
+        assert bracket.iterations == 2
 
 
 class TestWeightedClusters:
@@ -195,15 +307,6 @@ class TestDegenerateCases:
         solution = HoneycombSolver().solve(problem)
         assert solution.levels["o"] == 3
 
-    def test_validation_rejects_nonmonotone(self):
-        bad = ChannelTradeoff(
-            key="bad", levels=(0, 1, 2), f=(1.0, 3.0, 2.0), g=(3.0, 1.0, 2.0)
-        )
-        with pytest.raises(ValueError):
-            HoneycombSolver(validate=True).solve(
-                TradeoffProblem(channels=[bad], target=10.0)
-            )
-
     def test_iterations_logarithmic(self):
         """The bracketing search runs in O(log(M log N)) probes."""
         channels = [
@@ -235,6 +338,7 @@ def test_solution_always_respects_monotone_structure(params, target):
         corona_like_channel(index, q, s) for index, (q, s) in enumerate(params)
     ]
     problem = TradeoffProblem(channels=channels, target=target)
+    problem.validate()
     solution = HoneycombSolver().solve(problem)
     recomputed_cost = 0.0
     recomputed_objective = 0.0
@@ -248,3 +352,18 @@ def test_solution_always_respects_monotone_structure(params, target):
         1.0, abs(solution.cost)
     )
     assert solution.feasible == (solution.cost <= target + 1e-9)
+
+
+def test_solver_module_imports_no_numpy():
+    """The kernel is pure Python on purpose: at the sizes managers pose
+    (a handful of entries) plain loops beat array set-up.  Bringing a
+    vectorized path back is a decision to make with measurements (see
+    README's solver bullet), not a drift."""
+    tree = ast.parse(Path(solver_module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}

@@ -146,6 +146,7 @@ def test_property_schemes_produce_feasible_monotone_solutions(
         orphan_latency=0.0,
     )
     problem = build_problem(scheme, config, 1024, entries, inputs)
+    problem.validate()
     solution = HoneycombSolver().solve(problem)
     if not solution.feasible:
         return  # budget below the floor: nothing to check
