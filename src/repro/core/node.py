@@ -111,13 +111,21 @@ class CoronaNode:
         memo_solve: bool = True,
         solver_work: SolverWork | None = None,
         on_factors_changed: Callable[[NodeId], None] | None = None,
+        poll_calendar: list[tuple] | None = None,
+        poll_rank: int = 0,
     ) -> None:
         self.node_id = node_id
         self.config = config
         self.scheme: Scheme = scheme_by_name(config.scheme)
+        #: Books every task on ``poll_calendar`` (the system's shared
+        #: heap, see :class:`PollScheduler`) under this node and its
+        #: ``poll_rank``; a node built alone gets a private calendar.
         self.scheduler = PollScheduler(
             interval=config.polling_interval,
             seed=rng_seed ^ (node_id.value & 0xFFFFFFFF),
+            calendar=[] if poll_calendar is None else poll_calendar,
+            rank=poll_rank,
+            owner=self,
         )
         self.registry = SubscriptionRegistry()
         self.managed: dict[str, Channel] = {}

@@ -9,6 +9,7 @@ cooperating pollers detect updates ``n`` times faster than one.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -59,21 +60,38 @@ class PollTask:
 
 @dataclass
 class PollScheduler:
-    """The set of channels a node currently polls, ordered by due time.
+    """The set of channels a node currently polls, and their calendar.
 
-    A simple dict keyed by URL plus linear min-scan; nodes poll at most
-    a few thousand channels, and the discrete-event simulator keeps its
-    own global heap, so this structure only needs to be correct and
-    easily inspectable.
+    ``tasks`` maps URL to task in start order.  Every task that enters
+    it is also booked on ``calendar``, a :mod:`heapq` of ``(next_poll,
+    rank, seq, owner, task)`` entries: ``rank`` orders the owners,
+    ``seq`` numbers this scheduler's tasks in the order they entered
+    ``tasks`` (a restart keeps its task and so its seq; stop then start
+    is a new task with a new seq).  A :class:`~repro.core.system.
+    CoronaSystem` hands one calendar to every node it builds, so a poll
+    batch pops exactly the polls that came due and never visits an
+    idle node; a scheduler built on its own keeps a private one.
+
+    Removal is lazy: ``stop`` leaves the entry where it is, and whoever
+    pops the calendar drops an entry whose task is no longer the one
+    ``tasks`` holds for its URL.  The popper re-books each executed
+    task at its advanced ``next_poll``, so every live task has exactly
+    one live entry.
     """
 
     interval: float
     seed: int = 0
     tasks: dict[str, PollTask] = field(default_factory=dict)
+    calendar: list[tuple] = field(default_factory=list, repr=False)
+    #: This scheduler's position among the calendar's owners.
+    rank: int = 0
+    #: What calendar entries name as the task's owner (the node).
+    owner: object = field(default=None, repr=False)
     #: Stagger generator, ``random.Random(seed)``, built by the first
     #: ``start`` that draws: most nodes of a large cloud never poll,
     #: and a Mersenne Twister is 2.5 KB of state each.
     _rng: random.Random | None = field(default=None, init=False, repr=False)
+    _seq: int = field(default=0, init=False, repr=False)
 
     def start(self, url: str, level: int, now: float) -> PollTask:
         """Begin polling ``url``; first poll after a random stagger.
@@ -94,6 +112,11 @@ class PollScheduler:
             interval=self.interval,
         )
         self.tasks[url] = task
+        heapq.heappush(
+            self.calendar,
+            (task.next_poll, self.rank, self._seq, self.owner, task),
+        )
+        self._seq += 1
         return task
 
     def stop(self, url: str) -> bool:
@@ -101,16 +124,6 @@ class PollScheduler:
         return self.tasks.pop(url, None) is not None
 
     # ------------------------------------------------------------------
-    def due(self, now: float) -> list[PollTask]:
-        """Tasks whose next poll time has arrived."""
-        return [task for task in self.tasks.values() if task.next_poll <= now]
-
-    def next_due_time(self) -> float | None:
-        """Earliest next poll across all tasks (None when idle)."""
-        if not self.tasks:
-            return None
-        return min(task.next_poll for task in self.tasks.values())
-
     def polls_per_interval(self) -> int:
         """How many polls this node issues per τ (= channels polled)."""
         return len(self.tasks)

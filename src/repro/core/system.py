@@ -18,6 +18,8 @@ import logging
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from repro.core.channel import Channel
 from repro.core.config import CoronaConfig
@@ -37,6 +39,10 @@ from repro.overlay.nodeid import NodeId
 
 
 _log = get_logger(__name__)
+
+#: Poll-calendar entries ``(next_poll, rank, seq, node, task)`` sort
+#: into a batch's visiting order by owner rank, then task seq.
+_VISIT_ORDER = itemgetter(1, 2)
 
 
 class Fetcher:
@@ -173,6 +179,12 @@ class CoronaSystem:
         self.memo_solve = memo_solve
         #: Cloud-wide solver counters, shared by every node's solver.
         self.solver_work = SolverWork(self.obs.registry)
+        #: The poll calendar: one heap booking every node's poll tasks
+        #: (see :class:`~repro.core.polling.PollScheduler`), and the
+        #: rank :meth:`_new_node` gives the next node it builds — ranks
+        #: follow ``self.nodes`` insertion order, rejoins included.
+        self._poll_calendar: list[tuple] = []
+        self._node_ranks = 0
         self.overlay = OverlayNetwork.build(
             n_nodes,
             base=config.base,
@@ -212,6 +224,8 @@ class CoronaSystem:
 
     def _new_node(self, node_id: NodeId, rng_seed: int) -> CoronaNode:
         """The one place a cloud member is built, whenever it joins."""
+        rank = self._node_ranks
+        self._node_ranks += 1
         return CoronaNode(
             node_id,
             self.config,
@@ -220,6 +234,8 @@ class CoronaSystem:
             memo_solve=self.memo_solve,
             solver_work=self.solver_work,
             on_factors_changed=self._mark_owner_dirty,
+            poll_calendar=self._poll_calendar,
+            poll_rank=rank,
         )
 
     def _mark_owner_dirty(self, node_id: NodeId) -> None:
@@ -995,61 +1011,89 @@ class CoronaSystem:
         # whose content changes happened in any earlier round, so the
         # dirty set must already know about them.
         track_repair = plane is not None
+        # The batch is what the calendar holds due: pop it, dropping
+        # the entries of stopped tasks and departed nodes (a rejoined
+        # address is a new node object), then visit it in node order
+        # and each node's tasks in start order — fetch draws, fault
+        # draws and detection order are those of a scan over every
+        # node.  Executed tasks are re-booked after the batch, so none
+        # runs twice in one batch however far behind it is.
+        calendar = self._poll_calendar
+        nodes = self.nodes
+        due: list[tuple] = []
+        while calendar and calendar[0][0] <= now:
+            entry = heappop(calendar)
+            node = entry[3]
+            task = entry[4]
+            if (
+                nodes.get(node.node_id) is node
+                and node.scheduler.tasks.get(task.url) is task
+            ):
+                due.append(entry)
+        due.sort(key=_VISIT_ORDER)
         with self.obs.tracer.span(
             "poll_batch", sim_time=now, category="phase"
         ) as span:
-            for node_id, node in self.nodes.items():
-                shed_node = shedding and links.should_shed_poll(node_id)
-                for task in node.scheduler.due(now):
-                    if shed_node:
-                        # Sustained outbound queue backpressure: do not
-                        # add poll (and consequent diff-flood) load to
-                        # a congested link.  The node serves its cached
-                        # snapshot — stale by at most the extra τ — and
-                        # re-examines the backlog next interval.
-                        plane.counters.polls_shed += 1
-                        task.record_shed()
-                        continue
-                    if faulty and not plane.poll_attempt(node_id):
-                        # Request/response lost (or the server side of
-                        # a partition): the poll times out after its
-                        # retry budget and the task skips to the next
-                        # interval — the channel simply stays stale one
-                        # τ longer.
-                        task.record_failure()
-                        continue
-                    fetched = self.fetcher.fetch(
-                        task.url, now, source=node_id.hex(),
-                        have_version=task.content.version,
+            visiting = None
+            shed_node = False
+            for _, _, _, node, task in due:
+                if node is not visiting:
+                    visiting = node
+                    node_id = node.node_id
+                    # Sampled once per batch per node with a due poll,
+                    # just before its first one; a node with nothing
+                    # due is not sampled at all (its links' refill and
+                    # its hysteresis state wait for its next due poll).
+                    shed_node = shedding and links.should_shed_poll(node_id)
+                if shed_node:
+                    # Sustained outbound queue backpressure: do not
+                    # add poll (and consequent diff-flood) load to
+                    # a congested link.  The node serves its cached
+                    # snapshot — stale by at most the extra τ — and
+                    # re-examines the backlog next interval.
+                    plane.counters.polls_shed += 1
+                    task.record_shed()
+                    continue
+                if faulty and not plane.poll_attempt(node_id):
+                    # Request/response lost (or the server side of
+                    # a partition): the poll times out after its
+                    # retry budget and the task skips to the next
+                    # interval — the channel simply stays stale one
+                    # τ longer.
+                    task.record_failure()
+                    continue
+                fetched = self.fetcher.fetch(
+                    task.url, now, source=node_id.hex(),
+                    have_version=task.content.version,
+                )
+                self.counters.polls += 1
+                version_before = task.content.version
+                diff_msg = node.execute_poll(task, fetched, now)
+                if (
+                    track_repair
+                    and task.content.version != version_before
+                ):
+                    # The poller's cache advanced (prime or fresh
+                    # content): this channel's digest/member
+                    # relation may have shifted — repair must look
+                    # at it again.
+                    self._repair_dirty_urls.add(task.url)
+                if diff_msg is None:
+                    continue
+                event = self._disseminate(node_id, diff_msg, now)
+                if event is not None:
+                    published = self.fetcher.published_at(diff_msg.url)
+                    event = dataclasses.replace(
+                        event, published_at=published
                     )
-                    self.counters.polls += 1
-                    version_before = task.content.version
-                    diff_msg = node.execute_poll(task, fetched, now)
-                    if (
-                        track_repair
-                        and task.content.version != version_before
-                    ):
-                        # The poller's cache advanced (prime or fresh
-                        # content): this channel's digest/member
-                        # relation may have shifted — repair must look
-                        # at it again.
-                        self._repair_dirty_urls.add(task.url)
-                    if diff_msg is None:
-                        continue
-                    event = self._disseminate(node_id, diff_msg, now)
-                    if event is not None:
-                        published = self.fetcher.published_at(
-                            diff_msg.url
-                        )
-                        event = dataclasses.replace(
-                            event, published_at=published
-                        )
-                        fresh.append(event)
+                    fresh.append(event)
             if span is not NULL_SPAN:
                 span.set(
                     polls=self.counters.polls - polls_before,
                     detections=len(fresh),
                 )
+        for _, rank, seq, node, task in due:
+            heappush(calendar, (task.next_poll, rank, seq, node, task))
         self.detections.extend(fresh)
         self.counters.detections += len(fresh)
         return fresh
@@ -1176,13 +1220,3 @@ class CoronaSystem:
         return sum(
             node.scheduler.polls_per_interval() for node in self.nodes.values()
         )
-
-    def next_poll_time(self) -> float | None:
-        """Earliest pending poll across the cloud."""
-        times = [
-            node.scheduler.next_due_time()
-            for node in self.nodes.values()
-            if node.scheduler.tasks
-        ]
-        times = [t for t in times if t is not None]
-        return min(times) if times else None

@@ -545,6 +545,15 @@ class LinkTable:
         and ends below ``shed_recover``, so one drained token does not
         flap the node between modes.  Purely a function of queue
         state — no randomness.
+
+        A sample is not free of effects: it refills ``node``'s capped
+        links to the table clock (``_refill`` split into steps differs
+        from one step once the burst cap binds) and the hysteresis set
+        remembers its verdict.  The system samples a node once per
+        poll batch in which it has a poll due, just before the first
+        one; a node with nothing due is not sampled, so it keeps its
+        ``_shedding`` membership and its links' refill stamps until
+        its next due poll.
         """
         utilization = self.backpressure(node)
         if node in self._shedding:

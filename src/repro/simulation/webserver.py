@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from repro.core.node import FetchResult
 from repro.feeds.generator import FeedGenerator, PendingDocument
@@ -73,14 +75,28 @@ class RateLimiter:
         return True
 
 
+#: Update-calendar entries ``(next_update, rank, channel)`` sort into
+#: hosting order by rank.
+_HOSTING_ORDER = itemgetter(1)
+
+
 class WebServerFarm:
     """All content servers of one experiment, driven by one clock.
 
     ``advance_to(now)`` publishes every update that fell due — call it
-    before fetching so content is current.  Update processes are
-    periodic with ±30 % jitter (real feeds are roughly periodic:
-    editorial workflows, cron-driven generators), which also matches
-    how the survey measured intervals.
+    before fetching so content is current (``fetch`` does).  Update
+    processes are periodic with ±30 % jitter (real feeds are roughly
+    periodic: editorial workflows, cron-driven generators), which also
+    matches how the survey measured intervals.
+
+    The due updates come off an update calendar: a heap of
+    ``(next_update, hosting rank, channel)`` with one live entry per
+    channel, so an advance costs the channels that fire, and one with
+    nothing due costs O(1).  The channels that fire are published in
+    hosting order, which keeps the jitter draws in the order a scan
+    over every channel would make them.  ``flash_crowd`` books a new
+    entry only when it brings an update forward; the one it replaces
+    stays in the heap, dead, until it is popped.
     """
 
     def __init__(
@@ -99,6 +115,9 @@ class WebServerFarm:
         self.total_not_modified = 0
         self.total_updates = 0
         self._now = 0.0
+        #: The update calendar, and each channel's live entry on it.
+        self._calendar: list[tuple[float, int, HostedChannel]] = []
+        self._booked: dict[str, tuple[float, int, HostedChannel]] = {}
 
     # ------------------------------------------------------------------
     def host(
@@ -123,8 +142,15 @@ class WebServerFarm:
             has_timestamps=self.rng.random() < self.timestamp_fraction,
             next_update=self._first_update_time(update_interval),
         )
+        self._book(hosted.next_update, len(self.channels), hosted)
         self.channels[url] = hosted
         return hosted
+
+    def _book(self, when: float, rank: int, hosted: HostedChannel) -> None:
+        """Make ``(when, rank, hosted)`` the channel's live entry."""
+        entry = (when, rank, hosted)
+        self._booked[hosted.url] = entry
+        heappush(self._calendar, entry)
 
     def _first_update_time(self, interval: float) -> float:
         # Uniform residual: the observer arrives at a random phase of
@@ -139,8 +165,16 @@ class WebServerFarm:
         """Publish all updates due by ``now``; returns how many fired."""
         if now < self._now:
             raise ValueError("time cannot move backwards")
+        calendar = self._calendar
+        booked = self._booked
+        due: list[tuple[float, int, HostedChannel]] = []
+        while calendar and calendar[0][0] <= now:
+            entry = heappop(calendar)
+            if booked[entry[2].url] is entry:
+                due.append(entry)
+        due.sort(key=_HOSTING_ORDER)
         fired = 0
-        for hosted in self.channels.values():
+        for _, rank, hosted in due:
             while hosted.next_update <= now:
                 publish_time = hosted.next_update
                 hosted.generator.publish_update(publish_time)
@@ -149,6 +183,7 @@ class WebServerFarm:
                     hosted.update_interval
                 )
                 fired += 1
+            self._book(hosted.next_update, rank, hosted)
         self._now = now
         self.total_updates += fired
         return fired
@@ -217,9 +252,10 @@ class WebServerFarm:
         if factor <= 0:
             raise ValueError("factor must be positive")
         hosted.update_interval /= factor
-        hosted.next_update = min(
-            hosted.next_update, now + self._jittered(hosted.update_interval)
-        )
+        sooner = now + self._jittered(hosted.update_interval)
+        if sooner < hosted.next_update:
+            hosted.next_update = sooner
+            self._book(sooner, self._booked[url][1], hosted)
 
     def poll_counts(self) -> dict[str, int]:
         """Polls served per channel so far."""

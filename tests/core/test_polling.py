@@ -49,23 +49,55 @@ class TestPeriodicity:
         task.advance()
         assert task.next_poll == due + 600.0
 
-    def test_due_filters_by_time(self):
-        sched = scheduler()
-        sched.start("http://a/", 1, now=0.0)
-        sched.start("http://b/", 1, now=0.0)
-        all_due = sched.due(700.0)
-        assert len(all_due) == 2
-        none_due = sched.due(-1.0)
-        assert none_due == []
 
-    def test_next_due_time(self):
+class TestCalendar:
+    """Every new task is booked once on the calendar, as ``(next_poll,
+    rank, seq, owner, task)``; restarts book nothing, stops unbook
+    nothing (removal is lazy)."""
+
+    def test_new_tasks_are_booked_in_start_order(self):
+        owner = object()
+        calendar = []
+        sched = PollScheduler(
+            interval=600.0, seed=1, calendar=calendar, rank=7, owner=owner
+        )
+        a = sched.start("http://a/", 1, now=0.0)
+        b = sched.start("http://b/", 1, now=0.0)
+        assert sorted(calendar) == sorted(
+            [(a.next_poll, 7, 0, owner, a), (b.next_poll, 7, 1, owner, b)]
+        )
+
+    def test_head_is_the_earliest_poll(self):
         sched = scheduler()
-        assert sched.next_due_time() is None
-        sched.start("http://a/", 1, now=0.0)
-        sched.start("http://b/", 1, now=0.0)
-        assert sched.next_due_time() == min(
+        assert sched.calendar == []
+        for name in "abcde":
+            sched.start(f"http://{name}/", 1, now=0.0)
+        assert sched.calendar[0][0] == min(
             task.next_poll for task in sched.tasks.values()
         )
+        due = [entry[4] for entry in sched.calendar if entry[0] <= 700.0]
+        assert len(due) == 5
+        assert not [entry for entry in sched.calendar if entry[0] <= -1.0]
+
+    def test_restart_books_nothing_and_stop_unbooks_nothing(self):
+        sched = scheduler()
+        task = sched.start("http://a/", 1, now=0.0)
+        sched.start("http://a/", 3, now=10.0)
+        assert len(sched.calendar) == 1
+        sched.stop("http://a/")
+        assert [entry[4] for entry in sched.calendar] == [task]
+        again = sched.start("http://a/", 1, now=20.0)
+        # A new task takes the next seq: dict order and seq order agree.
+        assert sorted(entry[2] for entry in sched.calendar) == [0, 1]
+        assert [e[2] for e in sched.calendar if e[4] is again] == [1]
+
+    def test_schedulers_can_share_one_calendar(self):
+        calendar = []
+        first = PollScheduler(interval=600.0, calendar=calendar, rank=0)
+        second = PollScheduler(interval=600.0, calendar=calendar, rank=1)
+        first.start("http://a/", 1, now=0.0)
+        second.start("http://a/", 1, now=0.0)
+        assert sorted(entry[1] for entry in calendar) == [0, 1]
 
 
 class TestMembership:
@@ -122,7 +154,7 @@ class TestLazyGenerator:
         sched = scheduler()
         assert sched._rng is None
         sched.stop("http://a/")
-        assert sched.due(1e9) == [] and sched.next_due_time() is None
+        assert sched.calendar == [] and sched.tasks == {}
         assert sched._rng is None
         sched.start("http://a/", 1, now=0.0)
         assert sched._rng is not None
