@@ -38,7 +38,7 @@ from repro.core.objectives import (
 from repro.core.polling import PollScheduler, PollTask
 from repro.core.subscription import SubscriptionRegistry
 from repro.core.update import VersionClock
-from repro.diffengine.delta import DeltaError, apply_diff
+from repro.diffengine.delta import apply_once
 from repro.diffengine.differ import Diff, diff_lines
 from repro.diffengine.extractor import DEFAULT_EXTRACTOR
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
@@ -655,6 +655,8 @@ class CoronaNode:
         leaves the cache untouched: the next poll repairs it with a
         full fetch, and the manager's dedup absorbs the redundant diff
         we may emit meanwhile — exactly the paper's failure handling.
+        The patch itself is computed once per distinct base across the
+        wedge (:func:`~repro.diffengine.delta.apply_once`).
         """
         task = self.scheduler.tasks.get(msg.url)
         if task is None:
@@ -663,13 +665,11 @@ class CoronaNode:
         if task.content.version == msg.base_version and (
             incoming > task.content.version or msg.needs_version
         ):
-            try:
-                patched = apply_diff(list(task.content.lines), delta)
-            except DeltaError:
-                return
-            task.content.replace(
-                max(incoming, task.content.version + 1), tuple(patched)
-            )
+            patched = apply_once(task.content.lines, delta)
+            if patched is not None:
+                task.content.replace(
+                    max(incoming, task.content.version + 1), patched
+                )
 
     # ------------------------------------------------------------------
     def polling_level(self, url: str) -> int | None:

@@ -98,10 +98,8 @@ class ContentState:
 
     version: int = 0
     lines: tuple[str, ...] = field(default_factory=tuple)
-    size: int = 0
 
     def replace(self, version: int, lines: tuple[str, ...]) -> None:
         """Install a newer full copy."""
         self.version = version
         self.lines = lines
-        self.size = sum(len(line) + 1 for line in lines)

@@ -9,6 +9,8 @@ by the property-based tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.diffengine.differ import Diff, Hunk, HunkKind
 
 
@@ -21,7 +23,7 @@ def _check(condition: bool, message: str) -> None:
         raise DeltaError(message)
 
 
-def apply_diff(old: list[str], diff: Diff) -> list[str]:
+def apply_diff(old: Sequence[str], diff: Diff) -> list[str]:
     """Apply ``diff`` to ``old`` content, returning the new content.
 
     Hunk context lines are verified against the base content; a
@@ -46,6 +48,29 @@ def apply_diff(old: list[str], diff: Diff) -> list[str]:
         result.extend(hunk.new_lines)
     result.extend(old[cursor:])
     return result
+
+
+_UNSEEN = object()
+
+
+def apply_once(old: tuple[str, ...], diff: Diff) -> tuple[str, ...] | None:
+    """``tuple(apply_diff(old, diff))``, or None where that raises
+    :class:`DeltaError` — computed once per distinct base.
+
+    The result is memoised on ``diff`` (see
+    :class:`~repro.diffengine.differ.Diff`): every wedge member patches
+    the same flooded object, and members holding equal lines share the
+    one patched tuple.
+    """
+    memo = diff._applied
+    patched = memo.get(old, _UNSEEN)
+    if patched is _UNSEEN:
+        try:
+            patched = tuple(apply_diff(old, diff))
+        except DeltaError:
+            patched = None
+        memo[old] = patched
+    return patched
 
 
 def _hunk_old_position(hunk: Hunk) -> int:

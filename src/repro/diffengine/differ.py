@@ -8,12 +8,17 @@ compare against."
 
 The implementation is the classic greedy shortest-edit-script algorithm
 (Myers 1986) on lines, with the common-prefix/suffix trim that makes
-typical feed updates (a few new items at the top) near-linear.
+typical feed updates (a few new items at the top) near-linear.  The V
+array (furthest x reached per diagonal) is one preallocated list at
+offset ``max_d + 1``, and the backtracking trace stores one list slice
+per edit distance — no dict copies and no ``.get`` calls on the hot
+path.  Every comparison happens in the same order as in the textbook
+dict-backed form, so the edit scripts, and the hunks, are the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -56,11 +61,30 @@ class Hunk:
 
 @dataclass(frozen=True)
 class Diff:
-    """A complete delta between two content versions."""
+    """A complete delta between two content versions.
+
+    One ``Diff`` is flooded to every member of a wedge, and the members
+    mostly hold the same base lines, so
+    :func:`repro.diffengine.delta.apply_once` memoises its result here,
+    per distinct base: base lines → patched tuple, or ``None`` when the
+    diff did not fit that base.  A member whose cached lines equal a
+    memoised base takes the patched tuple instead of patching again, so
+    equal bases end up sharing one immutable tuple.  This is exact
+    because applying a diff is a pure function of (base lines, diff).
+    The memo is excluded from equality, hashing and ``repr``, and dies
+    with the flooded message.
+    """
 
     base_version: int
     new_version: int
     hunks: tuple[Hunk, ...]
+    _applied: dict[tuple[str, ...], tuple[str, ...] | None] = field(
+        default_factory=dict,
+        init=False,
+        repr=False,
+        compare=False,
+        hash=False,
+    )
 
     @property
     def is_empty(self) -> bool:
@@ -93,45 +117,49 @@ def _myers_backtrack(
     """Shortest edit script as (op, old_index, new_index) steps.
 
     Ops are ``"="`` (match), ``"-"`` (delete old line), ``"+"``
-    (insert new line).  Classic forward Myers with a trace of the V
-    arrays for backtracking.
+    (insert new line).  Classic forward Myers: V is one preallocated
+    list holding diagonal ``k`` at index ``offset + k``, and the trace
+    keeps, per edit distance ``d``, the slice of V covering diagonals
+    ``-d-1 … d+1`` as it stood before step ``d``.
     """
     n, m = len(old), len(new)
     max_d = n + m
     if max_d == 0:
         return []
-    v = {1: 0}
-    trace: list[dict[int, int]] = []
+    offset = max_d + 1
+    v = [0] * (2 * offset + 1)
+    trace: list[list[int]] = []
     for d in range(max_d + 1):
-        trace.append(dict(v))
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v.get(k - 1, -1) < v.get(k + 1, -1)):
-                x = v.get(k + 1, 0)
+        low, high = offset - d, offset + d
+        trace.append(v[low - 1 : high + 2])
+        for i in range(low, high + 1, 2):
+            if i == low or (i != high and v[i - 1] < v[i + 1]):
+                x = v[i + 1]
             else:
-                x = v.get(k - 1, 0) + 1
-            y = x - k
+                x = v[i - 1] + 1
+            y = x - i + offset
             while x < n and y < m and old[x] == new[y]:
                 x += 1
                 y += 1
-            v[k] = x
+            v[i] = x
             if x >= n and y >= m:
                 return _backtrack_steps(trace, old, new, d)
     raise AssertionError("Myers diff failed to terminate")  # pragma: no cover
 
 
 def _backtrack_steps(
-    trace: list[dict[int, int]], old: list[str], new: list[str], final_d: int
+    trace: list[list[int]], old: list[str], new: list[str], final_d: int
 ) -> list[tuple[str, int, int]]:
     steps: list[tuple[str, int, int]] = []
     x, y = len(old), len(new)
     for d in range(final_d, 0, -1):
-        v = trace[d]
+        v = trace[d]  # diagonal k at index k + d + 1
         k = x - y
-        if k == -d or (k != d and v.get(k - 1, -1) < v.get(k + 1, -1)):
-            prev_k = k + 1
+        i = k + d + 1
+        if k == -d or (k != d and v[i - 1] < v[i + 1]):
+            prev_k, prev_x = k + 1, v[i + 1]
         else:
-            prev_k = k - 1
-        prev_x = v.get(prev_k, 0)
+            prev_k, prev_x = k - 1, v[i - 1]
         prev_y = prev_x - prev_k
         while x > prev_x and y > prev_y:
             x -= 1
@@ -218,7 +246,8 @@ def diff_lines(
     old_pos = new_pos = 0
     for op, old_index, new_index in steps:
         if op == "=":
-            flush(old_pos, new_pos)
+            if pending_del or pending_add:
+                flush(old_pos, new_pos)
             old_pos = old_index + 1
             new_pos = new_index + 1
             continue

@@ -26,7 +26,7 @@ from repro.diffengine.tokenizer import (
     TokenKind,
     classify_tag,
     parse_attrs,
-    scan,
+    split_markup,
     tokenize,  # noqa: F401 -- wrap target of benchmarks/e2e/layers.py
 )
 
@@ -155,53 +155,72 @@ class CoreContentExtractor:
         Each retained text fragment and structural tag becomes one
         line, so the differ's line numbers map to document elements and
         the "17 lines of XML per update" granularity of the survey.
+        Walks the pieces of :func:`split_markup` directly: the even
+        pieces are text, each odd one is markup — a comment, a
+        declaration, a tag (looked up in the verdict table) or, with no
+        ``>`` after its ``<``, the rest of the document as text.
         """
         lines: list[str] = []
         append = lines.append
         verdicts = self._verdicts
+        timestamp = (
+            _TIMESTAMP_TEXT.match if self.strip_timestamp_text else None
+        )
         suppressed = ""  # name of the dropped element we are inside
         nesting = 0  # same-name OPENs seen since, itself included
         item_depth = 0
-        for kind, raw in scan(document):
-            if kind is None:
-                kind, name, drop, line = (
-                    verdicts.get(raw) or self._verdict(raw)
-                )
-                if suppressed:
-                    if name == suppressed:
-                        if kind is TokenKind.OPEN:
-                            nesting += 1
-                        elif kind is TokenKind.CLOSE:
-                            nesting -= 1
-                            if not nesting:
-                                suppressed = ""
-                    continue
-                if kind is TokenKind.CLOSE:
-                    if item_depth and name in _ITEM_ELEMENTS:
-                        item_depth -= 1
-                    append(line)
-                    continue
-                if kind is not TokenKind.TEXT:
-                    if kind is TokenKind.OPEN and name in _ITEM_ELEMENTS:
-                        item_depth += 1
-                    if drop == _KEEP or (
-                        drop == _DROP_OUTSIDE_ITEMS and item_depth
-                    ):
-                        append(line)
-                    elif kind is TokenKind.OPEN:
-                        suppressed, nesting = name, 1
-                    continue
-                # A nameless "<...>" slice is text; fall through.
-            if suppressed or kind is TokenKind.DECLARATION:
-                continue
-            text = raw.strip()
-            if kind is TokenKind.COMMENT:
-                if not self.strip_comments:
+        pieces = split_markup(document)
+        # [text, markup, …, text]: strip every text piece in one C
+        # loop, pair the texts with the markup that follows them.
+        texts = list(map(str.strip, pieces[::2]))
+        last = texts.pop()
+        for text, raw in zip(texts, pieces[1::2]):
+            if text and not suppressed:
+                if not (timestamp and timestamp(text)):
                     append(text)
-            elif text and not (
-                self.strip_timestamp_text and _TIMESTAMP_TEXT.match(text)
-            ):
-                append(text)
+            verdict = verdicts.get(raw)
+            if verdict is None:
+                if raw.startswith("<!--"):
+                    if not (suppressed or self.strip_comments):
+                        append(raw.strip())
+                    continue
+                if raw.startswith(("<!", "<?")):
+                    continue  # a declaration
+                if raw[-1] == ">":
+                    verdict = self._verdict(raw)
+                else:  # no ">" after this "<": the rest is text
+                    last = raw.strip()
+                    break
+            kind, name, drop, line = verdict
+            if suppressed:
+                if name == suppressed:
+                    if kind is TokenKind.OPEN:
+                        nesting += 1
+                    elif kind is TokenKind.CLOSE:
+                        nesting -= 1
+                        if not nesting:
+                            suppressed = ""
+                continue
+            if kind is TokenKind.CLOSE:
+                if item_depth and name in _ITEM_ELEMENTS:
+                    item_depth -= 1
+                append(line)
+            elif kind is TokenKind.TEXT:  # a nameless "<...>" is text
+                text = raw.strip()
+                if not (timestamp and timestamp(text)):
+                    append(text)
+            else:
+                if kind is TokenKind.OPEN and name in _ITEM_ELEMENTS:
+                    item_depth += 1
+                if drop == _KEEP or (
+                    drop == _DROP_OUTSIDE_ITEMS and item_depth
+                ):
+                    append(line)
+                elif kind is TokenKind.OPEN:
+                    suppressed, nesting = name, 1
+        if last and not suppressed:
+            if not (timestamp and timestamp(last)):
+                append(last)
         return lines
 
 

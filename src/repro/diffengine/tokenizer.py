@@ -5,6 +5,17 @@ difference engine cannot rely on a strict parser.  This tokenizer
 never raises on malformed markup: anything that does not scan as a tag
 is treated as text, unterminated constructs run to end of input, and
 entities are left untouched (the differ compares text verbatim).
+
+The one lexer is :func:`split_markup`, a single compiled ``re.split``
+that cuts a document into alternating text and markup pieces in C
+(``[text, markup, text, …, text]``, empty text pieces included).  A
+markup piece is a comment (``<!--`` up to ``-->``), a declaration
+(``<!`` or ``<?`` up to ``>``), a tag (``<`` up to ``>``), or — when
+no ``>`` follows a ``<`` at all — the rest of the document, which is
+text.  Unterminated comments and declarations run to end of input.
+The split deliberately leaves whitespace inside the text pieces:
+absorbing it into the pattern makes the split several times slower on
+feeds, and callers strip text pieces themselves.
 """
 
 from __future__ import annotations
@@ -62,40 +73,33 @@ def parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
     return tuple(attrs)
 
 
+#: ``split_markup(document)`` → alternating text and markup pieces.
+split_markup = re.compile(
+    r"(<(?:!--.*?(?:-->|\Z)|[!?][^>]*(?:>|\Z)|[^>]*>|.*\Z))", re.S
+).split
+
+
 def scan(document: str) -> Iterator[tuple[TokenKind | None, str]]:
-    """Find token boundaries with ``str.find`` only, never raising.
+    """Token boundaries from :func:`split_markup`, never raising.
 
     Yields ``(kind, raw)``; a ``None`` kind marks a ``<...>`` slice that
     :func:`classify_tag` has yet to look at.  Comments and declarations
     without terminators run to end of input; an unterminated tag is
     text.  The raw slices concatenate back to ``document``.
     """
-    position = 0
-    length = len(document)
-    find = document.find
-    while position < length:
-        lt = find("<", position)
-        if lt == -1:
-            yield TokenKind.TEXT, document[position:]
-            return
-        if lt > position:
-            yield TokenKind.TEXT, document[position:lt]
-        if document.startswith("<!--", lt):
-            end = find("-->", lt + 4)
-            stop = length if end == -1 else end + 3
-            yield TokenKind.COMMENT, document[lt:stop]
-        elif document.startswith(("<!", "<?"), lt):
-            end = find(">", lt + 2)
-            stop = length if end == -1 else end + 1
-            yield TokenKind.DECLARATION, document[lt:stop]
+    for raw in split_markup(document):
+        if not raw:
+            continue
+        if raw[0] != "<":
+            yield TokenKind.TEXT, raw
+        elif raw.startswith("<!--"):
+            yield TokenKind.COMMENT, raw
+        elif raw.startswith(("<!", "<?")):
+            yield TokenKind.DECLARATION, raw
+        elif raw[-1] != ">":
+            yield TokenKind.TEXT, raw
         else:
-            end = find(">", lt + 1)
-            if end == -1:
-                yield TokenKind.TEXT, document[lt:]
-                return
-            stop = end + 1
-            yield None, document[lt:stop]
-        position = stop
+            yield None, raw
 
 
 def classify_tag(raw: str) -> tuple[TokenKind, str, str]:

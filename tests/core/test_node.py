@@ -1,10 +1,15 @@
 """CoronaNode protocol behaviour: polling, diffing, dedup, notify."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CoronaConfig
+from repro.core.maintenance import DiffMsg
 from repro.core.node import CoronaNode, FetchResult
 from repro.core.objectives import binning_ratio
+from repro.diffengine.delta import DeltaError, apply_diff
+from repro.diffengine.differ import diff_lines
 from repro.diffengine.extractor import CoreContentExtractor
 from repro.honeycomb.clusters import ClusterSummary
 from repro.overlay.hashing import node_id_for_address
@@ -197,11 +202,11 @@ class TestServerVersions:
     )
     def test_same_or_older_version_is_not_parsed(self, served, reply):
         node, task, spy = self._primed(version=10)
-        before = (task.content.version, task.content.lines, task.content.size)
+        before = (task.content.version, task.content.lines)
         next_due = task.next_poll
         assert node.execute_poll(task, reply(served), 61.0) is None
         assert spy.calls == 0
-        assert (task.content.version, task.content.lines, task.content.size) == before
+        assert (task.content.version, task.content.lines) == before
         assert node.polls_issued == 2
         assert task.next_poll > next_due  # advance() still ran
 
@@ -281,6 +286,23 @@ class TestDiffHandling:
         member_lines = member.scheduler.tasks[URL].content.lines
         assert member_lines == manager_lines
 
+    def test_members_with_equal_bases_share_one_patched_tuple(self):
+        detector = make_node()
+        members = [make_node(), make_node()]
+        for node in (detector, *members):
+            node.scheduler.start(URL, 3, now=0.0)
+            task = node.scheduler.tasks[URL]
+            node.execute_poll(task, fetch(URL, "<item>one</item>"), 1.0)
+        first, second = (m.scheduler.tasks[URL].content for m in members)
+        assert first.lines == second.lines
+        assert first.lines is not second.lines  # parsed separately
+        msg = self._detect(detector, "<item>two</item>", 61.0)
+        for member in members:
+            member.handle_diff(msg, 61.2)
+        assert first.lines is second.lines
+        assert first.lines == detector.scheduler.tasks[URL].content.lines
+
+
     def test_notifier_invoked_for_subscribers(self):
         calls = []
         node = make_node(
@@ -306,6 +328,63 @@ class TestDiffHandling:
         msg = self._detect(node, "<item>two</item>", 61.0)
         node.handle_diff(msg, 61.0)
         assert calls == []
+
+
+_BASES = st.lists(st.sampled_from("abcd"), max_size=8).map(tuple)
+
+
+class TestApplyMemo:
+    """``_apply_peer_diff`` patches once per (diff, base) and shares the
+    result; every call must still end where a fresh ``apply_diff``
+    would."""
+
+    @staticmethod
+    def _deliver(node, delta, base):
+        """Install ``base`` at version 1, deliver ``delta`` (1 → 2)."""
+        task = node.scheduler.tasks[URL]
+        task.content.replace(1, base)
+        msg = DiffMsg(
+            url=URL,
+            version=2,
+            base_version=1,
+            diff=delta,
+            content_size=0,
+            detected_at=0.0,
+        )
+        node._apply_peer_diff(msg, delta)
+        return task.content.version, task.content.lines
+
+    @given(
+        st.lists(st.tuples(_BASES, _BASES), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.integers(0, 2), _BASES), min_size=1, max_size=12
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memoised_apply_equals_a_fresh_apply(self, pairs, calls):
+        diffs = [
+            diff_lines(list(old), list(new), 1, 2) for old, new in pairs
+        ]
+        node = make_node()
+        node.scheduler.start(URL, 3, now=0.0)
+        for index, base in calls:
+            delta = diffs[index % len(diffs)]
+            try:
+                expected = (2, tuple(apply_diff(list(base), delta)))
+            except DeltaError:
+                expected = (1, base)  # the cache is left untouched
+            assert self._deliver(node, delta, base) == expected
+
+    def test_misfit_base_is_remembered_and_left_untouched(self):
+        node = make_node()
+        node.scheduler.start(URL, 3, now=0.0)
+        delta = diff_lines(["a", "b"], ["a", "c"], 1, 2)
+        assert self._deliver(node, delta, ("x", "y")) == (1, ("x", "y"))
+        assert self._deliver(node, delta, ("a", "b")) == (2, ("a", "c"))
+        assert self._deliver(node, delta, ("x", "y")) == (1, ("x", "y"))
+        assert self._deliver(node, delta, ("a", "b")) == (2, ("a", "c"))
+        assert len(delta._applied) == 2
+        assert delta == diff_lines(["a", "b"], ["a", "c"], 1, 2)
 
 
 class TestOptimizationIntegration:

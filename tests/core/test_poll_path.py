@@ -5,13 +5,16 @@
 Neither the one-pass extractor nor the conditional GET may move a
 simulated count: what a poll reports depends on the core lines only
 (pinned by the golden vectors), and a reply whose version the poller
-holds could only have reported nothing.
+holds could only have reported nothing.  A flooded diff is patched
+once per distinct base, however many wedge members receive it.
 """
 
 import json
 from pathlib import Path
 
+from repro.core import node as node_module
 from repro.core.system import CoronaSystem
+from repro.diffengine import delta as delta_module
 from repro.diffengine.extractor import CoreContentExtractor
 from repro.faults.chaos import chaos_timeline
 from repro.scenarios import ScenarioRunner, get_scenario
@@ -37,6 +40,21 @@ class TestScenarios:
             lambda self, *args, **kwargs: real_init(self, *args, **kwargs)
             or systems.append(self),
         )
+        applies = []
+        real_apply = delta_module.apply_diff
+        monkeypatch.setattr(
+            delta_module,
+            "apply_diff",
+            lambda old, diff: applies.append(1) or real_apply(old, diff),
+        )
+        offered = []  # (diff, base) per member patch; diffs kept alive
+        real_once = node_module.apply_once
+        monkeypatch.setattr(
+            node_module,
+            "apply_once",
+            lambda old, diff: offered.append((diff, old))
+            or real_once(old, diff),
+        )
         metrics = ScenarioRunner(get_scenario("steady-state"), seed=0).run()
         actual = metrics.to_dict()
         baseline = json.loads(BASELINE.read_text())["base"]
@@ -54,6 +72,13 @@ class TestScenarios:
         # that was never given one holds none.
         pollers = [n for n in system.nodes.values() if n.scheduler._rng]
         assert sum(n.polls_issued for n in pollers) == actual["polls"]
+        # Members mostly hold equal bases: 3476 member patches of 373
+        # flooded diffs come from 500 distinct (diff, base) pairs, and
+        # each pair is patched once.
+        distinct = {(id(diff), base) for diff, base in offered}
+        assert len(offered) == 3476
+        assert len({id(diff) for diff, _ in offered}) == 373
+        assert len(applies) <= len(distinct) == 500
 
     def test_rate_limited_replays_stay_invariant_clean(self):
         """A capped server answers with its last snapshot *and* that

@@ -34,11 +34,11 @@ class TestVersionClock:
 
 
 class TestContentState:
-    def test_replace_tracks_size(self):
+    def test_replace_installs_version_and_lines(self):
         state = ContentState()
         state.replace(3, ("hello", "world"))
         assert state.version == 3
-        assert state.size == len("hello") + len("world") + 2
+        assert state.lines == ("hello", "world")
 
     def test_initial_state_empty(self):
         state = ContentState()
