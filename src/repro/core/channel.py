@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from repro.core.config import CoronaConfig
 from repro.core.objectives import binning_ratio, scheme_by_name
@@ -186,7 +186,6 @@ class Channel:
     """
 
     url: str
-    cid: NodeId = field(init=False)
     stats: ChannelStats = field(default_factory=ChannelStats)
     level: int = 0
     max_level: int = 0
@@ -195,7 +194,15 @@ class Channel:
     def __post_init__(self) -> None:
         if not self.url:
             raise ValueError("channel URL must be non-empty")
-        self.cid = channel_id(self.url)
+
+    @cached_property
+    def cid(self) -> NodeId:
+        """The channel's ring identifier, hashed on first read.
+
+        Adoption never reads it (the adopter resolved the anchor from
+        the identifier already), so adopting a channel hashes nothing.
+        """
+        return channel_id(self.url)
 
     def __setattr__(self, name: str, value) -> None:
         # Replacing the stats object wholesale (ownership transfers do

@@ -26,7 +26,7 @@ import zlib
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.channel import Channel
+from repro.core.channel import Channel, ChannelStats
 from repro.core.config import CoronaConfig
 from repro.core.maintenance import DiffMsg, LevelController, MaintenanceMsg
 from repro.core.objectives import (
@@ -172,13 +172,15 @@ class CoronaNode:
             return channel
         channel = Channel(
             url=url,
+            stats=ChannelStats(
+                default_update_interval=self.config.max_update_interval,
+                min_interval=self.config.min_update_interval,
+                max_interval=self.config.max_update_interval,
+            ),
             level=max_level,
             max_level=max_level,
             anchor_prefix=anchor_prefix,
         )
-        channel.stats.default_update_interval = self.config.max_update_interval
-        channel.stats.min_interval = self.config.min_update_interval
-        channel.stats.max_interval = self.config.max_update_interval
         channel.clamp_level()
         self.managed[url] = channel
         self.clocks[url] = VersionClock()

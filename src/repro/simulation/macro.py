@@ -23,13 +23,35 @@ without it:
 
 The per-bucket server load is the deterministic consequence of current
 levels (``n_i`` polls per τ per channel), which is also exact.
+
+Table 2 compares five schemes over *one* world: the same overlay,
+channel placement and update schedule.  None of it depends on the
+scheme, so a :class:`MacroWorld` — the overlay, its base level, the
+channel ids, wedge populations, managers, anchor prefixes, orphan mask
+and the update schedule — is built once and shared by every simulator
+of the same ``(trace, n_nodes, seed, base, horizon)``; each scheme
+builds only its own nodes, their channel adoptions and trace stats,
+its levels and its aggregator.  Sharing changes no result, bit for
+bit:
+
+* the world also keeps the state of ``default_rng(seed)`` after the
+  update draws, and every simulator resumes its generator from it, so
+  each draw in :meth:`MacroSimulator.run` is the one a fresh build
+  would make;
+* the shared arrays are read-only, and nothing a run does writes to
+  the overlay;
+* the one-slot memo behind the constructor is keyed on a snapshot of
+  the *values* the world reads (the URLs, the update intervals' bytes,
+  node count, base, horizon and seed), never on object identity, so a
+  trace mutated in place gets a fresh world.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +64,7 @@ from repro.honeycomb.solver import SolverWork
 from repro.obs import NULL_SPAN, Observability
 from repro.overlay.hashing import channel_id
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.nodeid import NodeId
+from repro.overlay.nodeid import ID_BITS, NodeId, bits_per_digit
 from repro.workload.trace import SubscriptionTrace
 
 
@@ -68,6 +90,149 @@ class MacroResult:
     target_polls_per_tau: float  # the legacy-equivalent budget
     orphan_count: int
     analytic_weighted_delay: float  # τ/(2 n_i) expectation under final levels
+
+
+def draw_updates(
+    intervals: np.ndarray, horizon: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic-with-jitter update events, ``(times, channels)`` by time.
+
+    Each channel's first update falls uniformly in its first interval
+    and every later gap is its interval jittered by U(0.7, 1.3);
+    channels updating less often than every four horizons never update
+    inside the run.  The macro simulator and the legacy baseline both
+    draw their schedule here, from their own generator.
+    """
+    times: list[float] = []
+    channels: list[int] = []
+    for index in range(len(intervals)):
+        interval = float(intervals[index])
+        if interval > horizon * 4:
+            continue  # effectively never updates inside the run
+        t = float(rng.uniform(0.0, interval))
+        while t < horizon:
+            times.append(t)
+            channels.append(index)
+            t += interval * float(rng.uniform(0.7, 1.3))
+    order = np.argsort(times) if times else np.array([], dtype=np.int64)
+    return (
+        np.array(times, dtype=np.float64)[order],
+        np.array(channels, dtype=np.int64)[order],
+    )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class MacroWorld:
+    """What every scheme of one Table 2 run shares (module docstring)."""
+
+    overlay: OverlayNetwork
+    base_level: int
+    channel_ids: tuple[NodeId, ...]
+    #: url -> channel index (the last index of a repeated URL).
+    channel_index: Mapping[str, int]
+    #: Wedge population per channel per level, shape ``(m, K + 1)``.
+    wedge_sizes: np.ndarray
+    managers: tuple[NodeId, ...]
+    anchor_prefix: np.ndarray
+    orphan: np.ndarray
+    update_times: np.ndarray
+    update_channels: np.ndarray
+    #: ``default_rng(seed)``'s bit-generator state after the updates
+    #: (a plain dict, as numpy's state setter wants; never written).
+    rng_state: dict
+
+    @classmethod
+    def build(
+        cls,
+        trace: SubscriptionTrace,
+        base: int,
+        n_nodes: int,
+        seed: int,
+        horizon: float,
+    ) -> "MacroWorld":
+        """Build the world from scratch (the constructor memoizes it)."""
+        rng = np.random.default_rng(seed)
+        # The "corona" address prefix yields a Poisson-typical number
+        # of empty identifier-prefix regions (hence orphans) at the
+        # paper's 1024-node scale; an unlucky hash universe can double
+        # the orphan count and visibly drag the weighted latency.
+        overlay = OverlayNetwork.build(
+            n_nodes, base=base, leaf_size=4, seed=seed,
+            address_prefix="corona",
+        )
+        k = overlay.base_level()
+        channel_ids = tuple(channel_id(url) for url in trace.urls)
+        # Wedge population per channel per level, measured exactly by
+        # prefix-range counting over the sorted node identifiers; the
+        # owner level always has at least the manager itself polling.
+        id_list = sorted(node.value for node in overlay.node_ids())
+        wedge_sizes = np.ones((len(channel_ids), k + 1), dtype=np.int64)
+        bpd = bits_per_digit(base)
+        for index, cid in enumerate(channel_ids):
+            wedge_sizes[index, 0] = n_nodes
+            for level in range(1, k + 1):
+                shift = ID_BITS - level * bpd
+                lo = (cid.value >> shift) << shift
+                left = bisect.bisect_left(id_list, lo)
+                right = bisect.bisect_left(id_list, lo + (1 << shift))
+                wedge_sizes[index, level] = max(
+                    1 if level == k else 0, right - left
+                )
+        managers = tuple(overlay.anchor_of(cid) for cid in channel_ids)
+        anchor_prefix = np.array(
+            [
+                manager.shared_prefix_len(cid, base)
+                for manager, cid in zip(managers, channel_ids)
+            ],
+            dtype=np.int64,
+        )
+        update_times, update_channels = draw_updates(
+            trace.update_intervals, horizon, rng
+        )
+        return cls(
+            overlay=overlay,
+            base_level=k,
+            channel_ids=channel_ids,
+            channel_index=MappingProxyType(
+                {url: i for i, url in enumerate(trace.urls)}
+            ),
+            wedge_sizes=_read_only(wedge_sizes),
+            managers=managers,
+            anchor_prefix=_read_only(anchor_prefix),
+            orphan=_read_only(anchor_prefix < (k - 1)),
+            update_times=_read_only(update_times),
+            update_channels=_read_only(update_channels),
+            rng_state=rng.bit_generator.state,
+        )
+
+
+#: One-slot memo: ``(key, world)`` of the last world built.
+_last_world: tuple[tuple, MacroWorld] | None = None
+
+
+def _shared_world(
+    trace: SubscriptionTrace,
+    base: int,
+    n_nodes: int,
+    seed: int,
+    horizon: float,
+) -> MacroWorld:
+    """The world for these values: the last one built, if they match."""
+    global _last_world
+    key = (
+        n_nodes, seed, base, horizon,
+        tuple(trace.urls), trace.update_intervals.tobytes(),
+    )
+    if _last_world is None or _last_world[0] != key:
+        _last_world = (
+            key, MacroWorld.build(trace, base, n_nodes, seed, horizon)
+        )
+    return _last_world[1]
 
 
 class MacroSimulator:
@@ -118,146 +283,61 @@ class MacroSimulator:
         self._fault_injections = sorted(
             fault_injections, key=lambda pair: pair[0]
         )
+        self.world = _shared_world(trace, config.base, n_nodes, seed, horizon)
         self.rng = np.random.default_rng(seed)
-
-        # The "corona" address prefix yields a Poisson-typical number
-        # of empty identifier-prefix regions (hence orphans) at the
-        # paper's 1024-node scale; an unlucky hash universe can double
-        # the orphan count and visibly drag the weighted latency.
-        self.overlay = OverlayNetwork.build(
-            n_nodes, base=config.base, leaf_size=4, seed=seed,
-            address_prefix="corona",
-        )
-        self.base_level = self.overlay.base_level()
+        self.rng.bit_generator.state = self.world.rng_state
         self._prepare_channels()
-        self._prepare_updates()
 
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
     def _prepare_channels(self) -> None:
+        """This scheme's managers, adoptions, levels and aggregator.
+
+        Nodes get their dirty hook only once every trace stat is
+        written: the aggregator starts with every node dirty, so the
+        setup writes have nothing to report.
+        """
         trace = self.trace
-        m = trace.n_channels
-        k = self.base_level
-        self.channel_ids = [channel_id(url) for url in trace.urls]
-        # Wedge population per channel per level, measured exactly by
-        # prefix-range counting over the sorted node identifiers; the
-        # owner level always has at least the manager itself polling.
-        id_list = sorted(node.value for node in self.overlay.node_ids())
-        self._id_list = id_list
-        self.wedge_sizes = np.ones((m, k + 1), dtype=np.int64)
-        from repro.overlay.nodeid import ID_BITS, bits_per_digit
-
-        bpd = bits_per_digit(self.config.base)
-        for index, cid in enumerate(self.channel_ids):
-            for level in range(k + 1):
-                if level == 0:
-                    self.wedge_sizes[index, 0] = self.n_nodes
-                    continue
-                shift = ID_BITS - level * bpd
-                lo = (cid.value >> shift) << shift
-                left = bisect.bisect_left(id_list, lo)
-                right = bisect.bisect_left(id_list, lo + (1 << shift))
-                self.wedge_sizes[index, level] = max(
-                    1 if level == k else 0, right - left
-                )
-        # Managers (anchors) and per-node channel lists.  The node with
-        # the longest common prefix is always numerically adjacent to
-        # the channel id in sorted order, so anchors resolve with a
-        # bisect instead of a population scan.
-        by_value = {
-            node_id.value: node_id for node_id in self.overlay.node_ids()
-        }
-        from repro.overlay.leafset import LeafSet
-
-        def fast_anchor(cid: NodeId) -> NodeId:
-            position = bisect.bisect_left(id_list, cid.value)
-            candidates = {
-                id_list[(position - 1) % len(id_list)],
-                id_list[position % len(id_list)],
-                id_list[(position + 1) % len(id_list)],
-            }
-            return max(
-                (by_value[value] for value in candidates),
-                key=lambda node_id: (
-                    node_id.shared_prefix_len(cid, self.config.base),
-                    -LeafSet._ownership_distance(node_id, cid),
-                ),
-            )
-
-        self.managers: list[NodeId] = [
-            fast_anchor(cid) for cid in self.channel_ids
-        ]
-        self.anchor_prefix = np.array(
-            [
-                manager.shared_prefix_len(cid, self.config.base)
-                for manager, cid in zip(self.managers, self.channel_ids)
-            ],
-            dtype=np.int64,
-        )
-        self.orphan = self.anchor_prefix < (k - 1)
-        self.levels = np.full(m, k, dtype=np.int64)
+        world = self.world
+        k = world.base_level
+        self.levels = np.full(trace.n_channels, k, dtype=np.int64)
         self.nodes: dict[NodeId, CoronaNode] = {}
-        for index, manager in enumerate(self.managers):
+        for url, manager, prefix, subscribers, size, interval in zip(
+            trace.urls,
+            world.managers,
+            world.anchor_prefix.tolist(),
+            trace.subscribers.tolist(),
+            trace.content_sizes.tolist(),
+            trace.update_intervals.tolist(),
+        ):
             node = self.nodes.get(manager)
             if node is None:
-                node = CoronaNode(
+                node = self.nodes[manager] = CoronaNode(
                     manager,
                     self.config,
                     rng_seed=self.seed,
                     memo_solve=self.memo_solve,
                     solver_work=self.solver_work,
-                    on_factors_changed=self._mark_owner_dirty,
                 )
-                self.nodes[manager] = node
-            channel = node.adopt_channel(
-                trace.urls[index],
-                max_level=k,
-                anchor_prefix=int(self.anchor_prefix[index]),
-                now=0.0,
-            )
-            channel.stats.subscribers = int(trace.subscribers[index])
-            channel.stats.content_size = int(trace.content_sizes[index])
+            stats = node.adopt_channel(
+                url, max_level=k, anchor_prefix=prefix, now=0.0
+            ).stats
+            stats.subscribers = int(subscribers)
+            stats.content_size = int(size)
             if self.oracle_factors:
-                channel.stats._interval_estimate = float(
-                    trace.update_intervals[index]
-                )
-        self._channel_index = {url: i for i, url in enumerate(trace.urls)}
+                stats._interval_estimate = float(interval)
         # The overlay's live routing-table view keeps the aggregator
         # current without per-event re-materialization (same API the
         # full system uses for incremental churn).
         self.aggregator = DecentralizedAggregator.for_overlay(
-            self.overlay,
+            world.overlay,
             bins=self.config.tradeoff_bins,
             delta_rounds=self.delta_rounds,
             registry=self.obs.registry,
         )
-
-    def _mark_owner_dirty(self, node_id: NodeId) -> None:
-        """Structural dirty hook (see :class:`~repro.core.system.
-        CoronaSystem`); guarded because channel setup mutates stats
-        before the aggregator exists (everyone starts dirty anyway)."""
-        aggregator = getattr(self, "aggregator", None)
-        if aggregator is not None:
-            aggregator.mark_local_dirty(node_id)
-
-    def _prepare_updates(self) -> None:
-        """Periodic-with-jitter update event times for every channel."""
-        times: list[float] = []
-        channels: list[int] = []
-        intervals = self.trace.update_intervals
-        for index in range(self.trace.n_channels):
-            interval = float(intervals[index])
-            if interval > self.horizon * 4:
-                continue  # effectively never updates inside the run
-            t = float(self.rng.uniform(0.0, interval))
-            while t < self.horizon:
-                times.append(t)
-                channels.append(index)
-                t += interval * float(self.rng.uniform(0.7, 1.3))
-        order = np.argsort(times) if times else np.array([], dtype=np.int64)
-        self.update_times = np.array(times, dtype=np.float64)[order]
-        self.update_channels = np.array(channels, dtype=np.int64)[order]
+        for node in self.nodes.values():
+            node.on_factors_changed = self.aggregator.mark_local_dirty
 
     # ------------------------------------------------------------------
     # decentralized control plane
@@ -298,14 +378,14 @@ class MacroSimulator:
                     continue
                 channel.level = controller.step(url, before)
                 channel.clamp_level()
-                self.levels[self._channel_index[url]] = channel.level
+                self.levels[self.world.channel_index[url]] = channel.level
 
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
     def _pollers(self) -> np.ndarray:
         """Current wedge population per channel under current levels."""
-        gathered = self.wedge_sizes[
+        gathered = self.world.wedge_sizes[
             np.arange(self.trace.n_channels), self.levels
         ]
         return np.maximum(1, gathered)
@@ -317,6 +397,8 @@ class MacroSimulator:
         m = self.trace.n_channels
         q = self.trace.subscribers.astype(np.float64)
         sizes = self.trace.content_sizes.astype(np.float64)
+        update_times = self.world.update_times
+        update_channels = self.world.update_channels
 
         n_buckets = int(np.ceil(self.horizon / self.bucket_width))
         bucket_times = (np.arange(n_buckets) + 0.5) * self.bucket_width
@@ -430,10 +512,10 @@ class MacroSimulator:
             )
 
             # Updates falling in this bucket: sample detection delays.
-            lo = np.searchsorted(self.update_times, t0, side="left")
-            hi = np.searchsorted(self.update_times, t1, side="left")
+            lo = np.searchsorted(update_times, t0, side="left")
+            hi = np.searchsorted(update_times, t1, side="left")
             if hi > lo:
-                events = self.update_channels[lo:hi]
+                events = update_channels[lo:hi]
                 n_event = effective[events]
                 u = self.rng.random(hi - lo)
                 delays = tau * (1.0 - u ** (1.0 / n_event))
@@ -486,7 +568,7 @@ class MacroSimulator:
             ),
             polls_per_channel_per_tau=total_polls / duration_intervals / m,
             target_polls_per_tau=float(q.sum()),
-            orphan_count=int(self.orphan.sum()),
+            orphan_count=int(self.world.orphan.sum()),
             analytic_weighted_delay=analytic,
         )
 
@@ -517,22 +599,9 @@ def run_legacy(
         n_buckets, float((q * sizes / tau).mean() * 8.0 / 1000.0)
     )
 
-    # Update events (same law as the macro simulator).
-    times: list[float] = []
-    channels: list[int] = []
-    for index in range(m):
-        interval = float(trace.update_intervals[index])
-        if interval > horizon * 4:
-            continue
-        t = float(rng.uniform(0.0, interval))
-        while t < horizon:
-            times.append(t)
-            channels.append(index)
-            t += interval * float(rng.uniform(0.7, 1.3))
-    update_times = np.array(times)
-    update_channels = np.array(channels, dtype=np.int64)
-    order = np.argsort(update_times)
-    update_times, update_channels = update_times[order], update_channels[order]
+    update_times, update_channels = draw_updates(
+        trace.update_intervals, horizon, rng
+    )
 
     detection_sum = np.zeros(n_buckets)
     detection_weight = np.zeros(n_buckets)

@@ -1,11 +1,23 @@
 """Macro simulator: the §5.1 behaviours at reduced scale."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.config import CoronaConfig
-from repro.simulation.macro import MacroSimulator, run_legacy
+from repro.cli import main
+from repro.core.config import SCHEME_NAMES, CoronaConfig
+from repro.overlay.network import OverlayNetwork
+from repro.simulation import macro
+from repro.simulation.macro import MacroSimulator, draw_updates, run_legacy
 from repro.workload.trace import generate_trace
+from tests.core.test_golden_optimization_rounds import (
+    GOLDEN_PATH,
+    MACRO_SIZES,
+    _digest,
+    _round_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +148,181 @@ class TestFairFamily:
             small_trace.update_intervals, analytic_latency
         )
         assert correlation > 0.2
+
+
+class TestSharedWorld:
+    """Simulators of one ``(trace, n_nodes, seed, base, horizon)`` share
+    a :class:`MacroWorld`; sharing must change no result."""
+
+    @staticmethod
+    def _fresh(monkeypatch) -> None:
+        monkeypatch.setattr(macro, "_last_world", None)
+
+    @staticmethod
+    def _bits(result) -> dict:
+        """Every field of a result as bytes: equal means bit-identical."""
+        return {
+            name: (
+                value.tobytes() if isinstance(value, np.ndarray)
+                else repr(value).encode()
+            )
+            for name, value in vars(result).items()
+        }
+
+    @staticmethod
+    def _recording(rounds: list):
+        class Recording(MacroSimulator):
+            def _run_control_round(self) -> None:
+                super()._run_control_round()
+                rounds.append(_round_digest(self.nodes))
+
+        return Recording
+
+    def _five(self, trace, n_nodes, order, monkeypatch):
+        """Per scheme: the recorded golden case and the result bytes.
+
+        ``all-then-run`` builds every scheme before running any (the
+        e2e child); ``per-scheme`` builds and runs one at a time
+        (``repro table2``); ``fresh`` drops the world before each
+        build.
+        """
+        recordings = {scheme: [] for scheme in SCHEME_NAMES}
+
+        def build(scheme):
+            if order == "fresh":
+                self._fresh(monkeypatch)
+            return self._recording(recordings[scheme])(
+                trace,
+                CoronaConfig(scheme=scheme, polling_interval=1800.0),
+                n_nodes=n_nodes,
+                seed=7,
+                horizon=6 * 3600.0,
+            )
+
+        if order == "all-then-run":
+            simulators = [build(scheme) for scheme in SCHEME_NAMES]
+            results = [simulator.run() for simulator in simulators]
+        else:
+            results = [build(scheme).run() for scheme in SCHEME_NAMES]
+        return {
+            scheme: (
+                {
+                    "rounds": recordings[scheme],
+                    "final_levels": _digest(
+                        [int(level) for level in result.final_levels]
+                    ),
+                },
+                self._bits(result),
+            )
+            for scheme, result in zip(SCHEME_NAMES, results)
+        }
+
+    @pytest.mark.parametrize("size", sorted(MACRO_SIZES))
+    def test_shared_worlds_replay_the_golden_rounds_bit_for_bit(
+        self, size, monkeypatch
+    ):
+        n_channels, n_subscriptions, n_nodes = MACRO_SIZES[size]
+        trace = generate_trace(
+            n_channels=n_channels, n_subscriptions=n_subscriptions, seed=7
+        )
+        golden = json.loads(GOLDEN_PATH.read_text())
+        fresh = self._five(trace, n_nodes, "fresh", monkeypatch)
+        for order in ("all-then-run", "per-scheme"):
+            self._fresh(monkeypatch)
+            shared = self._five(trace, n_nodes, order, monkeypatch)
+            for scheme in SCHEME_NAMES:
+                recorded, bits = shared[scheme]
+                assert recorded == golden[f"macro-{size}-{scheme}"], order
+                assert bits == fresh[scheme][1], (order, scheme)
+
+    def test_one_overlay_build_per_world(self, small_trace, monkeypatch):
+        builds = []
+        build = OverlayNetwork.build
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        self._fresh(monkeypatch)
+        monkeypatch.setattr(OverlayNetwork, "build", counting)
+        simulators = [
+            MacroSimulator(
+                small_trace, CoronaConfig(scheme=scheme), n_nodes=64, seed=8
+            )
+            for scheme in SCHEME_NAMES
+        ]
+        assert len(builds) == 1
+        assert len({id(simulator.world) for simulator in simulators}) == 1
+        MacroSimulator(
+            small_trace, CoronaConfig(scheme="lite"), n_nodes=65, seed=8
+        )
+        assert len(builds) == 2
+
+    def test_every_simulator_resumes_the_generator_after_the_updates(
+        self, small_trace, monkeypatch
+    ):
+        """``run()`` draws its delays from ``default_rng(seed)`` right
+        after the update schedule, whether the world is new or not."""
+        rng = np.random.default_rng(8)
+        times, channels = draw_updates(
+            small_trace.update_intervals, 6 * 3600.0, rng
+        )
+        self._fresh(monkeypatch)
+        for scheme in ("lite", "fair"):
+            simulator = MacroSimulator(
+                small_trace, CoronaConfig(scheme=scheme), n_nodes=64, seed=8
+            )
+            assert simulator.rng.bit_generator.state == rng.bit_generator.state
+            assert np.array_equal(simulator.world.update_times, times)
+            assert np.array_equal(simulator.world.update_channels, channels)
+
+    def test_shared_arrays_are_read_only(self, small_trace):
+        world = MacroSimulator(
+            small_trace, CoronaConfig(), n_nodes=64, seed=8
+        ).world
+        for name in (
+            "wedge_sizes", "anchor_prefix", "orphan",
+            "update_times", "update_channels",
+        ):
+            array = getattr(world, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("field", ["update_intervals", "urls"])
+    def test_a_trace_mutated_in_place_gets_a_fresh_world(
+        self, field, monkeypatch
+    ):
+        trace = generate_trace(n_channels=200, n_subscriptions=5000, seed=3)
+
+        def build():
+            return MacroSimulator(
+                trace, CoronaConfig(), n_nodes=32, seed=1,
+                horizon=2 * 3600.0,
+            ).world
+
+        before = build()
+        assert build() is before
+        if field == "update_intervals":
+            trace.update_intervals[:] = trace.update_intervals.min()
+        else:
+            trace.urls[:] = [f"{url}#moved" for url in trace.urls]
+        after = build()
+        assert after is not before
+        self._fresh(monkeypatch)
+        rebuilt = build()
+        for name in ("wedge_sizes", "anchor_prefix", "update_times",
+                     "update_channels"):
+            assert np.array_equal(getattr(after, name), getattr(rebuilt, name))
+        assert after.managers == rebuilt.managers
+        if field == "update_intervals":
+            assert not np.array_equal(before.update_times, after.update_times)
+        else:
+            assert before.channel_ids != after.channel_ids
+
+
+def test_table2_at_cli_defaults_replays_the_recorded_table(capsys):
+    """``repro table2`` with no options prints the recorded table."""
+    assert main(["table2"]) == 0
+    golden = Path(__file__).parent / "golden" / "table2_default.txt"
+    assert capsys.readouterr().out == golden.read_text()

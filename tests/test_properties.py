@@ -18,7 +18,9 @@ from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.honeycomb.solver import HoneycombSolver
 from repro.overlay.dag import dag_reach
 from repro.overlay.hashing import channel_id
+from repro.overlay.leafset import LeafSet
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.nodeid import ID_BITS, NodeId
 
 # ---------------------------------------------------------------------
 # Overlay invariants
@@ -66,6 +68,27 @@ def test_property_wedge_flood_exact(url, level):
         assert reached == set(net.wedge(cid, level))
     else:
         assert reached == {anchor}
+
+
+@given(
+    key=st.integers(min_value=0, max_value=(1 << ID_BITS) - 1),
+    n_nodes=st.integers(min_value=1, max_value=300),
+    base=st.sampled_from([4, 16]),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_bisect_resolution_matches_population_scan(key, n_nodes, base):
+    """``anchor_of``/``owner_of`` look at three sorted neighbours only;
+    the answer is the one a scan of the whole population gives."""
+    net = OverlayNetwork.build(n_nodes, base=base, seed=n_nodes)
+    cid = NodeId(key)
+    population = net.node_ids()
+    assert net.anchor_of(cid) == max(
+        population, key=lambda node_id: net.anchor_key(node_id, cid)
+    )
+    assert net.owner_of(cid) == min(
+        population,
+        key=lambda node_id: LeafSet._ownership_distance(node_id, cid),
+    )
 
 
 # ---------------------------------------------------------------------
