@@ -27,7 +27,7 @@ from repro.workload.trace import generate_trace
 
 @pytest.fixture(scope="module")
 def overlay():
-    return OverlayNetwork.build(256, base=16, seed=3)
+    return OverlayNetwork.build(256, base=16)
 
 
 def test_micro_route(benchmark, overlay):

@@ -51,7 +51,7 @@ def synthetic_channels(node_id):
 
 def build_converged(n_nodes: int, delta: bool) -> DecentralizedAggregator:
     overlay = OverlayNetwork.build(
-        n_nodes, base=16, leaf_size=4, seed=5, address_prefix="delta"
+        n_nodes, base=16, leaf_size=4, address_prefix="delta"
     )
     aggregator = DecentralizedAggregator.for_overlay(
         overlay, bins=16, delta_rounds=delta
@@ -132,7 +132,7 @@ def test_steady_state_probe_4096(benchmark):
     1024-node evaluation scale.
     """
     overlay = OverlayNetwork.build(
-        PROBE_NODES, base=16, leaf_size=4, seed=5, address_prefix="delta"
+        PROBE_NODES, base=16, leaf_size=4, address_prefix="delta"
     )
     aggregator = DecentralizedAggregator.for_overlay(overlay, bins=16)
     aggregator.load_local(synthetic_channels)
@@ -179,7 +179,7 @@ def test_churn_wave_reconverges_incrementally(benchmark):
     below one eager round.
     """
     overlay = OverlayNetwork.build(
-        N_NODES, base=16, leaf_size=4, seed=7, address_prefix="wave"
+        N_NODES, base=16, leaf_size=4, address_prefix="wave"
     )
     aggregator = DecentralizedAggregator.for_overlay(
         overlay, bins=16, delta_rounds=True

@@ -117,7 +117,6 @@ class CoronaSystem:
         fetcher: Fetcher,
         seed: int = 0,
         notifier: Callable[[str, Iterable[str], Diff, float], None] | None = None,
-        incremental_churn: bool = True,
         delta_rounds: bool = True,
         memo_solve: bool = True,
         faults: FaultPlane | None = None,
@@ -161,10 +160,6 @@ class CoronaSystem:
         #: skipping it performs zero transmit draws, exactly like the
         #: full scan that found nothing.
         self._repair_dirty_urls: set[str] = set()
-        #: False restores the pre-incremental churn paths (full
-        #: aggregator rebuild + anchor rescan per membership event,
-        #: sampled overlay repair) — the benchmarks' rebuild reference.
-        self.incremental_churn = incremental_churn
         #: False restores the eager aggregation sweep (every node
         #: reloads its local summary and recomputes every radius every
         #: round) — the round-delta benchmark's reference.  Metrics are
@@ -189,8 +184,6 @@ class CoronaSystem:
             n_nodes,
             base=config.base,
             leaf_size=config.replicas + 1,
-            seed=seed,
-            incremental=incremental_churn,
         )
         self.nodes: dict[NodeId, CoronaNode] = {
             node_id: self._new_node(node_id, rng_seed=seed)
@@ -321,12 +314,9 @@ class CoronaSystem:
     def _join_wave(self, addresses: list[str], now: float) -> list[NodeId]:
         """Join a wave of nodes with one aggregation repair.
 
-        The incremental path splices the newcomers into the aggregator
-        (survivors keep every summary of an unchanged prefix region)
-        and consults the anchor index to re-home exactly the channels
-        some newcomer now anchors; the rebuild path reconstructs the
-        aggregator and rescans every channel per join, as the system
-        did before incremental churn.
+        The newcomers are spliced into the aggregator (survivors keep
+        every summary of an unchanged prefix region), and the anchor
+        index re-homes exactly the channels some newcomer now anchors.
         """
         joined: list[NodeId] = []
         for address in addresses:
@@ -335,44 +325,27 @@ class CoronaSystem:
                 pastry_node.node_id, rng_seed=len(self.nodes)
             )
             joined.append(pastry_node.node_id)
-            if not self.incremental_churn:
-                self._rebuild_aggregator()
-                self._rehome_after_join(
-                    [pastry_node.node_id], now, use_index=False
-                )
-        if self.incremental_churn:
-            self.aggregator.add_nodes(
-                joined, rows=self.overlay.aggregation_rows()
-            )
-            self._rehome_after_join(joined, now, use_index=True)
+        self.aggregator.add_nodes(joined, rows=self.overlay.aggregation_rows())
+        self._rehome_after_join(joined, now)
         self.counters.joins += len(joined)
         return joined
 
-    def _rehome_after_join(
-        self, joined: list[NodeId], now: float, use_index: bool
-    ) -> None:
+    def _rehome_after_join(self, joined: list[NodeId], now: float) -> None:
         """Move channels whose anchor became one of ``joined``.
 
-        With ``use_index`` the current manager's cached anchor key is
-        compared against each newcomer's — O(joined) per channel, no
-        population scan; otherwise every channel's anchor is recomputed
-        (the pre-incremental behaviour).
+        The current manager's cached anchor key is compared against
+        each newcomer's — O(joined) per channel, no population scan.
         """
         for url in list(self.managers):
             cid = self._cid(url)
-            if use_index:
-                best_key = self._anchor_index[url]
-                winner: NodeId | None = None
-                for node_id in joined:
-                    key = self._anchor_key(node_id, cid)
-                    if key > best_key:
-                        best_key, winner = key, node_id
-                if winner is None:
-                    continue
-            else:
-                winner = self.overlay.anchor_of(cid)
-                if winner not in joined or winner == self.managers[url]:
-                    continue
+            best_key = self._anchor_index[url]
+            winner: NodeId | None = None
+            for node_id in joined:
+                key = self._anchor_key(node_id, cid)
+                if key > best_key:
+                    best_key, winner = key, node_id
+            if winner is None:
+                continue
             self._transfer_channel(url, cid, winner, now)
             self.counters.rehomed_channels += 1
 
@@ -443,10 +416,6 @@ class CoronaSystem:
         for node_id in victims:
             if node_id not in self.nodes:
                 raise KeyError(f"unknown node {node_id!r}")
-        if not self.incremental_churn:
-            return sum(
-                self._fail_single_rebuild(node_id, now) for node_id in victims
-            )
         orphaned: list[tuple[str, set[str]]] = []
         for node_id in victims:
             dying = self.nodes[node_id]
@@ -491,44 +460,6 @@ class CoronaSystem:
         if self.faults is not None:
             # Re-homed digest source (see _transfer_channel).
             self._repair_dirty_urls.add(url)
-
-    def _fail_single_rebuild(self, node_id: NodeId, now: float) -> int:
-        """The pre-incremental failure path (rebuild reference)."""
-        dying = self.nodes[node_id]
-        state = dying.registry.export_state()
-        orphaned_urls = list(dying.managed)
-        self._crashed_pool.append(
-            (node_id, self.overlay.nodes[node_id].address)
-        )
-        self.overlay.remove_node(node_id)
-        del self.nodes[node_id]
-        # Aggregation state is rebuilt over the surviving population
-        # (the overlay's self-healing already repaired routing tables).
-        self._rebuild_aggregator()
-        rehomed = 0
-        for url in orphaned_urls:
-            self._adopt_orphan(url, state.get(url, set()), now)
-            rehomed += 1
-        self.counters.crashes += 1
-        self.counters.rehomed_channels += rehomed
-        return rehomed
-
-    def _rebuild_aggregator(self) -> None:
-        """Reconstruct aggregation state from scratch (rebuild path).
-
-        Materializes the routing tables into a plain dict, as the
-        pre-incremental system did on every membership event — kept as
-        the reference the churn benchmarks and equivalence tests
-        compare the incremental splice against.
-        """
-        self.aggregator = DecentralizedAggregator(
-            tables=dict(self.overlay.routing_tables()),
-            rows=self.overlay.aggregation_rows(),
-            bins=self.config.tradeoff_bins,
-            base=self.config.base,
-            delta_rounds=self.delta_rounds,
-            registry=self.obs.registry,
-        )
 
     def manager_nodes(self) -> set[NodeId]:
         """Nodes currently managing at least one channel."""
@@ -603,7 +534,7 @@ class CoronaSystem:
         victims = generator.sample(pool, count) if count else []
         if victims:
             # One wave ⇒ one overlay repair and one aggregation splice,
-            # however many victims (the rebuild path loops internally).
+            # however many victims.
             with self.obs.tracer.span(
                 "churn.crash", sim_time=now, category="churn"
             ) as span:

@@ -93,10 +93,9 @@ class AggregationWork(CounterStruct):
     instructions executed — so scenario baselines can gate on them
     exactly while wall-clock timings stay report-only.
 
-    Backed by ``repro.obs`` counter cells; the non-incremental churn
-    path rebuilds its aggregator (and with it this struct) per
-    membership event, and re-registration replaces the prior series to
-    keep that reset visible in the registry too.
+    Backed by ``repro.obs`` counter cells; an aggregator built on a
+    registry that already holds these series replaces them, so the
+    registry always reports the live aggregator's work.
     """
 
     SERIES = (

@@ -24,10 +24,9 @@ Design constraints, enforced by ``tests/obs``:
   int arithmetic itself.  Label resolution (:meth:`Counter.labels`)
   is for registration-time fan-out, never for per-event paths.
 * **Re-registration** — registering a name that already exists
-  replaces the previous series.  The non-incremental churn reference
-  path rebuilds its aggregator (and therefore its work counters) per
-  membership event; the registry mirrors that reset semantics instead
-  of fighting it.
+  replaces the previous series, so a counter struct built again on
+  the same registry starts from zero and the registry reports the
+  struct in use, never a stale one.
 """
 
 from __future__ import annotations
@@ -291,9 +290,9 @@ class CounterStruct:
     reads/writes the underlying counter cell, so existing call sites
     (``work.summaries_rebuilt += 1``) keep working unchanged.  Passing
     a :class:`MetricsRegistry` registers every series on it (replacing
-    a previous registration, which matches the rebuild-path reset
-    semantics); with no registry the struct is standalone, exactly as
-    cheap as the dataclasses it replaces.
+    a previous registration, see "Re-registration" above); with no
+    registry the struct is standalone, exactly as cheap as the
+    dataclasses it replaces.
     """
 
     __slots__ = ("_cells",)

@@ -8,10 +8,9 @@ implementation of the pieces Corona depends on:
   (:mod:`repro.overlay.nodeid`),
 * prefix routing tables and leaf sets (:mod:`repro.overlay.routing`,
   :mod:`repro.overlay.leafset`),
-* Pastry nodes with join, route and failure repair
-  (:mod:`repro.overlay.node`),
-* an overlay container managing membership and churn
-  (:mod:`repro.overlay.network`),
+* Pastry nodes with one routing step each (:mod:`repro.overlay.node`),
+* an overlay container running the join, multi-hop routing and
+  failure repair (:mod:`repro.overlay.network`),
 * wedge membership — the set of nodes sharing ``l`` prefix digits with
   a channel identifier (:mod:`repro.overlay.wedge`),
 * the dissemination DAG rooted at each node

@@ -20,7 +20,7 @@ class LeafSet:
     """The ``size`` clockwise and counter-clockwise ring neighbours.
 
     The structure is deliberately simple: two sorted-by-ring-distance
-    lists, rebuilt incrementally as nodes are observed or removed.
+    lists, written by the overlay's join and repair as the ring changes.
     """
 
     owner: NodeId
@@ -31,44 +31,6 @@ class LeafSet:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("leaf set size must be >= 1")
-
-    # ------------------------------------------------------------------
-    def observe(self, candidate: NodeId) -> bool:
-        """Consider ``candidate`` for membership; return True if admitted."""
-        if candidate == self.owner:
-            return False
-        admitted = False
-        admitted |= self._admit(self._cw, self.owner.distance_cw(candidate), candidate)
-        admitted |= self._admit(
-            self._ccw, candidate.distance_cw(self.owner), candidate
-        )
-        return admitted
-
-    def _admit(self, side: list[NodeId], distance: int, candidate: NodeId) -> bool:
-        # Sides are kept sorted by ring distance (distances are unique
-        # for a fixed owner), so admission is a binary search instead
-        # of a rebuild-and-sort — this is the hot path of every join
-        # announcement and churn repair.
-        if candidate in side:
-            return False
-        lo, hi = 0, len(side)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._key(side, side[mid]) < distance:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo >= self.size:
-            return False
-        side.insert(lo, candidate)
-        if len(side) > self.size:
-            side.pop()
-        return True
-
-    def _key(self, side: list[NodeId], member: NodeId) -> int:
-        if side is self._cw:
-            return self.owner.distance_cw(member)
-        return member.distance_cw(self.owner)
 
     # ------------------------------------------------------------------
     def remove(self, failed: NodeId) -> bool:
@@ -85,9 +47,8 @@ class LeafSet:
     def reset(self, clockwise: list[NodeId], counter_clockwise: list[NodeId]) -> None:
         """Replace both sides with exact neighbour lists, nearest first.
 
-        Used by the overlay's incremental churn repair, which computes
-        the true ring slices from its sorted membership index instead
-        of re-discovering them through sampled observations.
+        Used by the overlay's churn repair, which computes the true
+        ring slices from its sorted membership index.
         """
         self._cw[:] = clockwise[: self.size]
         self._ccw[:] = counter_clockwise[: self.size]

@@ -35,13 +35,6 @@ class PastryNode:
         self.leaves = LeafSet(owner=self.node_id, size=self.leaf_size)
 
     # ------------------------------------------------------------------
-    def observe(self, other: NodeId) -> None:
-        """Learn about another node; file it wherever it fits."""
-        if other == self.node_id:
-            return
-        self.table.observe(other)
-        self.leaves.observe(other)
-
     def forget(self, failed: NodeId) -> bool:
         """Erase a failed node from all routing state.
 

@@ -47,23 +47,6 @@ class RoutingTable:
         col = other.digit(row, self.base)
         return row, col
 
-    def observe(self, candidate: NodeId) -> bool:
-        """Install ``candidate`` into its slot if the slot is empty.
-
-        Pastry prefers proximity-based slot choice; with a simulated
-        uniform network, first-observed wins, and churn repair
-        re-populates slots from peers.  Returns True if installed.
-        """
-        slot = self.slot_for(candidate)
-        if slot is None:
-            return False
-        row, col = slot
-        bucket = self._rows.setdefault(row, {})
-        if col in bucket:
-            return False
-        bucket[col] = candidate
-        return True
-
     def replace(self, candidate: NodeId) -> bool:
         """Install ``candidate``, overwriting any existing entry."""
         slot = self.slot_for(candidate)

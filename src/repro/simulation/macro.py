@@ -162,8 +162,7 @@ class MacroWorld:
         # paper's 1024-node scale; an unlucky hash universe can double
         # the orphan count and visibly drag the weighted latency.
         overlay = OverlayNetwork.build(
-            n_nodes, base=base, leaf_size=4, seed=seed,
-            address_prefix="corona",
+            n_nodes, base=base, leaf_size=4, address_prefix="corona"
         )
         k = overlay.base_level()
         channel_ids = tuple(channel_id(url) for url in trace.urls)

@@ -9,7 +9,10 @@ These tests assert the strong form of that claim: after *any* seeded
 sequence of joins and crashes, loading locals and running ``rows``
 rounds on the incrementally-maintained aggregator yields summaries
 **bit-for-bit identical** to a from-scratch rebuild driven the same
-way (dataclass equality compares every cluster sum exactly).
+way (dataclass equality compares every cluster sum exactly).  The
+rebuild is a fresh :meth:`DecentralizedAggregator.for_overlay` over the
+same overlay, so the system keeps one churn path and the oracle needs
+no second one.
 """
 
 import random
@@ -77,7 +80,7 @@ class TestAggregatorChurnEquivalence:
     def test_randomized_join_crash_sequences(self, seed):
         """Seeded random churn, checked against a rebuild at each step."""
         rng = random.Random(seed)
-        overlay = OverlayNetwork.build(24, base=4, leaf_size=3, seed=seed)
+        overlay = OverlayNetwork.build(24, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         minted = 0
         for step in range(12):
@@ -105,7 +108,7 @@ class TestAggregatorChurnEquivalence:
 
     def test_equivalence_holds_with_interleaved_rounds(self):
         """Running rounds *between* churn events must not break it."""
-        overlay = OverlayNetwork.build(20, base=4, leaf_size=3, seed=9)
+        overlay = OverlayNetwork.build(20, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         rng = random.Random(9)
         for index in range(6):
@@ -156,7 +159,7 @@ class TestHorizonTrimming:
         assert got == expected
 
     def test_removal_trims_only_the_changed_region(self):
-        overlay = OverlayNetwork.build(16, base=4, leaf_size=3, seed=3)
+        overlay = OverlayNetwork.build(16, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         states = converged_states(aggregator, synthetic_channels)
         victim = overlay.node_ids()[5]
@@ -183,7 +186,7 @@ class TestHorizonTrimming:
                     assert present
 
     def test_join_trims_only_the_changed_region(self):
-        overlay = OverlayNetwork.build(16, base=4, leaf_size=3, seed=4)
+        overlay = OverlayNetwork.build(16, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         converged_states(aggregator, synthetic_channels)
         rows_before = aggregator.rows
@@ -202,13 +205,13 @@ class TestHorizonTrimming:
                     assert present
 
     def test_add_existing_node_rejected(self):
-        overlay = OverlayNetwork.build(4, base=4, leaf_size=2, seed=0)
+        overlay = OverlayNetwork.build(4, base=4, leaf_size=2)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         with pytest.raises(ValueError):
             aggregator.add_nodes([overlay.node_ids()[0]])
 
     def test_remove_unknown_node_rejected(self):
-        overlay = OverlayNetwork.build(4, base=4, leaf_size=2, seed=0)
+        overlay = OverlayNetwork.build(4, base=4, leaf_size=2)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         ghost = overlay.add_node("ghost").node_id
         overlay.remove_nodes([ghost])
@@ -217,7 +220,7 @@ class TestHorizonTrimming:
             aggregator_fresh.remove_nodes([ghost])
 
     def test_set_rows_rekeys_local_summaries(self):
-        overlay = OverlayNetwork.build(8, base=4, leaf_size=2, seed=1)
+        overlay = OverlayNetwork.build(8, base=4, leaf_size=2)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         aggregator.load_local(synthetic_channels)
         rows = aggregator.rows
@@ -289,31 +292,6 @@ class TestSystemChurnEquivalence:
             return system.nodes[node_id].local_summary()
 
         assert_equivalent(system.aggregator, system.overlay, local_channels)
-
-    def test_rebuild_mode_system_behaves(self, fast_config):
-        """The retained rebuild path still transfers state correctly."""
-        farm = WebServerFarm(seed=2)
-        system = CoronaSystem(
-            n_nodes=24,
-            config=fast_config,
-            fetcher=farm,
-            seed=2,
-            incremental_churn=False,
-        )
-        for rank in range(6):
-            url = f"http://legacy{rank}.example/rss"
-            farm.host(url, update_interval=120.0, target_bytes=500)
-            for client in range(5):
-                system.subscribe(url, f"c{rank}-{client}", now=0.0)
-        total = 30
-        system.crash_nodes(4, now=10.0, target="managers")
-        system.join_nodes(3, now=20.0)
-        registered = sum(
-            system.nodes[manager].registry.count(url)
-            for url, manager in system.managers.items()
-        )
-        assert registered == total
-        assert set(system.aggregator.states) == set(system.nodes)
 
 
 class TestDeltaEagerSystemEquivalence:

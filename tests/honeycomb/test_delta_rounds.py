@@ -104,7 +104,7 @@ class TestPerRoundEquivalence:
         """Any mix of churn, factor changes and rounds: equal states
         and equal work counters after *every* round."""
         rng = random.Random(seed)
-        overlay = OverlayNetwork.build(20, base=4, leaf_size=3, seed=seed)
+        overlay = OverlayNetwork.build(20, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         minted = 0
         for _step in range(40):
@@ -137,7 +137,7 @@ class TestPerRoundEquivalence:
         """Whole waves — several joiners or several victims spliced in
         one call — between rounds of a converged cloud."""
         rng = random.Random(100 + seed)
-        overlay = OverlayNetwork.build(40, base=4, leaf_size=3, seed=seed)
+        overlay = OverlayNetwork.build(40, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         pair.load()
         for _ in range(pair.delta.rows + 2):
@@ -166,7 +166,7 @@ class TestPerRoundEquivalence:
     def test_steady_state_rounds_do_no_summary_work(self):
         """Once converged with stable factors, delta rounds are free
         and commit nothing — yet stay equal to the eager sweep."""
-        overlay = OverlayNetwork.build(32, base=4, leaf_size=3, seed=9)
+        overlay = OverlayNetwork.build(32, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         pair.load()
         for _ in range(pair.delta.rows + 2):
@@ -183,7 +183,7 @@ class TestPerRoundEquivalence:
         """A single dirty owner re-dirties exactly the §3.3 wave: its
         change reaches wider radii one digit per round, and the
         per-round dirtied counts match the eager reference."""
-        overlay = OverlayNetwork.build(24, base=4, leaf_size=3, seed=4)
+        overlay = OverlayNetwork.build(24, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         pair.load()
         for _ in range(pair.delta.rows + 2):
@@ -212,7 +212,7 @@ class TestPerRoundEquivalence:
 class TestDirtyLocalBookkeeping:
     def test_unmarked_equal_rebuild_advances_no_epoch(self):
         """Reloading identical factors dirties nothing in either mode."""
-        overlay = OverlayNetwork.build(12, base=4, leaf_size=2, seed=2)
+        overlay = OverlayNetwork.build(12, base=4, leaf_size=2)
         agg = DecentralizedAggregator.for_overlay(overlay, bins=8)
         agg.load_local(factors_for)
         rebuilt = agg.work.summaries_rebuilt
@@ -220,7 +220,7 @@ class TestDirtyLocalBookkeeping:
         assert agg.work.summaries_rebuilt == rebuilt
 
     def test_mark_local_dirty_scopes_the_reload(self):
-        overlay = OverlayNetwork.build(12, base=4, leaf_size=2, seed=3)
+        overlay = OverlayNetwork.build(12, base=4, leaf_size=2)
         agg = DecentralizedAggregator.for_overlay(overlay, bins=8)
         agg.load_dirty_locals(factors_for)  # everyone starts dirty
         boost = {}
@@ -239,7 +239,7 @@ class TestDirtyLocalBookkeeping:
         assert agg.work.summaries_rebuilt == rebuilt + 1
 
     def test_mark_unknown_node_is_ignored(self):
-        overlay = OverlayNetwork.build(6, base=4, leaf_size=2, seed=1)
+        overlay = OverlayNetwork.build(6, base=4, leaf_size=2)
         agg = DecentralizedAggregator.for_overlay(overlay, bins=8)
         ghost = overlay.add_node("ghost").node_id
         overlay.remove_nodes([ghost])
@@ -260,7 +260,7 @@ class TestSharedEmptySummaries:
         """Every empty radius is the shared empty, and the summaries
         held are at most one object per non-empty entry plus it."""
         overlay = OverlayNetwork.build(
-            1024, base=16, leaf_size=4, seed=5, address_prefix="delta"
+            1024, base=16, leaf_size=4, address_prefix="delta"
         )
         agg = converged(overlay, synthetic_channels, bins=16)
         empty = ClusterSummary.empty(16)
@@ -282,7 +282,7 @@ class TestSharedEmptySummaries:
 
 class TestPendingMarks:
     def test_marks_reach_only_the_owner_and_its_readers(self):
-        overlay = OverlayNetwork.build(64, base=4, leaf_size=3, seed=6)
+        overlay = OverlayNetwork.build(64, base=4, leaf_size=3)
         agg = converged(overlay, factors_for, bins=8)
         assert not any(state.pending for state in agg.states.values())
         rows = agg.rows
@@ -312,7 +312,7 @@ class TestPendingMarks:
     def test_departed_states_are_unreachable(self):
         """Survivors name readers by identifier value, so a removed
         node's state is garbage as soon as the aggregator drops it."""
-        overlay = OverlayNetwork.build(48, base=4, leaf_size=3, seed=8)
+        overlay = OverlayNetwork.build(48, base=4, leaf_size=3)
         agg = converged(overlay, factors_for, bins=8)
         victims = overlay.node_ids()[5:11]
         refs = [weakref.ref(agg.states[node_id]) for node_id in victims]

@@ -17,7 +17,7 @@ def test_flood_equals_wedge_at_every_level(base, n_nodes):
     """From the anchor, the row-restricted flood reaches exactly the
     wedge — the property both maintenance and diff dissemination
     depend on (paper §3.3, §3.4)."""
-    net = OverlayNetwork.build(n_nodes, base=base, seed=5)
+    net = OverlayNetwork.build(n_nodes, base=base)
     tables = net.routing_tables()
     for index in range(25):
         cid = channel_id(f"http://dag{index}.example/feed")

@@ -1,4 +1,10 @@
-"""Leaf-set membership, ordering, and ownership distance."""
+"""Leaf-set sides, removal, span and ownership distance.
+
+Setup state is written with :meth:`LeafSet.reset`, as the overlay's
+join and repair write it; which nodes a leaf set holds after churn is
+tested on live overlays (``test_incremental_churn.py``,
+``test_golden_join.py``).
+"""
 
 import pytest
 
@@ -11,34 +17,9 @@ def nid(value: int) -> NodeId:
 
 
 class TestMembership:
-    def test_owner_never_admitted(self):
-        leaves = LeafSet(owner=nid(100), size=4)
-        assert not leaves.observe(nid(100))
-        assert leaves.members() == []
-
-    def test_keeps_nearest_per_side(self):
-        leaves = LeafSet(owner=nid(1000), size=2)
-        for value in (1100, 1200, 1300, 900, 800, 700):
-            leaves.observe(nid(value))
-        assert leaves.clockwise() == [nid(1100), nid(1200)]
-        assert leaves.counter_clockwise() == [nid(900), nid(800)]
-
-    def test_duplicate_not_admitted_twice(self):
-        leaves = LeafSet(owner=nid(0), size=4)
-        assert leaves.observe(nid(5))
-        assert not leaves.observe(nid(5))
-        assert leaves.members().count(nid(5)) == 1
-
-    def test_closer_node_evicts_farther(self):
-        leaves = LeafSet(owner=nid(0), size=1)
-        leaves.observe(nid(100))
-        assert leaves.observe(nid(50))
-        assert leaves.clockwise() == [nid(50)]
-
     def test_remove(self):
         leaves = LeafSet(owner=nid(0), size=2)
-        leaves.observe(nid(10))
-        leaves.observe(nid(20))
+        leaves.reset([nid(10), nid(20)], [])
         leaves.remove(nid(10))
         assert nid(10) not in leaves.members()
 
@@ -48,10 +29,13 @@ class TestMembership:
 
     def test_wraparound_sides(self):
         leaves = LeafSet(owner=nid(ID_SPACE - 5), size=2)
-        leaves.observe(nid(3))  # clockwise across zero
-        leaves.observe(nid(ID_SPACE - 100))  # counter-clockwise
+        # clockwise across zero, counter-clockwise below the owner
+        leaves.reset([nid(3)], [nid(ID_SPACE - 100)])
         assert nid(3) in leaves.clockwise()
         assert nid(ID_SPACE - 100) in leaves.counter_clockwise()
+        assert leaves.covers(nid(0))  # the span wraps through zero
+        assert not leaves.covers(nid(50))
+        assert leaves.closest(nid(1)) == nid(3)
 
 
 class TestClosest:
@@ -61,8 +45,7 @@ class TestClosest:
 
     def test_picks_numerically_closest(self):
         leaves = LeafSet(owner=nid(0), size=4)
-        for value in (100, 200, ID_SPACE - 150):
-            leaves.observe(nid(value))
+        leaves.reset([nid(100), nid(200)], [nid(ID_SPACE - 150)])
         assert leaves.closest(nid(90)) == nid(100)
         assert leaves.closest(nid(40)) == nid(0)
         assert leaves.closest(nid(ID_SPACE - 120)) == nid(ID_SPACE - 150)

@@ -11,7 +11,7 @@ class TestMembership:
         assert len(small_overlay) == 64
 
     def test_duplicate_address_rejected(self):
-        net = OverlayNetwork.build(4, base=4, seed=1)
+        net = OverlayNetwork.build(4, base=4)
         with pytest.raises(ValueError):
             net.add_node("node-0")
 
@@ -81,29 +81,29 @@ class TestRouting:
 
 class TestChurn:
     def test_failure_repair_preserves_routing(self):
-        net = OverlayNetwork.build(40, base=4, seed=3)
+        net = OverlayNetwork.build(40, base=4)
         cid = channel_id("http://churn.example/")
         victims = net.node_ids()[:8]
         for victim in victims:
-            net.remove_node(victim)
+            net.remove_nodes([victim])
         assert len(net) == 32
         owner = net.owner_of(cid)
         for start in net.node_ids()[::5]:
             assert net.route(start, cid)[-1] == owner
 
     def test_ownership_moves_on_failure(self):
-        net = OverlayNetwork.build(24, base=4, seed=9)
+        net = OverlayNetwork.build(24, base=4)
         cid = channel_id("http://move.example/")
         owner = net.owner_of(cid)
-        net.remove_node(owner)
+        net.remove_nodes([owner])
         new_owner = net.owner_of(cid)
         assert new_owner != owner
         assert new_owner in net.nodes
 
     def test_remove_unknown_raises(self, small_overlay):
-        net = OverlayNetwork.build(4, base=4, seed=2)
+        net = OverlayNetwork.build(4, base=4)
         with pytest.raises(KeyError):
-            net.remove_node(node_id_for_address("ghost"))
+            net.remove_nodes([node_id_for_address("ghost")])
 
     def test_empty_overlay_owner_raises(self):
         net = OverlayNetwork(base=16)

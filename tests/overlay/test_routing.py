@@ -1,4 +1,9 @@
-"""Routing-table slot assignment and prefix next-hop selection."""
+"""Routing-table slot assignment and prefix next-hop selection.
+
+Setup state is installed with :meth:`RoutingTable.replace`; which
+contact the overlay's join and repair file into a slot is tested on
+live overlays (``test_incremental_churn.py``, ``test_golden_join.py``).
+"""
 
 import pytest
 
@@ -29,44 +34,37 @@ class TestSlots:
         far = make_id(0x3)
         assert table.slot_for(far) == (0, 0x3)
 
-    def test_observe_first_wins(self, table):
-        first = make_id(0x3, 0x1)
-        second = make_id(0x3, 0x2)  # same slot (row 0, col 3)
-        assert table.observe(first)
-        assert not table.observe(second)
-        assert table.entry(0, 0x3) == first
-
     def test_replace_overwrites(self, table):
         first = make_id(0x3, 0x1)
-        second = make_id(0x3, 0x2)
-        table.observe(first)
+        second = make_id(0x3, 0x2)  # same slot (row 0, col 3)
+        table.replace(first)
         assert table.replace(second)
         assert table.entry(0, 0x3) == second
 
     def test_remove_only_exact_match(self, table):
         first = make_id(0x3, 0x1)
-        table.observe(first)
+        table.replace(first)
         table.remove(make_id(0x3, 0x2))  # same slot, different node
         assert table.entry(0, 0x3) == first
         table.remove(first)
         assert table.entry(0, 0x3) is None
 
     def test_len_counts_entries(self, table):
-        table.observe(make_id(0x1))
-        table.observe(make_id(0x2))
-        table.observe(make_id(0xA, 0x1))
+        table.replace(make_id(0x1))
+        table.replace(make_id(0x2))
+        table.replace(make_id(0xA, 0x1))
         assert len(table) == 3
 
     def test_occupied_rows(self, table):
-        table.observe(make_id(0x1))
-        table.observe(make_id(0xA, 0xB, 0x1))
+        table.replace(make_id(0x1))
+        table.replace(make_id(0xA, 0xB, 0x1))
         assert table.occupied_rows() == [0, 2]
 
 
 class TestNextHop:
     def test_next_hop_extends_prefix(self, table):
         contact = make_id(0x7, 0x5)
-        table.observe(contact)
+        table.replace(contact)
         key = make_id(0x7, 0x9)
         hop = table.next_hop(key)
         assert hop == contact
@@ -82,5 +80,5 @@ class TestNextHop:
 
     def test_contacts_deduplicated(self, table):
         contact = make_id(0x7)
-        table.observe(contact)
+        table.replace(contact)
         assert table.contacts() == [contact]

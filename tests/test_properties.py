@@ -31,7 +31,7 @@ _OVERLAYS = {}
 def overlay_for(n_nodes: int, base: int) -> OverlayNetwork:
     key = (n_nodes, base)
     if key not in _OVERLAYS:
-        _OVERLAYS[key] = OverlayNetwork.build(n_nodes, base=base, seed=99)
+        _OVERLAYS[key] = OverlayNetwork.build(n_nodes, base=base)
     return _OVERLAYS[key]
 
 
@@ -79,7 +79,7 @@ def test_property_wedge_flood_exact(url, level):
 def test_property_bisect_resolution_matches_population_scan(key, n_nodes, base):
     """``anchor_of``/``owner_of`` look at three sorted neighbours only;
     the answer is the one a scan of the whole population gives."""
-    net = OverlayNetwork.build(n_nodes, base=base, seed=n_nodes)
+    net = OverlayNetwork.build(n_nodes, base=base)
     cid = NodeId(key)
     population = net.node_ids()
     assert net.anchor_of(cid) == max(
