@@ -265,6 +265,28 @@ class TestSystemChurnEquivalence:
 
         assert_equivalent(system.aggregator, system.overlay, local_channels)
 
+    def test_system_transfers_state_through_manager_crash_and_join(
+        self, fast_config
+    ):
+        """A manager crash wave then a join wave lose no subscriber."""
+        farm = WebServerFarm(seed=2)
+        system = CoronaSystem(
+            n_nodes=24, config=fast_config, fetcher=farm, seed=2
+        )
+        for rank in range(6):
+            url = f"http://wave{rank}.example/rss"
+            farm.host(url, update_interval=120.0, target_bytes=500)
+            for client in range(5):
+                system.subscribe(url, f"c{rank}-{client}", now=0.0)
+        system.crash_nodes(4, now=10.0, target="managers")
+        system.join_nodes(3, now=20.0)
+        registered = sum(
+            system.nodes[manager].registry.count(url)
+            for url, manager in system.managers.items()
+        )
+        assert registered == 30
+        assert set(system.aggregator.states) == set(system.nodes)
+
     def test_delta_system_matches_rebuild_after_churn(self, fast_config):
         """The delta-round system aggregator is also rebuild-equivalent."""
         farm = WebServerFarm(seed=21)

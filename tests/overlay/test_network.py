@@ -91,6 +91,17 @@ class TestChurn:
         for start in net.node_ids()[::5]:
             assert net.route(start, cid)[-1] == owner
 
+    def test_batched_wave_preserves_routing_from_every_node(self):
+        net = OverlayNetwork.build(24, base=4, leaf_size=3)
+        cid = channel_id("http://wave.example/rss")
+        owner = net.owner_of(cid)
+        others = [node_id for node_id in net.node_ids() if node_id != owner]
+        net.remove_nodes([owner, *others[:2]])  # one wave, one repair
+        assert len(net) == 21
+        new_owner = net.owner_of(cid)
+        for start in net.node_ids():
+            assert net.route(start, cid)[-1] == new_owner
+
     def test_ownership_moves_on_failure(self):
         net = OverlayNetwork.build(24, base=4)
         cid = channel_id("http://move.example/")

@@ -1,12 +1,17 @@
 """Routing-table slot assignment and prefix next-hop selection.
 
-Setup state is installed with :meth:`RoutingTable.replace`; which
-contact the overlay's join and repair file into a slot is tested on
-live overlays (``test_incremental_churn.py``, ``test_golden_join.py``).
+Setup state is installed with :meth:`RoutingTable.replace`.  Which
+contact the overlay's join files into a slot is checked on a live
+overlay here (a filled slot keeps its first entry) and, through churn,
+in ``test_incremental_churn.py`` and ``test_golden_join.py``.
 """
+
+from itertools import count
 
 import pytest
 
+from repro.overlay.hashing import node_id_for_address
+from repro.overlay.network import OverlayNetwork
 from repro.overlay.nodeid import ID_BITS, NodeId
 from repro.overlay.routing import RoutingTable
 
@@ -33,6 +38,45 @@ class TestSlots:
         assert table.slot_for(other) == (2, 0x1)
         far = make_id(0x3)
         assert table.slot_for(far) == (0, 0x3)
+
+    def test_join_keeps_first_entry_per_slot(self):
+        """A newcomer's slot keeps the first contact the join files.
+
+        The join walks ring neighbours nearest first, successor before
+        predecessor, then fills what is left from the sorted index
+        (the lowest identifier in the slot's region); a filled slot is
+        never overwritten by a later candidate.
+        """
+        net = OverlayNetwork(base=4, leaf_size=4)
+        for index in range(24):
+            net.add_node(f"slot-{index}")
+        ordered = sorted(net.nodes, key=lambda node_id: node_id.value)
+
+        def first_filed(newcomer, candidates):
+            table = RoutingTable(owner=newcomer, base=4)
+            filed = {}
+            for candidate in candidates:
+                filed.setdefault(table.slot_for(candidate), candidate)
+            return filed
+
+        # A newcomer whose walked neighbours are not what the index
+        # fill alone would choose, so the order of filing matters.
+        for address in (f"probe-{index}" for index in count()):
+            newcomer = node_id_for_address(address)
+            walk = [
+                neighbour
+                for cw, ccw in zip(
+                    sorted(ordered, key=newcomer.distance_cw)[:4],
+                    sorted(ordered, key=lambda n: n.distance_cw(newcomer))[:4],
+                )
+                for neighbour in (cw, ccw)
+            ]
+            expected = first_filed(newcomer, walk + ordered)
+            if expected != first_filed(newcomer, ordered):
+                break
+        table = net.add_node(address).table
+        assert {slot: table.entry(*slot) for slot in expected} == expected
+        assert len(table) == len(expected)
 
     def test_replace_overwrites(self, table):
         first = make_id(0x3, 0x1)
