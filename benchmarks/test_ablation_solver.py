@@ -42,15 +42,15 @@ def problem() -> TradeoffProblem:
 
 
 def test_solver_bracketing(benchmark, problem):
-    # memo off: the ablation times the bracketing kernel itself, not
+    # The memo-less kernel: the ablation times bracketing itself, not
     # an LRU replay of the first iteration's solution.
-    solver = HoneycombSolver(memo_solve=False)
-    solution = benchmark(lambda: solver.solve(problem))
+    solver = HoneycombSolver()
+    solution = benchmark(lambda: solver.bracket(problem).lower)
     assert solution.feasible
 
 
 def test_solver_scan_baseline(benchmark, problem):
-    solver = HoneycombSolver(memo_solve=False)
+    solver = HoneycombSolver()
     solution = benchmark(lambda: solver.solve_scan(problem))
     assert solution.feasible
 
@@ -60,7 +60,7 @@ def test_scan_applies_far_more_moves_than_a_binary_search_probes(problem):
     re-checks the budget after every move it applies, while a binary
     search over the prefix sums of all ``moves`` probes at most
     ``(moves + 1).bit_length()`` of them."""
-    scan = HoneycombSolver(memo_solve=False).solve_scan(problem)
+    scan = HoneycombSolver().solve_scan(problem)
     # f·g is constant per channel, so every level is a hull vertex and
     # level 0 is the unconstrained optimum: each level step is one move.
     moves = sum(len(channel.levels) - 1 for channel in problem.channels)
@@ -69,10 +69,10 @@ def test_scan_applies_far_more_moves_than_a_binary_search_probes(problem):
 
 
 def test_strategies_agree(benchmark, problem):
-    solver = HoneycombSolver(memo_solve=False)
+    solver = HoneycombSolver()
 
     def both():
-        return solver.solve(problem), solver.solve_scan(problem)
+        return solver.bracket(problem).lower, solver.solve_scan(problem)
 
     fast, slow = benchmark.pedantic(both, rounds=1, iterations=1)
     assert abs(fast.objective - slow.objective) <= 1e-6 * slow.objective

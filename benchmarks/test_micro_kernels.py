@@ -158,14 +158,14 @@ def _solver_problems(count: int = 64) -> list:
 def _solve_batch(solver, problems) -> float:
     cost = 0.0
     for problem in problems:
-        cost += solver.solve(problem).cost
+        cost += solver.bracket(problem).lower.cost
     return cost
 
 
 def test_micro_solver(benchmark):
-    """The bracketing kernel on manager-shaped instances (memo off)."""
+    """The memo-less bracketing kernel on manager-shaped instances."""
     problems = _solver_problems()
-    solver = HoneycombSolver(memo_solve=False)
+    solver = HoneycombSolver()
     cost = benchmark(lambda: _solve_batch(solver, problems))
     assert cost > 0
 

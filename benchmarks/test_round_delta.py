@@ -1,10 +1,11 @@
 """Steady-state aggregation rounds: delta-driven vs the eager sweep.
 
-The eager reference reloads every node's local summary and recomputes
-every radius for every node each round — O(N · rows · base) summary
-merges forever, even when nothing changed.  Delta rounds
-(``delta_rounds=True``, the default) push a pending mark to the radii
-that read a changed summary and rebuild only those, so a converged
+The eager reference (``load_local`` + ``_run_round_eager``, restored by
+:func:`tests.reference_paths.eager_rounds`) reloads every node's local
+summary and recomputes every radius for every node each round —
+O(N · rows · base) summary merges forever, even when nothing changed.
+Delta rounds push a pending mark to the radii that read a changed
+summary and rebuild only those, so a converged
 steady-state round does no summary work at all.  This bench replays
 the aggregation phase exactly as
 :meth:`CoronaSystem.run_aggregation_phase` drives it (dirty-local load
@@ -24,6 +25,7 @@ from benchmarks.conftest import write_artifact
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.overlay.network import OverlayNetwork
+from tests.reference_paths import eager_rounds
 
 N_NODES = 1024
 PROBE_NODES = 4096
@@ -49,13 +51,11 @@ def synthetic_channels(node_id):
     return summary
 
 
-def build_converged(n_nodes: int, delta: bool) -> DecentralizedAggregator:
+def build_converged(n_nodes: int) -> DecentralizedAggregator:
     overlay = OverlayNetwork.build(
         n_nodes, base=16, leaf_size=4, address_prefix="delta"
     )
-    aggregator = DecentralizedAggregator.for_overlay(
-        overlay, bins=16, delta_rounds=delta
-    )
+    aggregator = DecentralizedAggregator.for_overlay(overlay, bins=16)
     aggregator.load_local(synthetic_channels)
     aggregator.run_to_convergence()
     return aggregator
@@ -79,12 +79,14 @@ def timed_phases(aggregator, repeats: int = 3) -> float:
 
 def test_steady_state_round_speedup_1024(benchmark):
     """Delta rounds must beat the eager sweep ≥5x once converged."""
-    eager = build_converged(N_NODES, delta=False)
-    delta = build_converged(N_NODES, delta=True)
+    with eager_rounds():
+        eager = build_converged(N_NODES)
+    delta = build_converged(N_NODES)
     # Equal starting points, bit for bit — the speedup compares the
     # same computation, not different answers.
     assert delta.states == eager.states
-    eager_seconds = timed_phases(eager, repeats=2)
+    with eager_rounds():
+        eager_seconds = timed_phases(eager, repeats=2)
 
     benchmark.pedantic(
         lambda: steady_state_phase(delta), rounds=5, iterations=1
@@ -181,9 +183,7 @@ def test_churn_wave_reconverges_incrementally(benchmark):
     overlay = OverlayNetwork.build(
         N_NODES, base=16, leaf_size=4, address_prefix="wave"
     )
-    aggregator = DecentralizedAggregator.for_overlay(
-        overlay, bins=16, delta_rounds=True
-    )
+    aggregator = DecentralizedAggregator.for_overlay(overlay, bins=16)
     aggregator.load_local(synthetic_channels)
     aggregator.run_to_convergence()
     state = {"minted": 0}

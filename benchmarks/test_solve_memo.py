@@ -1,15 +1,18 @@
 """Steady-state optimization phase: memoized solving vs eager re-solve.
 
-The eager reference rebuilds and re-solves every manager's Honeycomb
-instance every maintenance round — O(managers) hull constructions,
-move sorts and bracket searches forever, even when nothing changed.
-With ``memo_solve`` (the default) the phase is delta-driven: a manager
+The eager reference (``CoronaNode.solve_levels`` with no shared cache
+over ``HoneycombSolver.bracket``, restored by
+:func:`tests.reference_paths.eager_solves`) rebuilds and re-solves
+every manager's Honeycomb instance every maintenance round —
+O(managers) hull constructions, move sorts and bracket searches
+forever, even when nothing changed.  The memoized phase is
+delta-driven: a manager
 whose remote summary and own contribution did not move skips its solve
 behind one fingerprint comparison, managers whose combined instances
 collide share one solution per round, and the solver's input-hash memo
 absorbs revisited instances — so a converged cloud's phase
-short-circuits to O(managers) hash checks, mirroring what
-``delta_rounds`` did for the aggregation phase.
+short-circuits to O(managers) hash checks, mirroring what delta
+rounds did for the aggregation phase.
 
 This bench replays the optimization phase exactly as
 :meth:`MacroSimulator._run_control_round` drives it on a converged
@@ -28,6 +31,7 @@ from benchmarks.conftest import write_artifact
 from repro.core.config import CoronaConfig
 from repro.simulation.macro import MacroSimulator
 from repro.workload.trace import generate_trace
+from tests.reference_paths import eager_solves
 
 N_NODES = 1024
 PROBE_NODES = 4096
@@ -38,7 +42,7 @@ N_SUBSCRIPTIONS = 50_000
 MIN_SPEEDUP = 5.0
 
 
-def build_converged(n_nodes: int, memo: bool) -> MacroSimulator:
+def build_converged(n_nodes: int) -> MacroSimulator:
     trace = generate_trace(
         n_channels=N_CHANNELS, n_subscriptions=N_SUBSCRIPTIONS, seed=5
     )
@@ -47,7 +51,6 @@ def build_converged(n_nodes: int, memo: bool) -> MacroSimulator:
         CoronaConfig(scheme="lite"),
         n_nodes=n_nodes,
         seed=7,
-        memo_solve=memo,
     )
     # Let aggregation horizons widen and levels walk to their targets;
     # afterwards rounds are steady state (nothing moves).
@@ -58,7 +61,7 @@ def build_converged(n_nodes: int, memo: bool) -> MacroSimulator:
 
 def optimization_phase(simulator: MacroSimulator) -> None:
     """The phase exactly as ``_run_control_round`` executes it."""
-    solve_cache: dict | None = {} if simulator.memo_solve else None
+    solve_cache: dict = {}
     for node_id, node in simulator.nodes.items():
         remote = simulator.aggregator.states[node_id].best_remote()
         node.run_optimization(
@@ -77,8 +80,9 @@ def timed_phases(simulator: MacroSimulator, repeats: int = 2) -> float:
 
 def test_steady_state_solve_speedup_1024(benchmark):
     """Memoized optimization must beat eager re-solve ≥5x once converged."""
-    eager = build_converged(N_NODES, memo=False)
-    memo = build_converged(N_NODES, memo=True)
+    with eager_solves():
+        eager = build_converged(N_NODES)
+    memo = build_converged(N_NODES)
     # Same computation, bit for bit: identical desired levels on every
     # manager and identical realized channel levels.
     assert (memo.levels == eager.levels).all()
@@ -86,7 +90,8 @@ def test_steady_state_solve_speedup_1024(benchmark):
         assert node.controller.desired == (
             eager.nodes[node_id].controller.desired
         )
-    eager_seconds = timed_phases(eager)
+    with eager_solves():
+        eager_seconds = timed_phases(eager)
 
     benchmark.pedantic(
         lambda: optimization_phase(memo), rounds=5, iterations=1
@@ -132,7 +137,7 @@ def test_steady_state_solve_probe_4096(benchmark):
     that the phase stays O(managers) hash checks as N quadruples past
     the paper's evaluation scale.
     """
-    simulator = build_converged(PROBE_NODES, memo=True)
+    simulator = build_converged(PROBE_NODES)
     benchmark.pedantic(
         lambda: optimization_phase(simulator), rounds=3, iterations=1
     )

@@ -108,7 +108,6 @@ class CoronaNode:
         *,
         rng_seed: int = 0,
         notifier: Callable[[str, Iterable[str], Diff, float], None] | None = None,
-        memo_solve: bool = True,
         solver_work: SolverWork | None = None,
         on_factors_changed: Callable[[NodeId], None] | None = None,
         poll_calendar: list[tuple] | None = None,
@@ -134,12 +133,7 @@ class CoronaNode:
         self.latest_hash: dict[str, int] = {}
         self.controller = LevelController()
         self.extractor = DEFAULT_EXTRACTOR
-        #: False restores the eager optimization phase: every
-        #: ``run_optimization`` call rebuilds and re-solves its
-        #: instance even when nothing moved (the solve-memo
-        #: benchmark's reference; outputs are bit-identical).
-        self.memo_solve = memo_solve
-        self.solver = HoneycombSolver(memo_solve=memo_solve, work=solver_work)
+        self.solver = HoneycombSolver(work=solver_work)
         #: Structural dirty notification: called with this node's id
         #: whenever a managed channel's factor attribute is assigned
         #: (the system routes it to ``aggregator.mark_local_dirty``).
@@ -254,7 +248,39 @@ class CoronaNode:
         n_nodes: int,
         solve_cache: dict | None = None,
     ) -> dict[str, int]:
-        """Compute desired levels for managed channels.
+        """Compute desired levels for managed channels, delta-driven.
+
+        The answer (see :meth:`solve_levels`) is a pure function of
+        ``n_nodes``, the remote summary and this node's own channels in
+        order (identity, ``q``, ``s``, ``u``, ``anchor_prefix``,
+        ``max_level``) — scheme and config are fixed per node — so if
+        none of those moved since the last call the whole phase
+        short-circuits to one comparison and replays the previous
+        desired levels (the controller already holds the targets).
+        Own polling levels are *not* in that key: no curve, budget or
+        snap to an allowed level reads them.  Otherwise the phase
+        solves with the driver's round-scoped ``solve_cache``.
+        """
+        fingerprint = (
+            n_nodes,
+            remote.sums_key(),
+            self._own_contribution_fingerprint(),
+        )
+        if fingerprint == self._opt_fingerprint:
+            self.solver.work.memo_hits += 1
+            return dict(self._opt_desired)
+        desired = self.solve_levels(remote, n_nodes, solve_cache)
+        self._opt_fingerprint = fingerprint
+        self._opt_desired = dict(desired)
+        return desired
+
+    def solve_levels(
+        self,
+        remote: ClusterSummary,
+        n_nodes: int,
+        solve_cache: dict | None = None,
+    ) -> dict[str, int]:
+        """Pose and solve this node's instance; no whole-phase memo.
 
         The instance is posed entirely over ratio-bin clusters: the
         remote summary plus this node's own channels folded into the
@@ -277,21 +303,15 @@ class CoronaNode:
         fine-grained knowledge where it is actually useful.  Returns
         the desired level per managed URL.
 
-        With ``memo_solve`` the phase is delta-driven at two grains.
-        The answer is a pure function of ``n_nodes``, the remote
-        summary and this node's own channels in order (identity,
-        ``q``, ``s``, ``u``, ``anchor_prefix``, ``max_level``) — scheme
-        and config are fixed per node — so if none of those moved since
-        the last call the whole phase short-circuits to one comparison
-        and replays the previous desired levels (the controller already
-        holds the targets).  Own polling levels are *not* in that key:
-        no curve, budget or snap to an allowed level reads them.
-        Otherwise, when the driver supplies a round-scoped
-        ``solve_cache``, managers whose *combined* sums
+        When the driver supplies a round-scoped ``solve_cache``,
+        managers whose *combined* sums
         (:meth:`~repro.honeycomb.clusters.ClusterSummary.sums_key`)
         collide reuse one solution per round — only the local
         split-bin resolution below stays per-node — so a round solves
-        O(distinct problems) instead of O(managers).
+        O(distinct problems) instead of O(managers).  Called with no
+        cache, over the solver's memo-less
+        :meth:`~repro.honeycomb.solver.HoneycombSolver.bracket`, this is
+        the eager reference the solve-memo suites compare against.
 
         A missed instance folds each channel's cached
         :meth:`~repro.core.channel.ChannelStats.record` onto the remote
@@ -301,15 +321,6 @@ class CoronaNode:
         bins = self.config.tradeoff_bins
         if remote.bins != bins:
             raise ValueError("summaries must use the same bin count")
-        if self.memo_solve:
-            fingerprint = (
-                n_nodes,
-                remote.sums_key(),
-                self._own_contribution_fingerprint(),
-            )
-            if fingerprint == self._opt_fingerprint:
-                self.solver.work.memo_hits += 1
-                return dict(self._opt_desired)
 
         local: list[Channel] = []
         orphans: list[Channel] = []
@@ -353,13 +364,10 @@ class CoronaNode:
             if count > 0
         ]
         if not entries:
-            if self.memo_solve:
-                self._opt_fingerprint = fingerprint
-                self._opt_desired = dict(desired)
             return desired
         solution = None
         problem_key = None
-        if self.memo_solve and solve_cache is not None:
+        if solve_cache is not None:
             # The shared per-cloud cache: the combined instance is a
             # pure function of these values (scheme and config are
             # cloud-wide constants), so a colliding manager's solution
@@ -397,9 +405,6 @@ class CoronaNode:
                 want = self._nearest_allowed(channel, want)
                 self.controller.set_target(channel.url, want)
                 desired[channel.url] = want
-        if self.memo_solve:
-            self._opt_fingerprint = fingerprint
-            self._opt_desired = dict(desired)
         return desired
 
     def _own_contribution_fingerprint(self) -> tuple:

@@ -117,8 +117,6 @@ class CoronaSystem:
         fetcher: Fetcher,
         seed: int = 0,
         notifier: Callable[[str, Iterable[str], Diff, float], None] | None = None,
-        delta_rounds: bool = True,
-        memo_solve: bool = True,
         faults: FaultPlane | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -160,18 +158,6 @@ class CoronaSystem:
         #: skipping it performs zero transmit draws, exactly like the
         #: full scan that found nothing.
         self._repair_dirty_urls: set[str] = set()
-        #: False restores the eager aggregation sweep (every node
-        #: reloads its local summary and recomputes every radius every
-        #: round) — the round-delta benchmark's reference.  Metrics are
-        #: bit-identical between the modes; only the work performed
-        #: differs.
-        self.delta_rounds = delta_rounds
-        #: False restores the eager optimization phase (every manager
-        #: rebuilds and re-solves its instance every round) — the
-        #: solve-memo benchmark's reference.  As with ``delta_rounds``,
-        #: metrics are bit-identical; only the solver work differs
-        #: (see :attr:`solver_work`).
-        self.memo_solve = memo_solve
         #: Cloud-wide solver counters, shared by every node's solver.
         self.solver_work = SolverWork(self.obs.registry)
         #: The poll calendar: one heap booking every node's poll tasks
@@ -192,7 +178,6 @@ class CoronaSystem:
         self.aggregator = DecentralizedAggregator.for_overlay(
             self.overlay,
             bins=config.tradeoff_bins,
-            delta_rounds=delta_rounds,
             registry=self.obs.registry,
         )
         self.managers: dict[str, NodeId] = {}
@@ -224,7 +209,6 @@ class CoronaSystem:
             self.config,
             rng_seed=rng_seed,
             notifier=self.notifier,
-            memo_solve=self.memo_solve,
             solver_work=self.solver_work,
             on_factors_changed=self._mark_owner_dirty,
             poll_calendar=self._poll_calendar,
@@ -629,14 +613,13 @@ class CoronaSystem:
     def run_aggregation_phase(self) -> None:
         """Refresh local summaries and run the two aggregation hops.
 
-        With ``delta_rounds`` only the nodes whose channel factors
-        changed since the previous phase rebuild their local summary
-        (the facade marks them dirty on every factor-moving event), and
-        each round recomputes only the radii a changed input marked
-        pending; the eager mode reloads and recomputes everything.  Both
-        produce bit-identical summaries — two rounds per phase because
-        summaries ride the maintenance messages and again on their
-        responses (§3.3).
+        Only the nodes whose channel factors changed since the previous
+        phase rebuild their local summary (the facade marks them dirty
+        on every factor-moving event), and each round recomputes only
+        the radii a changed input marked pending — bit-identical to the
+        eager reference that reloads and recomputes everything.  Two
+        rounds per phase because summaries ride the maintenance
+        messages and again on their responses (§3.3).
         """
         self.aggregator.refresh_locals(
             lambda node_id: self.nodes[node_id].local_summary()
@@ -693,9 +676,8 @@ class CoronaSystem:
         track_faults = plane is not None
         flood_stats: dict[NodeId, list[int]] = {}
         # Round-scoped shared-solution cache: managers whose combined
-        # instances collide this round solve once (memo_solve only —
-        # the eager reference must re-solve per manager).
-        solve_cache: dict | None = {} if self.memo_solve else None
+        # instances collide this round solve once.
+        solve_cache: dict = {}
         with tracer.span(
             "optimize", sim_time=now, category="phase"
         ) as span:

@@ -29,8 +29,8 @@ Delta-driven rounds
 -------------------
 The recursion above makes each radius a pure function of the previous
 round's radius-``r+1`` summaries, so a converged system recomputes the
-same values forever.  The default ``delta_rounds`` mode therefore
-pushes change to where it is read: building radius ``r``, a node
+same values forever.  Rounds are therefore delta-driven: they push
+change to where it is read: building radius ``r``, a node
 registers as a *reader* of radius ``r+1`` at its row-``r`` contacts,
 and a value change of radius ``k`` at node X marks radius ``k-1``
 *pending* at X and at X's readers of ``k``.  A round rebuilds only
@@ -41,13 +41,15 @@ interval staleness of piggy-backed aggregation data bit for bit.  An
 empty radius holds the shared :meth:`ClusterSummary.empty`, and a
 rebuild adding nothing returns its inner summary itself; committed
 summaries are never mutated, so they may be aliased.  A converged
-round does no summary work at all.  ``delta_rounds=False`` retains the
-original recompute-everything sweep as the reference
-(``benchmarks/test_round_delta.py`` times both).
+round does no summary work at all.  The original recompute-everything
+sweep stays as :meth:`DecentralizedAggregator._run_round_eager` (with
+:meth:`~DecentralizedAggregator.load_local` reloading the population),
+the reference the equivalence suites and
+``benchmarks/test_round_delta.py`` run against.
 
-Both modes maintain the same :class:`AggregationWork` counters, which
+Both paths maintain the same :class:`AggregationWork` counters, which
 deliberately count *value changes* rather than raw recomputation —
-the two modes must report identical numbers on identical runs (the
+the two must report identical numbers on identical runs (the
 delta-round equivalence suite asserts this), which makes the counters
 a deterministic CI gate for "work the protocol caused" that is
 independent of how cleverly the round is executed.
@@ -88,7 +90,7 @@ class AggregationWork(CounterStruct):
     contact contributions folded into those changed builds;
     ``nodes_dirtied`` accumulates, per round (and per local-load pass),
     the number of nodes with at least one changed summary.  All three
-    are identical between ``delta_rounds`` and the eager reference on
+    are identical between delta rounds and the eager reference on
     the same run — they measure change flowing through the system, not
     instructions executed — so scenario baselines can gate on them
     exactly while wall-clock timings stay report-only.
@@ -198,8 +200,8 @@ class DecentralizedAggregator:
     would compute within ``rows`` rounds (the churn-equivalence test
     suite asserts this bit for bit).  ``tables`` should be a live view
     (see :meth:`repro.overlay.network.OverlayNetwork.routing_tables`)
-    so membership changes never require re-materializing it; with
-    ``delta_rounds`` the tables must only change through
+    so membership changes never require re-materializing it; the
+    tables must only change through
     :meth:`add_nodes`/:meth:`remove_nodes` events (pending marks learn
     about contact changes from the horizon trimming those perform).
     """
@@ -210,7 +212,6 @@ class DecentralizedAggregator:
         rows: int,
         bins: int = 16,
         base: int | None = None,
-        delta_rounds: bool = True,
         registry=None,
     ) -> None:
         self.tables = tables
@@ -221,7 +222,6 @@ class DecentralizedAggregator:
                 (table.base for table in tables.values()), 16
             )
         self.base = base
-        self.delta_rounds = delta_rounds
         self.states: dict[NodeId, AggregationState] = {
             node_id: AggregationState(node_id=node_id, rows=rows, bins=bins)
             for node_id in tables
@@ -244,7 +244,6 @@ class DecentralizedAggregator:
         cls,
         overlay,
         bins: int = 16,
-        delta_rounds: bool = True,
         registry=None,
     ) -> "DecentralizedAggregator":
         """Build over an overlay's live routing-table view."""
@@ -253,7 +252,6 @@ class DecentralizedAggregator:
             rows=overlay.aggregation_rows(),
             bins=bins,
             base=overlay.base,
-            delta_rounds=delta_rounds,
             registry=registry,
         )
 
@@ -429,15 +427,12 @@ class DecentralizedAggregator:
     def refresh_locals(
         self, local_summary: Callable[[NodeId], ClusterSummary]
     ) -> None:
-        """Reload local summaries the way the active round mode needs.
+        """Reload the local summaries a round needs: the dirty set.
 
-        One dispatch point for every driver: delta rounds touch only
-        the dirty set, the eager reference reloads the population.
+        The one entry point every driver calls; the eager reference
+        reloads the population through :meth:`load_local` instead.
         """
-        if self.delta_rounds:
-            self.load_dirty_locals(local_summary)
-        else:
-            self.load_local(local_summary)
+        self.load_dirty_locals(local_summary)
 
     def _install_local(
         self, state: AggregationState, summary: ClusterSummary
@@ -465,14 +460,11 @@ class DecentralizedAggregator:
         its row-``r`` contacts.  We compute one new radius per round
         from the *previous* round's state, which models the one
         maintenance-interval staleness of piggy-backed aggregation
-        data.  ``delta_rounds`` skips every radius whose inputs did not
-        change since the node last built it (see module docstring); the
-        eager sweep recomputes everything.
+        data.  The round skips every radius whose inputs did not change
+        since the node last built it (see module docstring);
+        :meth:`_run_round_eager`, the reference, recomputes everything.
         """
-        if self.delta_rounds:
-            self._run_round_delta()
-        else:
-            self._run_round_eager()
+        self._run_round_delta()
 
     def _run_round_eager(self) -> None:
         """The original recompute-everything sweep (reference path)."""

@@ -31,11 +31,13 @@ Delta-driven solving
 Because every manager poses its instance over the *same* discrete
 ratio-bin space, successive and concurrent instances are overwhelmingly
 identical.  :class:`HoneycombSolver` therefore puts an **input-hash
-memo** (``memo_solve=True``, the default) in front of the algorithm: a
-canonical fingerprint of the :class:`~repro.honeycomb.problem.
-TradeoffProblem` — the budget plus every channel's ``(key, levels, f,
-g, weight)`` tuple — keys an LRU of full :class:`BracketingSolution`\\ s,
-so re-solving an unchanged instance is one hash lookup.
+memo** in front of the algorithm: a canonical fingerprint of the
+:class:`~repro.honeycomb.problem.TradeoffProblem` — the budget plus
+every channel's ``(key, levels, f, g, weight)`` tuple — keys an LRU of
+full :class:`BracketingSolution`\\ s, so re-solving an unchanged
+instance is one hash lookup.
+:meth:`HoneycombSolver.bracket` is the memo-less kernel itself, the
+reference the equivalence suites and benchmarks solve against.
 
 The kernel behind the memo is one pure-Python implementation over
 small hull-vertex and move records.  The instances the simulators pose
@@ -69,10 +71,10 @@ class SolverWork(CounterStruct):
     short-circuits (an unchanged remote summary + own contribution
     skips the solve outright); ``shared_hits`` counts solves avoided
     by the round-scoped shared-solution cache (managers whose combined
-    problem fingerprints collide reuse one solution per round).  With
-    ``memo_solve=False`` the hit counters stay zero and
-    ``problems_solved`` counts every posed instance — the eager
-    reference the equivalence suite compares against.
+    problem fingerprints collide reuse one solution per round).  On the
+    eager reference (:meth:`HoneycombSolver.bracket` and the managers'
+    un-memoized phase) the hit counters stay zero and
+    ``problems_solved`` counts every posed instance.
     """
 
     SERIES = (
@@ -207,22 +209,20 @@ def _copy_bracket(bracket: BracketingSolution) -> BracketingSolution:
 class HoneycombSolver:
     """The bracketing solver behind an input-hash memo.
 
-    ``memo_solve=False`` disables the memo (every call executes the
-    kernel) — the eager reference the equivalence suite and the
-    solve-memo benchmark drive.  The kernel is deterministic, so a
-    cached solution *is* the solution it would recompute.  Inputs are
-    not checked for monotonicity here; callers that want the check call
-    :meth:`TradeoffProblem.validate` themselves.
+    :meth:`bracket` executes the kernel on every call — the eager
+    reference the equivalence suite and the solve-memo benchmark drive.
+    The kernel is deterministic, so a cached solution *is* the solution
+    it would recompute.  Inputs are not checked for monotonicity here;
+    callers that want the check call :meth:`TradeoffProblem.validate`
+    themselves.
     """
 
     def __init__(
         self,
-        memo_solve: bool = True,
         work: SolverWork | None = None,
         memo_capacity: int = 512,
     ) -> None:
         self.work = work if work is not None else SolverWork()
-        self.memo_solve = memo_solve
         self._memo: OrderedDict[object, BracketingSolution] = OrderedDict()
         self._memo_capacity = memo_capacity
 
@@ -235,21 +235,23 @@ class HoneycombSolver:
 
     def solve_bracketing(self, problem: TradeoffProblem) -> BracketingSolution:
         """Full bracketing solve returning both ``L*_d`` and ``L*_u``."""
-        key = None
-        if self.memo_solve:
-            key = problem.fingerprint()
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._memo.move_to_end(key)
-                self.work.memo_hits += 1
-                return _copy_bracket(hit)
+        key = problem.fingerprint()
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._memo.move_to_end(key)
+            self.work.memo_hits += 1
+            return _copy_bracket(hit)
+        result = self.bracket(problem)
+        # Store a private copy: callers may mutate what we return.
+        self._memo[key] = _copy_bracket(result)
+        while len(self._memo) > self._memo_capacity:
+            self._memo.popitem(last=False)
+        return result
+
+    def bracket(self, problem: TradeoffProblem) -> BracketingSolution:
+        """The memo-less kernel: every call solves (and counts) afresh."""
         result = self._bracket(problem)
         self.work.problems_solved += 1
-        if key is not None:
-            # Store a private copy: callers may mutate what we return.
-            self._memo[key] = _copy_bracket(result)
-            while len(self._memo) > self._memo_capacity:
-                self._memo.popitem(last=False)
         return result
 
     def solve_scan(self, problem: TradeoffProblem) -> Solution:

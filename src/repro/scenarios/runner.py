@@ -113,8 +113,8 @@ class ScenarioMetrics:
       those builds, node-dirtied accumulations).  Identical between
       delta and eager rounds, gated exactly by the CI baselines.
     * ``solver_work_*`` — optimization-phase execution counters.
-      They legitimately differ between ``memo_solve`` and the eager
-      reference; the baselines gate ``problems_solved`` and the
+      They legitimately differ from the eager reference's (which
+      reports no hits); the baselines gate ``problems_solved`` and the
       memo+shared sum ``solver_work_solve_hits`` (which cache layer
       absorbs a given skipped solve can flip across processes).
     * fault counters — all zero on fault-free runs, deterministic
@@ -400,8 +400,6 @@ def _execute(
         config=config,
         fetcher=farm,
         seed=seed,
-        delta_rounds=spec.delta_rounds,
-        memo_solve=spec.memo_solve,
         faults=faults,
         obs=obs,
     )

@@ -551,19 +551,6 @@ class ScenarioSpec:
     horizon: float = 3600.0
     poll_tick: float = 30.0
     bucket_width: float = 600.0
-    #: False runs the eager aggregation reference (reload + recompute
-    #: everything per round) instead of delta-driven rounds.  Metrics —
-    #: including the work counters — are bit-identical between the two;
-    #: the flag exists so the equivalence suite and ad-hoc experiments
-    #: can run the reference through the same spec machinery.
-    delta_rounds: bool = True
-    #: False runs the eager optimization reference (every manager
-    #: rebuilds and re-solves its Honeycomb instance every round)
-    #: instead of the memoized/shared solve path.  All protocol
-    #: metrics are bit-identical between the two; only the
-    #: ``solver_work_*`` counters differ (they report how the phase
-    #: was executed).
-    memo_solve: bool = True
     config: Mapping[str, Any] = field(default_factory=dict)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     #: Declarative static link topology (``{}`` = no per-link model).
@@ -866,8 +853,6 @@ class ScenarioSpec:
             "horizon": self.horizon,
             "poll_tick": self.poll_tick,
             "bucket_width": self.bucket_width,
-            "delta_rounds": self.delta_rounds,
-            "memo_solve": self.memo_solve,
             "config": dict(self.config),
             "workload": dataclasses.asdict(self.workload),
             "links": dict(self.links),

@@ -243,11 +243,8 @@ class MacroSimulator:
         config: CoronaConfig,
         n_nodes: int = 1024,
         seed: int = 0,
-        oracle_factors: bool = True,
         horizon: float = 6 * 3600.0,
         bucket_width: float = 600.0,
-        delta_rounds: bool = True,
-        memo_solve: bool = True,
         faults: FaultPlane | None = None,
         fault_injections: Iterable[
             tuple[float, Callable[[FaultPlane, float], None]]
@@ -258,15 +255,8 @@ class MacroSimulator:
         self.config = config
         self.n_nodes = n_nodes
         self.seed = seed
-        self.oracle_factors = oracle_factors
         self.horizon = horizon
         self.bucket_width = bucket_width
-        #: False restores the eager aggregation sweep (reload + full
-        #: recompute per round); results are bit-identical either way.
-        self.delta_rounds = delta_rounds
-        #: False restores the eager optimization phase (re-solve every
-        #: manager every round); results are bit-identical either way.
-        self.memo_solve = memo_solve
         self.obs = obs if obs is not None else Observability.off()
         #: Shared solver counters across all manager nodes.
         self.solver_work = SolverWork(self.obs.registry)
@@ -316,7 +306,6 @@ class MacroSimulator:
                     manager,
                     self.config,
                     rng_seed=self.seed,
-                    memo_solve=self.memo_solve,
                     solver_work=self.solver_work,
                 )
             stats = node.adopt_channel(
@@ -324,15 +313,13 @@ class MacroSimulator:
             ).stats
             stats.subscribers = int(subscribers)
             stats.content_size = int(size)
-            if self.oracle_factors:
-                stats._interval_estimate = float(interval)
+            stats._interval_estimate = float(interval)
         # The overlay's live routing-table view keeps the aggregator
         # current without per-event re-materialization (same API the
         # full system uses for incremental churn).
         self.aggregator = DecentralizedAggregator.for_overlay(
             world.overlay,
             bins=self.config.tradeoff_bins,
-            delta_rounds=self.delta_rounds,
             registry=self.obs.registry,
         )
         for node in self.nodes.values():
@@ -351,9 +338,8 @@ class MacroSimulator:
         what lets global knowledge converge within the couple of
         phases Figure 3 shows.
         """
-        # Delta rounds reload only managers whose factors moved since
-        # the last round (plus the initial everyone-dirty load); the
-        # eager reference reloads the population.
+        # Reload only managers whose factors moved since the last
+        # round (plus the initial everyone-dirty load).
         self.aggregator.refresh_locals(
             lambda node_id: (
                 self.nodes[node_id].local_summary()
@@ -363,8 +349,7 @@ class MacroSimulator:
         )
         self.aggregator.run_round()
         self.aggregator.run_round()
-        # Round-scoped shared-solution cache (memo_solve only).
-        solve_cache: dict | None = {} if self.memo_solve else None
+        solve_cache: dict = {}  # round-scoped shared solutions
         for node_id, node in self.nodes.items():
             remote = self.aggregator.states[node_id].best_remote()
             node.run_optimization(remote, self.n_nodes, solve_cache=solve_cache)

@@ -19,6 +19,7 @@ from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
 from repro.simulation.macro import MacroSimulator
 from repro.simulation.webserver import WebServerFarm
+from tests.reference_paths import eager_rounds
 
 
 @pytest.fixture()
@@ -183,7 +184,7 @@ class TestEveryPublicPath:
         """End to end: a raw factor poke plus rounds keeps the delta
         aggregator bit-identical to the eager reference."""
 
-        def build(delta):
+        def build():
             farm = WebServerFarm(seed=9)
             farm.host("http://raw.example/rss", update_interval=60.0)
             system = CoronaSystem(
@@ -191,7 +192,6 @@ class TestEveryPublicPath:
                 config=fast_config,
                 fetcher=farm,
                 seed=9,
-                delta_rounds=delta,
             )
             system.subscribe("http://raw.example/rss", "c", 0.0)
             system.run_maintenance_round(10.0)
@@ -200,7 +200,9 @@ class TestEveryPublicPath:
             system.run_maintenance_round(250.0)
             return system
 
-        delta_sys, eager_sys = build(True), build(False)
+        delta_sys = build()
+        with eager_rounds():
+            eager_sys = build()
         assert delta_sys.aggregator.states == eager_sys.aggregator.states
         assert (
             delta_sys.aggregator.work.as_dict()

@@ -26,6 +26,7 @@ from repro.core.node import CoronaNode
 from repro.core.objectives import binning_ratio, scheme_by_name
 from repro.honeycomb.clusters import ClusterSummary, ratio_bin
 from repro.overlay.hashing import node_id_for_address
+from tests.reference_paths import eager_solves
 
 MAX_LEVEL = 3
 N_CHANNELS = 4
@@ -54,10 +55,8 @@ def url_of(index: int) -> str:
     return f"http://record{index}.example/rss"
 
 
-def make_node(config, specs, memo_solve=True, address="records") -> CoronaNode:
-    node = CoronaNode(
-        node_id_for_address(address), config, memo_solve=memo_solve
-    )
+def make_node(config, specs, address="records") -> CoronaNode:
+    node = CoronaNode(node_id_for_address(address), config)
     for index, (q, size, estimate, anchor_prefix, level) in enumerate(specs):
         channel = node.adopt_channel(
             url_of(index), MAX_LEVEL, anchor_prefix, now=0.0
@@ -222,11 +221,13 @@ def spy_on_solves(node: CoronaNode) -> list:
 
 
 def eager_answer(config, specs, remote, n_nodes, order=None):
-    """(return value, controller targets) of a fresh memo-less node."""
-    node = make_node(config, specs, memo_solve=False)
+    """(return value, controller targets) of a fresh node's un-memoized
+    solve, over the memo-less solver kernel."""
+    node = make_node(config, specs)
     if order is not None:
         node.managed = {url: node.managed[url] for url in order}
-    answer = node.run_optimization(remote, n_nodes)
+    with eager_solves():
+        answer = node.solve_levels(remote, n_nodes)
     return answer, dict(node.controller.desired)
 
 

@@ -32,6 +32,7 @@ from repro.overlay.network import OverlayNetwork
 from repro.overlay.nodeid import ID_BITS, ID_SPACE, NodeId, bits_per_digit
 from repro.simulation.webserver import WebServerFarm
 from tests.honeycomb.conftest import summary_of
+from tests.reference_paths import eager_rounds
 
 
 def synthetic_channels(node_id):
@@ -295,7 +296,6 @@ class TestSystemChurnEquivalence:
             config=fast_config,
             fetcher=farm,
             seed=21,
-            delta_rounds=True,
         )
         for rank in range(5):
             url = f"http://deq{rank}.example/rss"
@@ -317,9 +317,10 @@ class TestSystemChurnEquivalence:
 
 
 class TestDeltaEagerSystemEquivalence:
-    """delta_rounds=True vs the eager reference: bit-identical metrics.
+    """Delta rounds vs the eager reference: bit-identical metrics.
 
-    Two complete systems — one with delta rounds, one eager — are
+    Two complete systems — one with delta rounds, one built and driven
+    under :func:`~tests.reference_paths.eager_rounds` — are
     driven through the same seeded interleaving of joins, crashes,
     flash-crowd subscription waves, unsubscribes, polls (real update
     detections moving the interval estimators) and maintenance rounds.
@@ -330,14 +331,13 @@ class TestDeltaEagerSystemEquivalence:
     up as the eager side counting a change the delta side skipped).
     """
 
-    def build(self, delta, seed, fast_config):
+    def build(self, seed, fast_config):
         farm = WebServerFarm(seed=seed)
         system = CoronaSystem(
             n_nodes=32,
             config=fast_config,
             fetcher=farm,
             seed=seed,
-            delta_rounds=delta,
         )
         for rank in range(8):
             url = f"http://mix{rank}.example/rss"
@@ -380,10 +380,11 @@ class TestDeltaEagerSystemEquivalence:
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_metrics_bit_identical(self, seed, fast_config):
-        delta_sys, delta_farm = self.build(True, seed, fast_config)
-        eager_sys, eager_farm = self.build(False, seed, fast_config)
+        delta_sys, delta_farm = self.build(seed, fast_config)
         self.drive(delta_sys, delta_farm, seed)
-        self.drive(eager_sys, eager_farm, seed)
+        with eager_rounds():
+            eager_sys, eager_farm = self.build(seed, fast_config)
+            self.drive(eager_sys, eager_farm, seed)
         assert delta_sys.counters == eager_sys.counters
         assert delta_sys.aggregator.states == eager_sys.aggregator.states
         assert (

@@ -1,13 +1,14 @@
 """Delta-round property suite: mark-driven rounds == eager rounds.
 
-``delta_rounds`` replaces the recompute-everything aggregation sweep
-with rebuilds of only the radii a pending mark names (or that churn
+Delta rounds replace the recompute-everything aggregation sweep with
+rebuilds of only the radii a pending mark names (or that churn
 dropped).
 The paper's §3.3 one-interval-staleness semantics must survive **bit
 for bit**: after every single round — not just at convergence — the
-delta aggregator's states must equal what the eager reference computes
-from the same inputs, under any interleaving of churn splices,
-local-factor changes and rounds.  The work counters must agree too
+delta aggregator's states must equal what the eager reference
+(``load_local`` + ``_run_round_eager``) computes from the same inputs,
+under any interleaving of churn splices, local-factor changes and
+rounds.  The work counters must agree too
 (they count value changes, not recomputations), which doubles as the
 proof that the dirty-local tracking misses nothing.
 """
@@ -48,16 +49,15 @@ def factors_for(node_id, boost: int = 0):
 
 
 class MirroredPair:
-    """A delta and an eager aggregator driven through identical events."""
+    """A delta and an eager aggregator driven through identical events.
+
+    The eager side is stepped through the reference methods directly.
+    """
 
     def __init__(self, overlay, bins=8):
         self.overlay = overlay
-        self.delta = DecentralizedAggregator.for_overlay(
-            overlay, bins=bins, delta_rounds=True
-        )
-        self.eager = DecentralizedAggregator.for_overlay(
-            overlay, bins=bins, delta_rounds=False
-        )
+        self.delta = DecentralizedAggregator.for_overlay(overlay, bins=bins)
+        self.eager = DecentralizedAggregator.for_overlay(overlay, bins=bins)
         self.boosts: dict = {}
 
     def local_channels(self, node_id):
@@ -76,7 +76,7 @@ class MirroredPair:
 
     def round(self):
         self.delta.run_round()
-        self.eager.run_round()
+        self.eager._run_round_eager()
 
     def join(self, *addresses):
         joined = [

@@ -235,12 +235,12 @@ def corpus(case: str, golden: list) -> list:
 
 
 def record(case: str, problems: list) -> list:
-    solver = HoneycombSolver(memo_solve=False)
+    solver = HoneycombSolver()
     records = []
     for problem in problems:
         entry = {
             "problem": problem_digest(problem),
-            "bracket": bracket_digest(solver.solve_bracketing(problem)),
+            "bracket": bracket_digest(solver.bracket(problem)),
         }
         if case in CAPTURED:
             entry["instance"] = encode(problem)

@@ -1,15 +1,17 @@
 """Solve-memo property suite: memoized optimization == eager re-solve.
 
-``memo_solve`` makes the optimization phase delta-driven at three
-layers — a whole-phase fingerprint skip per manager, a round-scoped
+The optimization phase is delta-driven at three layers — a
+whole-phase fingerprint skip per manager, a round-scoped
 shared-solution cache across managers, and an input-hash memo inside
 the solver.  None of them may change a single bit of any output: a
 memo hit must replay exactly what a re-solve would compute, and a full
-system driven with ``memo_solve=True`` must produce the same channel
-levels, counters and aggregation states as the eager reference under
-any interleaving of steady state, heavy churn and flash crowds
-(mirroring ``test_delta_rounds.py``'s proof obligation for the
-aggregation phase).  Only the ``solver_work`` counters may differ —
+system must produce the same channel levels, counters and aggregation
+states as the eager reference (``CoronaNode.solve_levels`` with no
+shared cache over ``HoneycombSolver.bracket``, restored by
+:func:`~tests.reference_paths.eager_solves`) under any interleaving of
+steady state, heavy churn and flash crowds (mirroring
+``test_delta_rounds.py``'s proof obligation for the aggregation
+phase).  Only the ``solver_work`` counters may differ —
 they report how the phase was executed.  What the solver itself
 answers is pinned by ``test_golden_solver.py``.
 """
@@ -27,6 +29,7 @@ from repro.honeycomb.solver import HoneycombSolver, SolverWork
 from repro.overlay.hashing import channel_id
 from repro.scenarios.runner import ScenarioRunner
 from repro.simulation.webserver import WebServerFarm
+from tests.reference_paths import eager_solves
 from tests.scenarios.conftest import tiny_spec
 
 
@@ -79,7 +82,7 @@ class TestSolverMemo:
     """The input-hash LRU inside HoneycombSolver."""
 
     def test_memo_hit_replays_the_exact_solution(self):
-        solver = HoneycombSolver(memo_solve=True)
+        solver = HoneycombSolver()
         problem = TradeoffProblem(
             channels=[corona_like_channel("x", 10.0, 2.0, weight=7)],
             target=300.0,
@@ -96,7 +99,7 @@ class TestSolverMemo:
         assert_bracket_identical(first, third)
 
     def test_memo_capacity_is_bounded(self):
-        solver = HoneycombSolver(memo_solve=True, memo_capacity=4)
+        solver = HoneycombSolver(memo_capacity=4)
         for index in range(10):
             problem = TradeoffProblem(
                 channels=[corona_like_channel(index, 1.0 + index, 2.0)],
@@ -107,17 +110,17 @@ class TestSolverMemo:
         assert solver.work.problems_solved == 10
 
     def test_memo_off_always_solves(self):
-        solver = HoneycombSolver(memo_solve=False)
+        solver = HoneycombSolver()
         problem = TradeoffProblem(
             channels=[corona_like_channel("x", 10.0, 2.0)], target=300.0
         )
-        solver.solve(problem)
-        solver.solve(problem)
+        solver.bracket(problem)
+        solver.bracket(problem)
         assert solver.work.problems_solved == 2
         assert solver.work.memo_hits == 0
 
 
-def build_node(memo_solve, n_channels=5, work=None):
+def build_node(n_channels=5, work=None):
     # Corona-Fair: the update-interval estimator enters the curves, so
     # estimator movement must invalidate the memo (under Lite + polls
     # the curves ignore u_i and s_i, and an "unchanged problem" memo
@@ -129,7 +132,6 @@ def build_node(memo_solve, n_channels=5, work=None):
     node = CoronaNode(
         channel_id("node-under-test"),
         config,
-        memo_solve=memo_solve,
         solver_work=work,
     )
     for rank in range(n_channels):
@@ -160,7 +162,7 @@ class TestNodePhaseMemo:
     """The whole-phase fingerprint skip on ``run_optimization``."""
 
     def test_unchanged_inputs_skip_and_replay(self):
-        node = build_node(memo_solve=True)
+        node = build_node()
         remote = remote_summary()
         first = node.run_optimization(remote, n_nodes=64)
         solved = node.solver.work.problems_solved
@@ -173,13 +175,13 @@ class TestNodePhaseMemo:
             assert node.controller.desired[url] == want
 
     def test_matches_eager_node_bit_for_bit(self):
-        memo = build_node(memo_solve=True)
-        eager = build_node(memo_solve=False)
+        memo = build_node()
+        eager = build_node()
         remote = remote_summary()
         for _ in range(4):
-            assert memo.run_optimization(remote, 64) == (
-                eager.run_optimization(remote, 64)
-            )
+            want = memo.run_optimization(remote, 64)
+            with eager_solves():
+                assert eager.run_optimization(remote, 64) == want
         assert eager.solver.work.memo_hits == 0
 
     @pytest.mark.parametrize(
@@ -210,7 +212,7 @@ class TestNodePhaseMemo:
         ids=["own-subscribers", "own-estimators", "remote-summary"],
     )
     def test_any_moved_input_invalidates(self, mutate):
-        node = build_node(memo_solve=True)
+        node = build_node()
         remote = remote_summary()
         node.run_optimization(remote, 64)
         solved = node.solver.work.problems_solved
@@ -219,7 +221,7 @@ class TestNodePhaseMemo:
         assert node.solver.work.problems_solved == solved + 1
 
     def test_population_change_invalidates(self):
-        node = build_node(memo_solve=True)
+        node = build_node()
         remote = remote_summary()
         node.run_optimization(remote, 64)
         solved = node.solver.work.problems_solved
@@ -229,8 +231,8 @@ class TestNodePhaseMemo:
     def test_shared_cache_collides_identical_managers(self):
         """Two managers with identical contributions share one solve."""
         work = SolverWork()
-        first = build_node(memo_solve=True, work=work)
-        second = build_node(memo_solve=True, work=work)
+        first = build_node(work=work)
+        second = build_node(work=work)
         remote = remote_summary()
         cache: dict = {}
         a = first.run_optimization(remote, 64, solve_cache=cache)
@@ -241,7 +243,7 @@ class TestNodePhaseMemo:
         assert work.shared_hits == 1
         # Cache entries never alias a consumer's solution: poisoning a
         # handed-out copy must not leak to later colliding managers.
-        third = build_node(memo_solve=True, work=work)
+        third = build_node(work=work)
         entry = next(iter(cache.values()))
         handed_out = entry.copy()
         handed_out.levels.clear()
@@ -251,19 +253,20 @@ class TestNodePhaseMemo:
 
 
 class TestSystemEquivalence:
-    """memo_solve=True vs the eager reference on a full CoronaSystem,
-    driven through the same seeded interleaving of churn, crowds,
-    polls and maintenance rounds (the shape of
+    """The memoized phase vs the eager reference on a full
+    CoronaSystem (the reference side built and driven under
+    :func:`~tests.reference_paths.eager_solves`), through the same
+    seeded interleaving of churn, crowds, polls and maintenance rounds
+    (the shape of
     test_churn_equivalence.TestDeltaEagerSystemEquivalence)."""
 
-    def build(self, memo, seed, fast_config):
+    def build(self, seed, fast_config):
         farm = WebServerFarm(seed=seed)
         system = CoronaSystem(
             n_nodes=32,
             config=fast_config,
             fetcher=farm,
             seed=seed,
-            memo_solve=memo,
         )
         for rank in range(8):
             url = f"http://solve{rank}.example/rss"
@@ -305,10 +308,11 @@ class TestSystemEquivalence:
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
     def test_observables_bit_identical(self, seed, fast_config):
-        memo_sys, memo_farm = self.build(True, seed, fast_config)
-        eager_sys, eager_farm = self.build(False, seed, fast_config)
+        memo_sys, memo_farm = self.build(seed, fast_config)
         self.drive(memo_sys, memo_farm, seed)
-        self.drive(eager_sys, eager_farm, seed)
+        with eager_solves():
+            eager_sys, eager_farm = self.build(seed, fast_config)
+            self.drive(eager_sys, eager_farm, seed)
         assert memo_sys.counters == eager_sys.counters
         assert memo_sys.aggregator.states == eager_sys.aggregator.states
         assert (
@@ -338,7 +342,7 @@ class TestSystemEquivalence:
     def test_converged_cloud_stops_solving(self, fast_config):
         """Steady state: once levels settle and aggregation quiesces,
         maintenance rounds solve nothing — O(managers) hash checks."""
-        system, farm = self.build(True, 77, fast_config)
+        system, farm = self.build(77, fast_config)
         client = 0
         for rank in range(8):
             url = f"http://solve{rank}.example/rss"
@@ -359,7 +363,7 @@ class TestSystemEquivalence:
 
 
 class TestScenarioEquivalence:
-    """Spec-level: memo_solve flips execution strategy only."""
+    """Spec-level: the memoized phase is an execution strategy only."""
 
     SOLVER_KEYS = (
         "solver_work_problems_solved",
@@ -370,9 +374,8 @@ class TestScenarioEquivalence:
 
     def test_metrics_identical_modulo_solver_work(self):
         memo = ScenarioRunner(tiny_spec(), seed=5).run().to_dict()
-        eager = ScenarioRunner(
-            tiny_spec(memo_solve=False), seed=5
-        ).run().to_dict()
+        with eager_solves():
+            eager = ScenarioRunner(tiny_spec(), seed=5).run().to_dict()
         strip = lambda payload: {
             key: value
             for key, value in payload.items()

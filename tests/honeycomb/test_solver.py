@@ -131,7 +131,7 @@ class TestBracketInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_brackets_are_consistent(self, seed):
         rng = random.Random(seed)
-        solver = HoneycombSolver(memo_solve=False)
+        solver = HoneycombSolver()
         for _ in range(60):
             m, k = rng.randint(0, 9), rng.randint(0, 5)
             channels = [
@@ -146,7 +146,7 @@ class TestBracketInvariants:
             ]
             target = rng.choice([0.01, rng.uniform(1, m * 150 + 1), 1e9])
             problem = TradeoffProblem(channels=channels, target=target)
-            bracket = solver.solve_bracketing(problem)
+            bracket = solver.bracket(problem)
             lower, upper = bracket.lower, bracket.upper
 
             for solution in (lower, upper):

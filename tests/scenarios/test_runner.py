@@ -18,6 +18,7 @@ from repro.scenarios import (
     UpdateBurst,
     WorkloadSpec,
 )
+from tests.reference_paths import eager_rounds
 from tests.scenarios.conftest import TINY_WORKLOAD, tiny_spec
 
 
@@ -396,9 +397,9 @@ class TestMetricsShape:
 
 
 class TestDeltaRoundsEquivalence:
-    """The spec's delta_rounds flag flips the execution strategy only:
-    a full scenario's --json metrics — work counters included — are
-    bit-identical between delta and the eager reference."""
+    """Delta rounds are an execution strategy only: a full scenario's
+    --json metrics — work counters included — are bit-identical between
+    delta rounds and the eager reference."""
 
     def test_metrics_identical_across_modes(self):
         events = (
@@ -417,9 +418,10 @@ class TestDeltaRoundsEquivalence:
         delta = ScenarioRunner(
             tiny_spec(events=events), seed=5
         ).run().to_dict()
-        eager = ScenarioRunner(
-            tiny_spec(events=events, delta_rounds=False), seed=5
-        ).run().to_dict()
+        with eager_rounds():
+            eager = ScenarioRunner(
+                tiny_spec(events=events), seed=5
+            ).run().to_dict()
         assert delta == eager
 
     def test_work_counters_emitted_and_deterministic(self):

@@ -177,6 +177,19 @@ class TestDictRoundTrip:
         with pytest.raises(ScenarioSpecError, match="mapping"):
             ScenarioSpec.from_dict(["not", "a", "mapping"])
 
+    @pytest.mark.parametrize("key", ["delta_rounds", "memo_solve"])
+    def test_from_dict_rejects_execution_mode_keys(self, key):
+        """No spec field selects an eager aggregation or solve path."""
+        with pytest.raises(ScenarioSpecError, match=key):
+            ScenarioSpec.from_dict({"name": "x", key: False})
+
+    @pytest.mark.parametrize("key", ["delta_rounds", "memo_solve"])
+    def test_from_dict_rejects_execution_mode_variant_keys(self, key):
+        payload = tiny_spec().to_dict()
+        payload["variants"] = {"eager": {key: False}}
+        with pytest.raises(ScenarioSpecError, match=key):
+            ScenarioSpec.from_dict(payload)
+
 
 class TestFaultEventValidation:
     """The message-level fault family plus subscription flapping."""
