@@ -211,7 +211,6 @@ def deployment_run(scale):
         seed=4,
         horizon=scale.deploy_horizon,
         bucket_width=scale.bucket_width,
-        poll_tick=30.0,
     )
     return simulator.run()
 

@@ -8,7 +8,7 @@ Delta rounds push a pending mark to the radii that read a changed
 summary and rebuild only those, so a converged
 steady-state round does no summary work at all.  This bench replays
 the aggregation phase exactly as
-:meth:`CoronaSystem.run_aggregation_phase` drives it (dirty-local load
+:meth:`DecentralizedAggregator.run_phase` drives it (dirty-local load
 + two rounds) on a converged 1024-node population and gates on the ≥5x
 PR acceptance floor (measured locally at several orders of magnitude);
 the 4096-node probe extends the scale sweep and adds a cold
@@ -63,9 +63,7 @@ def build_converged(n_nodes: int) -> DecentralizedAggregator:
 
 def steady_state_phase(aggregator: DecentralizedAggregator) -> None:
     """One maintenance round's aggregation phase, as the system runs it."""
-    aggregator.refresh_locals(synthetic_channels)
-    aggregator.run_round()
-    aggregator.run_round()
+    aggregator.run_phase(synthetic_channels)
 
 
 def timed_phases(aggregator, repeats: int = 3) -> float:

@@ -610,23 +610,6 @@ class CoronaSystem:
     # ------------------------------------------------------------------
     # protocol rounds
     # ------------------------------------------------------------------
-    def run_aggregation_phase(self) -> None:
-        """Refresh local summaries and run the two aggregation hops.
-
-        Only the nodes whose channel factors changed since the previous
-        phase rebuild their local summary (the facade marks them dirty
-        on every factor-moving event), and each round recomputes only
-        the radii a changed input marked pending — bit-identical to the
-        eager reference that reloads and recomputes everything.  Two
-        rounds per phase because summaries ride the maintenance
-        messages and again on their responses (§3.3).
-        """
-        self.aggregator.refresh_locals(
-            lambda node_id: self.nodes[node_id].local_summary()
-        )
-        self.aggregator.run_round()
-        self.aggregator.run_round()
-
     def _transmit_hook(self):
         """The per-hop delivery decision, or None for perfect links."""
         plane = self.faults
@@ -658,7 +641,11 @@ class CoronaSystem:
         with tracer.span(
             "aggregation", sim_time=now, category="phase"
         ) as span:
-            self.run_aggregation_phase()
+            # Only nodes whose channel factors moved since the last
+            # phase (the facade marks them dirty) rebuild their local.
+            self.aggregator.run_phase(
+                lambda node_id: self.nodes[node_id].local_summary()
+            )
             if span is not NULL_SPAN:
                 work = self.aggregator.work
                 span.set(

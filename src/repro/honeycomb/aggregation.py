@@ -434,6 +434,23 @@ class DecentralizedAggregator:
         """
         self.load_dirty_locals(local_summary)
 
+    def run_phase(
+        self, local_summary: Callable[[NodeId], ClusterSummary]
+    ) -> None:
+        """One maintenance phase: refresh dirty locals, then two hops.
+
+        Summaries travel two hops per phase: once on the maintenance
+        messages themselves and once on their responses ("Tradeoff
+        clusters are also sent by contacts in the routing table in
+        response to maintenance messages", §3.3), which is what lets
+        global knowledge converge within the couple of phases Figure 3
+        shows.  Both steps are looked up by attribute, so a reference
+        swapped in on the class drives the phase too.
+        """
+        self.refresh_locals(local_summary)
+        self.run_round()
+        self.run_round()
+
     def _install_local(
         self, state: AggregationState, summary: ClusterSummary
     ) -> bool:

@@ -1,26 +1,18 @@
 """Compile a :class:`ScenarioSpec` onto the event engine and run it.
 
 The runner is the execution half of the scenario subsystem: it builds
-the workload trace, the synthetic web-server farm and a
-:class:`~repro.core.system.CoronaSystem`, schedules the protocol loops
-(polls every ``poll_tick``, maintenance every maintenance interval)
-and the spec's injected timeline on one
-:class:`~repro.simulation.engine.EventEngine`, then collates a
-:class:`ScenarioMetrics`.
+the workload trace, the synthetic web-server farm, a
+:class:`~repro.core.system.CoronaSystem` with its always-installed
+fault plane, and the
+:class:`~repro.simulation.deployment.ProtocolLoop` the §5.2
+deployment simulator runs too.  The loop schedules the subscriptions,
+the runner schedules the spec's injected timeline on the loop's
+engine, and the loop adds its maintenance and poll loops and runs the
+clock; the runner then collates a :class:`ScenarioMetrics`.
 
 Everything is seeded from one integer, so a scenario replay is
 bit-for-bit deterministic: same spec + same seed ⇒ same metrics (the
 CLI acceptance test and the example-parity tests rely on this).
-
-The runner deliberately keeps its own execution loop rather than
-wrapping :class:`~repro.simulation.deployment.DeploymentSimulator`:
-the two differ in workload semantics (instant subscription for
-window-less specs vs a mandatory timed trace), in what the timeline
-may touch (the farm and latency model, not just the system), and in
-collation (churn/registry accounting vs the paper's Figure 9/10
-series).  They share the primitives — :meth:`EventEngine
-.schedule_every`, :class:`TimeSeries`, the system's churn entry
-points — which is the intended seam.
 """
 
 from __future__ import annotations
@@ -53,9 +45,8 @@ from repro.scenarios.spec import (
     SubscriptionFlap,
     UpdateBurst,
 )
-from repro.simulation.engine import EventEngine
+from repro.simulation.deployment import ProtocolLoop
 from repro.simulation.latency import LatencyModel
-from repro.simulation.metrics import TimeSeries
 from repro.simulation.webserver import WebServerFarm
 from repro.workload.trace import generate_trace
 
@@ -350,11 +341,6 @@ def _execute(
     if obs is None:
         obs = Observability.off()
     tracer = obs.tracer
-    # Optional introspection legs (repro report): both are read-only
-    # observers — attached or not, gated metrics are byte-identical
-    # (tests/obs/test_obs_equivalence.py).
-    sampler = obs.timeline
-    provenance = obs.provenance
     config = spec.corona_config()
     workload = spec.workload
     trace = generate_trace(
@@ -426,39 +412,16 @@ def _execute(
             return fn(now)
 
         return fire
-    engine = EventEngine()
     latency = LatencyModel(seed=seed + 2)
+    # Subscribes the trace (timed arrivals are scheduled; a window-less
+    # trace subscribes everyone now), before the timeline below.
+    loop = ProtocolLoop(system, farm, trace, latency, spec.bucket_width)
+    engine = loop.engine
     churn_rng = random.Random(seed + 3)
     crowd_rng = random.Random(seed + 4)
     # Partition membership sampling draws from its own generator so a
     # fault timeline never perturbs churn/crowd randomness.
     fault_rng = random.Random(seed + 6)
-
-    poll_series = TimeSeries(spec.bucket_width)
-    detect_series = TimeSeries(spec.bucket_width)
-    detections = 0
-
-    # -- subscriptions -------------------------------------------------
-    if trace.events:
-        for when, client, channel_index, subscribe in trace.events:
-            url = trace.urls[channel_index]
-            if subscribe:
-                engine.schedule(
-                    when,
-                    lambda now, u=url, c=client: system.subscribe(u, c, now),
-                )
-            else:
-                engine.schedule(
-                    when,
-                    lambda now, u=url, c=client: system.unsubscribe(u, c),
-                )
-    else:
-        client = 0
-        for channel_index, count in enumerate(trace.subscribers):
-            url = trace.urls[channel_index]
-            for _ in range(int(count)):
-                system.subscribe(url, f"client-{client}", now=0.0)
-                client += 1
 
     # -- injected timeline ---------------------------------------------
     injected = 0
@@ -760,83 +723,11 @@ def _execute(
             raise TypeError(f"unhandled event type {type(event)!r}")
 
     # -- protocol loops ------------------------------------------------
-    maintenance = config.maintenance_interval
-
     monitor: InvariantMonitor | None = None
     if check_invariants:
         monitor = InvariantMonitor(spec, system, obs.registry)
-
-    def maintenance_round(now: float) -> None:
-        system.run_maintenance_round(now)
-        if monitor is not None:
-            # Read-only checks after the round settles: the monitor
-            # draws no randomness and mutates nothing, so metrics are
-            # byte-identical with monitoring on or off.
-            monitor.check_round(now)
-        if sampler is not None:
-            # Snapshot the registry scalars into the run timeline —
-            # reads only, after the round (and its checks) settled.
-            sampler.sample(now)
-
-    engine.schedule_every(
-        maintenance * 0.5,
-        maintenance,
-        maintenance_round,
-        until=spec.horizon,
-    )
-
-    def poll_round(now: float) -> None:
-        nonlocal detections
-        farm.advance_to(now)
-        polls_before = system.counters.polls
-        events = system.poll_due(now)
-        polls_done = system.counters.polls - polls_before
-        if polls_done:
-            poll_series.add(now, float(polls_done))
-        for event in events:
-            if event.published_at is None:
-                continue
-            # The components are accumulated in the exact historical
-            # order (same float-add sequence, same RNG draw order), so
-            # the delay stream — and every baseline byte — is
-            # unchanged by the provenance capture below.
-            staleness = max(0.0, event.detected_at - event.published_at)
-            delay = staleness
-            # Per-link path delay the network model charged the diff
-            # on its way to the manager (0.0 — and byte-identical —
-            # without an active link table).
-            delay += event.path_delay
-            notify_delay = latency.sample()
-            delay += notify_delay
-            # Reorder jitter inflates end-to-end freshness (0.0 — and
-            # no randomness — while the fault plane is jitter-free).
-            jitter = faults.detection_jitter()
-            delay += jitter
-            detect_series.add(now, delay)
-            detections += 1
-            if provenance is not None:
-                provenance.record(
-                    url=event.url,
-                    version=event.version,
-                    published_at=event.published_at,
-                    detected_at=event.detected_at,
-                    staleness=staleness,
-                    path_delay=event.path_delay,
-                    delivery=notify_delay + jitter,
-                    subscribers=event.subscribers,
-                    detector=(
-                        f"{event.detector.value:040x}"[:10]
-                        if event.detector is not None
-                        else None
-                    ),
-                    fanout=event.fanout,
-                )
-
-    engine.schedule_every(
-        spec.poll_tick, spec.poll_tick, poll_round, until=spec.horizon
-    )
     with tracer.span("scenario.run", sim_time=0.0, category="scenario") as run_span:
-        engine.run_until(spec.horizon)
+        loop.run(spec.horizon, spec.poll_tick, monitor=monitor)
         if tracer.enabled:
             run_span.set(
                 scenario=spec.name,
@@ -846,6 +737,8 @@ def _execute(
             )
 
     # -- collate -------------------------------------------------------
+    poll_series = loop.poll_series
+    detect_series = loop.detect_series
     tau = config.polling_interval
     for state, pool_size in flap_pools:
         if state["on"]:
@@ -894,7 +787,7 @@ def _execute(
         injected_events=injected,
         server_polls=farm.total_polls,
         updates_published=farm.total_updates,
-        detections=detections,
+        detections=loop.detections,
         counters=counters,
         rate_limited_polls=sum(
             hosted.rate_limited for hosted in farm.channels.values()

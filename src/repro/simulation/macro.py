@@ -331,24 +331,17 @@ class MacroSimulator:
     def _run_control_round(self) -> None:
         """One optimization + aggregation + level-step round.
 
-        Aggregates travel two hops per maintenance phase: once on the
-        maintenance messages themselves and once on their responses
-        ("Tradeoff clusters are also sent by contacts in the routing
-        table in response to maintenance messages", §3.3) — which is
-        what lets global knowledge converge within the couple of
-        phases Figure 3 shows.
+        The aggregation phase (:meth:`DecentralizedAggregator
+        .run_phase`) reloads only managers whose factors moved since
+        the last round (plus the initial everyone-dirty load).
         """
-        # Reload only managers whose factors moved since the last
-        # round (plus the initial everyone-dirty load).
-        self.aggregator.refresh_locals(
+        self.aggregator.run_phase(
             lambda node_id: (
                 self.nodes[node_id].local_summary()
                 if node_id in self.nodes
                 else ClusterSummary(bins=self.config.tradeoff_bins)
             )
         )
-        self.aggregator.run_round()
-        self.aggregator.run_round()
         solve_cache: dict = {}  # round-scoped shared solutions
         for node_id, node in self.nodes.items():
             remote = self.aggregator.states[node_id].best_remote()

@@ -1,10 +1,8 @@
-"""Metrics collection shared by all experiments.
+"""The bucketed time series the event-driven experiments collate.
 
-The paper's figures are either time series (Figures 3, 4, 9, 10:
-load and detection time vs experiment hour) or per-channel scatters
-(Figures 5–8: pollers / detection time vs channel rank).  This module
-provides both containers plus the weighted-average bookkeeping Table 2
-summarizes.
+Figures 9 and 10 (and every scenario's load and detection series) are
+values binned by experiment time: polls summed per bucket, detection
+delays averaged per bucket.
 """
 
 from __future__ import annotations
@@ -53,96 +51,5 @@ class TimeSeries:
         buckets = sorted(self._sums)
         return np.array([self._sums[b] for b in buckets], dtype=np.float64)
 
-    def rates(self) -> np.ndarray:
-        """Per-bucket total divided by bucket width (events/unit time)."""
-        return self.sums() / self.bucket_width
-
     def __len__(self) -> int:
         return len(self._sums)
-
-
-@dataclass
-class PerChannelStats:
-    """Accumulators keyed by channel index."""
-
-    n_channels: int
-    delay_sum: np.ndarray = field(init=False)
-    delay_count: np.ndarray = field(init=False)
-    poll_count: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.delay_sum = np.zeros(self.n_channels, dtype=np.float64)
-        self.delay_count = np.zeros(self.n_channels, dtype=np.int64)
-        self.poll_count = np.zeros(self.n_channels, dtype=np.int64)
-
-    def record_detection(self, channel: int, delay: float) -> None:
-        """One update's detection delay for ``channel``."""
-        self.delay_sum[channel] += delay
-        self.delay_count[channel] += 1
-
-    def record_polls(self, channel: int, count: int = 1) -> None:
-        """Polls charged to ``channel``'s server."""
-        self.poll_count[channel] += count
-
-    def mean_delays(self, default: float = float("nan")) -> np.ndarray:
-        """Per-channel mean detection delay (``default`` where unseen)."""
-        means = np.full(self.n_channels, default, dtype=np.float64)
-        seen = self.delay_count > 0
-        means[seen] = self.delay_sum[seen] / self.delay_count[seen]
-        return means
-
-
-@dataclass
-class MetricsCollector:
-    """Everything one experiment run records.
-
-    ``subscription_weighted_delay`` maintains the running average the
-    paper optimizes: per-update delays weighted by the channel's
-    subscriber count ("each client counts as a separate unit", §3.1).
-    """
-
-    n_channels: int
-    bucket_width: float = 300.0
-    detection_series: TimeSeries = field(init=False)
-    load_series: TimeSeries = field(init=False)
-    per_channel: PerChannelStats = field(init=False)
-    _weighted_delay_sum: float = 0.0
-    _weighted_delay_count: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.detection_series = TimeSeries(self.bucket_width)
-        self.load_series = TimeSeries(self.bucket_width)
-        self.per_channel = PerChannelStats(self.n_channels)
-
-    # ------------------------------------------------------------------
-    def record_detection(
-        self, channel: int, delay: float, subscribers: float, at: float
-    ) -> None:
-        """One fresh update: delay weighted by channel popularity."""
-        self.per_channel.record_detection(channel, delay)
-        if subscribers > 0:
-            self.detection_series.add(at, delay)
-            self._weighted_delay_sum += delay * subscribers
-            self._weighted_delay_count += subscribers
-
-    def record_polls(self, channel: int, count: int, at: float) -> None:
-        """Polls hitting ``channel``'s server around time ``at``."""
-        self.per_channel.record_polls(channel, count)
-        self.load_series.add(at, float(count))
-
-    # ------------------------------------------------------------------
-    def mean_weighted_delay(self) -> float:
-        """Table 2's "average update detection time"."""
-        if self._weighted_delay_count == 0:
-            return float("nan")
-        return self._weighted_delay_sum / self._weighted_delay_count
-
-    def mean_polls_per_channel_per_tau(
-        self, duration: float, tau: float
-    ) -> float:
-        """Table 2's "average load (polls per 30 min per channel)"."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        total_polls = float(self.per_channel.poll_count.sum())
-        intervals = duration / tau
-        return total_polls / intervals / self.n_channels

@@ -22,15 +22,15 @@ class SubscriptionTrace:
     """One generated workload.
 
     Arrays are indexed by channel rank (0 = most popular).  The
-    optional event list carries ``(time, client, channel_index,
-    subscribe)`` tuples ordered by time.
+    optional event list carries ``(time, client, channel_index)``
+    subscription arrivals ordered by time.
     """
 
     urls: list[str]
     subscribers: np.ndarray  # q_i
     update_intervals: np.ndarray  # u_i seconds
     content_sizes: np.ndarray  # s_i bytes
-    events: list[tuple[float, str, int, bool]] = field(default_factory=list)
+    events: list[tuple[float, str, int]] = field(default_factory=list)
 
     @property
     def n_channels(self) -> int:
@@ -135,12 +135,12 @@ def generate_trace(
             # arrival process (what the deployment experiment
             # measures) is unaffected.
             times = np.sort(subscription_window * quantiles)
-        events: list[tuple[float, str, int, bool]] = []
+        events: list[tuple[float, str, int]] = []
         cursor = 0
         for channel_index, count in enumerate(subscribers):
             for _ in range(int(count)):
                 client = f"client-{cursor}"
-                events.append((float(times[cursor]), client, channel_index, True))
+                events.append((float(times[cursor]), client, channel_index))
                 cursor += 1
         events.sort(key=lambda event: event[0])
         trace.events = events

@@ -232,10 +232,11 @@ class TestFailedPolls:
                 assert task.consecutive_failures == 0
 
 
-class TestDeploymentCounters:
-    def test_deployment_result_carries_fault_counters(self):
+class TestProtocolLoopCounters:
+    def test_lossy_plane_counts_drops_and_retransmits(self):
         from repro.core.config import CoronaConfig
-        from repro.simulation.deployment import DeploymentSimulator
+        from repro.simulation.deployment import ProtocolLoop
+        from repro.simulation.latency import LatencyModel
         from repro.workload.trace import generate_trace
 
         trace = generate_trace(
@@ -248,19 +249,24 @@ class TestDeploymentCounters:
         config = CoronaConfig(
             polling_interval=300.0, maintenance_interval=600.0, base=4
         )
+        farm = WebServerFarm(seed=4)
+        for index, url in enumerate(trace.urls):
+            farm.host(
+                url,
+                update_interval=float(trace.update_intervals[index]),
+                target_bytes=int(trace.content_sizes[index]),
+            )
         plane = FaultPlane(seed=9, loss_rate=0.05)
-        result = DeploymentSimulator(
-            trace,
-            config,
-            n_nodes=16,
-            seed=3,
-            horizon=3600.0,
-            poll_tick=60.0,
-            faults=plane,
-        ).run()
-        assert result.messages_dropped > 0
-        assert result.retransmissions > 0
-        assert result.detections > 0
+        system = CoronaSystem(
+            n_nodes=16, config=config, fetcher=farm, seed=3, faults=plane
+        )
+        loop = ProtocolLoop(
+            system, farm, trace, LatencyModel(seed=3), bucket_width=600.0
+        )
+        loop.run(horizon=3600.0, poll_tick=60.0)
+        assert plane.counters.messages_dropped > 0
+        assert plane.counters.retransmissions > 0
+        assert loop.detections > 0
 
 
 class TestMacroStatisticalFaults:

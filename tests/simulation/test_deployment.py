@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import CoronaConfig
-from repro.simulation.deployment import DeploymentSimulator
+from repro.core.system import CoronaSystem
+from repro.simulation.deployment import DeploymentSimulator, ProtocolLoop
+from repro.simulation.latency import LatencyModel
+from repro.simulation.webserver import WebServerFarm
 from repro.workload.trace import generate_trace
 
 
@@ -26,7 +29,6 @@ def deployment_result():
         seed=6,
         horizon=2 * 3600.0,
         bucket_width=900.0,
-        poll_tick=30.0,
     )
     return sim.run(), trace, config
 
@@ -65,11 +67,11 @@ class TestDeployment:
             DeploymentSimulator(trace, CoronaConfig(), n_nodes=4)
 
 
-class TestInjectionHooks:
-    """The fault-injection entry points the scenario subsystem uses."""
+class TestSharedLoopHooks:
+    """The timeline and latency seams of the loop every driver runs."""
 
     @staticmethod
-    def _simulator(**kwargs):
+    def _simulator():
         trace = generate_trace(
             n_channels=20,
             n_subscriptions=120,
@@ -86,31 +88,72 @@ class TestInjectionHooks:
             seed=2,
             horizon=3600.0,
             bucket_width=600.0,
-            poll_tick=30.0,
-            **kwargs,
         )
 
-    def test_injections_run_against_the_system(self):
+    def test_timeline_events_run_against_the_system(self):
+        sim = self._simulator()
         observed = []
 
-        def crash_two(system, now):
-            observed.append((now, len(system.nodes)))
-            system.crash_nodes(2, now=now)
+        def crash_two(now):
+            observed.append((now, len(sim.system.nodes)))
+            sim.system.crash_nodes(2, now=now)
 
-        sim = self._simulator(injections=[(1800.0, crash_two)])
+        sim.loop.engine.schedule(1800.0, crash_two)
         sim.run()
         assert observed == [(1800.0, 12)]
         assert len(sim.system.nodes) == 10
         assert sim.system.counters.crashes == 2
 
-    def test_custom_latency_model_is_used(self):
-        from repro.simulation.latency import LatencyModel
-
-        slow = LatencyModel(seed=9)
-        slow.degrade(1000.0)
+    def test_loop_latency_model_is_used(self):
         fast_run = self._simulator().run()
-        slow_run = self._simulator(latency=slow).run()
+        slow = self._simulator()
+        slow.loop.latency.degrade(1000.0)
+        slow_run = slow.run()
         # protocol behaviour is identical; measured end-to-end
         # freshness absorbs the injected dissemination latency
         assert slow_run.detections == fast_run.detections
         assert slow_run.mean_detection_time > fast_run.mean_detection_time
+
+
+class TestProtocolLoop:
+    def test_same_time_events_fire_in_loop_order(self, monkeypatch):
+        """At one instant: subscription, then the caller's timeline,
+        then the maintenance round, then the poll round."""
+        trace = generate_trace(
+            n_channels=4, n_subscriptions=8, seed=1, subscription_window=1.0
+        )
+        # One arrival exactly on the first maintenance round (half an
+        # interval in), which is also a poll tick.
+        trace.events = [(300.0, "client-0", 0)]
+        farm = WebServerFarm(seed=1)
+        for url in trace.urls:
+            farm.host(url, update_interval=600.0, target_bytes=200)
+        config = CoronaConfig(
+            polling_interval=600.0, maintenance_interval=600.0, base=4
+        )
+        system = CoronaSystem(n_nodes=6, config=config, fetcher=farm, seed=1)
+        fired = []
+
+        def recording(name, method):
+            # Every recorded call passes the sim time last.
+            def record(*args):
+                fired.append((args[-1], name))
+                return method(*args)
+
+            return record
+
+        for name in ("subscribe", "run_maintenance_round", "poll_due"):
+            monkeypatch.setattr(
+                system, name, recording(name, getattr(system, name))
+            )
+        loop = ProtocolLoop(
+            system, farm, trace, LatencyModel(seed=1), bucket_width=600.0
+        )
+        loop.engine.schedule(300.0, lambda now: fired.append((now, "timeline")))
+        loop.run(horizon=300.0, poll_tick=30.0)
+        assert [name for when, name in fired if when == 300.0] == [
+            "subscribe",
+            "timeline",
+            "run_maintenance_round",
+            "poll_due",
+        ]

@@ -1,9 +1,8 @@
-"""Metrics containers: series bucketing and weighted averages."""
+"""The bucketed time series."""
 
-import numpy as np
 import pytest
 
-from repro.simulation.metrics import MetricsCollector, PerChannelStats, TimeSeries
+from repro.simulation.metrics import TimeSeries
 
 
 class TestTimeSeries:
@@ -15,7 +14,6 @@ class TestTimeSeries:
         assert list(series.times()) == [5.0, 15.0]
         assert list(series.means()) == [5.0, 10.0]
         assert list(series.sums()) == [10.0, 10.0]
-        assert list(series.rates()) == [1.0, 1.0]
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
@@ -26,50 +24,3 @@ class TestTimeSeries:
         assert len(series) == 0
         series.add(5.0, 1.0)
         assert len(series) == 1
-
-
-class TestPerChannelStats:
-    def test_mean_delays(self):
-        stats = PerChannelStats(n_channels=3)
-        stats.record_detection(0, 10.0)
-        stats.record_detection(0, 20.0)
-        stats.record_detection(2, 5.0)
-        means = stats.mean_delays()
-        assert means[0] == 15.0
-        assert np.isnan(means[1])
-        assert means[2] == 5.0
-
-    def test_poll_counting(self):
-        stats = PerChannelStats(n_channels=2)
-        stats.record_polls(1, 5)
-        stats.record_polls(1)
-        assert stats.poll_count[1] == 6
-
-
-class TestCollector:
-    def test_weighted_average(self):
-        collector = MetricsCollector(n_channels=2, bucket_width=60.0)
-        collector.record_detection(0, delay=10.0, subscribers=9, at=5.0)
-        collector.record_detection(1, delay=100.0, subscribers=1, at=6.0)
-        # (10*9 + 100*1) / 10 = 19
-        assert collector.mean_weighted_delay() == pytest.approx(19.0)
-
-    def test_zero_subscriber_detections_ignored_in_average(self):
-        collector = MetricsCollector(n_channels=1)
-        collector.record_detection(0, delay=50.0, subscribers=0, at=0.0)
-        assert np.isnan(collector.mean_weighted_delay())
-
-    def test_polls_per_channel_per_tau(self):
-        collector = MetricsCollector(n_channels=10)
-        for _ in range(40):
-            collector.record_polls(0, 5, at=0.0)
-        # 200 polls over 2 intervals and 10 channels -> 10 per tau per ch.
-        value = collector.mean_polls_per_channel_per_tau(
-            duration=3600.0, tau=1800.0
-        )
-        assert value == pytest.approx(10.0)
-
-    def test_duration_validation(self):
-        collector = MetricsCollector(n_channels=1)
-        with pytest.raises(ValueError):
-            collector.mean_polls_per_channel_per_tau(0.0, 1800.0)

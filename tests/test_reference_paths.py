@@ -8,8 +8,13 @@ themselves and pass vacuously; these tests fail instead.
 
 import pytest
 
+from repro.core.config import CoronaConfig
+from repro.core.system import CoronaSystem
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.scenarios.runner import ScenarioRunner
+from repro.simulation.macro import MacroSimulator
+from repro.simulation.webserver import WebServerFarm
+from repro.workload.trace import generate_trace
 from tests.reference_paths import (
     ROUND_SWAPS,
     SOLVE_SWAPS,
@@ -65,3 +70,33 @@ def test_eager_reference_restores_the_front_methods():
         raise RuntimeError("leave the block early")
     for (owner, name, _), front in zip(swaps, fronts):
         assert owner.__dict__[name] is front
+
+
+def _system_round() -> None:
+    system = CoronaSystem(
+        n_nodes=8, config=CoronaConfig(base=4), fetcher=WebServerFarm(), seed=2
+    )
+    system.run_maintenance_round(0.0)
+
+
+def _macro_round() -> None:
+    trace = generate_trace(n_channels=20, n_subscriptions=200, seed=2)
+    MacroSimulator(trace, CoronaConfig(), n_nodes=8, seed=2)._run_control_round()
+
+
+@pytest.mark.parametrize("drive", [_system_round, _macro_round])
+def test_both_drivers_run_the_one_aggregation_phase(drive, monkeypatch):
+    """Each driver's round runs ``run_phase``, and the phase reaches
+    its steps by attribute — so the e2e ledger's wraps and the
+    reference swaps on ``refresh_locals`` / ``run_round`` engage."""
+    calls = []
+    for name in ("run_phase", "refresh_locals", "run_round"):
+        method = getattr(DecentralizedAggregator, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(DecentralizedAggregator, name, counting)
+    drive()
+    assert calls == ["run_phase", "refresh_locals", "run_round", "run_round"]

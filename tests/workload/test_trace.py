@@ -82,7 +82,7 @@ class TestGeneration:
     def _per_channel_mean_times(trace):
         sums = {}
         counts = {}
-        for when, _client, channel, _sub in trace.events:
+        for when, _client, channel in trace.events:
             sums[channel] = sums.get(channel, 0.0) + when
             counts[channel] = counts.get(channel, 0) + 1
         return {c: sums[c] / counts[c] for c in sums}
