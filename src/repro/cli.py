@@ -184,9 +184,10 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         )
     )
     steady = steady_state_mean(result.detection_times, 0.5)
+    steady_text = "n/a" if math.isnan(steady) else f"{steady:.1f}s"
     print(
         f"\ndetections: {result.detections}   steady detection: "
-        f"{steady:.1f}s (legacy {result.legacy_detection_time:.0f}s)   "
+        f"{steady_text} (legacy {result.legacy_detection_time:.0f}s)   "
         f"corona load: {steady_state_mean(result.corona_polls_per_min, 0.4):.0f}"
         f"/min (legacy {result.legacy_polls_per_min:.0f}/min)"
     )

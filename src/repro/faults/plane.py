@@ -122,15 +122,13 @@ class PartitionIsland:
     """One active named partition.
 
     ``members`` is the isolated side; every link between a member and
-    a non-member is dead while the partition holds.  ``fraction`` is
-    the statistical view the macro simulator consumes (what share of
-    the population sits on the isolated side); ``isolates_servers``
-    additionally cuts members off from the exogenous content servers.
+    a non-member is dead while the partition holds.
+    ``isolates_servers`` additionally cuts members off from the
+    exogenous content servers.
     """
 
     name: str
     members: frozenset = frozenset()
-    fraction: float = 0.0
     isolates_servers: bool = False
 
     def separates(self, a: Hashable, b: Hashable) -> bool:
@@ -295,7 +293,6 @@ class FaultPlane:
         self,
         name: str,
         members: Iterable[Hashable] = (),
-        fraction: float = 0.0,
         isolates_servers: bool = False,
     ) -> PartitionIsland:
         """Open a named partition isolating ``members``."""
@@ -304,7 +301,6 @@ class FaultPlane:
         island = PartitionIsland(
             name=name,
             members=frozenset(members),
-            fraction=fraction,
             isolates_servers=isolates_servers,
         )
         self.partitions[name] = island
@@ -422,15 +418,12 @@ class FaultPlane:
             return 0.0
         return self.jitter.sample()
 
-    # ------------------------------------------------------------------
-    # statistical view (macro simulator)
-    # ------------------------------------------------------------------
     def effective_loss_rate(self) -> float:
         """The per-transmission drop probability actually sampled.
 
         The stored accumulator is additive and unclamped (so stacked
         events undo exactly); consumers that need the probability —
-        including the macro simulator's expected-drop accounting —
+        such as the per-link model falling back to the global rate —
         must use this clamped view, like :meth:`transmit` itself does.
         """
         return _effective_rate(self.loss_rate)
@@ -438,32 +431,3 @@ class FaultPlane:
     def effective_duplicate_rate(self) -> float:
         """The per-delivery duplication probability actually sampled."""
         return _effective_rate(self.duplicate_rate)
-
-    def isolated_fraction(self) -> float:
-        """Share of the population currently cut off (macro view)."""
-        return min(
-            1.0,
-            sum(island.fraction for island in self.partitions.values()),
-        )
-
-    def server_isolated_fraction(self) -> float:
-        """Share of the population cut off from the content servers.
-
-        Only islands with ``isolates_servers`` count — a member of a
-        peers-only partition still polls successfully, exactly as
-        :meth:`poll_attempt` treats it in the message-level model.
-        """
-        return min(
-            1.0,
-            sum(
-                island.fraction
-                for island in self.partitions.values()
-                if island.isolates_servers
-            ),
-        )
-
-    def poll_success_probability(self) -> float:
-        """P(a poll lands within its retry budget) under current loss."""
-        return 1.0 - self.effective_loss_rate() ** (
-            self.retry_budget + 1
-        )

@@ -605,7 +605,6 @@ def _execute(
                 cell["island"] = faults.partition(
                     ev.name,
                     members=members,
-                    fraction=ev.fraction,
                     isolates_servers=ev.isolates_servers,
                 )
 

@@ -9,7 +9,6 @@ this package supplies the simulated equivalents:
 * :mod:`repro.simulation.webserver` — exogenous content servers:
   synthetic feeds with survey-calibrated update processes, conditional
   GET semantics, per-source rate limiting, flash-crowd hooks;
-* :mod:`repro.simulation.legacy` — the legacy-RSS client baseline;
 * :mod:`repro.simulation.metrics` — the bucketed time series the
   event-driven experiments collate;
 * :mod:`repro.simulation.macro` — the scalable hybrid simulator behind
@@ -22,14 +21,12 @@ this package supplies the simulated equivalents:
 
 from repro.simulation.engine import EventEngine
 from repro.simulation.latency import LatencyModel
-from repro.simulation.legacy import LegacyClientPool
 from repro.simulation.metrics import TimeSeries
 from repro.simulation.webserver import WebServerFarm
 
 __all__ = [
     "EventEngine",
     "LatencyModel",
-    "LegacyClientPool",
     "TimeSeries",
     "WebServerFarm",
 ]

@@ -49,7 +49,7 @@ bit:
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.core.config import CoronaConfig
 from repro.core.node import CoronaNode
-from repro.faults import FaultPlane
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ClusterSummary
 from repro.honeycomb.solver import SolverWork
@@ -245,10 +244,6 @@ class MacroSimulator:
         seed: int = 0,
         horizon: float = 6 * 3600.0,
         bucket_width: float = 600.0,
-        faults: FaultPlane | None = None,
-        fault_injections: Iterable[
-            tuple[float, Callable[[FaultPlane, float], None]]
-        ] = (),
         obs: Observability | None = None,
     ) -> None:
         self.trace = trace
@@ -260,18 +255,6 @@ class MacroSimulator:
         self.obs = obs if obs is not None else Observability.off()
         #: Shared solver counters across all manager nodes.
         self.solver_work = SolverWork(self.obs.registry)
-        #: Statistical fault view: the macro simulator does not move
-        #: individual messages, so loss and partitions enter the poll-
-        #: outcome law instead — with per-poll success probability
-        #: ``p`` (retry budget included) and isolated fraction ``q``,
-        #: a wedge of ``n`` pollers detects like an effective wedge of
-        #: ``n·p·(1−q)``; dropped/retransmitted messages are accounted
-        #: as the deterministic expectation, not sampled.  Inactive
-        #: planes change nothing, bit for bit.
-        self.faults = faults
-        self._fault_injections = sorted(
-            fault_injections, key=lambda pair: pair[0]
-        )
         self.world = _shared_world(trace, config.base, n_nodes, seed, horizon)
         self.rng = np.random.default_rng(seed)
         self.rng.bit_generator.state = self.world.rng_state
@@ -392,26 +375,9 @@ class MacroSimulator:
         weighted_delay_count = 0.0
 
         next_maint = 0.0
-        injections = list(self._fault_injections)
-        # Expected poll-fault accounting accumulates as floats across
-        # buckets and commits once at the end — per-bucket rounding
-        # would discard every expectation below 0.5 forever.
-        expected_failed_polls = 0.0
-        expected_poll_retries = 0.0
         for bucket in range(n_buckets):
             t0 = bucket * self.bucket_width
             t1 = t0 + self.bucket_width
-            # Fault-timeline changes land at bucket granularity: an
-            # injection fires at the first bucket *boundary* at or
-            # after its scheduled time.  (Firing everything due before
-            # the bucket's end instead would apply an add/remove pair
-            # that falls inside one bucket back-to-back, silently
-            # erasing the event; boundary semantics round short events
-            # up to one bucket, never down to nothing.)
-            while injections and injections[0][0] <= t0 + 1e-9:
-                _when, inject = injections.pop(0)
-                if self.faults is not None:
-                    inject(self.faults, t0)
             # Control rounds due in this bucket fire at its start (the
             # bucket width divides the maintenance interval in all the
             # paper's setups).
@@ -432,49 +398,6 @@ class MacroSimulator:
                 next_maint += maint
 
             pollers = self._pollers().astype(np.float64)
-            effective = pollers
-            plane = self.faults
-            if plane is not None and plane.active:
-                poll_success = plane.poll_success_probability()
-                # The delay law τ·(1 − u^(1/n)) degrades smoothly as
-                # n_eff → 0 (delay → τ, the per-interval staleness
-                # cap of this within-interval model); the tiny floor
-                # only guards the 1/n_eff exponent, so single-poller
-                # channels genuinely feel loss and isolation.  Any
-                # partitioned node — servers reachable or not — stops
-                # contributing detections (it cannot disseminate), so
-                # the detection law uses the full isolated fraction.
-                success = poll_success * (
-                    1.0 - plane.isolated_fraction()
-                )
-                effective = np.maximum(1e-9, pollers * success)
-                # Expected (not sampled) poll accounting, in the same
-                # counter taxonomy as FaultPlane.poll_attempt: only
-                # server-isolating islands and in-budget loss fail
-                # polls (a peers-only partition member still polls
-                # fine); a failed isolated poll burns the whole retry
-                # budget, a lossy one E[Σ_{k≤budget} loss^k] retries.
-                # messages_dropped/retransmissions stay zero here: the
-                # macro simulator moves no overlay messages, and
-                # booking poll losses there would make its counters
-                # mean something different from a micro run's.
-                issued = pollers.sum() * (self.bucket_width / tau)
-                server_cut = plane.server_isolated_fraction()
-                poll_fail = server_cut + (1.0 - server_cut) * (
-                    1.0 - poll_success
-                )
-                if issued * (1.0 - success) > 0:
-                    plane.ever_active = True
-                expected_failed_polls += issued * poll_fail
-                loss = plane.effective_loss_rate()
-                lossy_retries = sum(
-                    loss**k
-                    for k in range(1, plane.retry_budget + 1)
-                )
-                expected_poll_retries += issued * (
-                    server_cut * plane.retry_budget
-                    + (1.0 - server_cut) * lossy_retries
-                )
             # Load: each of the n_i wedge members polls once per tau.
             polls_this_bucket = pollers.sum() * (self.bucket_width / tau)
             total_polls += polls_this_bucket
@@ -493,7 +416,7 @@ class MacroSimulator:
             hi = np.searchsorted(update_times, t1, side="left")
             if hi > lo:
                 events = update_channels[lo:hi]
-                n_event = effective[events]
+                n_event = pollers[events]
                 u = self.rng.random(hi - lo)
                 delays = tau * (1.0 - u ** (1.0 / n_event))
                 weights = q[events]
@@ -504,13 +427,6 @@ class MacroSimulator:
                 weighted_delay_sum += float((delays * weights).sum())
                 weighted_delay_count += float(weights.sum())
 
-        if self.faults is not None:
-            self.faults.counters.failed_polls += int(
-                round(expected_failed_polls)
-            )
-            self.faults.counters.poll_retries += int(
-                round(expected_poll_retries)
-            )
         detection_means = np.divide(
             detection_sum,
             detection_weight,

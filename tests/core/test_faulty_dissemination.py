@@ -10,8 +10,6 @@ members until they heal; duplicate deliveries are absorbed by the
 crash-repair path with subscription state intact.
 """
 
-import pytest
-
 from repro.core.system import CoronaSystem
 from repro.faults import FaultPlane
 from repro.simulation.webserver import WebServerFarm
@@ -267,73 +265,3 @@ class TestProtocolLoopCounters:
         assert plane.counters.messages_dropped > 0
         assert plane.counters.retransmissions > 0
         assert loop.detections > 0
-
-
-class TestMacroStatisticalFaults:
-    def test_loss_degrades_detection_not_load(self):
-        from repro.core.config import CoronaConfig
-        from repro.simulation.macro import MacroSimulator
-        from repro.workload.trace import generate_trace
-
-        trace = generate_trace(
-            n_channels=200, n_subscriptions=10_000, seed=5
-        )
-        config = CoronaConfig()
-        clean = MacroSimulator(
-            trace, config, n_nodes=128, seed=7, horizon=2 * 3600.0
-        ).run()
-        plane = FaultPlane(seed=7, loss_rate=0.3, retry_budget=0)
-        lossy = MacroSimulator(
-            trace, config, n_nodes=128, seed=7, horizon=2 * 3600.0,
-            faults=plane,
-        ).run()
-        assert lossy.mean_weighted_delay > clean.mean_weighted_delay
-        assert lossy.polls_per_channel_per_tau == pytest.approx(
-            clean.polls_per_channel_per_tau
-        )
-        assert plane.counters.failed_polls > 0
-
-    def test_inactive_plane_is_bit_identical(self):
-        from repro.core.config import CoronaConfig
-        from repro.simulation.macro import MacroSimulator
-        from repro.workload.trace import generate_trace
-
-        trace = generate_trace(
-            n_channels=200, n_subscriptions=10_000, seed=5
-        )
-        config = CoronaConfig()
-        bare = MacroSimulator(
-            trace, config, n_nodes=128, seed=7, horizon=2 * 3600.0
-        ).run()
-        inert = MacroSimulator(
-            trace, config, n_nodes=128, seed=7, horizon=2 * 3600.0,
-            faults=FaultPlane.none(),
-        ).run()
-        assert bare.mean_weighted_delay == inert.mean_weighted_delay
-        assert (bare.final_levels == inert.final_levels).all()
-        assert (bare.polls_per_min == inert.polls_per_min).all()
-
-    def test_fault_injections_fire_partitions(self):
-        from repro.core.config import CoronaConfig
-        from repro.simulation.macro import MacroSimulator
-        from repro.workload.trace import generate_trace
-
-        trace = generate_trace(
-            n_channels=100, n_subscriptions=5_000, seed=5
-        )
-        config = CoronaConfig()
-        plane = FaultPlane.none(seed=7)
-        simulator = MacroSimulator(
-            trace, config, n_nodes=64, seed=7, horizon=2 * 3600.0,
-            faults=plane,
-            fault_injections=[
-                (1800.0, lambda p, now: p.partition(
-                    "half", fraction=0.5, isolates_servers=True
-                )),
-                (5400.0, lambda p, now: p.heal("half")),
-            ],
-        )
-        result = simulator.run()
-        assert not plane.partitions  # healed by the end
-        assert plane.counters.failed_polls > 0
-        assert result.mean_weighted_delay > 0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+from repro.faults import FaultPlane
 from repro.scenarios import (
     ChurnWave,
     CorrelatedManagerFailure,
@@ -209,6 +210,23 @@ class TestMessageFaultInjection:
         assert cut.final_registered_subscriptions == (
             cut.total_subscriptions
         )
+
+    def test_partition_members_sized_by_fraction(self, monkeypatch):
+        """The spec's ``fraction`` sizes the island drawn from the
+        live population: ``round(fraction * n)`` members."""
+        opened = []
+        partition = FaultPlane.partition
+
+        def spy(plane, name, **kwargs):
+            island = partition(plane, name, **kwargs)
+            opened.append(island)
+            return island
+
+        monkeypatch.setattr(FaultPlane, "partition", spy)
+        run_tiny(events=(Partition(at=240.0, name="cut", fraction=0.4),))
+        assert [len(island.members) for island in opened] == [
+            round(0.4 * tiny_spec().n_nodes)
+        ]
 
     def test_partition_auto_heal_duration(self):
         timed = run_tiny(

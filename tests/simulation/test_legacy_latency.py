@@ -1,48 +1,8 @@
-"""Legacy baseline and the latency model."""
+"""The wide-area latency model."""
 
-import numpy as np
 import pytest
 
 from repro.simulation.latency import LatencyModel, UniformLatency
-from repro.simulation.legacy import LegacyClientPool
-
-
-class TestLegacyPool:
-    def test_mean_detection_is_half_tau(self):
-        pool = LegacyClientPool(polling_interval=1800.0)
-        assert pool.mean_detection_time() == 900.0
-
-    def test_sampled_delays_uniform(self):
-        pool = LegacyClientPool(polling_interval=1800.0, seed=3)
-        delays = pool.sample_detection_delays(20_000)
-        assert delays.min() >= 0
-        assert delays.max() <= 1800.0
-        assert delays.mean() == pytest.approx(900.0, rel=0.05)
-
-    def test_channel_load_identity(self):
-        pool = LegacyClientPool(polling_interval=1800.0)
-        subscribers = np.array([5.0, 50.0])
-        assert (pool.channel_load(subscribers) == subscribers).all()
-
-    def test_load_per_second(self):
-        pool = LegacyClientPool(polling_interval=1800.0)
-        assert pool.load_per_second(30_000) == pytest.approx(30_000 / 1800.0)
-
-    def test_small_sample_mean_scatters(self):
-        pool = LegacyClientPool(polling_interval=1800.0, seed=1)
-        means = {round(pool.sample_channel_mean_delay(2), 3) for _ in range(20)}
-        assert len(means) > 10  # visible scatter, like the paper's figures
-
-    def test_zero_updates_returns_expectation(self):
-        pool = LegacyClientPool(polling_interval=1800.0)
-        assert pool.sample_channel_mean_delay(0) == 900.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LegacyClientPool(polling_interval=0.0)
-        pool = LegacyClientPool(polling_interval=10.0)
-        with pytest.raises(ValueError):
-            pool.sample_detection_delays(-1)
 
 
 class TestLatencyModel:

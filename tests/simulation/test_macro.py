@@ -105,6 +105,41 @@ class TestLegacyBaseline:
             legacy_result.final_pollers == small_trace.subscribers
         ).all()
 
+    @staticmethod
+    def _update_counts(small_trace) -> np.ndarray:
+        """Updates per channel: run_legacy draws its schedule first
+        from ``default_rng(seed)``, so the same draw replays it."""
+        _times, channels = draw_updates(
+            small_trace.update_intervals, 6 * 3600.0,
+            np.random.default_rng(8),
+        )
+        return np.bincount(channels, minlength=small_trace.n_channels)
+
+    def test_legacy_channel_delays_within_one_interval(
+        self, legacy_result, small_trace
+    ):
+        """Every measured per-channel delay lies in [0, τ]; a channel
+        is unmeasured (NaN) exactly when it never updated."""
+        delays = legacy_result.per_channel_delay
+        updated = self._update_counts(small_trace) > 0
+        assert (np.isnan(delays) == ~updated).all()
+        assert (delays[updated] >= 0.0).all()
+        assert (delays[updated] <= 1800.0).all()
+
+    def test_legacy_rarely_updated_channels_scatter_around_half_tau(
+        self, legacy_result, small_trace
+    ):
+        """Figures 6 and 7: a channel measured over one or two
+        updates shows the raw U(0, τ) scatter around τ/2 (standard
+        deviation τ/√12 for one update, τ/√24 for two), not τ/2
+        itself."""
+        counts = self._update_counts(small_trace)
+        few = (counts >= 1) & (counts <= 2)
+        assert few.sum() >= 30
+        delays = legacy_result.per_channel_delay[few]
+        assert delays.mean() == pytest.approx(900.0, rel=0.2)
+        assert delays.std() > 1800.0 / 6
+
 
 class TestFastScheme:
     def test_fast_meets_latency_target(self, small_trace):

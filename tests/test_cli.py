@@ -73,6 +73,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "detections:" in out
 
+    def test_deploy_without_detections_prints_n_a(self, capsys):
+        """A run that detects nothing has no steady detection time: it
+        reads ``n/a``, as a scenario summary does, never ``nan``."""
+        code = main(
+            [
+                "deploy",
+                "--channels", "40",
+                "--subscriptions", "400",
+                "--nodes", "12",
+                "--hours", "1",
+                "--tau", "600",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "detections: 0 " in out
+        assert "steady detection: n/a" in out
+        assert "nan" not in out
+
 
 class TestSweepCLI:
     def test_sweep_run_defaults(self):
