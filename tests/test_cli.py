@@ -10,6 +10,16 @@ from repro.scenarios.runner import ScenarioMetrics, ScenarioRunner
 from repro.sweeps import SweepTask, run_tasks, variant_json
 from repro.sweeps.builtin import BUILTIN_NAMES
 
+#: A small deployment that detects nothing in its hour.
+DEPLOY_ARGS = [
+    "deploy",
+    "--channels", "40",
+    "--subscriptions", "400",
+    "--nodes", "12",
+    "--hours", "1",
+    "--tau", "600",
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -59,16 +69,7 @@ class TestCommands:
         assert "Legacy-RSS" in out
 
     def test_deploy_runs(self, capsys):
-        code = main(
-            [
-                "deploy",
-                "--channels", "40",
-                "--subscriptions", "400",
-                "--nodes", "12",
-                "--hours", "1",
-                "--tau", "600",
-            ]
-        )
+        code = main(DEPLOY_ARGS)
         assert code == 0
         out = capsys.readouterr().out
         assert "detections:" in out
@@ -76,16 +77,7 @@ class TestCommands:
     def test_deploy_without_detections_prints_n_a(self, capsys):
         """A run that detects nothing has no steady detection time: it
         reads ``n/a``, as a scenario summary does, never ``nan``."""
-        code = main(
-            [
-                "deploy",
-                "--channels", "40",
-                "--subscriptions", "400",
-                "--nodes", "12",
-                "--hours", "1",
-                "--tau", "600",
-            ]
-        )
+        code = main(DEPLOY_ARGS)
         assert code == 0
         out = capsys.readouterr().out
         assert "detections: 0 " in out
