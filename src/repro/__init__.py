@@ -34,7 +34,7 @@ Package map (one subpackage per subsystem; see README.md, "Layout"):
 ``repro.overlay``         Pastry-style structured overlay
 ``repro.diffengine``      tolerant HTML/XML diffing with core-content
                           extraction
-``repro.feeds``           RSS/Atom formats and synthetic feeds
+``repro.feeds``           RSS rendering and synthetic feeds
 ``repro.im``              instant-messaging front end
 ``repro.workload``        Cornell-survey workload models
 ``repro.simulation``      web servers, event engine, macro & deployment
@@ -45,7 +45,7 @@ Package map (one subpackage per subsystem; see README.md, "Layout"):
 
 from repro.core.config import CoronaConfig
 from repro.core.node import CoronaNode, DetectionEvent, FetchResult
-from repro.core.objectives import LegacyRss, Scheme
+from repro.core.objectives import Scheme
 from repro.core.system import CoronaSystem
 from repro.honeycomb.solver import HoneycombSolver
 from repro.overlay.network import OverlayNetwork
@@ -61,7 +61,6 @@ __all__ = [
     "DetectionEvent",
     "FetchResult",
     "HoneycombSolver",
-    "LegacyRss",
     "OverlayNetwork",
     "Scheme",
     "WebServerFarm",

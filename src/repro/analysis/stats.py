@@ -25,27 +25,6 @@ def steady_state_mean(series: np.ndarray, tail_fraction: float = 0.5) -> float:
     return float(np.nanmean(tail))
 
 
-def summarize_delays(delays: np.ndarray) -> dict[str, float]:
-    """Mean / median / tail percentiles of a delay sample, NaNs dropped."""
-    values = np.asarray(delays, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        return {
-            "count": 0.0,
-            "mean": float("nan"),
-            "median": float("nan"),
-            "p90": float("nan"),
-            "p99": float("nan"),
-        }
-    return {
-        "count": float(values.size),
-        "mean": float(values.mean()),
-        "median": float(np.median(values)),
-        "p90": float(np.percentile(values, 90)),
-        "p99": float(np.percentile(values, 99)),
-    }
-
-
 def improvement_factor(baseline: float, measured: float) -> float:
     """How many times better ``measured`` is than ``baseline``.
 

@@ -12,7 +12,7 @@ everything above the overlay and below the user interface:
   Honeycomb tradeoff functions;
 * :mod:`repro.core.subscription` — subscription registry with
   owner-replica state transfer;
-* :mod:`repro.core.update` — content versions and update records;
+* :mod:`repro.core.update` — content versions and cached content;
 * :mod:`repro.core.polling` — cooperative polling schedules;
 * :mod:`repro.core.maintenance` — the periodic level raise/lower
   protocol along the wedge DAG;
@@ -25,17 +25,15 @@ from repro.core.channel import Channel, ChannelStats
 from repro.core.config import CoronaConfig
 from repro.core.node import CoronaNode
 from repro.core.objectives import (
-    LegacyRss,
     Scheme,
     build_problem,
-    build_tradeoff,
     detection_time,
     scheme_by_name,
     server_load,
 )
 from repro.core.subscription import SubscriptionRegistry
 from repro.core.system import CoronaSystem
-from repro.core.update import UpdateRecord, VersionClock
+from repro.core.update import VersionClock
 
 __all__ = [
     "Channel",
@@ -43,13 +41,10 @@ __all__ = [
     "CoronaConfig",
     "CoronaNode",
     "CoronaSystem",
-    "LegacyRss",
     "Scheme",
     "SubscriptionRegistry",
-    "UpdateRecord",
     "VersionClock",
     "build_problem",
-    "build_tradeoff",
     "detection_time",
     "scheme_by_name",
     "server_load",

@@ -10,7 +10,7 @@ polling, one-hour maintenance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ class CoronaConfig:
             raise ValueError("load_metric must be 'polls' or 'bandwidth'")
         if not 0 < self.min_update_interval <= self.max_update_interval:
             raise ValueError("update-interval clamps are inconsistent")
-
-    def with_scheme(self, scheme: str, **overrides) -> "CoronaConfig":
-        """A copy running a different optimization scheme."""
-        return replace(self, scheme=scheme, **overrides)
 
 
 #: The five optimization schemes of Table 1.

@@ -92,21 +92,3 @@ def deliver_plan(
         else:
             unreached.add(child)
     return deliveries, attempted, unreached, delay_to
-
-
-def dissemination_cost(
-    root: NodeId,
-    tables: Mapping[NodeId, RoutingTable],
-    channel: NodeId,
-    level: int,
-    base: int,
-    diff_bytes: int,
-) -> tuple[int, int]:
-    """(messages, bytes) one diff costs to cover the wedge.
-
-    The paper's bandwidth argument: updates ship as deltas (≈6.8 % of
-    content), so wedge-internal sharing is cheap compared to the polls
-    it saves.
-    """
-    plan = wedge_recipients(root, tables, channel, level, base)
-    return len(plan), len(plan) * diff_bytes

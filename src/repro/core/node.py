@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 
 from repro.core.channel import Channel, ChannelStats
 from repro.core.config import CoronaConfig
@@ -44,7 +44,6 @@ from repro.diffengine.extractor import DEFAULT_EXTRACTOR
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.honeycomb.solver import HoneycombSolver, SolverWork
 from repro.overlay.nodeid import NodeId
-from repro.overlay.routing import RoutingTable
 
 
 def _content_hash(lines: tuple[str, ...]) -> int:
@@ -683,9 +682,3 @@ class CoronaNode:
         """The level this node polls ``url`` at (None if not polling)."""
         task = self.scheduler.tasks.get(url)
         return task.level if task is not None else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CoronaNode({self.node_id.hex()[:8]}…, "
-            f"manages={len(self.managed)}, polls={len(self.scheduler.tasks)})"
-        )

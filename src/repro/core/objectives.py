@@ -204,27 +204,6 @@ def _tradeoff(
     return ChannelTradeoff(key=key, levels=levels, f=f, g=g, weight=weight)
 
 
-def build_tradeoff(
-    scheme: Scheme,
-    key,
-    factors: ChannelFactors,
-    config: CoronaConfig,
-    n_nodes: int,
-    levels: Sequence[int],
-    weight: int = 1,
-    sizes: Sequence[float] | None = None,
-) -> ChannelTradeoff:
-    """One channel's (f, g) curves under ``scheme``.
-
-    For Lite and the Fair family, f is (weighted) latency and g is
-    server load.  Corona-Fast swaps them: f is load, g is
-    subscriber-weighted latency, bounded by ``T·Σq`` at the problem
-    level.
-    """
-    tables = _level_tables(config, n_nodes, levels, sizes)
-    return _tradeoff(scheme, key, factors, config, weight, tables)
-
-
 @dataclass(frozen=True)
 class ProblemInputs:
     """Everything needed to pose one global optimization instance."""
@@ -280,29 +259,3 @@ def build_problem(
             tabulated, tables = levels, _level_tables(config, n_nodes, levels)
         problem.add(_tradeoff(scheme, key, factors, config, weight, tables))
     return problem
-
-
-# ----------------------------------------------------------------------
-# the baseline
-# ----------------------------------------------------------------------
-class LegacyRss:
-    """The comparison system: every subscriber polls on its own (§5).
-
-    ``q_i`` clients polling a channel independently at interval τ
-    impose ``q_i`` polls per τ on its server, and each client's mean
-    detection delay is τ/2 — 15 minutes for the 30-minute polling
-    interval, exactly Table 2's legacy row.
-    """
-
-    def __init__(self, config: CoronaConfig) -> None:
-        self.config = config
-
-    def detection_time(self) -> float:
-        """Mean update-detection delay of one independent client."""
-        return self.config.polling_interval / 2.0
-
-    def channel_load(self, subscribers: float, size: float = 1.0) -> float:
-        """Polls (or bytes) per τ the channel's subscribers impose."""
-        if self.config.load_metric == "bandwidth":
-            return subscribers * size
-        return subscribers

@@ -77,7 +77,3 @@ class SubscriptionRegistry:
     def erase(self, url: str) -> None:
         """Drop state for a channel this node no longer owns."""
         self._subscribers.pop(url, None)
-
-    def erase_all(self) -> None:
-        """Drop everything (node decommissioned or demoted)."""
-        self._subscribers.clear()

@@ -11,15 +11,15 @@ tokens that change on every fetch.  The difference engine therefore
 3. diffs the old and new core content line-wise with a Myers O(ND)
    algorithm, producing POSIX-``diff``-style hunks
    (:mod:`repro.diffengine.differ`), and
-4. delta-encodes updates for dissemination and applies/composes them
-   at receivers (:mod:`repro.diffengine.delta`).
+4. delta-encodes updates for dissemination and applies them at
+   receivers (:mod:`repro.diffengine.delta`).
 
 The Cornell measurement study the paper cites found the average
 micronews update is 17 lines of XML and 6.8 % of the content — diffs,
 not full contents, are what Corona ships between nodes.
 """
 
-from repro.diffengine.delta import apply_diff, diff_size_bytes
+from repro.diffengine.delta import apply_diff
 from repro.diffengine.differ import Diff, Hunk, diff_lines
 from repro.diffengine.extractor import CoreContentExtractor, extract_core_lines
 from repro.diffengine.tokenizer import Token, TokenKind, tokenize
@@ -32,7 +32,6 @@ __all__ = [
     "TokenKind",
     "apply_diff",
     "diff_lines",
-    "diff_size_bytes",
     "extract_core_lines",
     "tokenize",
 ]

@@ -1,4 +1,4 @@
-"""Delta application and composition.
+"""Delta application.
 
 Corona nodes share updates only as diffs (§3.4); a receiver holding
 the base version applies the delta to reconstruct the new content.
@@ -78,22 +78,3 @@ def _hunk_old_position(hunk: Hunk) -> int:
     if hunk.kind is HunkKind.ADD:
         return hunk.old_start  # insert AFTER this 1-based line == index
     return hunk.old_start - 1
-
-
-def diff_size_bytes(diff: Diff) -> int:
-    """Wire size of a delta: the quantity dissemination accounting uses."""
-    return len(diff.render().encode("utf-8"))
-
-
-def compose(old: list[str], diffs: list[Diff]) -> list[str]:
-    """Apply a version chain in order, validating version continuity."""
-    content = old
-    version = diffs[0].base_version if diffs else 0
-    for diff in diffs:
-        _check(
-            diff.base_version == version,
-            f"version gap: have {version}, diff expects {diff.base_version}",
-        )
-        content = apply_diff(content, diff)
-        version = diff.new_version
-    return content

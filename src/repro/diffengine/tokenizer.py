@@ -46,14 +46,6 @@ class Token:
     name: str = ""  # lowercased tag name for tag tokens
     attrs: tuple[tuple[str, str], ...] = ()
 
-    def attr(self, key: str, default: str = "") -> str:
-        """Case-insensitive attribute lookup."""
-        wanted = key.lower()
-        for name, value in self.attrs:
-            if name == wanted:
-                return value
-        return default
-
 
 _TAG_NAME = re.compile(r"[A-Za-z][-A-Za-z0-9:_.]*")
 _ATTR = re.compile(
@@ -131,8 +123,3 @@ def tokenize(document: str) -> list[Token]:
         else:
             tokens.append(Token(kind, raw))
     return tokens
-
-
-def render(tokens: list[Token]) -> str:
-    """Reassemble a token stream into text (inverse of :func:`tokenize`)."""
-    return "".join(token.text for token in tokens)

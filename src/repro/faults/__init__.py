@@ -9,7 +9,7 @@ to the plane, which decides — deterministically, from its own seeded
 generator — whether the message is delivered, dropped, duplicated or
 delayed, and whether a named partition separates the endpoints.
 
-The determinism contract: an *inactive* plane (``FaultPlane.none()``,
+The determinism contract: an *inactive* plane (``FaultPlane()``,
 or any plane whose rates are zero and whose partition set is empty)
 draws no randomness and takes no code path the fault-free system did
 not already take, so fault-off runs are bit-identical to runs with no

@@ -17,7 +17,7 @@ Determinism has two layers:
   faults actually touched;
 * an **inactive** plane (all rates zero, no partitions) draws no
   randomness at all and returns constant outcomes, so installing
-  ``FaultPlane.none()`` is bit-identical to running with no plane —
+  a default ``FaultPlane()`` is bit-identical to running with no plane —
   the equivalence contract ``tests/faults/test_fault_equivalence.py``
   enforces.
 
@@ -220,12 +220,6 @@ class FaultPlane:
         # duck-typed to keep the import acyclic.  None or an inactive
         # table leaves every path below byte-identical.
         self.links = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def none(cls, seed: int = 0) -> FaultPlane:
-        """A plane that never harms a message (perfect delivery)."""
-        return cls(seed=seed)
 
     @property
     def active(self) -> bool:

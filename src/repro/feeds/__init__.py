@@ -1,30 +1,24 @@
-"""Micronews feed formats and synthetic feed generation.
+"""Micronews feed rendering and synthetic feed generation.
 
 Micronews feeds are "short descriptions of frequently updated
 information ... in XML based formats such as RSS and Atom" (§2).
 Corona polls them over HTTP and diffs their contents; this package
 provides
 
-* :mod:`repro.feeds.rss` — RSS 2.0 rendering and parsing, including
-  the publish-subscribe-adjacent tags the standard defines (``ttl``,
-  ``skipHours``, ``skipDays``, ``cloud``),
-* :mod:`repro.feeds.atom` — the Atom equivalent, and
+* :mod:`repro.feeds.rss` — RSS 2.0 rendering, including the
+  publish-subscribe-adjacent tags the standard defines (``ttl``,
+  ``skipHours``, ``skipDays``, ``cloud``), and
 * :mod:`repro.feeds.generator` — synthetic evolving feeds whose
   update sizes follow the Cornell survey (≈17 changed lines, ≈6.8 % of
   content per update), standing in for the live syndic8.com feeds the
   paper polls.
 """
 
-from repro.feeds.atom import AtomEntry, AtomFeed
 from repro.feeds.generator import FeedGenerator
-from repro.feeds.rss import RssChannel, RssItem, parse_rss, render_rss
+from repro.feeds.rss import RssChannel, RssItem
 
 __all__ = [
-    "AtomEntry",
-    "AtomFeed",
     "FeedGenerator",
     "RssChannel",
     "RssItem",
-    "parse_rss",
-    "render_rss",
 ]

@@ -1,13 +1,11 @@
-"""RSS 2.0 rendering and parsing.
+"""RSS 2.0 rendering.
 
 Implements the slice of the RSS 2.0 specification Corona interacts
 with: channel metadata, items, and the update-hinting tags the paper
 discusses (§2) — ``ttl``, ``skipHours``, ``skipDays`` and ``cloud``,
 the standard's own (rarely used) gesture toward publish-subscribe.
-
-Parsing is built on the tolerant tokenizer rather than a strict XML
-parser: real feeds are frequently malformed and Corona must still
-extract their items.
+Corona never parses a feed: the difference engine reads documents
+through its own tolerant lexer (:mod:`repro.diffengine.tokenizer`).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from email.utils import formatdate
 
-from repro.diffengine.tokenizer import TokenKind, tokenize
 
 
 @dataclass
@@ -101,91 +98,6 @@ def _escape(text: str) -> str:
     )
 
 
-def _unescape(text: str) -> str:
-    return (
-        text.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
-    )
-
-
 def rfc822_date(epoch_seconds: float) -> str:
     """RFC 822 date string, the format RSS uses throughout."""
     return formatdate(epoch_seconds, usegmt=True)
-
-
-def render_rss(channel: RssChannel) -> str:
-    """Serialize a channel (convenience alias)."""
-    return channel.render()
-
-
-def parse_rss(document: str) -> RssChannel:
-    """Parse an RSS 2.0 document tolerantly.
-
-    Unknown elements are skipped; missing fields default to empty.
-    Raises ValueError only when no ``<channel>`` element exists at all.
-    """
-    channel: RssChannel | None = None
-    current_item: RssItem | None = None
-    element_stack: list[str] = []
-    texts: dict[str, list[str]] = {}
-
-    def text_of(name: str) -> str:
-        return _unescape(" ".join(texts.pop(name, [])).strip())
-
-    for token in tokenize(document):
-        if token.kind is TokenKind.OPEN:
-            element_stack.append(token.name)
-            if token.name == "channel":
-                channel = RssChannel(title="")
-            elif token.name == "item" and channel is not None:
-                current_item = RssItem(title="")
-        elif token.kind is TokenKind.SELFCLOSE:
-            if token.name == "cloud" and channel is not None:
-                channel.cloud_domain = token.attr("domain")
-        elif token.kind is TokenKind.TEXT:
-            if element_stack:
-                texts.setdefault(element_stack[-1], []).append(token.text)
-        elif token.kind is TokenKind.CLOSE:
-            name = token.name
-            while element_stack and element_stack[-1] != name:
-                element_stack.pop()
-            if element_stack:
-                element_stack.pop()
-            if channel is None:
-                texts.pop(name, None)
-                continue
-            if current_item is not None:
-                if name == "title":
-                    current_item.title = text_of("title")
-                elif name == "link":
-                    current_item.link = text_of("link")
-                elif name == "description":
-                    current_item.description = text_of("description")
-                elif name == "guid":
-                    current_item.guid = text_of("guid")
-                elif name == "pubdate":
-                    current_item.pub_date = text_of("pubdate")
-                elif name == "item":
-                    channel.items.append(current_item)
-                    current_item = None
-                continue
-            if name == "title":
-                channel.title = text_of("title")
-            elif name == "link":
-                channel.link = text_of("link")
-            elif name == "description":
-                channel.description = text_of("description")
-            elif name == "lastbuilddate":
-                channel.last_build_date = text_of("lastbuilddate")
-            elif name == "ttl":
-                raw = text_of("ttl")
-                if raw.isdigit():
-                    channel.ttl_minutes = int(raw)
-            elif name == "hour":
-                raw = text_of("hour")
-                if raw.strip().isdigit():
-                    channel.skip_hours += (int(raw),)
-            elif name == "day":
-                channel.skip_days += (text_of("day"),)
-    if channel is None:
-        raise ValueError("document contains no <channel> element")
-    return channel

@@ -19,16 +19,16 @@ This package provides:
 * :mod:`repro.honeycomb.solver` — the numerical solver: per-channel
   convex hulls, the global exchange greedy, and the paper's
   λ-bracketing iteration in ``O(M log M log N)``;
-* :mod:`repro.honeycomb.clusters` — tradeoff clusters: coarse-grained
-  summaries of many channels, binned by the ``f_i/g_i`` ratio, capped
-  at a constant number of bins per polling level;
+* :mod:`repro.honeycomb.clusters` — cluster summaries: per ratio bin,
+  the channel count and factor sums of many channels, binned by the
+  ``f_i/g_i`` ratio, capped at a constant number of bins;
 * :mod:`repro.honeycomb.aggregation` — the decentralized exchange of
   cluster summaries along routing-table contacts, partitioning the
   identifier space so each channel is counted exactly once.
 """
 
 from repro.honeycomb.aggregation import AggregationState, DecentralizedAggregator
-from repro.honeycomb.clusters import ClusterSummary, TradeoffCluster
+from repro.honeycomb.clusters import ClusterSummary
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
 from repro.honeycomb.solver import (
     BracketingSolution,
@@ -46,6 +46,5 @@ __all__ = [
     "HoneycombSolver",
     "Solution",
     "SolverWork",
-    "TradeoffCluster",
     "TradeoffProblem",
 ]

@@ -28,15 +28,13 @@ the slack cluster), and nothing else.  ``merge`` is one array add,
 of no channels is one shared object (:meth:`ClusterSummary.empty`).  The
 optimizer reads them as plain lists (:meth:`ClusterSummary.sums`) and
 nodes fold their channels in as flat records (:meth:`ClusterSummary.
-with_channels`); the per-cluster object API survives as materialized
-:class:`TradeoffCluster` views (the ``clusters``/``slack`` properties)
-for inspection and the tests.
+with_channels`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,69 +58,6 @@ class ChannelFactors:
             raise ValueError("content size must be positive")
         if self.update_interval <= 0:
             raise ValueError("update interval must be positive")
-
-
-@dataclass
-class TradeoffCluster:
-    """Aggregate of ``count`` channels with similar tradeoff factors.
-
-    Factor sums (not means) are stored so that merging two clusters is
-    exact; means are derived on demand.
-    """
-
-    count: int = 0
-    sum_subscribers: float = 0.0
-    sum_size: float = 0.0
-    sum_log_update_interval: float = 0.0
-
-    def add(self, factors: ChannelFactors) -> None:
-        """Fold one channel into the cluster."""
-        self.count += 1
-        self.sum_subscribers += factors.subscribers
-        self.sum_size += factors.size
-        self.sum_log_update_interval += math.log(factors.update_interval)
-
-    def merge(self, other: "TradeoffCluster") -> None:
-        """Fold another cluster (same ratio bin) into this one."""
-        self.count += other.count
-        self.sum_subscribers += other.sum_subscribers
-        self.sum_size += other.sum_size
-        self.sum_log_update_interval += other.sum_log_update_interval
-
-    def mean_factors(self) -> ChannelFactors:
-        """The representative (mean) channel this cluster stands for.
-
-        Update intervals are averaged geometrically: they span many
-        orders of magnitude and the ratio metrics (Corona-Fair) are
-        multiplicative in u_i.
-        """
-        if self.count == 0:
-            raise ValueError("empty cluster has no representative")
-        return ChannelFactors(
-            subscribers=self.sum_subscribers / self.count,
-            size=self.sum_size / self.count,
-            update_interval=math.exp(
-                self.sum_log_update_interval / self.count
-            ),
-        )
-
-    def copy(self) -> "TradeoffCluster":
-        """An independent copy (merging mutates in place)."""
-        return replace(self)
-
-
-def default_ratio(factors: ChannelFactors) -> float:
-    """Fallback binning metric: the Corona-Fair ratio ``q/(u·s)``.
-
-    The paper's example (§3.2): "channels with comparable values for
-    q_i/(u_i s_i) are combined into a cluster in Corona-Fair."  Other
-    schemes supply their own ratio (e.g. plain ``q_i`` for Corona-Lite
-    under the polls metric) through the ``ratio`` argument of
-    :meth:`ClusterSummary.add_channel`.
-    """
-    return max(factors.subscribers, 1e-9) / (
-        factors.update_interval * factors.size
-    )
 
 
 def ratio_bin(ratio: float, bins: int) -> int:
@@ -161,9 +96,6 @@ class ClusterSummary:
     vectorized in-place add and ``copy`` one C-level array copy.  A
     summary carries no polling levels: a level step changes no sum, so
     it dirties nothing and nothing about it crosses the overlay.
-    ``clusters`` and ``slack`` materialize read-only
-    :class:`TradeoffCluster` views for consumers that want the object
-    API; mutating a view does not write back.
     """
 
     __slots__ = ("bins", "_sums")
@@ -188,20 +120,19 @@ class ClusterSummary:
     def add_channel(
         self,
         factors: ChannelFactors,
+        *,
+        ratio: float,
         orphan: bool = False,
-        ratio: float | None = None,
     ) -> None:
         """Fold one channel into the summary (slack if it is an orphan).
 
-        ``ratio`` is the scheme's f/g binning metric; when omitted the
-        Corona-Fair default ``q/(u·s)`` is used.
+        ``ratio`` is the scheme's f/g binning metric (unused for an
+        orphan).
         """
         if orphan:
             slot = self.bins
         else:
-            slot = ratio_bin(
-                default_ratio(factors) if ratio is None else ratio, self.bins
-            )
+            slot = ratio_bin(ratio, self.bins)
         column = self._sums[:, slot]
         column[0] += 1.0
         column[1] += factors.subscribers
@@ -270,38 +201,6 @@ class ClusterSummary:
 
     __hash__ = None  # mutable, like the dataclass it replaced
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ClusterSummary(bins={self.bins}, "
-            f"channels={self.total_channels()}, "
-            f"slack={int(self._sums[0, self.bins])})"
-        )
-
-    # ------------------------------------------------------------------
-    # object-API views
-    # ------------------------------------------------------------------
-    def _cluster_view(self, slot: int) -> TradeoffCluster:
-        column = self._sums[:, slot]
-        return TradeoffCluster(
-            count=int(column[0]),
-            sum_subscribers=float(column[1]),
-            sum_size=float(column[2]),
-            sum_log_update_interval=float(column[3]),
-        )
-
-    @property
-    def clusters(self) -> dict[int, TradeoffCluster]:
-        """Materialized bin → cluster view of the non-empty bins."""
-        return {
-            int(slot): self._cluster_view(slot)
-            for slot in np.flatnonzero(self._sums[0, : self.bins])
-        }
-
-    @property
-    def slack(self) -> TradeoffCluster:
-        """Materialized view of the slack (orphan) cluster."""
-        return self._cluster_view(self.bins)
-
     # ------------------------------------------------------------------
     def total_channels(self) -> int:
         """Channels summarized, excluding the slack cluster."""
@@ -310,15 +209,3 @@ class ClusterSummary:
     def total_subscribers(self) -> float:
         """Sum of q_i over summarized channels (excluding slack)."""
         return float(self._sums[1, : self.bins].sum())
-
-    def cluster_count(self) -> int:
-        """Number of distinct ratio-bin clusters currently held."""
-        return int(np.count_nonzero(self._sums[0, : self.bins]))
-
-    def state_size(self) -> int:
-        """Bin-cap check: distinct clusters never exceed ``bins``.
-
-        (The paper caps clusters *per level*; ratio-only binning is
-        strictly tighter — at most ``bins`` clusters total.)
-        """
-        return self.cluster_count()

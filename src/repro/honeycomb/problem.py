@@ -98,11 +98,3 @@ class TradeoffProblem:
                 for ch in self.channels
             ),
         )
-
-    def validate(self) -> None:
-        """Raise ValueError if any tradeoff violates monotonicity."""
-        for channel in self.channels:
-            if not channel.is_monotonic():
-                raise ValueError(
-                    f"tradeoff for {channel.key!r} is not monotonic in l"
-                )

@@ -46,14 +46,6 @@ class _TokenBucket:
             return True
         return False
 
-    def next_available(self, now: float) -> float:
-        """Earliest time a token will be available."""
-        elapsed = max(0.0, now - self.updated_at)
-        tokens = min(self.capacity, self.tokens + elapsed * self.rate)
-        if tokens >= 1.0:
-            return now
-        return now + (1.0 - tokens) / self.rate
-
 
 @dataclass
 class ImGateway:

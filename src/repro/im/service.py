@@ -69,15 +69,6 @@ class SimIMService:
         self.log.extend(delivered)
         return delivered
 
-    def disconnect(self, handle: str) -> None:
-        """Take a user offline; subsequent messages are buffered."""
-        self._require(handle)
-        self._online.discard(handle)
-
-    def is_online(self, handle: str) -> bool:
-        """Presence check."""
-        return handle in self._online
-
     def _require(self, handle: str) -> None:
         if handle not in self._registered:
             raise KeyError(f"unknown IM handle {handle!r}")

@@ -3,7 +3,7 @@
 Three legs, one facade:
 
 * :mod:`repro.obs.metrics` — the typed metrics registry
-  (Counter/Gauge/Histogram with labels) that backs every protocol
+  (Counter/Histogram with labels) that backs every protocol
   counter in the system;
 * :mod:`repro.obs.trace` — phase-level span tracing (sim + wall
   clocks, allocation deltas, JSON-lines, Chrome-trace export);
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from repro.obs.log import get_logger, setup as setup_logging, should_log
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.provenance import ProvenanceTracker
 from repro.obs.timeline import TimelineSampler
 from repro.obs.trace import (
@@ -38,7 +38,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ProvenanceTracker",

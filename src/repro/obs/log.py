@@ -95,9 +95,6 @@ class RateLimited:
 
     >>> limited = RateLimited(logger, budget=3)
     >>> limited.debug("drop", "dropped %s -> %s", a, b)
-
-    ``suppressed(key)`` reports how many records the key swallowed —
-    emit it once at the end of a run if the number matters.
     """
 
     def __init__(self, logger: logging.Logger, budget: int = 5) -> None:
@@ -123,7 +120,3 @@ class RateLimited:
 
     def info(self, key: str, msg: str, *args) -> None:
         self.log(logging.INFO, key, msg, *args)
-
-    def suppressed(self, key: str) -> int:
-        """Records swallowed for ``key`` after its budget ran out."""
-        return max(0, self._seen.get(key, 0) - self.budget)

@@ -1,4 +1,4 @@
-"""A typed metrics registry: Counter / Gauge / Histogram with labels.
+"""A typed metrics registry: Counter / Histogram with labels.
 
 The registry is the single backing store for every deterministic
 counter the reproduction maintains — the aggregation ``work_*``
@@ -37,7 +37,6 @@ from collections.abc import Iterable, Mapping
 __all__ = [
     "Counter",
     "CounterStruct",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
@@ -49,7 +48,7 @@ def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
 
 
 class _Metric:
-    """Shared naming/label plumbing for all three metric types."""
+    """Shared naming/label plumbing for both metric types."""
 
     __slots__ = ("name", "description", "labelnames", "_children")
 
@@ -111,35 +110,6 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError(f"{self.name}: counters cannot decrease")
         self.value += amount
-
-    def collect(self) -> int | float:
-        return self.value
-
-
-class Gauge(_Metric):
-    """A point-in-time value that can move either way."""
-
-    __slots__ = ("value",)
-
-    kind = "gauge"
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        labelnames: Iterable[str] = (),
-    ) -> None:
-        super().__init__(name, description, labelnames)
-        self.value = 0
-
-    def set(self, value: int | float) -> None:
-        self.value = value
-
-    def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: int | float = 1) -> None:
-        self.value -= amount
 
     def collect(self) -> int | float:
         return self.value
@@ -340,13 +310,13 @@ class CounterStruct:
 
 
 class MetricsRegistry:
-    """Name → metric store with typed constructors and one snapshot.
+    """Name → metric store with typed constructors.
 
     One registry spans one run (the scenario runner creates one per
     ``_execute``); subsystems register their series at construction
-    and mutate the returned handles directly.  ``collect`` renders a
-    JSON-safe snapshot; :meth:`value` reads a single series — the
-    runner's serialization path for the gated counters.
+    and mutate the returned handles directly.  :meth:`value` reads a
+    single series — the runner's serialization path for the gated
+    counters.
     """
 
     def __init__(self) -> None:
@@ -360,14 +330,6 @@ class MetricsRegistry:
         labelnames: Iterable[str] = (),
     ) -> Counter:
         return self._register(Counter(name, description, labelnames))
-
-    def gauge(
-        self,
-        name: str,
-        description: str = "",
-        labelnames: Iterable[str] = (),
-    ) -> Gauge:
-        return self._register(Gauge(name, description, labelnames))
 
     def histogram(
         self,
@@ -400,33 +362,9 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def value(self, name: str) -> int | float:
-        """The scalar value of a registered counter/gauge."""
+        """The scalar value of a registered counter."""
         metric = self._metrics[name]
         return metric.collect()  # type: ignore[return-value]
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
-
-    def collect(self) -> dict:
-        """JSON-safe snapshot of every registered series.
-
-        Labeled families render as ``{"series": {label-repr: data}}``
-        so a dump stays greppable; unlabeled metrics render flat.
-        """
-        snapshot: dict[str, dict] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            children = metric.children()
-            entry: dict = {
-                "kind": metric.kind,
-                "description": metric.description,
-            }
-            if children:
-                entry["series"] = {
-                    ",".join(f"{k}={v}" for k, v in key): child.collect()
-                    for key, child in sorted(children.items())
-                }
-            else:
-                entry["value"] = metric.collect()
-            snapshot[name] = entry
-        return snapshot

@@ -156,10 +156,6 @@ class ProvenanceTracker:
             if slot < self.record_cap:
                 self.records[slot] = record
 
-    @property
-    def detections(self) -> int:
-        return self._seen
-
     # ------------------------------------------------------------------
     def percentiles(self) -> dict[str, dict[str, float | None]]:
         """p50/p95/p99/max per lifecycle component (None when empty)."""

@@ -1,9 +1,9 @@
-"""Per-round time-series sampling of registry counters and gauges.
+"""Per-round time-series sampling of registry counters.
 
 :class:`TimelineSampler` turns the end-of-run scalar counters the
 registry already maintains into *series*: the scenario runner calls
 :meth:`TimelineSampler.sample` once per maintenance round, and the
-sampler snapshots every unlabeled counter/gauge scalar into a bounded
+sampler snapshots every unlabeled counter into a bounded
 in-memory ring.  A run can then answer "when did retransmissions
 spike?" instead of only "how many total?".
 
@@ -25,7 +25,7 @@ Contract (the PR 6 latch, enforced by ``tests/obs``):
 
 from __future__ import annotations
 
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 __all__ = ["TimelineSampler"]
 
@@ -34,9 +34,9 @@ class TimelineSampler:
     """Snapshot registry scalars into a bounded cumulative time series.
 
     ``keys`` restricts sampling to named series; the default samples
-    every unlabeled :class:`Counter`/:class:`Gauge` registered at the
-    time of each snapshot (series that appear mid-run are backfilled
-    with zeros so every column spans the full time axis).
+    every unlabeled :class:`Counter` registered at the time of each
+    snapshot (series that appear mid-run are backfilled with zeros so
+    every column spans the full time axis).
     """
 
     def __init__(
@@ -69,7 +69,7 @@ class TimelineSampler:
         names = []
         for name in self.registry.names():
             metric = self.registry.get(name)
-            if isinstance(metric, (Counter, Gauge)) and not metric.children():
+            if isinstance(metric, Counter) and not metric.children():
                 names.append(name)
         return names
 
@@ -110,10 +110,6 @@ class TimelineSampler:
         self.stride *= 2
 
     # ------------------------------------------------------------------
-    def series(self, name: str) -> list[float]:
-        """Cumulative column for one metric ([] if never sampled)."""
-        return list(self._series.get(name, ()))
-
     def deltas(self, name: str) -> list[float]:
         """Per-retained-interval increments for one metric."""
         column = self._series.get(name)

@@ -149,11 +149,6 @@ class Tracer:
         if registry is not None:
             self.bind_registry(registry)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def disabled(cls) -> "Tracer":
-        return cls()
-
     def bind_registry(self, registry: "MetricsRegistry") -> None:
         """Route per-span wall/alloc observations into ``registry``."""
         self._wall_hist = registry.histogram(
@@ -276,11 +271,6 @@ class Tracer:
             self.sink.write(json.dumps(record) + "\n")
         else:
             self.records.append(record)
-
-    def close(self) -> None:
-        """Flush the sink (the CLI owns closing the file itself)."""
-        if self.sink is not None:
-            self.sink.flush()
 
 
 #: The disabled tracer everything defaults to — instrumented code can

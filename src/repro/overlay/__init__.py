@@ -19,14 +19,14 @@ implementation of the pieces Corona depends on:
   (:mod:`repro.overlay.hashing`).
 """
 
-from repro.overlay.dag import dag_children, dag_reach, dissemination_tree
+from repro.overlay.dag import dissemination_tree
 from repro.overlay.hashing import channel_id, node_id_for_address
 from repro.overlay.leafset import LeafSet
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import PastryNode
 from repro.overlay.nodeid import ID_BITS, NodeId
 from repro.overlay.routing import RoutingTable
-from repro.overlay.wedge import expected_wedge_size, wedge_members
+from repro.overlay.wedge import wedge_members
 
 __all__ = [
     "ID_BITS",
@@ -36,10 +36,7 @@ __all__ = [
     "PastryNode",
     "RoutingTable",
     "channel_id",
-    "dag_children",
-    "dag_reach",
     "dissemination_tree",
-    "expected_wedge_size",
     "node_id_for_address",
     "wedge_members",
 ]

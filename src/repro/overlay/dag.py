@@ -25,32 +25,10 @@ with the root, since the root is itself in the wedge).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 from repro.overlay.nodeid import NodeId
 from repro.overlay.routing import RoutingTable
-
-
-def dag_children(
-    table: RoutingTable, channel: NodeId, start_row: int
-) -> list[tuple[int, NodeId]]:
-    """Forwarding targets for a wedge flood continuing at ``start_row``.
-
-    Returns ``(row, contact)`` pairs for every routing contact in rows
-    ``start_row`` and deeper that lies inside the channel's
-    level-``start_row``-or-deeper wedge.  Contacts in row ``r`` share
-    ``r`` digits with the table owner; when the owner is inside the
-    wedge and ``r >= start_row`` they are inside it too, so the wedge
-    check only guards against stale routing state.
-    """
-    children: list[tuple[int, NodeId]] = []
-    for row in sorted(table._rows):
-        if row < start_row:
-            continue
-        for contact in table._rows[row].values():
-            if contact.shared_prefix_len(channel, table.base) >= start_row:
-                children.append((row, contact))
-    return children
 
 
 def dissemination_tree(
@@ -88,48 +66,3 @@ def dissemination_tree(
                 parents[child] = (node, depth + 1)
                 queue.append((child, row + 1, depth + 1))
     return parents
-
-
-def dag_reach(
-    root: NodeId,
-    tables: Mapping[NodeId, RoutingTable],
-    channel: NodeId,
-    level: int,
-    base: int,
-) -> list[NodeId]:
-    """All nodes the wedge flood reaches from ``root`` (root included)."""
-    parents = dissemination_tree(root, tables, channel, level, base)
-    return [root, *parents]
-
-
-def walk_depths(
-    root: NodeId,
-    tables: Mapping[NodeId, RoutingTable],
-    channel: NodeId,
-    level: int,
-    base: int,
-) -> dict[NodeId, int]:
-    """Hop count from ``root`` for every node the flood reaches."""
-    parents = dissemination_tree(root, tables, channel, level, base)
-    depths = {node: depth for node, (_, depth) in parents.items()}
-    depths[root] = 0
-    return depths
-
-
-def fanout_visitor(
-    root: NodeId,
-    tables: Mapping[NodeId, RoutingTable],
-    channel: NodeId,
-    level: int,
-    base: int,
-    on_message: Callable[[NodeId, NodeId], None],
-) -> int:
-    """Walk the flood tree invoking ``on_message(src, dst)`` per hop.
-
-    Returns the number of messages sent.  The simulators use this to
-    charge network cost for each diff forwarded inside a wedge.
-    """
-    parents = dissemination_tree(root, tables, channel, level, base)
-    for child, (parent, _) in parents.items():
-        on_message(parent, child)
-    return len(parents)

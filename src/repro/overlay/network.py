@@ -25,7 +25,7 @@ randomness, so the overlay is a function of its join/failure sequence.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -510,20 +510,6 @@ class OverlayNetwork:
             self._adjacent_ids(key),
             key=lambda node_id: self.anchor_key(node_id, key),
         )
-
-    def replica_owners(self, key: NodeId, replicas: int) -> list[NodeId]:
-        """Primary owner plus its ``replicas - 1`` closest ring neighbours.
-
-        These hold copies of subscription state (paper §3.3: "the
-        f-closest neighbors of the primary owner along the ring").
-        """
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        primary = self.owner_of(key)
-        ordered = sorted(
-            self.nodes, key=lambda node_id: primary.distance(node_id)
-        )
-        return ordered[:replicas]
 
     # ------------------------------------------------------------------
     # wedge / structural queries

@@ -116,6 +116,3 @@ class PastryNode:
         for leaf in self.leaves.members():
             seen[leaf] = None
         return list(seen)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PastryNode({self.node_id.hex()[:8]}…, b={self.base})"

@@ -97,33 +97,12 @@ class NodeId:
         first_diff_bit = ID_BITS - xor.bit_length()
         return first_diff_bit // bpd
 
-    def with_digit(self, index: int, digit: int, base: int) -> "NodeId":
-        """Return a copy with the ``index``-th digit replaced by ``digit``.
-
-        Used to compute routing-table slot prefixes: row ``i`` column
-        ``j`` of a node's table wants an identifier matching the node's
-        first ``i`` digits with ``j`` as digit ``i``.
-        """
-        if not 0 <= digit < base:
-            raise ValueError(f"digit {digit} outside [0, {base})")
-        ndigits = digits_per_id(base)
-        if not 0 <= index < ndigits:
-            raise IndexError(f"digit index {index} outside [0, {ndigits})")
-        shift = (ndigits - 1 - index) * bits_per_digit(base)
-        cleared = self.value & ~((base - 1) << shift)
-        return NodeId(cleared | (digit << shift))
-
     # ------------------------------------------------------------------
     # circular distance
     # ------------------------------------------------------------------
     def distance_cw(self, other: "NodeId") -> int:
         """Clockwise distance from ``self`` to ``other`` along the ring."""
         return (other.value - self.value) % ID_SPACE
-
-    def distance(self, other: "NodeId") -> int:
-        """Shortest circular distance between the two identifiers."""
-        cw = self.distance_cw(other)
-        return min(cw, ID_SPACE - cw)
 
     def between_cw(self, low: "NodeId", high: "NodeId") -> bool:
         """Return True if ``self`` lies in the clockwise arc ``(low, high]``."""
@@ -135,17 +114,3 @@ class NodeId:
     def hex(self) -> str:
         """Return the canonical 40-character hex rendering."""
         return f"{self.value:040x}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"NodeId({self.hex()[:8]}…)"
-
-    def __lt__(self, other: "NodeId") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "NodeId") -> bool:
-        return self.value <= other.value
-
-
-def id_from_hex(text: str) -> NodeId:
-    """Parse a :class:`NodeId` from hex text (as printed by :meth:`NodeId.hex`)."""
-    return NodeId(int(text, 16))

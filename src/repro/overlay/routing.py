@@ -47,17 +47,6 @@ class RoutingTable:
         col = other.digit(row, self.base)
         return row, col
 
-    def replace(self, candidate: NodeId) -> bool:
-        """Install ``candidate``, overwriting any existing entry."""
-        slot = self.slot_for(candidate)
-        if slot is None:
-            return False
-        row, col = slot
-        existing = self._rows.setdefault(row, {})
-        changed = existing.get(col) != candidate
-        existing[col] = candidate
-        return changed
-
     def remove(self, failed: NodeId) -> bool:
         """Erase a failed node from its slot; True if it was present."""
         slot = self.slot_for(failed)

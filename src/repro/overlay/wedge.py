@@ -32,20 +32,6 @@ def wedge_members(
     ]
 
 
-def expected_wedge_size(n_nodes: int, level: int, base: int) -> float:
-    """Expected wedge population ``N / b**level`` for uniform ids.
-
-    This is the quantity the analytical model (§3.1) plugs into both
-    the latency estimate ``(tau/2) * b**l / N`` and the server-load
-    estimate ``N / b**l`` polls per polling interval.
-    """
-    if n_nodes <= 0:
-        raise ValueError("n_nodes must be positive")
-    if level < 0:
-        raise ValueError("polling level must be >= 0")
-    return n_nodes / base**level
-
-
 def base_level(n_nodes: int, base: int) -> int:
     """The paper's baselevel ``K = ceil(log_b N)``.
 

@@ -2,8 +2,7 @@
 
 Events are callbacks scheduled at absolute times on a binary heap;
 ties break by insertion order, so same-time events run FIFO — a
-property the protocol tests rely on.  Cancellation is lazy (flagged
-and skipped on pop), the standard technique for heap-based schedulers.
+property the protocol tests rely on.
 """
 
 from __future__ import annotations
@@ -24,45 +23,6 @@ class _ScheduledEvent:
     time: float
     seq: int
     callback: Callable[[float], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Returned by :meth:`EventEngine.schedule`; supports cancellation."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
-
-
-class RepeatingHandle:
-    """Returned by :meth:`EventEngine.schedule_every`.
-
-    Cancelling stops the series: the pending occurrence is cancelled
-    and no further ones are scheduled.
-    """
-
-    __slots__ = ("_next", "cancelled")
-
-    def __init__(self) -> None:
-        self._next: EventHandle | None = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Stop the repeating series (idempotent)."""
-        self.cancelled = True
-        if self._next is not None:
-            self._next.cancel()
 
 
 class EventEngine:
@@ -76,7 +36,7 @@ class EventEngine:
 
     def schedule(
         self, when: float, callback: Callable[[float], None]
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback(now)`` at absolute time ``when``.
 
         Scheduling in the past raises — it always indicates a protocol
@@ -90,15 +50,6 @@ class EventEngine:
             time=when, seq=next(self._counter), callback=callback
         )
         heapq.heappush(self._heap, event)
-        return EventHandle(event)
-
-    def schedule_in(
-        self, delay: float, callback: Callable[[float], None]
-    ) -> EventHandle:
-        """Schedule ``delay`` seconds from the current time."""
-        if delay < 0:
-            raise ValueError("delay cannot be negative")
-        return self.schedule(self.now + delay, callback)
 
     def schedule_every(
         self,
@@ -106,31 +57,26 @@ class EventEngine:
         interval: float,
         callback: Callable[[float], None],
         until: float | None = None,
-    ) -> "RepeatingHandle":
+    ) -> None:
         """Fire ``callback`` at ``start`` and every ``interval`` after.
 
         Each occurrence runs the callback first and then schedules the
-        next one (so a callback that cancels the handle stops the
-        series).  ``until`` bounds the last occurrence (inclusive);
+        next one.  ``until`` bounds the last occurrence (inclusive);
         ``None`` repeats forever — pair with :meth:`run_until`.
         """
         if interval <= 0:
             raise ValueError("interval must be positive")
-        handle = RepeatingHandle()
         if until is not None and start > until:
-            return handle  # nothing to do: the bound excludes even start
+            return  # nothing to do: the bound excludes even start
 
         def fire(now: float) -> None:
             callback(now)
             next_time = now + interval
-            if handle.cancelled:
-                return
             if until is not None and next_time > until:
                 return
-            handle._next = self.schedule(next_time, fire)
+            self.schedule(next_time, fire)
 
-        handle._next = self.schedule(start, fire)
-        return handle
+        self.schedule(start, fire)
 
     # ------------------------------------------------------------------
     def run_until(self, horizon: float) -> int:
@@ -146,8 +92,6 @@ class EventEngine:
         debug = _log.isEnabledFor(logging.DEBUG)
         while self._heap and self._heap[0].time <= horizon:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self.now = event.time
             event.callback(event.time)
             executed += 1
@@ -161,34 +105,3 @@ class EventEngine:
         self.now = max(self.now, horizon)
         self.executed += executed
         return executed
-
-    def run_all(self, max_events: int = 10_000_000) -> int:
-        """Drain the heap completely (with a runaway guard)."""
-        executed = 0
-        while self._heap:
-            if executed >= max_events:
-                raise RuntimeError(
-                    f"event cascade exceeded {max_events} events"
-                )
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.callback(event.time)
-            executed += 1
-        self.executed += executed
-        return executed
-
-    def pending(self) -> int:
-        """Events still scheduled (including lazily-cancelled ones)."""
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, if any.
-
-        Cancelled events at the top of the heap are discarded as a side
-        effect (they would be skipped on pop anyway).
-        """
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None

@@ -91,25 +91,6 @@ class LatencyModel:
             self.floor + self.rng.lognormvariate(self._mu, self.sigma)
         )
 
-    def sample_path(self, hops: int) -> float:
-        """Total delay across ``hops`` sequential overlay hops."""
-        if hops < 0:
-            raise ValueError("hop count cannot be negative")
-        return sum(self.sample() for _ in range(hops))
-
-
-@dataclass
-class UniformLatency:
-    """Degenerate model for tests: constant per-hop delay."""
-
-    delay: float = 0.05
-
-    def sample(self) -> float:
-        return self.delay
-
-    def sample_path(self, hops: int) -> float:
-        return self.delay * hops
-
 
 @dataclass
 class JitterModel:

@@ -459,7 +459,9 @@ class MacroSimulator:
                 if weighted_delay_count
                 else float("nan")
             ),
-            polls_per_channel_per_tau=total_polls / duration_intervals / m,
+            polls_per_channel_per_tau=float(
+                total_polls / duration_intervals / m
+            ),
             target_polls_per_tau=float(q.sum()),
             orphan_count=int(self.world.orphan.sum()),
             analytic_weighted_delay=analytic,

@@ -50,6 +50,3 @@ class TimeSeries:
         """Per-bucket total."""
         buckets = sorted(self._sums)
         return np.array([self._sums[b] for b in buckets], dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self._sums)

@@ -22,7 +22,6 @@ channel URL and gives each the observable surface a real server has:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -44,7 +43,6 @@ class HostedChannel:
     last_published: float = 0.0
     polls_served: int = 0
     rate_limited: int = 0
-    not_modified: int = 0  # polls answered without a body
     #: The (document, version, published_at) snapshot of the last
     #: successfully served poll — what a rate-limited source is handed
     #: instead of fresh content (the server refuses to do work; the
@@ -112,7 +110,6 @@ class WebServerFarm:
         self.limiter = RateLimiter(min_spacing=rate_limit_spacing)
         self.noise = noise
         self.total_polls = 0
-        self.total_not_modified = 0
         self.total_updates = 0
         self._now = 0.0
         #: The update calendar, and each channel's live entry on it.
@@ -215,8 +212,6 @@ class WebServerFarm:
             )
         pending, version, published_at = hosted.last_served
         if 0 < version <= have_version:
-            hosted.not_modified += 1
-            self.total_not_modified += 1
             document, size = None, 0
         else:
             document = pending.materialise()

@@ -46,7 +46,6 @@ from repro.sweeps.spec import (
     SweepSpec,
     SweepSpecError,
     SweepTask,
-    selections_for,
 )
 from repro.sweeps.worker import TaskOutcome, run_task
 
@@ -73,7 +72,6 @@ __all__ = [
     "run_sweep",
     "run_task",
     "run_tasks",
-    "selections_for",
     "sweep_names",
     "variant_json",
     "write_variant_file",

@@ -251,9 +251,3 @@ class SweepJournal:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __enter__(self) -> SweepJournal:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

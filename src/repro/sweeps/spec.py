@@ -21,7 +21,6 @@ all raise :class:`SweepSpecError` before any process is spawned.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.scenarios.registry import UnknownScenarioError, get_scenario
@@ -173,8 +172,3 @@ class SweepSpec:
         for selection in self.selections:
             seen.setdefault(selection.scenario, None)
         return list(seen)
-
-
-def selections_for(names: Iterable[str]) -> tuple[SweepSelection, ...]:
-    """All-variant selections for ``names`` (helper for ad-hoc grids)."""
-    return tuple(SweepSelection(name) for name in names)

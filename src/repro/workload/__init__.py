@@ -15,7 +15,7 @@ paper states every distribution the evaluation consumes:
 This package regenerates equivalent workloads from those published
 parameters:
 
-* :mod:`repro.workload.zipf` — Zipf sampling and exponent fitting;
+* :mod:`repro.workload.zipf` — Zipf popularity and subscriber counts;
 * :mod:`repro.workload.rss_survey` — the survey's update-interval and
   content-size distributions;
 * :mod:`repro.workload.trace` — full subscription traces binding
@@ -24,13 +24,11 @@ parameters:
 
 from repro.workload.rss_survey import SurveyDistributions
 from repro.workload.trace import SubscriptionTrace, generate_trace
-from repro.workload.zipf import fit_zipf_exponent, zipf_popularity, zipf_sample
+from repro.workload.zipf import zipf_popularity
 
 __all__ = [
     "SubscriptionTrace",
     "SurveyDistributions",
-    "fit_zipf_exponent",
     "generate_trace",
     "zipf_popularity",
-    "zipf_sample",
 ]

@@ -34,10 +34,6 @@ HOUR = 3600.0
 FRACTION_WITHIN_HOUR = 0.10
 FRACTION_UNCHANGED = 0.50
 
-#: Survey update shape: mean lines changed and fraction of content.
-MEAN_DIFF_LINES = 17
-MEAN_DIFF_FRACTION = 0.068
-
 
 @dataclass
 class SurveyDistributions:
@@ -102,19 +98,3 @@ class SurveyDistributions:
             raise ValueError("need at least one channel")
         sizes = self.rng.lognormal(mean=np.log(8192.0), sigma=0.75, size=n_channels)
         return np.clip(sizes, 512.0, 512 * 1024.0)
-
-    def diff_sizes(self, content_sizes: np.ndarray) -> np.ndarray:
-        """Per-update diff sizes: ≈6.8 % of content, jittered."""
-        sizes = np.asarray(content_sizes, dtype=np.float64)
-        jitter = self.rng.lognormal(mean=0.0, sigma=0.5, size=sizes.shape)
-        return np.clip(sizes * MEAN_DIFF_FRACTION * jitter, 64.0, sizes)
-
-    # ------------------------------------------------------------------
-    def summarize(self, intervals: np.ndarray) -> dict[str, float]:
-        """Quantile check used by tests: the quoted survey fractions."""
-        intervals = np.asarray(intervals, dtype=np.float64)
-        return {
-            "fraction_within_hour": float((intervals <= HOUR).mean()),
-            "fraction_unchanged": float((intervals >= WEEK).mean()),
-            "median": float(np.median(intervals)),
-        }

@@ -1,4 +1,4 @@
-"""Zipf popularity: sampling and fitting.
+"""Zipf popularity.
 
 Channel popularity in the Cornell workload "closely follows a Zipf
 distribution with exponent 0.5" (§5); both the simulations and the
@@ -6,8 +6,6 @@ deployment issue subscriptions from that distribution.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,20 +22,6 @@ def zipf_popularity(n_channels: int, exponent: float = 0.5) -> np.ndarray:
     ranks = np.arange(1, n_channels + 1, dtype=np.float64)
     masses = ranks**-exponent
     return masses / masses.sum()
-
-
-def zipf_sample(
-    n_samples: int,
-    n_channels: int,
-    exponent: float = 0.5,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Draw ``n_samples`` channel ranks (0-based) Zipf-distributed."""
-    if n_samples < 0:
-        raise ValueError("n_samples cannot be negative")
-    generator = rng or np.random.default_rng(0)
-    probabilities = zipf_popularity(n_channels, exponent)
-    return generator.choice(n_channels, size=n_samples, p=probabilities)
 
 
 def subscription_counts(
@@ -62,27 +46,3 @@ def subscription_counts(
         return counts
     generator = rng or np.random.default_rng(0)
     return generator.multinomial(n_subscriptions, probabilities)
-
-
-def fit_zipf_exponent(counts: np.ndarray) -> float:
-    """Least-squares slope of log(count) vs log(rank).
-
-    Used by tests and the analysis module to confirm generated
-    workloads reproduce the survey's 0.5 exponent; zero counts are
-    excluded (they carry no log information).
-    """
-    ordered = np.sort(np.asarray(counts, dtype=np.float64))[::-1]
-    ordered = ordered[ordered > 0]
-    if ordered.size < 2:
-        raise ValueError("need at least two non-empty channels to fit")
-    log_rank = np.log(np.arange(1, ordered.size + 1, dtype=np.float64))
-    log_count = np.log(ordered)
-    slope, _intercept = np.polyfit(log_rank, log_count, deg=1)
-    return float(-slope)
-
-
-def harmonic_number(n: int, exponent: float) -> float:
-    """Generalized harmonic number ``H_{n,s}`` (Zipf normalizer)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(sum(1.0 / math.pow(k, exponent) for k in range(1, n + 1)))

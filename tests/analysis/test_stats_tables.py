@@ -7,7 +7,6 @@ from repro.analysis.stats import (
     improvement_factor,
     rank_correlation,
     steady_state_mean,
-    summarize_delays,
 )
 from repro.analysis.tables import (
     format_scatter_summary,
@@ -31,16 +30,6 @@ class TestStats:
     def test_steady_state_validation(self):
         with pytest.raises(ValueError):
             steady_state_mean(np.array([1.0]), tail_fraction=0.0)
-
-    def test_summarize_delays(self):
-        summary = summarize_delays(np.arange(100, dtype=float))
-        assert summary["count"] == 100
-        assert summary["mean"] == pytest.approx(49.5)
-        assert summary["p90"] == pytest.approx(89.1)
-
-    def test_summarize_empty(self):
-        summary = summarize_delays(np.array([np.nan]))
-        assert summary["count"] == 0
 
     def test_improvement_factor(self):
         assert improvement_factor(900.0, 60.0) == 15.0

@@ -36,11 +36,3 @@ class TestValidation:
     def test_all_schemes_constructible(self):
         for scheme in SCHEME_NAMES:
             assert CoronaConfig(scheme=scheme).scheme == scheme
-
-    def test_with_scheme_copies(self):
-        base = CoronaConfig()
-        fast = base.with_scheme("fast", latency_target=45.0)
-        assert fast.scheme == "fast"
-        assert fast.latency_target == 45.0
-        assert base.scheme == "lite"  # original untouched
-        assert fast.polling_interval == base.polling_interval

@@ -1,8 +1,6 @@
 """Dissemination planning: message counts and wedge coverage."""
 
-import pytest
-
-from repro.core.dissemination import dissemination_cost, wedge_recipients
+from repro.core.dissemination import wedge_recipients
 from repro.overlay.hashing import channel_id
 
 
@@ -47,27 +45,20 @@ class TestWedgeRecipients:
 
 
 class TestCost:
-    def test_cost_scales_with_wedge_and_diff_size(self, small_overlay):
+    def test_level_zero_costs_one_message_per_member(self, small_overlay):
         cid = channel_id("http://cost.example/feed")
         anchor = small_overlay.anchor_of(cid)
-        tables = small_overlay.routing_tables()
-        messages, bytes_small = dissemination_cost(
-            anchor, tables, cid, 0, small_overlay.base, diff_bytes=100
+        plan = wedge_recipients(
+            anchor, small_overlay.routing_tables(), cid, 0, small_overlay.base
         )
-        _messages, bytes_large = dissemination_cost(
-            anchor, tables, cid, 0, small_overlay.base, diff_bytes=1000
-        )
-        assert messages == len(small_overlay) - 1
-        assert bytes_large == 10 * bytes_small
+        assert len(plan) == len(small_overlay) - 1
 
     def test_deeper_level_cheaper(self, small_overlay):
         cid = channel_id("http://cheap.example/feed")
         anchor = small_overlay.anchor_of(cid)
         tables = small_overlay.routing_tables()
-        m0, _ = dissemination_cost(
-            anchor, tables, cid, 0, small_overlay.base, 100
-        )
-        m1, _ = dissemination_cost(
-            anchor, tables, cid, 1, small_overlay.base, 100
+        m0, m1 = (
+            len(wedge_recipients(anchor, tables, cid, level, small_overlay.base))
+            for level in (0, 1)
         )
         assert m1 <= m0

@@ -86,7 +86,7 @@ class TestSubscriptions:
         summary = node.local_summary()
         assert summary == expected
         assert summary.total_subscribers() == 1
-        assert summary.slack.count == 1
+        assert summary.sums()[0][-1] == 1
         assert summary is not node.local_summary()  # the aggregator keeps it
 
 

@@ -6,12 +6,10 @@ import pytest
 
 from repro.core.config import CoronaConfig
 from repro.core.objectives import (
-    LegacyRss,
     ProblemInputs,
     Scheme,
     binning_ratio,
     build_problem,
-    build_tradeoff,
     constraint_target,
     detection_time,
     fairness_weight,
@@ -24,6 +22,21 @@ from repro.honeycomb.clusters import ChannelFactors
 
 def factors(q=10.0, s=1000.0, u=3600.0) -> ChannelFactors:
     return ChannelFactors(subscribers=q, size=s, update_interval=u)
+
+
+def build_tradeoff(scheme, key, factors, config, n_nodes, levels):
+    """One channel's curves, as :func:`build_problem` poses them."""
+    inputs = ProblemInputs(
+        total_subscriptions=factors.subscribers,
+        total_bandwidth_demand=0.0,
+        orphan_load=0.0,
+        orphan_latency=0.0,
+    )
+    problem = build_problem(
+        scheme, config, n_nodes, [(key, factors, tuple(levels), 1)], inputs
+    )
+    (tradeoff,) = problem.channels
+    return tradeoff
 
 
 class TestAnalyticEstimates:
@@ -188,7 +201,7 @@ class TestBuildProblem:
         problem = build_problem(Scheme.LITE, config, 1024, entries, inputs)
         from repro.honeycomb.solver import HoneycombSolver
 
-        problem.validate()
+        assert all(channel.is_monotonic() for channel in problem.channels)
         solution = HoneycombSolver().solve(problem)
         assert solution.feasible
         # Popular channels must get levels at least as low (more
@@ -216,17 +229,3 @@ class TestBinningRatio:
             Scheme.FAIR, config, factors(q=10, u=604800)
         )
         assert fast_channel > slow_channel
-
-
-class TestLegacyBaseline:
-    def test_detection_time_is_half_tau(self):
-        legacy = LegacyRss(CoronaConfig(polling_interval=1800.0))
-        assert legacy.detection_time() == 900.0  # Table 2's legacy row
-
-    def test_channel_load_equals_subscribers(self):
-        legacy = LegacyRss(CoronaConfig())
-        assert legacy.channel_load(37.0) == 37.0
-
-    def test_bandwidth_load(self):
-        legacy = LegacyRss(CoronaConfig(load_metric="bandwidth"))
-        assert legacy.channel_load(10.0, size=2048.0) == 20480.0

@@ -19,6 +19,7 @@ from repro.diffengine.extractor import CoreContentExtractor
 from repro.faults.chaos import chaos_timeline
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.simulation.webserver import WebServerFarm
 
 BASELINE = Path(__file__).resolve().parents[2] / "ci/baselines/steady-state.json"
 
@@ -47,6 +48,15 @@ class TestScenarios:
             "apply_diff",
             lambda old, diff: applies.append(1) or real_apply(old, diff),
         )
+        bodiless = []  # per poll: answered not-modified?
+        real_fetch = WebServerFarm.fetch
+
+        def fetch(self, *args, **kwargs):
+            reply = real_fetch(self, *args, **kwargs)
+            bodiless.append(reply.document is None)
+            return reply
+
+        monkeypatch.setattr(WebServerFarm, "fetch", fetch)
         offered = []  # (diff, base) per member patch; diffs kept alive
         real_once = node_module.apply_once
         monkeypatch.setattr(
@@ -66,7 +76,7 @@ class TestScenarios:
         assert actual["polls"] == 6161
         assert len(calls) == 2027
         (system,) = systems
-        assert system.fetcher.total_not_modified == 6161 - 2027
+        assert sum(bodiless) == 6161 - 2027
         # Stagger generators are built on a node's first poll task
         # (the counts above pin that the draws are unchanged); a node
         # that was never given one holds none.

@@ -1,6 +1,6 @@
 """Version clocks, dedup, and content state."""
 
-from repro.core.update import ContentState, UpdateRecord, VersionClock
+from repro.core.update import ContentState, VersionClock
 
 
 class TestVersionClock:
@@ -23,15 +23,6 @@ class TestVersionClock:
         clock.observe_timestamp(50)
         assert clock.assign_next() > 50
 
-    def test_redundancy_check(self):
-        """Concurrent detections: the second diff claims an old base
-        and is dropped (§3.4's dedup at the primary owner)."""
-        clock = VersionClock()
-        clock.assign_next()  # version 1
-        clock.assign_next()  # version 2
-        assert clock.is_redundant(base_version=1)
-        assert not clock.is_redundant(base_version=2)
-
 
 class TestContentState:
     def test_replace_installs_version_and_lines(self):
@@ -44,40 +35,3 @@ class TestContentState:
         state = ContentState()
         assert state.version == 0
         assert state.lines == ()
-
-
-class TestUpdateRecord:
-    def test_detection_delay(self):
-        record = UpdateRecord(
-            url="http://x/",
-            version=2,
-            base_version=1,
-            diff_lines=17,
-            diff_bytes=500,
-            detected_at=150.0,
-            published_at=100.0,
-        )
-        assert record.detection_delay == 50.0
-
-    def test_delay_unknown_without_publish_time(self):
-        record = UpdateRecord(
-            url="http://x/",
-            version=2,
-            base_version=1,
-            diff_lines=1,
-            diff_bytes=10,
-            detected_at=5.0,
-        )
-        assert record.detection_delay is None
-
-    def test_delay_clamped_non_negative(self):
-        record = UpdateRecord(
-            url="http://x/",
-            version=2,
-            base_version=1,
-            diff_lines=1,
-            diff_bytes=10,
-            detected_at=5.0,
-            published_at=10.0,
-        )
-        assert record.detection_delay == 0.0

@@ -1,13 +1,8 @@
-"""Delta application: validation, composition, failure modes."""
+"""Delta application: validation, failure modes, wire size."""
 
 import pytest
 
-from repro.diffengine.delta import (
-    DeltaError,
-    apply_diff,
-    compose,
-    diff_size_bytes,
-)
+from repro.diffengine.delta import DeltaError, apply_diff
 from repro.diffengine.differ import Diff, Hunk, HunkKind, diff_lines
 
 
@@ -43,30 +38,12 @@ class TestApplyValidation:
         assert apply_diff(["a", "b"], diff) == ["a", "b"]
 
 
-class TestCompose:
-    def test_chain_applies_in_order(self):
-        v1 = ["a", "b"]
-        v2 = ["a", "x", "b"]
-        v3 = ["a", "x"]
-        d12 = diff_lines(v1, v2, 1, 2)
-        d23 = diff_lines(v2, v3, 2, 3)
-        assert compose(v1, [d12, d23]) == v3
-
-    def test_version_gap_rejected(self):
-        v1, v2, v3 = ["a"], ["b"], ["c"]
-        d12 = diff_lines(v1, v2, 1, 2)
-        d34 = diff_lines(v2, v3, 3, 4)  # claims base 3, we have 2
-        with pytest.raises(DeltaError):
-            compose(v1, [d12, d34])
-
-    def test_empty_chain(self):
-        assert compose(["a"], []) == ["a"]
-
-
 class TestSizeAccounting:
+    """The wire size of a delta is its rendered text."""
+
     def test_diff_size_positive_for_changes(self):
         diff = diff_lines(["a"], ["b"], 1, 2)
-        assert diff_size_bytes(diff) > 0
+        assert len(diff.render().encode("utf-8")) > 0
 
     def test_diff_much_smaller_than_content(self):
         """Delta encoding wins: the wire size of a one-line change in a
@@ -76,4 +53,4 @@ class TestSizeAccounting:
         new[100] = "the single changed line"
         diff = diff_lines(old, new, 1, 2)
         content_bytes = sum(len(line) + 1 for line in new)
-        assert diff_size_bytes(diff) < content_bytes * 0.05
+        assert len(diff.render().encode("utf-8")) < content_bytes * 0.05

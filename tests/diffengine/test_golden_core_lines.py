@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.diffengine import extractor as extractor_module
 from repro.diffengine.extractor import CoreContentExtractor
-from repro.feeds.atom import AtomEntry, AtomFeed, rfc3339_date
 from repro.feeds.generator import FeedGenerator
 
 GOLDEN = Path(__file__).parent / "golden" / "core_lines.json"
@@ -83,26 +83,40 @@ FRAGMENTS = (
 
 
 def _atom_document(rng: random.Random, entries: int) -> str:
+    """An Atom 1.0 feed (RFC 3339 dates); its words need no escaping."""
     words = "corona beehive wedge honeycomb pastry overlay feed".split()
 
     def sentence(n: int) -> str:
         return " ".join(rng.choice(words) for _ in range(n))
 
-    return AtomFeed(
-        title="atom " + sentence(2),
-        link="http://atom.example/feed",
-        updated=rfc3339_date(rng.randrange(10**6)),
-        entries=[
-            AtomEntry(
-                title=sentence(4),
-                link=f"http://atom.example/{index}",
-                summary=sentence(rng.randint(5, 20)),
-                entry_id=f"urn:entry:{index}",
-                updated=rfc3339_date(rng.randrange(10**6)),
-            )
-            for index in range(entries)
-        ],
-    ).render()
+    def date() -> str:
+        return time.strftime(
+            "%Y-%m-%dT%H:%M:%SZ", time.gmtime(rng.randrange(10**6))
+        )
+
+    parts = [
+        '<?xml version="1.0" encoding="utf-8"?>',
+        '<feed xmlns="http://www.w3.org/2005/Atom">',
+        f"<title>atom {sentence(2)}</title>",
+        '<link href="http://atom.example/feed"/>',
+        f"<updated>{date()}</updated>",
+    ]
+    for index in range(entries):
+        title = sentence(4)
+        summary = sentence(rng.randint(5, 20))
+        parts.append(
+            "\n".join([
+                "<entry>",
+                f"<title>{title}</title>",
+                f"<id>urn:entry:{index}</id>",
+                f'<link href="http://atom.example/{index}"/>',
+                f"<summary>{summary}</summary>",
+                f"<updated>{date()}</updated>",
+                "</entry>",
+            ])
+        )
+    parts.append("</feed>")
+    return "\n".join(parts)
 
 
 def _mutate(rng: random.Random, document: str) -> str:

@@ -2,7 +2,7 @@
 
 The determinism contract of the fault subsystem: a system driven with
 ``faults=None`` (the plane absent — exactly the pre-fault code paths),
-with ``FaultPlane.none()``, and with a configured-but-harmless plane
+with ``FaultPlane()``, and with a configured-but-harmless plane
 (zero rates, a partition that separates nobody) must produce
 bit-identical counters, channel levels, aggregation state and farm
 totals under any interleaving of steady state, churn and flash
@@ -105,7 +105,7 @@ def empty_table_plane(seed):
     """A clean plane with an empty LinkTable installed: the link-layer
     leg of the contract — installing no table and installing a table
     with nothing configured must be indistinguishable."""
-    plane = FaultPlane.none(seed=seed)
+    plane = FaultPlane(seed=seed)
     plane.install_links(LinkTable(seed=seed + 7))
     return plane
 
@@ -114,7 +114,7 @@ def default_spec_table_plane(seed):
     """An *active* table whose every spec is all-default (non-hostile):
     spec resolution runs on each hop, but every link falls back to the
     uniform path — still byte-identical to no table at all."""
-    plane = FaultPlane.none(seed=seed)
+    plane = FaultPlane(seed=seed)
     table = LinkTable(seed=seed + 7)
     table.set_link("nobody", "nowhere", LinkSpec())
     plane.install_links(table)
@@ -127,7 +127,7 @@ class TestSystemFaultOffEquivalence:
         "make_plane",
         [
             lambda seed: None,
-            FaultPlane.none,
+            FaultPlane,
             harmless_plane,
             empty_table_plane,
             default_spec_table_plane,

@@ -7,12 +7,12 @@ from repro.faults import FaultPlane, LinkSpec, LinkTable
 
 class TestInactivePlane:
     def test_none_is_inactive(self):
-        plane = FaultPlane.none()
+        plane = FaultPlane()
         assert not plane.active
         assert not plane.ever_active
 
     def test_inactive_transmit_is_clean_and_shared(self):
-        plane = FaultPlane.none()
+        plane = FaultPlane()
         first = plane.transmit("a", "b")
         second = plane.transmit("b", "c")
         assert first is second  # the constant outcome: no allocation
@@ -20,7 +20,7 @@ class TestInactivePlane:
         assert first.attempts == 1
 
     def test_inactive_plane_draws_no_randomness(self):
-        plane = FaultPlane.none(seed=3)
+        plane = FaultPlane(seed=3)
         state = plane.rng.getstate()
         for _ in range(50):
             plane.transmit("a", "b")

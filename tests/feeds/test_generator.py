@@ -1,18 +1,22 @@
 """Synthetic feed generator: update shapes and noise behaviour."""
 
+import xml.etree.ElementTree as ET
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.diffengine.extractor import extract_core_lines
 from repro.feeds.generator import FeedGenerator
-from repro.feeds.rss import parse_rss
+
+
+def _items(document: str) -> list:
+    return ET.fromstring(document).findall("channel/item")
 
 
 class TestGenerator:
     def test_initial_document_parses(self):
         generator = FeedGenerator(url="http://g.example/f", seed=1)
-        parsed = parse_rss(generator.render(0.0))
-        assert len(parsed.items) == generator.target_items
+        assert len(_items(generator.render(0.0))) == generator.target_items
 
     def test_deterministic_for_same_seed(self):
         a = FeedGenerator(url="http://g.example/f", seed=5, include_noise=False)
@@ -48,8 +52,8 @@ class TestGenerator:
         )
         for step in range(50):
             generator.publish_update(float(step))
-        parsed = parse_rss(generator.render(50.0))
-        assert len(parsed.items) <= 8 + 2  # double-insert burst allowance
+        items = _items(generator.render(50.0))
+        assert len(items) <= 8 + 2  # double-insert burst allowance
 
     def test_update_diff_is_small_fraction(self):
         """The survey's shape: one update touches a small fraction of

@@ -48,10 +48,10 @@ class TestAggregation:
         assert rounds >= 1
         for node_id in net.node_ids():
             summary = agg.summary_at(node_id)
-            counted = summary.total_channels() + summary.slack.count
+            counted = summary.total_channels() + summary.sums()[0][-1]
             assert counted == 300
             q_counted = (
-                summary.total_subscribers() + summary.slack.sum_subscribers
+                summary.total_subscribers() + summary.sums()[1][-1]
             )
             assert q_counted == pytest.approx(total_q)
 
@@ -82,7 +82,7 @@ class TestAggregation:
         for node_id in net.node_ids():
             own_q = sum(entry[0].subscribers for entry in assignments[node_id])
             remote = agg.states[node_id].best_remote()
-            remote_q = remote.total_subscribers() + remote.slack.sum_subscribers
+            remote_q = remote.total_subscribers() + remote.sums()[1][-1]
             assert remote_q == pytest.approx(total_q - own_q)
 
     def test_slack_propagates(self, populated):
@@ -99,7 +99,7 @@ class TestAggregation:
             if entry[1]
         )
         summary = agg.summary_at(net.node_ids()[3])
-        assert summary.slack.count == expected_orphans
+        assert summary.sums()[0][-1] == expected_orphans
 
     def test_reload_refreshes_factors(self, populated):
         """Factor changes (new subscribers) flow through on reload."""
@@ -128,5 +128,5 @@ class TestAggregation:
         for _ in range(net.aggregation_rows() + 1):
             agg.run_round()
         summary = agg.summary_at(net.node_ids()[0])
-        q_counted = summary.total_subscribers() + summary.slack.sum_subscribers
+        q_counted = summary.total_subscribers() + summary.sums()[1][-1]
         assert q_counted == pytest.approx(2 * total_q)

@@ -14,12 +14,6 @@ def service() -> SimIMService:
 
 
 class TestPresence:
-    def test_connect_disconnect(self, service):
-        service.connect("alice")
-        assert service.is_online("alice")
-        service.disconnect("alice")
-        assert not service.is_online("alice")
-
     def test_unknown_handle_rejected(self, service):
         with pytest.raises(KeyError):
             service.connect("mallory")

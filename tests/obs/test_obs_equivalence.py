@@ -84,7 +84,8 @@ def test_baseline_scenarios_byte_identical_with_introspection_on(name):
     assert actual == baseline
     # …and the introspection layer genuinely saw the run it left alone.
     assert obs.timeline is not None and obs.timeline.rounds > 0
-    assert obs.provenance is not None and obs.provenance.detections > 0
+    assert obs.provenance is not None
+    assert obs.provenance.histograms["freshness"].count > 0
 
 
 def test_introspected_rerun_is_byte_stable():

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
     CounterStruct,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -42,15 +41,6 @@ class TestCounter:
         c = Counter("msgs", labelnames=("kind",))
         with pytest.raises(ValueError, match="expected labels"):
             c.labels(flavor="diff")
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("depth")
-        g.set(7)
-        g.inc(2)
-        g.dec(4)
-        assert g.collect() == 5
 
 
 class TestHistogram:
@@ -155,11 +145,8 @@ class TestMetricsRegistry:
     def test_constructors_register_and_value_reads(self):
         registry = MetricsRegistry()
         c = registry.counter("polls", "total")
-        g = registry.gauge("nodes")
         c.inc(3)
-        g.set(128)
         assert registry.value("polls") == 3
-        assert registry.value("nodes") == 128
         assert registry.get("polls") is c
         assert registry.get("missing") is None
 
@@ -169,39 +156,12 @@ class TestMetricsRegistry:
         registry.counter("alpha")
         assert registry.names() == ["alpha", "zeta"]
 
-    def test_collect_snapshot_flat_and_labeled(self):
-        registry = MetricsRegistry()
-        registry.counter("polls", "total polls").inc(2)
-        hist = registry.histogram(
-            "wall", "per-phase wall", labelnames=("phase",), buckets=(1.0,)
-        )
-        hist.labels(phase="repair").observe(0.5)
-        snap = registry.collect()
-        assert snap["polls"] == {
-            "kind": "counter",
-            "description": "total polls",
-            "value": 2,
-        }
-        assert snap["wall"]["kind"] == "histogram"
-        assert snap["wall"]["series"]["phase=repair"]["count"] == 1
-
-    def test_collect_is_json_safe(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("polls").inc()
-        registry.histogram("h", buckets=(1.0,)).observe(2.0)
-        payload = json.dumps(registry.collect())
-        assert "polls" in payload
-
     def test_value_of_unknown_name_raises(self):
         with pytest.raises(KeyError):
             MetricsRegistry().value("nope")
 
     def test_histogram_min_inf_never_leaks_into_collect(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0,))
-        snap = registry.collect()["h"]["value"]
+        snap = MetricsRegistry().histogram("h", buckets=(1.0,)).collect()
         assert snap["min"] is None and snap["max"] is None
         assert not any(
             isinstance(v, float) and math.isinf(v)

@@ -43,12 +43,12 @@ class TestRecording:
         record = tracker.records[0]
         assert record.freshness == 8.5
         assert tracker.histograms["freshness"].sum == 8.5
-        assert tracker.detections == 1
+        assert tracker.to_dict()["detections"] == 1
 
     def test_reservoir_bounded_by_record_cap(self):
         tracker = ProvenanceTracker(seed=0, record_cap=16)
         _feed(tracker, 200)
-        assert tracker.detections == 200
+        assert tracker.to_dict()["detections"] == 200
         assert len(tracker.records) == 16
 
     def test_reservoir_deterministic_per_seed(self):

@@ -17,6 +17,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler
 
 
+def _series(sampler: TimelineSampler, name: str) -> list[float]:
+    """One metric's cumulative column ([] if never sampled)."""
+    column = sampler.to_dict()["series"].get(name)
+    return column["cumulative"] if column else []
+
+
 def _registry_with_counter(name: str = "polls"):
     registry = MetricsRegistry()
     counter = registry.counter(name)
@@ -30,7 +36,7 @@ class TestSampling:
         for round_no in range(1, 5):
             polls.inc(round_no)  # 1, 3, 6, 10 cumulative
             sampler.sample(now=float(round_no))
-        assert sampler.series("polls") == [1.0, 3.0, 6.0, 10.0]
+        assert _series(sampler, "polls") == [1.0, 3.0, 6.0, 10.0]
         assert sampler.deltas("polls") == [1.0, 2.0, 3.0, 4.0]
         assert sampler.times == [1.0, 2.0, 3.0, 4.0]
 
@@ -39,8 +45,8 @@ class TestSampling:
         registry.counter("noise").inc()
         sampler = TimelineSampler(registry, keys=("polls",), capacity=8)
         sampler.sample(now=0.0)
-        assert sampler.series("polls") == [0.0]
-        assert sampler.series("noise") == []
+        assert _series(sampler, "polls") == [0.0]
+        assert _series(sampler, "noise") == []
 
     def test_labeled_metrics_are_skipped(self):
         registry = MetricsRegistry()
@@ -48,7 +54,7 @@ class TestSampling:
         labeled.labels(kind="diff").inc()
         sampler = TimelineSampler(registry, capacity=8)
         sampler.sample(now=0.0)
-        assert sampler.series("msgs") == []
+        assert _series(sampler, "msgs") == []
 
     def test_late_series_zero_backfilled(self):
         registry, polls = _registry_with_counter()
@@ -58,7 +64,7 @@ class TestSampling:
         late = registry.counter("drops")
         late.inc(5)
         sampler.sample(now=1.0)
-        assert sampler.series("drops") == [0.0, 5.0]
+        assert _series(sampler, "drops") == [0.0, 5.0]
         assert sampler.deltas("drops") == [0.0, 5.0]
 
     def test_bad_capacity_rejected(self):
@@ -103,7 +109,7 @@ class TestDecimation:
         # Cumulative columns: the last retained sample plus the deltas
         # it implies still account for every increment ever offered up
         # to that retained point.
-        column = sampler.series("polls")
+        column = _series(sampler, "polls")
         assert column == sorted(column)  # cumulative stays monotone
         assert sum(sampler.deltas("polls")) == column[-1]
 

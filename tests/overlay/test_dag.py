@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.overlay.dag import (
-    dag_reach,
-    dissemination_tree,
-    fanout_visitor,
-    walk_depths,
-)
+from repro.overlay.dag import dissemination_tree
 from repro.overlay.hashing import channel_id
 from repro.overlay.network import OverlayNetwork
 
@@ -24,7 +19,9 @@ def test_flood_equals_wedge_at_every_level(base, n_nodes):
         anchor = net.anchor_of(cid)
         prefix = anchor.shared_prefix_len(cid, net.base)
         for level in range(net.base_level() + 1):
-            reached = set(dag_reach(anchor, tables, cid, level, net.base))
+            reached = {
+                anchor, *dissemination_tree(anchor, tables, cid, level, net.base)
+            }
             if level <= prefix:
                 assert reached == set(net.wedge(cid, level))
             else:
@@ -41,28 +38,17 @@ class TestTreeProperties:
         parents = dissemination_tree(anchor, tables, cid, 0, small_overlay.base)
         assert anchor not in parents
         assert len(set(parents)) == len(parents)
+        # One message per non-root member of the level-0 wedge.
+        assert len(parents) == len(small_overlay) - 1
 
     def test_depths_logarithmic(self, small_overlay):
         """Flood depth stays within log_b N + slack hops."""
         tables = small_overlay.routing_tables()
         cid = channel_id("http://depth.example/feed")
         anchor = small_overlay.anchor_of(cid)
-        depths = walk_depths(anchor, tables, cid, 0, small_overlay.base)
-        assert depths[anchor] == 0
-        assert max(depths.values()) <= small_overlay.base_level() + 2
-
-    def test_fanout_visitor_counts_messages(self, small_overlay):
-        tables = small_overlay.routing_tables()
-        cid = channel_id("http://fanout.example/feed")
-        anchor = small_overlay.anchor_of(cid)
-        hops: list[tuple] = []
-        sent = fanout_visitor(
-            anchor, tables, cid, 0, small_overlay.base,
-            lambda src, dst: hops.append((src, dst)),
-        )
-        assert sent == len(hops)
-        # One message per non-root wedge member.
-        assert sent == len(small_overlay) - 1
+        parents = dissemination_tree(anchor, tables, cid, 0, small_overlay.base)
+        depths = [depth for _, depth in parents.values()]
+        assert max(depths) <= small_overlay.base_level() + 2
 
     def test_flood_from_any_wedge_member(self, small_overlay):
         """Detecting nodes flood from themselves, not just the anchor;
@@ -74,7 +60,8 @@ class TestTreeProperties:
         if len(wedge) < 2:
             pytest.skip("wedge too small in this universe")
         for root in wedge[:4]:
-            reached = set(
-                dag_reach(root, tables, cid, level, small_overlay.base)
-            )
+            reached = {
+                root,
+                *dissemination_tree(root, tables, cid, level, small_overlay.base),
+            }
             assert reached == set(wedge)

@@ -17,6 +17,10 @@ from repro.overlay.network import OverlayNetwork
 from repro.overlay.nodeid import ID_SPACE, NodeId
 
 
+def _value(node_id: NodeId) -> int:
+    return node_id.value
+
+
 def nid(value: int) -> NodeId:
     return NodeId(value % ID_SPACE)
 
@@ -67,8 +71,9 @@ class TestMembership:
                     node.leaves.counter_clockwise(),
                 ):
                     assert len(side) == len(set(side)) == index
-                assert sorted(node.leaves.members()) == sorted(
-                    other for other in net.nodes if other != node_id
+                assert sorted(node.leaves.members(), key=_value) == sorted(
+                    (other for other in net.nodes if other != node_id),
+                    key=_value,
                 )
         before = {
             node_id: (node.leaves.clockwise(), node.leaves.counter_clockwise())

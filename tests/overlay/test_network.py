@@ -67,17 +67,6 @@ class TestRouting:
         )
         assert anchor.shared_prefix_len(cid, small_overlay.base) == best
 
-    def test_replica_owners(self, small_overlay):
-        cid = channel_id("http://replicas.example/")
-        replicas = small_overlay.replica_owners(cid, 4)
-        assert len(replicas) == 4
-        assert replicas[0] == small_overlay.owner_of(cid)
-        assert len(set(replicas)) == 4
-
-    def test_replica_validation(self, small_overlay):
-        with pytest.raises(ValueError):
-            small_overlay.replica_owners(channel_id("http://x/"), 0)
-
 
 class TestChurn:
     def test_failure_repair_preserves_routing(self):

@@ -10,7 +10,6 @@ from repro.overlay.nodeid import (
     NodeId,
     bits_per_digit,
     digits_per_id,
-    id_from_hex,
 )
 
 ids = st.integers(min_value=0, max_value=ID_SPACE - 1)
@@ -30,7 +29,7 @@ class TestConstruction:
 
     def test_hex_roundtrip(self):
         node = NodeId(0xDEADBEEF)
-        assert id_from_hex(node.hex()) == node
+        assert NodeId(int(node.hex(), 16)) == node
         assert len(node.hex()) == 40
 
     def test_invalid_base_rejected(self):
@@ -57,16 +56,6 @@ class TestDigits:
             node.digit(40, 16)
         with pytest.raises(IndexError):
             node.digit(-1, 16)
-
-    def test_with_digit_replaces(self):
-        node = NodeId(0)
-        changed = node.with_digit(0, 7, 16)
-        assert changed.digit(0, 16) == 7
-        assert changed.with_digit(0, 0, 16) == node
-
-    def test_with_digit_validates(self):
-        with pytest.raises(ValueError):
-            NodeId(0).with_digit(0, 16, 16)
 
     @given(ids, bases)
     @settings(max_examples=100)
@@ -118,22 +107,8 @@ class TestDistance:
         assert a.distance_cw(b) == 1
         assert b.distance_cw(a) == ID_SPACE - 1
 
-    def test_distance_symmetric(self):
-        a, b = NodeId(10), NodeId(ID_SPACE - 10)
-        assert a.distance(b) == b.distance(a) == 20
-
-    @given(ids, ids)
-    @settings(max_examples=100)
-    def test_distance_bounds(self, x, y):
-        a, b = NodeId(x), NodeId(y)
-        assert 0 <= a.distance(b) <= ID_SPACE // 2
-
     def test_between_cw(self):
         low, mid, high = NodeId(10), NodeId(20), NodeId(30)
         assert mid.between_cw(low, high)
         assert not low.between_cw(low, high)  # exclusive at low end
         assert high.between_cw(low, high)  # inclusive at high end
-
-    def test_ordering(self):
-        assert NodeId(1) < NodeId(2)
-        assert NodeId(2) <= NodeId(2)

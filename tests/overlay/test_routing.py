@@ -1,6 +1,6 @@
 """Routing-table slot assignment and prefix next-hop selection.
 
-Setup state is installed with :meth:`RoutingTable.replace`.  Which
+Setup state is filed into its slot by :func:`install`.  Which
 contact the overlay's join files into a slot is checked on a live
 overlay here (a filled slot keeps its first entry) and, through churn,
 in ``test_incremental_churn.py`` and ``test_golden_join.py``.
@@ -22,6 +22,12 @@ def make_id(*digits16: int) -> NodeId:
     for index, digit in enumerate(digits16):
         value |= digit << (ID_BITS - 4 * (index + 1))
     return NodeId(value)
+
+
+def install(table: RoutingTable, contact: NodeId) -> None:
+    """File ``contact`` into its slot, overwriting any entry."""
+    row, col = table.slot_for(contact)
+    table._rows.setdefault(row, {})[col] = contact
 
 
 @pytest.fixture()
@@ -78,37 +84,30 @@ class TestSlots:
         assert {slot: table.entry(*slot) for slot in expected} == expected
         assert len(table) == len(expected)
 
-    def test_replace_overwrites(self, table):
-        first = make_id(0x3, 0x1)
-        second = make_id(0x3, 0x2)  # same slot (row 0, col 3)
-        table.replace(first)
-        assert table.replace(second)
-        assert table.entry(0, 0x3) == second
-
     def test_remove_only_exact_match(self, table):
         first = make_id(0x3, 0x1)
-        table.replace(first)
+        install(table, first)
         table.remove(make_id(0x3, 0x2))  # same slot, different node
         assert table.entry(0, 0x3) == first
         table.remove(first)
         assert table.entry(0, 0x3) is None
 
     def test_len_counts_entries(self, table):
-        table.replace(make_id(0x1))
-        table.replace(make_id(0x2))
-        table.replace(make_id(0xA, 0x1))
+        install(table, make_id(0x1))
+        install(table, make_id(0x2))
+        install(table, make_id(0xA, 0x1))
         assert len(table) == 3
 
     def test_occupied_rows(self, table):
-        table.replace(make_id(0x1))
-        table.replace(make_id(0xA, 0xB, 0x1))
+        install(table, make_id(0x1))
+        install(table, make_id(0xA, 0xB, 0x1))
         assert table.occupied_rows() == [0, 2]
 
 
 class TestNextHop:
     def test_next_hop_extends_prefix(self, table):
         contact = make_id(0x7, 0x5)
-        table.replace(contact)
+        install(table, contact)
         key = make_id(0x7, 0x9)
         hop = table.next_hop(key)
         assert hop == contact
@@ -124,5 +123,5 @@ class TestNextHop:
 
     def test_contacts_deduplicated(self, table):
         contact = make_id(0x7)
-        table.replace(contact)
+        install(table, contact)
         assert table.contacts() == [contact]

@@ -1,4 +1,4 @@
-"""Wedge membership, expected sizes, baselevel, orphan detection."""
+"""Wedge membership and sizes, baselevel, orphan detection."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from repro.overlay.hashing import channel_id
 from repro.overlay.wedge import (
     base_level,
-    expected_wedge_size,
     is_orphan,
     wedge_members,
 )
@@ -47,17 +46,6 @@ class TestWedgeMembers:
 
 
 class TestSizes:
-    def test_expected_size_formula(self):
-        assert expected_wedge_size(1024, 0, 16) == 1024
-        assert expected_wedge_size(1024, 1, 16) == 64
-        assert expected_wedge_size(1024, 2, 16) == 4
-
-    def test_expected_size_validation(self):
-        with pytest.raises(ValueError):
-            expected_wedge_size(0, 1, 16)
-        with pytest.raises(ValueError):
-            expected_wedge_size(10, -1, 16)
-
     def test_base_level(self):
         assert base_level(1024, 16) == math.ceil(math.log(1024, 16))
         assert base_level(1, 16) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.latency import LatencyModel, UniformLatency
+from repro.simulation.latency import LatencyModel
 
 
 class TestLatencyModel:
@@ -17,15 +17,9 @@ class TestLatencyModel:
         median = samples[2500]
         assert 0.04 < median < 0.16  # around the 80 ms target
 
-    def test_path_additive(self):
-        model = UniformLatency(delay=0.05)
-        assert model.sample_path(4) == pytest.approx(0.2)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LatencyModel(floor=0.5, median=0.1)
-        with pytest.raises(ValueError):
-            LatencyModel().sample_path(-1)
         with pytest.raises(ValueError):
             LatencyModel(scale=0.0)
         with pytest.raises(ValueError):

@@ -18,9 +18,3 @@ class TestTimeSeries:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             TimeSeries(bucket_width=0.0)
-
-    def test_len(self):
-        series = TimeSeries(bucket_width=10.0)
-        assert len(series) == 0
-        series.add(5.0, 1.0)
-        assert len(series) == 1

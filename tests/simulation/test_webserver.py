@@ -109,7 +109,6 @@ class TestConditionalGet:
             assert reply.published_at == full.published_at
         hosted = farm.channels[self.URL]
         assert hosted.polls_served == farm.total_polls == 3
-        assert hosted.not_modified == farm.total_not_modified == 2
 
     def test_newer_content_or_no_version_held_sends_the_body(self):
         farm = self._farm()
@@ -119,7 +118,6 @@ class TestConditionalGet:
         assert newer.server_version > first.server_version
         for reply in (newer, farm.fetch(self.URL, 200.0, have_version=0)):
             assert reply.size == len(reply.document.encode("utf-8")) > 0
-        assert farm.total_not_modified == 0
 
     def test_timestampless_channel_never_answers_not_modified(self):
         farm = self._farm(timestamp_fraction=0.0)
@@ -127,7 +125,6 @@ class TestConditionalGet:
             reply = farm.fetch(self.URL, 0.0, have_version=held)
             assert reply.server_version == 0
             assert reply.document is not None
-        assert farm.total_not_modified == 0
 
     def test_bodiless_replies_leave_later_documents_unchanged(self):
         """A not-modified reply makes the same draws as a full one."""
@@ -137,7 +134,6 @@ class TestConditionalGet:
             unsent = never.fetch(self.URL, now, have_version=10**9)
             assert unsent.document is None
             assert unsent.server_version == sent.server_version
-        assert never.total_not_modified == 5
         assert (
             never.fetch(self.URL, 400.0).document
             == asked.fetch(self.URL, 400.0).document
@@ -172,7 +168,6 @@ class TestConditionalGet:
         assert again.document is None
         assert again.server_version == served.server_version
         assert hosted.rate_limited == 2
-        assert hosted.not_modified == 2
         assert hosted.polls_served == 4
 
 

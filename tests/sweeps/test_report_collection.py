@@ -70,8 +70,9 @@ class TestJournalRoundTrip:
             [replace(TASKS[0], collect_report=True)], jobs=1
         )
         path = tmp_path / "journal.jsonl"
-        with SweepJournal.create(path, sweep="demo") as journal:
-            journal.append(result)
+        journal = SweepJournal.create(path, sweep="demo")
+        journal.append(result)
+        journal.close()
         state = load_journal(path)
         replayed = state.results[result.task.key]
         assert replayed.report == result.report
@@ -79,8 +80,9 @@ class TestJournalRoundTrip:
     def test_old_journals_without_reports_load(self, tmp_path):
         (result,) = run_tasks([TASKS[0]], jobs=1)
         path = tmp_path / "journal.jsonl"
-        with SweepJournal.create(path, sweep="demo") as journal:
-            journal.append(result)
+        journal = SweepJournal.create(path, sweep="demo")
+        journal.append(result)
+        journal.close()
         # Simulate a pre-report journal: strip the field from the line.
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])

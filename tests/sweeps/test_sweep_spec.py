@@ -10,7 +10,6 @@ from repro.sweeps import (
     UnknownSweepError,
     get_sweep,
     list_sweeps,
-    selections_for,
     sweep_names,
 )
 from repro.sweeps.builtin import BUILTIN_NAMES
@@ -57,7 +56,7 @@ class TestSweepSpec:
         ]
 
     def test_all_variants_when_unrestricted(self):
-        (selection,) = selections_for(["churn-scale-sweep"])
+        selection = SweepSelection("churn-scale-sweep")
         assert selection.resolve_labels() == (
             "n512",
             "n1024",
@@ -72,17 +71,17 @@ class TestSweepSpec:
             SweepSpec(name="empty"),
             SweepSpec(
                 name="no-seeds",
-                selections=selections_for(["flash-crowd"]),
+                selections=(SweepSelection("flash-crowd"),),
                 seeds=(),
             ),
             SweepSpec(
                 name="dup-seeds",
-                selections=selections_for(["flash-crowd"]),
+                selections=(SweepSelection("flash-crowd"),),
                 seeds=(1, 1),
             ),
             SweepSpec(
                 name="bad-timeout",
-                selections=selections_for(["flash-crowd"]),
+                selections=(SweepSelection("flash-crowd"),),
                 timeout=0.0,
             ),
             SweepSpec(

@@ -16,7 +16,7 @@ from repro.diffengine.differ import diff_lines
 from repro.diffengine.extractor import extract_core_lines
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.honeycomb.solver import HoneycombSolver
-from repro.overlay.dag import dag_reach
+from repro.overlay.dag import dissemination_tree
 from repro.overlay.hashing import channel_id
 from repro.overlay.leafset import LeafSet
 from repro.overlay.network import OverlayNetwork
@@ -61,9 +61,10 @@ def test_property_wedge_flood_exact(url, level):
     cid = channel_id(url)
     anchor = net.anchor_of(cid)
     prefix = anchor.shared_prefix_len(cid, net.base)
-    reached = set(
-        dag_reach(anchor, net.routing_tables(), cid, level, net.base)
-    )
+    reached = {
+        anchor,
+        *dissemination_tree(anchor, net.routing_tables(), cid, level, net.base),
+    }
     if level <= prefix:
         assert reached == set(net.wedge(cid, level))
     else:
@@ -169,7 +170,7 @@ def test_property_schemes_produce_feasible_monotone_solutions(
         orphan_latency=0.0,
     )
     problem = build_problem(scheme, config, 1024, entries, inputs)
-    problem.validate()
+    assert all(channel.is_monotonic() for channel in problem.channels)
     solution = HoneycombSolver().solve(problem)
     if not solution.feasible:
         return  # budget below the floor: nothing to check

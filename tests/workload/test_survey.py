@@ -16,9 +16,8 @@ class TestUpdateIntervals:
         channels did not change at all during 5 days' (§5)."""
         survey = SurveyDistributions(seed=1)
         intervals = survey.update_intervals(50_000)
-        summary = survey.summarize(intervals)
-        assert summary["fraction_within_hour"] == pytest.approx(0.10, abs=0.01)
-        assert summary["fraction_unchanged"] == pytest.approx(0.50, abs=0.01)
+        assert (intervals <= HOUR).mean() == pytest.approx(0.10, abs=0.01)
+        assert (intervals >= WEEK).mean() == pytest.approx(0.50, abs=0.01)
 
     def test_range_bounds(self):
         survey = SurveyDistributions(seed=2)
@@ -54,12 +53,3 @@ class TestSizes:
         assert sizes.max() <= 512 * 1024
         # Median near the ~8 KiB the survey describes.
         assert 4000 < np.median(sizes) < 16000
-
-    def test_diff_sizes_fraction_of_content(self):
-        """Diffs average ≈6.8% of content (§3.4)."""
-        survey = SurveyDistributions(seed=5)
-        sizes = survey.content_sizes(20_000)
-        diffs = survey.diff_sizes(sizes)
-        assert (diffs <= sizes).all()
-        ratio = (diffs / sizes).mean()
-        assert 0.03 < ratio < 0.15
