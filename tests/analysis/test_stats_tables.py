@@ -27,6 +27,14 @@ class TestStats:
     def test_steady_state_empty(self):
         assert np.isnan(steady_state_mean(np.array([])))
 
+    def test_steady_state_all_nan_tail(self):
+        series = np.array([5.0, 5.0, np.nan, np.nan])
+        assert np.isnan(steady_state_mean(series, 0.5))
+
+    def test_steady_state_whole_series(self):
+        series = np.array([1.0, 2.0, 3.0, 6.0])
+        assert steady_state_mean(series, tail_fraction=1.0) == 3.0
+
     def test_steady_state_validation(self):
         with pytest.raises(ValueError):
             steady_state_mean(np.array([1.0]), tail_fraction=0.0)
@@ -44,6 +52,13 @@ class TestStats:
         x = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
         y = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
         assert rank_correlation(x, y) == pytest.approx(1.0)
+
+    def test_rank_correlation_ignores_monotone_rescaling(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.random(40), rng.random(40)
+        assert rank_correlation(np.exp(x), y**3) == pytest.approx(
+            rank_correlation(x, y)
+        )
 
     def test_rank_correlation_too_few(self):
         assert np.isnan(rank_correlation(np.array([1.0]), np.array([2.0])))

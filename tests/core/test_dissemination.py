@@ -1,7 +1,24 @@
 """Dissemination planning: message counts and wedge coverage."""
 
-from repro.core.dissemination import wedge_recipients
+from types import SimpleNamespace
+
+from repro.core.dissemination import deliver_plan, wedge_recipients
 from repro.overlay.hashing import channel_id
+from repro.overlay.nodeid import NodeId
+
+ROOT, A, B, C, D = (NodeId(n) for n in range(5))
+# ROOT -> A -> C, ROOT -> B -> D: two relay chains of depth two.
+PLAN = [(ROOT, A, 1), (ROOT, B, 1), (A, C, 2), (B, D, 2)]
+
+
+def transmit_with(outcomes):
+    """A transmit decision that looks each hop up in ``outcomes``."""
+
+    def transmit(sender, recipient):
+        copies, delay = outcomes.get((sender, recipient), (1, 0.0))
+        return SimpleNamespace(deliveries=copies, delay=delay)
+
+    return transmit
 
 
 class TestWedgeRecipients:
@@ -62,3 +79,30 @@ class TestCost:
             for level in (0, 1)
         )
         assert m1 <= m0
+
+
+class TestDeliverPlan:
+    def test_perfect_path_delivers_every_hop_once(self):
+        deliveries, attempted, unreached, delay_to = deliver_plan(PLAN)
+        assert deliveries == [(A, 1), (B, 1), (C, 1), (D, 1)]
+        assert attempted == len(PLAN)
+        assert unreached == set()
+        assert delay_to == {}
+
+    def test_lost_hop_darkens_the_relay_subtree(self):
+        lossy = transmit_with({(ROOT, A): (0, 0.0)})
+        deliveries, attempted, unreached, _ = deliver_plan(PLAN, lossy)
+        assert [recipient for recipient, _ in deliveries] == [B, D]
+        assert unreached == {A, C}
+        assert attempted == 3  # A's hop to C is never sent
+
+    def test_duplicates_are_reported_as_copies(self):
+        dup = transmit_with({(ROOT, B): (2, 0.0)})
+        deliveries, _, unreached, _ = deliver_plan(PLAN, dup)
+        assert dict(deliveries)[B] == 2
+        assert unreached == set()
+
+    def test_delay_accumulates_down_the_relay_chain(self):
+        slow = transmit_with({(ROOT, A): (1, 0.5), (A, C): (1, 0.25)})
+        _, _, _, delay_to = deliver_plan(PLAN, slow)
+        assert delay_to == {A: 0.5, C: 0.75}

@@ -23,6 +23,25 @@ class TestVersionClock:
         clock.observe_timestamp(50)
         assert clock.assign_next() > 50
 
+    def test_fresh_clock_drops_timestamp_zero(self):
+        clock = VersionClock()
+        assert not clock.observe_timestamp(0)
+        assert clock.current == 0
+
+    def test_assigned_version_makes_older_timestamps_redundant(self):
+        clock = VersionClock()
+        version = clock.assign_next()
+        assert not clock.observe_timestamp(version)
+        assert clock.observe_timestamp(version + 1)
+        assert clock.current == version + 1
+
+    def test_assignment_never_reuses_a_version(self):
+        clock = VersionClock()
+        first = clock.assign_next()
+        clock.observe_timestamp(first + 10)
+        second = clock.assign_next()
+        assert second == first + 11
+
 
 class TestContentState:
     def test_replace_installs_version_and_lines(self):
@@ -30,6 +49,13 @@ class TestContentState:
         state.replace(3, ("hello", "world"))
         assert state.version == 3
         assert state.lines == ("hello", "world")
+
+    def test_replace_overwrites_previous_copy(self):
+        state = ContentState()
+        state.replace(1, ("old",))
+        state.replace(2, ("new", "lines"))
+        assert state.version == 2
+        assert state.lines == ("new", "lines")
 
     def test_initial_state_empty(self):
         state = ContentState()

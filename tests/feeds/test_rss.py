@@ -55,6 +55,45 @@ class TestRoundTrip:
         )[0]
 
 
+class TestOptionalFields:
+    def test_bare_channel_has_only_a_title(self):
+        channel = ET.fromstring(RssChannel(title="T").render()).find("channel")
+        assert [child.tag for child in channel] == ["title"]
+
+    def test_bare_item_has_only_a_title(self):
+        item = ET.fromstring(RssItem(title="i").render())
+        assert [child.tag for child in item] == ["title"]
+
+    def test_ttl_zero_is_rendered(self):
+        channel = ET.fromstring(
+            RssChannel(title="T", ttl_minutes=0).render()
+        ).find("channel")
+        assert channel.findtext("ttl") == "0"
+
+    def test_guid_is_not_a_permalink(self):
+        item = ET.fromstring(RssItem(title="i", guid="g").render())
+        assert item.find("guid").get("isPermaLink") == "false"
+
+    def test_items_keep_their_order(self):
+        titles = [f"story {n}" for n in range(5)]
+        channel = RssChannel(
+            title="T", items=[RssItem(title=t) for t in titles]
+        )
+        root = ET.fromstring(channel.render())
+        assert [i.findtext("title") for i in root.iter("item")] == titles
+
+    def test_markup_in_link_and_cloud_domain_escaped(self):
+        channel = RssChannel(
+            title="T", link="http://x.example/?a=1&b=2", cloud_domain="a&b"
+        )
+        parsed = ET.fromstring(channel.render()).find("channel")
+        assert parsed.findtext("link") == "http://x.example/?a=1&b=2"
+        assert parsed.find("cloud").get("domain") == "a&b"
+
+
 class TestDates:
     def test_rfc822_format(self):
         assert rfc822_date(0) == "Thu, 01 Jan 1970 00:00:00 GMT"
+
+    def test_rfc822_later_date(self):
+        assert rfc822_date(86400 * 365) == "Fri, 01 Jan 1971 00:00:00 GMT"

@@ -24,6 +24,15 @@ class TestPresence:
         with pytest.raises(ValueError):
             service.register("")
 
+    def test_unknown_sender_rejected(self, service):
+        service.connect("alice")
+        with pytest.raises(KeyError):
+            service.send("mallory", "alice", "hi")
+
+    def test_connect_with_nothing_buffered(self, service):
+        assert service.connect("alice", now=3.0) == []
+        assert service.inbox("alice") == []
+
 
 class TestDelivery:
     def test_online_delivery_with_latency(self, service):
@@ -60,3 +69,25 @@ class TestDelivery:
         assert len(service.log) == 1
         service.connect("alice", now=9.0)
         assert len(service.log) == 2
+
+    def test_buffers_are_per_recipient(self, service):
+        service.connect("corona")
+        service.send("corona", "alice", "for alice", now=1.0)
+        service.send("corona", "bob", "for bob", now=2.0)
+        delivered = service.connect("bob", now=5.0)
+        assert [m.body for m in delivered] == ["for bob"]
+        assert service.buffered_count("alice") == 1
+
+    def test_reconnect_does_not_redeliver(self, service):
+        service.connect("corona")
+        service.send("corona", "alice", "once", now=1.0)
+        service.connect("alice", now=2.0)
+        assert service.connect("alice", now=3.0) == []
+        assert [m.body for m in service.inbox("alice")] == ["once"]
+
+    def test_inbox_is_a_copy(self, service):
+        service.connect("corona")
+        service.connect("alice")
+        service.send("corona", "alice", "kept", now=0.0)
+        service.inbox("alice").clear()
+        assert len(service.inbox("alice")) == 1

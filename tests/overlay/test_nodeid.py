@@ -38,6 +38,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             bits_per_digit(64)
 
+    def test_hex_zero_padded(self):
+        assert NodeId(0).hex() == "0" * 40
+        assert NodeId(ID_SPACE - 1).hex() == "f" * 40
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        assert NodeId(77) == NodeId(77)
+        assert len({NodeId(77), NodeId(77), NodeId(78)}) == 2
+
     def test_digits_per_id(self):
         assert digits_per_id(16) == 40
         assert digits_per_id(2) == 160
@@ -112,3 +120,25 @@ class TestDistance:
         assert mid.between_cw(low, high)
         assert not low.between_cw(low, high)  # exclusive at low end
         assert high.between_cw(low, high)  # inclusive at high end
+
+    def test_distance_to_self_is_zero(self):
+        node = NodeId(12345)
+        assert node.distance_cw(node) == 0
+        assert not node.between_cw(node, node)
+
+    @given(ids, ids)
+    @settings(max_examples=100)
+    def test_clockwise_distances_close_the_ring(self, x, y):
+        a, b = NodeId(x), NodeId(y)
+        total = a.distance_cw(b) + b.distance_cw(a)
+        assert total == (0 if x == y else ID_SPACE)
+
+    @given(ids, ids, ids)
+    @settings(max_examples=150)
+    def test_two_arcs_partition_the_ring(self, x, lo, hi):
+        """For distinct endpoints, every identifier lies in exactly one
+        of the half-open arcs ``(lo, hi]`` and ``(hi, lo]``."""
+        low, high, point = NodeId(lo), NodeId(hi), NodeId(x)
+        if low == high:
+            return
+        assert point.between_cw(low, high) != point.between_cw(high, low)

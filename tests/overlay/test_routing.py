@@ -84,6 +84,25 @@ class TestSlots:
         assert {slot: table.entry(*slot) for slot in expected} == expected
         assert len(table) == len(expected)
 
+    def test_slot_column_is_the_first_differing_digit(self, table):
+        other = make_id(0xA, 0x4, 0xF)
+        assert table.slot_for(other) == (1, 0x4)
+
+    def test_nrows_is_one_per_digit(self, table):
+        assert table.nrows == 40
+        assert RoutingTable(owner=make_id(0x1), base=4).nrows == 80
+
+    def test_removing_owner_or_absent_node_is_false(self, table):
+        assert not table.remove(table.owner)
+        assert not table.remove(make_id(0x5))
+
+    def test_row_view_is_live(self, table):
+        assert dict(table.row(0)) == {}
+        install(table, make_id(0x3))
+        view = table.row(0)
+        install(table, make_id(0x4))
+        assert view == {0x3: make_id(0x3), 0x4: make_id(0x4)}
+
     def test_remove_only_exact_match(self, table):
         first = make_id(0x3, 0x1)
         install(table, first)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.overlay.hashing import channel_id
+from repro.overlay.nodeid import ID_SPACE, NodeId, digits_per_id
 from repro.overlay.wedge import (
     base_level,
     is_orphan,
@@ -52,6 +53,11 @@ class TestSizes:
         assert base_level(17, 16) == 2
         assert base_level(16, 16) == 1
 
+    def test_base_level_other_bases(self):
+        assert base_level(64, 4) == 3
+        assert base_level(65, 4) == 4
+        assert base_level(2, 2) == 1
+
     def test_base_level_validation(self):
         with pytest.raises(ValueError):
             base_level(0, 16)
@@ -67,7 +73,26 @@ class TestSizes:
         assert expected * 0.5 < mean < expected * 1.7
 
 
+class TestDeepestWedge:
+    def test_full_length_wedge_holds_only_the_identifier_itself(
+        self, small_overlay
+    ):
+        node = small_overlay.node_ids()[0]
+        depth = digits_per_id(small_overlay.base)
+        assert wedge_members(
+            node, depth, small_overlay.node_ids(), small_overlay.base
+        ) == [node]
+
+
 class TestOrphans:
+    def test_tiny_networks_have_no_orphans(self):
+        """Below two levels the orphan wedge would be the whole ring."""
+        nodes = [NodeId(0), NodeId(ID_SPACE // 2)]
+        cid = channel_id("http://tiny.example/")
+        assert not is_orphan(cid, nodes, 16, len(nodes))
+        assert not is_orphan(cid, nodes[:1], 16, 1)
+
+
     def test_orphan_consistency_with_anchor(self, small_overlay):
         """is_orphan agrees with the anchor's shared-prefix length."""
         k = small_overlay.base_level()

@@ -29,6 +29,14 @@ class TestPopularity:
         masses = zipf_popularity(10, 0.0)
         assert np.allclose(masses, 0.1)
 
+    def test_exponent_one_halves_the_second_rank(self):
+        masses = zipf_popularity(4, 1.0)
+        assert masses[0] / masses[1] == pytest.approx(2.0)
+        assert masses[0] / masses[3] == pytest.approx(4.0)
+
+    def test_single_channel_takes_all_mass(self):
+        assert list(zipf_popularity(1, 0.5)) == [1.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             zipf_popularity(0)
@@ -47,6 +55,18 @@ class TestSampling:
         assert (a == b).all()
         assert a.sum() == 10000
         assert (np.diff(a) <= 0).all()  # monotone by rank
+
+
+    def test_exact_remainder_goes_to_the_head(self):
+        """Three equal-mass channels and ten subscriptions: the one
+        left over after flooring goes to rank 1."""
+        counts = subscription_counts(10, 3, exponent=0.0, exact=True)
+        assert list(counts) == [4, 3, 3]
+
+    def test_draw_reproducible_for_a_seed(self):
+        a = subscription_counts(5000, 50, rng=np.random.default_rng(11))
+        b = subscription_counts(5000, 50, rng=np.random.default_rng(11))
+        assert (a == b).all()
 
 
 class TestFitting:
