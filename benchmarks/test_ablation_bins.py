@@ -7,7 +7,6 @@ steady state gets to the load budget and to the centralized optimum's
 latency.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact

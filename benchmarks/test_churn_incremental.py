@@ -11,7 +11,6 @@ changes.
 import random
 
 from benchmarks.conftest import write_artifact
-
 from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
 from repro.simulation.webserver import WebServerFarm

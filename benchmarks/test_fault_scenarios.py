@@ -13,7 +13,6 @@ plane is a constant-return hook on the same code path).
 """
 
 from benchmarks.conftest import write_artifact
-
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
 

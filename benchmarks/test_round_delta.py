@@ -21,7 +21,6 @@ trajectory is tracked across PRs.
 import time
 
 from benchmarks.conftest import write_artifact
-
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.overlay.network import OverlayNetwork

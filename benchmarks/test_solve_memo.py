@@ -27,7 +27,6 @@ trajectory is tracked across PRs.
 import time
 
 from benchmarks.conftest import write_artifact
-
 from repro.core.config import CoronaConfig
 from repro.simulation.macro import MacroSimulator
 from repro.workload.trace import generate_trace

@@ -18,8 +18,6 @@ Fair trades latency for the least load, the damped variants recover
 Lite's average, Fast buys its target with extra load.
 """
 
-import numpy as np
-
 from benchmarks.conftest import write_artifact
 from repro.analysis.stats import steady_state_mean
 from repro.analysis.tables import format_table

@@ -12,8 +12,7 @@ time counts):
   ``--resume``), trimmed to ``SMALL_VARIANTS`` where a variant is too
   large to run here;
 * ``examples/*.py``;
-* ``benchmarks/test_*.py`` at the ``ci`` scale (skip with
-  ``--no-benchmarks`` for a quick look; the result then over-reports).
+* ``benchmarks/test_*.py`` at the ``ci`` scale.
 
 It then parses ``src/repro`` with :mod:`ast` and lists each function
 whose code object never ran.  Every such function must be named in
@@ -25,10 +24,7 @@ which is why ``worker_loop`` is kept by name.
 
 Usage::
 
-    python scripts/reachability.py                 # the CI gate
-    python scripts/reachability.py --list          # also print every
-                                                   # unreached function
-    python scripts/reachability.py --no-benchmarks # faster, partial
+    python scripts/reachability.py
 """
 
 from __future__ import annotations
@@ -93,28 +89,30 @@ VERB_ARGS: dict[tuple[str, ...], list[list[str]]] = {
     ],
 }
 
+#: The reasons a function may stay although no user path runs it.
+CLASSES: dict[str, str] = {
+    "reference": "a test checks production code against it",
+    "wrap target": "benchmarks/e2e/layers.py times it by name",
+    "e2e harness": "benchmarks/e2e (outside the census) calls it",
+    "worker": "runs only inside a spawned sweep worker",
+    "failure path": "handles a failure healthy runs never produce",
+    "protocol": "Python calls it implicitly",
+    "declaration": "the interface the content substrate implements",
+    "long run": "fires only past a bound no census run reaches",
+    "inspection": "a read-only view the tests of other modules check "
+    "production state by (one only its own unit tests read is deleted)",
+    "test driver": "the one way tests steer a chosen node or link",
+}
+
 #: Functions no user path runs, each with the reason it stays.  Keys
 #: are ``<file under src/repro>::<qualified name>``; every reason
-#: opens with its class:
-#:
-#: * reference — a test checks production code against it;
-#: * wrap target — ``benchmarks/e2e/layers.py`` times it by name;
-#: * e2e harness — ``benchmarks/e2e`` (outside the census) calls it;
-#: * worker — runs only inside a spawned sweep worker;
-#: * failure path — handles a failure healthy runs never produce;
-#: * protocol — Python calls it implicitly;
-#: * declaration — the interface the content substrate implements;
-#: * spec option — a scenario-spec field no built-in sets;
-#: * long run — fires only past a bound no census run reaches;
-#: * inspection — a read-only view tests check production state by;
-#: * test driver — the one way tests steer a chosen node or link.
+#: opens with one of ``CLASSES`` and a colon.
 KEEP: dict[str, str] = {
     "core/polling.py::PollScheduler.stop":
         "test driver: the poll-calendar tests stop a chosen task",
-    "core/subscription.py::SubscriptionRegistry.channels":
-        "inspection: the registry's channels, read by its tests",
     "core/subscription.py::SubscriptionRegistry.total_subscriptions":
-        "inspection: churn tests check no subscription is lost",
+        "inspection: the churn, system and integration tests check "
+        "no subscription is lost",
     "core/system.py::Fetcher.fetch":
         "declaration: the interface WebServerFarm implements",
     "core/system.py::Fetcher.published_at":
@@ -132,19 +130,9 @@ KEEP: dict[str, str] = {
         "wrap target: diffengine.tokenize (re-exported by extractor.py)",
     "faults/links.py::LinkTable.set_link":
         "test driver: pins a spec on one exact directed link",
-    "honeycomb/aggregation.py::AggregationState.best_summary":
-        "inspection: backs DecentralizedAggregator.summary_at",
-    "honeycomb/aggregation.py::DecentralizedAggregator.summary_at":
-        "inspection: the aggregation tests check exactly-once coverage",
-    "honeycomb/aggregation.py::DecentralizedAggregator.horizon_at":
-        "inspection: the aggregation tests check convergence radii",
     "honeycomb/problem.py::ChannelTradeoff.is_monotonic":
         "reference: tests check production-built curves meet "
         "Honeycomb's monotonicity precondition",
-    "im/gateway.py::ImGateway.pending":
-        "inspection: the rate-limit tests read the per-client queue",
-    "im/service.py::SimIMService.buffered_count":
-        "inspection: the offline-buffer tests read the buffer",
     "obs/metrics.py::_Metric.labels":
         "failure path: counts an invariant violation by invariant",
     "obs/metrics.py::Counter.inc":
@@ -159,9 +147,9 @@ KEEP: dict[str, str] = {
     "overlay/leafset.py::LeafSet.remove":
         "failure path: PastryNode.forget drops a stale contact",
     "overlay/leafset.py::LeafSet.clockwise":
-        "inspection: the leaf-set and join tests read each side",
+        "inspection: the incremental-churn tests read each side",
     "overlay/leafset.py::LeafSet.counter_clockwise":
-        "inspection: the leaf-set and join tests read each side",
+        "inspection: the incremental-churn tests read each side",
     "overlay/network.py::RoutingTablesView.__len__":
         "protocol: Mapping requires it",
     "overlay/network.py::OverlayNetwork.owner_of":
@@ -178,8 +166,6 @@ KEEP: dict[str, str] = {
         "failure path: PastryNode.forget drops a stale contact",
     "overlay/routing.py::RoutingTable.occupied_rows":
         "inspection: the incremental-churn tests read the rows",
-    "overlay/routing.py::RoutingTable.__len__":
-        "inspection: the join tests count a table's entries",
     "overlay/wedge.py::wedge_members":
         "reference: the wedge definition behind OverlayNetwork.wedge",
     "overlay/wedge.py::is_orphan":
@@ -189,8 +175,6 @@ KEEP: dict[str, str] = {
         "failure path: records an invariant violation",
     "scenarios/invariants.py::InvariantMonitor.report":
         "failure path: reports invariant violations",
-    "scenarios/runner.py::_execute.<locals>.auto_heal":
-        "spec option: Partition(duration=) heals on its own",
     "scenarios/spec.py::ScenarioSpec.from_dict":
         "e2e harness: benchmarks/e2e/workloads.py builds its specs",
     "scenarios/spec.py::ScenarioSpec.to_dict":
@@ -446,7 +430,7 @@ def _run_example(path: str) -> int:
     return 0
 
 
-def run_census(benchmarks: bool) -> tuple[set, list[str]]:
+def run_census() -> tuple[set, list[str]]:
     """Run every entry point under the profiler.
 
     Returns what ran and the entry points that failed unexpectedly
@@ -476,78 +460,84 @@ def run_census(benchmarks: bool) -> tuple[set, list[str]]:
                 label = os.path.relpath(path, REPO_ROOT)
                 if _run_quietly(label, lambda p=path: _run_example(p)):
                     failed.append(label)
-        if benchmarks:
-            import pytest
+        import pytest
 
-            paths = benchmark_paths()
-            label = f"pytest {len(paths)} benchmark files (ci scale)"
-            if _run_quietly(
-                label,
-                lambda: pytest.main(["-q", "-p", "no:cacheprovider", *paths]),
-            ):
-                failed.append(label)
+        paths = benchmark_paths()
+        label = f"pytest {len(paths)} benchmark files (ci scale)"
+        if _run_quietly(
+            label,
+            lambda: pytest.main(["-q", "-p", "no:cacheprovider", *paths]),
+        ):
+            failed.append(label)
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
     return seen, failed
 
 
-def unreached(functions: list[FunctionDef], seen: set) -> list[FunctionDef]:
-    """Functions that never ran, minus those inside one that never ran."""
-    missed = {
+@dataclass(frozen=True)
+class Verdict:
+    missed: list[FunctionDef]  # never ran, outermost only
+    no_reason: list[FunctionDef]  # missed and not in KEEP
+    reached: list[str]  # KEEP entries that ran after all
+    vanished: list[str]  # KEEP entries that name no function
+
+    @property
+    def ok(self) -> bool:
+        return not (self.no_reason or self.reached or self.vanished)
+
+
+def judge(
+    functions: list[FunctionDef], seen: set, keep: dict[str, str]
+) -> Verdict:
+    """Compare what ran with ``keep``.
+
+    A function inside one that never ran is reported through its
+    parent, but a kept one still counts as not reached.
+    """
+    never_ran = {
         fn.key for fn in functions if (fn.path, fn.first_line) not in seen
     }
-    return [
+    missed = [
         fn for fn in functions
-        if fn.key in missed and fn.parent not in missed
+        if fn.key in never_ran and fn.parent not in never_ran
     ]
+    known = {fn.key for fn in functions}
+    return Verdict(
+        missed=missed,
+        no_reason=[fn for fn in missed if fn.key not in keep],
+        reached=sorted(
+            key for key in keep if key in known and key not in never_ran
+        ),
+        vanished=sorted(key for key in keep if key not in known),
+    )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--list", action="store_true",
-        help="print every unreached function, kept or not",
-    )
-    parser.add_argument(
-        "--no-benchmarks", dest="benchmarks", action="store_false",
-        help="skip the benchmark files (faster; over-reports)",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     os.chdir(REPO_ROOT)
     os.environ.setdefault("CORONA_BENCH_SCALE", "ci")
 
     started = time.perf_counter()
-    seen, failed = run_census(args.benchmarks)
+    seen, failed = run_census()
     functions = source_functions()
-    missed = unreached(functions, seen)
-    known = {fn.key for fn in functions}
-    missed_keys = {fn.key for fn in missed}
-
-    no_reason = [fn for fn in missed if fn.key not in KEEP]
-    reached = sorted(
-        key for key in KEEP if key in known and key not in missed_keys
-    )
-    vanished = sorted(key for key in KEEP if key not in known)
+    verdict = judge(functions, seen, KEEP)
+    missed = verdict.missed
 
     print(
         f"\ncensus: {len(functions)} functions in src/repro, "
         f"{len(missed)} never ran ({sum(fn.lines for fn in missed)} "
-        f"lines); {len(missed) - len(no_reason)} kept with a reason "
-        f"({time.perf_counter() - started:.0f}s)"
+        f"lines); {len(missed) - len(verdict.no_reason)} kept with a "
+        f"reason ({time.perf_counter() - started:.0f}s)"
     )
-    if args.list:
-        for fn in missed:
-            print(f"  {fn.lines:4d}  {fn.key}  {KEEP.get(fn.key, '')}")
-    for fn in no_reason:
+    for fn in verdict.no_reason:
         print(f"UNREACHED, no reason: {fn.key} ({fn.lines} lines)")
-    for key in reached:
+    for key in verdict.reached:
         print(f"KEEP entry now reached (drop it): {key}")
-    for key in vanished:
+    for key in verdict.vanished:
         print(f"KEEP entry names no function (drop it): {key}")
     for label in failed:
         print(f"ENTRY POINT FAILED: {label}")
-    return 1 if no_reason or reached or vanished or failed else 0
+    return 0 if verdict.ok and not failed else 1
 
 
 if __name__ == "__main__":

@@ -49,10 +49,6 @@ class SubscriptionRegistry:
         """Number of subscribers for ``url`` — the factor q_i."""
         return len(self._subscribers.get(url, ()))
 
-    def channels(self) -> list[str]:
-        """URLs with at least one subscriber."""
-        return list(self._subscribers)
-
     def total_subscriptions(self) -> int:
         """Subscriptions across all channels this node owns."""
         return sum(len(clients) for clients in self._subscribers.values())

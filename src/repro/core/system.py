@@ -17,17 +17,16 @@ import dataclasses
 import logging
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
 
 from repro.core.channel import Channel
 from repro.core.config import CoronaConfig
+from repro.core.dissemination import deliver_plan, wedge_recipients
 from repro.core.maintenance import DiffMsg, MaintenanceMsg
 from repro.core.node import CoronaNode, DetectionEvent, FetchResult
-from repro.core.dissemination import deliver_plan, wedge_recipients
-from repro.faults import FaultPlane
 from repro.diffengine.differ import Diff
+from repro.faults import FaultPlane
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.solver import SolverWork
 from repro.obs import NULL_SPAN, Observability, get_logger
@@ -598,7 +597,7 @@ class CoronaSystem:
         running on the island side.  Healing re-admits them through
         the recovery path, so partition scenarios conserve population.
         Unknown or already-healed names only drain any leftover
-        suspensions (heals routed here may race an auto-heal).
+        suspensions.
         Returns the re-admitted node ids.
         """
         plane = self.faults

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from email.utils import formatdate
 
 
-
 @dataclass
 class RssItem:
     """One micronews story."""

@@ -150,12 +150,6 @@ class AggregationState:
     )
     complete: dict[int, bool] = field(default_factory=dict, compare=False)
 
-    def best_summary(self) -> ClusterSummary:
-        """The widest-radius summary available so far."""
-        for radius in sorted(self.summaries):
-            return self.summaries[radius]
-        return ClusterSummary.empty(self.bins)
-
     def best_remote(self) -> ClusterSummary:
         """Widest remote-channel summary (own channels excluded)."""
         for radius in sorted(self.remote):
@@ -631,12 +625,3 @@ class DecentralizedAggregator:
             if rounds > self.rows * 4 + 8:
                 break  # safety: sparse tables may never cover some region
         return rounds
-
-    # ------------------------------------------------------------------
-    def summary_at(self, node_id: NodeId) -> ClusterSummary:
-        """The widest summary node ``node_id`` currently holds."""
-        return self.states[node_id].best_summary()
-
-    def horizon_at(self, node_id: NodeId) -> int:
-        """How far node ``node_id`` currently sees (0 = whole system)."""
-        return self.states[node_id].horizon()

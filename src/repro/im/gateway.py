@@ -140,7 +140,3 @@ class ImGateway:
             if not queue:
                 del self._queues[client]
         return released
-
-    def pending(self, client: str) -> int:
-        """Messages currently queued for ``client``."""
-        return len(self._queues.get(client, ()))

@@ -107,7 +107,3 @@ class SimIMService:
     def inbox(self, handle: str) -> list[ImMessage]:
         """Messages delivered to ``handle`` so far."""
         return list(self.inboxes.get(handle, []))
-
-    def buffered_count(self, handle: str) -> int:
-        """Messages waiting for an offline user."""
-        return len(self._buffers.get(handle, []))

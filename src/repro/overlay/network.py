@@ -571,4 +571,3 @@ class OverlayNetwork:
         for index in range(n_nodes):
             network.add_node(f"{address_prefix}-{index}")
         return network
-

@@ -92,6 +92,3 @@ class RoutingTable:
         if row >= self.nrows:
             return None  # key == owner id
         return self.entry(row, key.digit(row, self.base))
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._rows.values())

@@ -41,6 +41,7 @@ from repro.scenarios.spec import (
 )
 
 # Importing the package registers the built-in scenarios.
+# isort: split
 from repro.scenarios import builtin as _builtin  # noqa: E402  (self-registration)
 
 __all__ = [

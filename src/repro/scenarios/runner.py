@@ -434,11 +434,10 @@ def _execute(
     flap_pools: list[tuple[dict, int]] = []
 
     def heal_by_name(name: str, now: float) -> None:
-        # Shared by Partition auto-heal and explicit PartitionHeal;
-        # guarded because whichever fires second is a no-op.  Routed
-        # through the system so managers the failover detector
-        # suspended behind the partition rejoin on heal (population
-        # conservation).
+        # Guarded: healing a partition that is no longer open is a
+        # no-op.  Routed through the system so managers the failover
+        # detector suspended behind the partition rejoin on heal
+        # (population conservation).
         if name in faults.partitions:
             system.heal_partition(name, now=now)
 
@@ -585,15 +584,7 @@ def _execute(
                 ),
             )
         elif isinstance(event, Partition):
-            # Which island *this* event opened, so its auto-heal timer
-            # never closes a later same-named partition (the explicit
-            # PartitionHeal event, by contrast, heals whatever is
-            # open — that is its meaning).
-            opened_island: dict = {}
-
-            def open_partition(
-                now: float, ev=event, cell=opened_island
-            ) -> None:
+            def open_partition(now: float, ev=event) -> None:
                 # Sampled from the population alive *now* — a churned
                 # cloud partitions over its current membership.
                 population = list(system.nodes)
@@ -602,26 +593,13 @@ def _execute(
                     max(1, round(ev.fraction * len(population))),
                 )
                 members = fault_rng.sample(population, count)
-                cell["island"] = faults.partition(
+                faults.partition(
                     ev.name,
                     members=members,
                     isolates_servers=ev.isolates_servers,
                 )
 
-            def auto_heal(now: float, ev=event, cell=opened_island) -> None:
-                island = cell.get("island")
-                if (
-                    island is not None
-                    and faults.partitions.get(ev.name) is island
-                ):
-                    system.heal_partition(ev.name, now=now)
-
             engine.schedule(event.at, open_partition)
-            if event.duration is not None:
-                engine.schedule(
-                    min(event.at + event.duration, spec.horizon),
-                    auto_heal,
-                )
         elif isinstance(event, PartitionHeal):
             engine.schedule(
                 event.at,

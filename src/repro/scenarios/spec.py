@@ -327,7 +327,7 @@ class Partition:
     A seeded ``fraction`` of the current population is cut off from
     the rest (every link crossing the boundary is dead, retransmits
     included) until a :class:`PartitionHeal` with the same ``name``
-    fires — or, when ``duration`` is set, until it auto-heals.
+    fires.
     ``isolates_servers`` additionally cuts the island off from the
     content servers, so its polls time out too.
     """
@@ -337,7 +337,6 @@ class Partition:
     at: float
     name: str = "partition"
     fraction: float = 0.25
-    duration: float | None = None
     isolates_servers: bool = False
 
     def validate(self) -> None:
@@ -346,10 +345,6 @@ class Partition:
         if not 0.0 < self.fraction < 1.0:
             raise ScenarioSpecError(
                 "partition fraction must be in (0, 1)"
-            )
-        if self.duration is not None and self.duration <= 0:
-            raise ScenarioSpecError(
-                "partition duration must be positive when set"
             )
 
 
@@ -691,20 +686,12 @@ class ScenarioSpec:
                         f"partition {name!r} re-opens at t={event.at} "
                         "while still open (earlier one not healed yet)"
                     )
-                if event.duration is not None:
-                    open_until = event.at + event.duration
-                    # An explicit heal may close it even earlier.
-                    while pending_heals and pending_heals[0] < event.at:
-                        pending_heals.pop(0)
-                    if pending_heals and pending_heals[0] < open_until:
-                        open_until = pending_heals.pop(0)
+                while pending_heals and pending_heals[0] < event.at:
+                    pending_heals.pop(0)
+                if not pending_heals:
+                    open_until = float("inf")  # open to the end
                 else:
-                    while pending_heals and pending_heals[0] < event.at:
-                        pending_heals.pop(0)
-                    if not pending_heals:
-                        open_until = float("inf")  # open to the end
-                    else:
-                        open_until = pending_heals.pop(0)
+                    open_until = pending_heals.pop(0)
 
     def _validate_recovery_timeline(self) -> None:
         """Recoveries must revive nodes that are actually down.

@@ -50,6 +50,7 @@ from repro.sweeps.spec import (
 from repro.sweeps.worker import TaskOutcome, run_task
 
 # Importing the package registers the built-in sweeps.
+# isort: split
 from repro.sweeps import builtin as _builtin  # noqa: E402  (self-registration)
 
 __all__ = [

@@ -302,7 +302,6 @@ class TestDiffHandling:
         assert first.lines is second.lines
         assert first.lines == detector.scheduler.tasks[URL].content.lines
 
-
     def test_notifier_invoked_for_subscribers(self):
         calls = []
         node = make_node(

@@ -1,6 +1,5 @@
 """The split-bin resolution rule: consistent fractions, rank ordering."""
 
-import numpy as np
 import pytest
 
 from repro.core.channel import Channel

@@ -29,7 +29,7 @@ class TestBasics:
 
     def test_empty_channel_removed(self, registry):
         registry.unsubscribe("http://b/", "alice")
-        assert "http://b/" not in registry.channels()
+        assert "http://b/" not in registry.export_state()
 
     def test_empty_client_rejected(self, registry):
         with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ class TestBasics:
 
     def test_counts(self, registry):
         assert registry.total_subscriptions() == 3
-        assert set(registry.channels()) == {"http://a/", "http://b/"}
+        assert set(registry.export_state()) == {"http://a/", "http://b/"}
         assert registry.subscribers("http://a/") == frozenset(
             {"alice", "bob"}
         )

@@ -4,9 +4,7 @@ import statistics
 
 import pytest
 
-from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
-from repro.simulation.webserver import WebServerFarm
 
 
 def drive(system, farm, hours, step=30.0, maintenance_every=4):

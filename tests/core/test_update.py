@@ -50,13 +50,6 @@ class TestContentState:
         assert state.version == 3
         assert state.lines == ("hello", "world")
 
-    def test_replace_overwrites_previous_copy(self):
-        state = ContentState()
-        state.replace(1, ("old",))
-        state.replace(2, ("new", "lines"))
-        assert state.version == 2
-        assert state.lines == ("new", "lines")
-
     def test_initial_state_empty(self):
         state = ContentState()
         assert state.version == 0

@@ -10,6 +10,13 @@ from repro.overlay.network import OverlayNetwork
 from tests.honeycomb.conftest import summary_of
 
 
+def widest(agg, node_id):
+    """The whole-system summary a converged node holds."""
+    state = agg.states[node_id]
+    assert state.horizon() == 0
+    return state.summaries[0]
+
+
 @pytest.fixture(scope="module")
 def populated():
     """A 48-node overlay with 300 channels assigned to their anchors."""
@@ -47,7 +54,7 @@ class TestAggregation:
         rounds = agg.run_to_convergence()
         assert rounds >= 1
         for node_id in net.node_ids():
-            summary = agg.summary_at(node_id)
+            summary = widest(agg, node_id)
             counted = summary.total_channels() + summary.sums()[0][-1]
             assert counted == 300
             q_counted = (
@@ -63,14 +70,14 @@ class TestAggregation:
         )
         agg.load_local(lambda node_id: summary_of(assignments[node_id]))
         node = net.node_ids()[0]
-        assert agg.horizon_at(node) == rows
+        assert agg.states[node].horizon() == rows
         previous = rows
         for _ in range(rows + 2):
             agg.run_round()
-            horizon = agg.horizon_at(node)
+            horizon = agg.states[node].horizon()
             assert horizon >= previous - 1  # at most one digit per round
             previous = horizon
-        assert agg.horizon_at(node) == 0
+        assert agg.states[node].horizon() == 0
 
     def test_remote_excludes_own_channels(self, populated):
         net, assignments, total_q = populated
@@ -98,7 +105,7 @@ class TestAggregation:
             for entry in entries
             if entry[1]
         )
-        summary = agg.summary_at(net.node_ids()[3])
+        summary = widest(agg, net.node_ids()[3])
         assert summary.sums()[0][-1] == expected_orphans
 
     def test_reload_refreshes_factors(self, populated):
@@ -127,6 +134,6 @@ class TestAggregation:
         agg.load_local(doubled)
         for _ in range(net.aggregation_rows() + 1):
             agg.run_round()
-        summary = agg.summary_at(net.node_ids()[0])
+        summary = widest(agg, net.node_ids()[0])
         q_counted = summary.total_subscribers() + summary.sums()[1][-1]
         assert q_counted == pytest.approx(2 * total_q)

@@ -21,7 +21,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
 from repro.honeycomb.aggregation import (
     DecentralizedAggregator,

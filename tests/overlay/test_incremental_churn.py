@@ -209,4 +209,3 @@ class TestRoutingTablesView:
             node_id: net.nodes[node_id].table for node_id in net.node_ids()
         }
         assert view.get(node_id_for_address("ghost")) is None
-

@@ -82,15 +82,11 @@ class TestSlots:
                 break
         table = net.add_node(address).table
         assert {slot: table.entry(*slot) for slot in expected} == expected
-        assert len(table) == len(expected)
+        assert len(table.contacts()) == len(expected)
 
     def test_slot_column_is_the_first_differing_digit(self, table):
         other = make_id(0xA, 0x4, 0xF)
         assert table.slot_for(other) == (1, 0x4)
-
-    def test_nrows_is_one_per_digit(self, table):
-        assert table.nrows == 40
-        assert RoutingTable(owner=make_id(0x1), base=4).nrows == 80
 
     def test_removing_owner_or_absent_node_is_false(self, table):
         assert not table.remove(table.owner)
@@ -111,11 +107,11 @@ class TestSlots:
         table.remove(first)
         assert table.entry(0, 0x3) is None
 
-    def test_len_counts_entries(self, table):
-        install(table, make_id(0x1))
-        install(table, make_id(0x2))
-        install(table, make_id(0xA, 0x1))
-        assert len(table) == 3
+    def test_contacts_lists_every_entry(self, table):
+        entries = [make_id(0x1), make_id(0x2), make_id(0xA, 0x1)]
+        for contact in entries:
+            install(table, contact)
+        assert table.contacts() == entries
 
     def test_occupied_rows(self, table):
         install(table, make_id(0x1))

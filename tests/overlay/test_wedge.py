@@ -92,7 +92,6 @@ class TestOrphans:
         assert not is_orphan(cid, nodes, 16, len(nodes))
         assert not is_orphan(cid, nodes[:1], 16, 1)
 
-
     def test_orphan_consistency_with_anchor(self, small_overlay):
         """is_orphan agrees with the anchor's shared-prefix length."""
         k = small_overlay.base_level()

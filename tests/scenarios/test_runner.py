@@ -228,17 +228,6 @@ class TestMessageFaultInjection:
             round(0.4 * tiny_spec().n_nodes)
         ]
 
-    def test_partition_auto_heal_duration(self):
-        timed = run_tiny(
-            events=(
-                Partition(
-                    at=240.0, name="cut", fraction=0.4,
-                    duration=360.0,
-                ),
-            )
-        )
-        assert timed.messages_dropped > 0
-
     def test_correlated_manager_failure_crashes_managers(self):
         blast = run_tiny(
             events=(CorrelatedManagerFailure(at=300.0, count=2),)
@@ -249,41 +238,13 @@ class TestMessageFaultInjection:
             blast.total_subscriptions
         )
 
-    def test_stale_auto_heal_timer_is_inert_after_reopen(self):
-        """A Partition's auto-heal timer belongs to *its* island: if
-        the partition was healed early and a new same-named one opened,
-        the stale timer must not close the newcomer.  The run with the
-        stale timer pending must be bit-identical to the twin whose
-        first partition never had a duration."""
-        with_timer = run_tiny(
-            seed=17,
-            events=(
-                Partition(at=120.0, name="p", fraction=0.4,
-                          duration=600.0, isolates_servers=True),
-                PartitionHeal(at=240.0, name="p"),
-                Partition(at=300.0, name="p", fraction=0.4,
-                          isolates_servers=True),
-            ),
-        ).to_dict()
-        without_timer = run_tiny(
-            seed=17,
-            events=(
-                Partition(at=120.0, name="p", fraction=0.4,
-                          isolates_servers=True),
-                PartitionHeal(at=240.0, name="p"),
-                Partition(at=300.0, name="p", fraction=0.4,
-                          isolates_servers=True),
-            ),
-        ).to_dict()
-        assert with_timer == without_timer
-        assert with_timer["failed_polls"] > 0
-
     def test_fault_runs_are_deterministic(self):
         events = (
             MessageLoss(at=60.0, duration=600.0, rate=0.1,
                         duplicate_rate=0.05, jitter=5.0),
             Partition(at=300.0, name="cut", fraction=0.3,
-                      duration=240.0, isolates_servers=True),
+                      isolates_servers=True),
+            PartitionHeal(at=540.0, name="cut"),
         )
         first = ScenarioRunner(
             tiny_spec(events=events), seed=21

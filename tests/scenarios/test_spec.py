@@ -271,10 +271,11 @@ class TestFaultEventValidation:
 
         tiny_spec(
             events=(
-                Partition(at=100.0, name="cut", duration=50.0),
+                Partition(at=100.0, name="cut"),
+                PartitionHeal(at=150.0, name="cut"),
                 Partition(at=200.0, name="cut"),
                 PartitionHeal(at=300.0, name="cut"),
-                Partition(at=400.0, name="cut", duration=100.0),
+                Partition(at=400.0, name="cut"),
             )
         ).validate()
 

@@ -158,5 +158,3 @@ class TestScheduleEvery:
         engine = EventEngine()
         with pytest.raises(ValueError):
             engine.schedule_every(0.0, 0.0, lambda now: None)
-        with pytest.raises(ValueError):
-            engine.schedule_every(0.0, -5.0, lambda now: None)

@@ -18,8 +18,6 @@ class TestTimeSeries:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             TimeSeries(bucket_width=0.0)
-        with pytest.raises(ValueError):
-            TimeSeries(bucket_width=-1.0)
 
     def test_empty_series_yields_empty_arrays(self):
         series = TimeSeries(bucket_width=5.0)

@@ -1,10 +1,11 @@
-"""The reachability census's static half: its KEEP table and its
-entry-point enumeration (``scripts/reachability.py``).
+"""The reachability census's static half: its KEEP table, its
+verdict and its entry-point enumeration (``scripts/reachability.py``).
 
 No census runs here.  Source functions come from the script's
-:mod:`ast` walk of ``src/repro``; the entry points are the argument
-vectors the census would run, compared with the scenario and sweep
-registries and the CLI parser.
+:mod:`ast` walk of ``src/repro``; the verdict is checked on a small
+module with hand-picked functions marked as run; the entry points are
+the argument vectors the census would run, compared with the scenario
+and sweep registries and the CLI parser.
 """
 
 from __future__ import annotations
@@ -51,7 +52,85 @@ def test_every_keep_entry_names_a_source_function(census):
 def test_every_keep_entry_gives_a_classed_reason(census):
     for key, reason in census.KEEP.items():
         kind, _, text = reason.partition(": ")
-        assert kind and text, key
+        assert kind in census.CLASSES and text, key
+
+
+def test_every_reason_class_is_used(census):
+    used = {reason.partition(": ")[0] for reason in census.KEEP.values()}
+    assert sorted(set(census.CLASSES) - used) == []
+
+
+SAMPLE = """
+class Box:
+    def open(self):
+        def latch():
+            pass
+        return latch
+
+
+def helper():
+    pass
+"""
+OPEN, LATCH, HELPER = (
+    "sample.py::Box.open",
+    "sample.py::Box.open.<locals>.latch",
+    "sample.py::helper",
+)
+
+
+@pytest.fixture()
+def sample(census, tmp_path):
+    (tmp_path / "sample.py").write_text(SAMPLE)
+    return census.source_functions(tmp_path)
+
+
+def ran(functions, *keys):
+    """The profiler's record of ``keys`` having run."""
+    return {
+        (fn.path, fn.first_line) for fn in functions if fn.key in keys
+    }
+
+
+def test_function_keys_follow_qualified_names(sample):
+    assert {fn.key: fn.parent for fn in sample} == {
+        OPEN: None, LATCH: OPEN, HELPER: None,
+    }
+
+
+def test_unreached_function_needs_a_reason(census, sample):
+    seen = ran(sample, OPEN, LATCH)
+    verdict = census.judge(sample, seen, {})
+    assert [fn.key for fn in verdict.no_reason] == [HELPER]
+    assert not verdict.ok
+    assert census.judge(sample, seen, {HELPER: "worker: x"}).ok
+
+
+def test_nested_function_is_reported_through_its_parent(census, sample):
+    verdict = census.judge(sample, set(), {})
+    assert [fn.key for fn in verdict.missed] == [OPEN, HELPER]
+
+
+def test_kept_function_under_an_unreached_parent_is_not_reached(
+    census, sample
+):
+    keep = {OPEN: "worker: x", LATCH: "worker: y", HELPER: "worker: z"}
+    verdict = census.judge(sample, set(), keep)
+    assert verdict.reached == []
+    assert verdict.ok
+
+
+def test_kept_function_that_ran_is_reported(census, sample):
+    seen = ran(sample, OPEN, LATCH, HELPER)
+    verdict = census.judge(sample, seen, {HELPER: "worker: x"})
+    assert verdict.reached == [HELPER]
+    assert not verdict.ok
+
+
+def test_keep_entry_naming_no_function_is_reported(census, sample):
+    seen = ran(sample, OPEN, LATCH, HELPER)
+    verdict = census.judge(sample, seen, {"sample.py::gone": "worker: x"})
+    assert verdict.vanished == ["sample.py::gone"]
+    assert not verdict.ok
 
 
 def test_every_scenario_runs(invocations):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workload.trace import generate_trace
-from tests.workload.test_zipf import fit_zipf_exponent
+from tests.workload.conftest import fit_zipf_exponent
 
 
 class TestGeneration:

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workload.zipf import subscription_counts, zipf_popularity
-
-
-def fit_zipf_exponent(counts) -> float:
-    """Least-squares slope of log(count) vs log(rank), zeros excluded."""
-    ordered = np.sort(np.asarray(counts, dtype=np.float64))[::-1]
-    ordered = ordered[ordered > 0]
-    log_rank = np.log(np.arange(1, ordered.size + 1, dtype=np.float64))
-    slope, _intercept = np.polyfit(log_rank, np.log(ordered), deg=1)
-    return float(-slope)
+from tests.workload.conftest import fit_zipf_exponent
 
 
 class TestPopularity:
@@ -34,9 +26,6 @@ class TestPopularity:
         assert masses[0] / masses[1] == pytest.approx(2.0)
         assert masses[0] / masses[3] == pytest.approx(4.0)
 
-    def test_single_channel_takes_all_mass(self):
-        assert list(zipf_popularity(1, 0.5)) == [1.0]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             zipf_popularity(0)
@@ -56,17 +45,11 @@ class TestSampling:
         assert a.sum() == 10000
         assert (np.diff(a) <= 0).all()  # monotone by rank
 
-
     def test_exact_remainder_goes_to_the_head(self):
         """Three equal-mass channels and ten subscriptions: the one
         left over after flooring goes to rank 1."""
         counts = subscription_counts(10, 3, exponent=0.0, exact=True)
         assert list(counts) == [4, 3, 3]
-
-    def test_draw_reproducible_for_a_seed(self):
-        a = subscription_counts(5000, 50, rng=np.random.default_rng(11))
-        b = subscription_counts(5000, 50, rng=np.random.default_rng(11))
-        assert (a == b).all()
 
 
 class TestFitting:
