@@ -34,7 +34,7 @@ def main() -> None:
 
     # --- the IM front end ------------------------------------------
     service = SimIMService()
-    gateway = ImGateway(service=service, rate_limit=5.0)
+    gateway = ImGateway(service=service)  # 5 notifications/s per client
     for user in ("alice", "bob"):
         service.register(user)
         service.connect(user)

@@ -14,13 +14,24 @@ time counts):
 * ``examples/*.py``;
 * ``benchmarks/test_*.py`` at the ``ci`` scale.
 
-It then parses ``src/repro`` with :mod:`ast` and lists each function
-whose code object never ran.  Every such function must be named in
-``KEEP`` with a one-line reason; the census exits 1 when an unreached
-function has no reason, when a ``KEEP`` entry ran after all, or when a
-``KEEP`` entry names no function.  The profiler sees only this
-process: work done inside spawned sweep workers is invisible to it,
-which is why ``worker_loop`` is kept by name.
+It then parses ``src/repro`` with :mod:`ast` and takes two censuses.
+
+* **Functions**: each function whose code object never ran must be
+  named in ``KEEP`` with a one-line reason.
+* **Settable values**: each defaulted parameter of a function that ran,
+  and each defaulted ``init`` field of a ``repro`` dataclass, must be
+  given a value other than its default by some call, or be named in
+  ``KEEP_VALUES``.  Defaults are read from the function object on the
+  first call of its code object; a dataclass field counts as set when
+  its class's generated ``__init__`` receives another value (any value
+  at all for a ``default_factory`` field).
+
+The census exits 1 when an unreached function or a never-set value has
+no reason, when a table entry ran or was set after all, or when an
+entry names nothing.  The profiler sees only this process: work done
+inside spawned sweep workers is invisible to it, which is why
+``worker_loop`` is kept by name.  pytest-benchmark pauses profilers
+around every timed body; the census keeps its profiler on there.
 
 Usage::
 
@@ -32,6 +43,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import glob
 import io
 import os
@@ -83,6 +95,9 @@ VERB_ARGS: dict[tuple[str, ...], list[list[str]]] = {
         ["bench", "compare",
          "benchmarks/results/BENCH_timings_ci.json",
          "benchmarks/results/BENCH_timings_ci.json"],
+        ["bench", "compare", "--window", "4", "--threshold", "0.2",
+         "benchmarks/results/BENCH_timings_ci.json",
+         "benchmarks/results/BENCH_timings_ci.json"],
         ["bench", "compare", "--no-gate", "--window", "2",
          "benchmarks/results/BENCH_timings_ci.json",
          "{tmp}/missing.json"],
@@ -101,7 +116,10 @@ CLASSES: dict[str, str] = {
     "long run": "fires only past a bound no census run reaches",
     "inspection": "a read-only view the tests of other modules check "
     "production state by (one only its own unit tests read is deleted)",
-    "test driver": "the one way tests steer a chosen node or link",
+    "test driver": "the one way tests steer a chosen node, link or client",
+    "spec format": "a field of the declarative scenario format "
+    "(ScenarioSpec.from_dict) that the timeline-event tests set",
+    "retiring": "sits in obs/drift.py, which ROADMAP item 10 deletes",
 }
 
 #: Functions no user path runs, each with the reason it stays.  Keys
@@ -185,6 +203,67 @@ KEEP: dict[str, str] = {
         "failure path: a dead worker is replaced",
     "sweeps/worker.py::worker_loop":
         "worker: the loop of every spawned sweep worker",
+}
+
+#: Settable values no user path sets, each with the reason it stays.
+#: Keys are ``<file>::<function>(<parameter>)`` or
+#: ``<file>::<Class>.<field>``; reasons are classed as in ``KEEP``.
+KEEP_VALUES: dict[str, str] = {
+    "core/config.py::CoronaConfig.load_metric":
+        "reference: the optimization-record tests sample the bandwidth "
+        "metric",
+    "diffengine/extractor.py::CoreContentExtractor.noise_elements":
+        "reference: the golden core-lines digests replay a keep-all "
+        "configuration",
+    "diffengine/extractor.py::CoreContentExtractor.extra_noise_elements":
+        "reference: the golden core-lines digests replay an extra-noise "
+        "configuration",
+    "diffengine/extractor.py::CoreContentExtractor.strip_comments":
+        "reference: the golden core-lines digests replay a keep-all "
+        "configuration",
+    "diffengine/extractor.py::CoreContentExtractor.strip_feed_metadata":
+        "reference: the golden core-lines digests replay a keep-all "
+        "configuration",
+    "diffengine/extractor.py::CoreContentExtractor.strip_timestamp_text":
+        "reference: the golden core-lines digests replay a keep-all "
+        "configuration",
+    "diffengine/tokenizer.py::Token.name":
+        "reference: tokenize, the reference lexer, builds tag tokens",
+    "diffengine/tokenizer.py::Token.attrs":
+        "reference: tokenize, the reference lexer, builds tag tokens",
+    "faults/chaos.py::chaos_timeline(incidents)":
+        "e2e harness: chaos-2048 draws its own incident count",
+    "feeds/generator.py::FeedGenerator.include_noise":
+        "reference: the golden core-lines and diff-hunk digests replay "
+        "noise-free feeds",
+    "im/service.py::SimIMService.connect(now)":
+        "test driver: the IM tests reconnect a client at a chosen time",
+    "obs/drift.py::load_snapshot(label)":
+        "retiring: labels a snapshot other than by its file name",
+    "obs/drift.py::format_drift_table(title)":
+        "retiring: titles the drift table",
+    "scenarios/spec.py::WorkloadSpec.url_prefix":
+        "e2e harness: workloads.py re-keys the channel namespace per seed",
+    "scenarios/spec.py::FlashCrowd.channel":
+        "spec format: the channel rank a crowd subscribes to",
+    "scenarios/spec.py::FlashCrowd.window":
+        "spec format: the span a crowd arrives over",
+    "scenarios/spec.py::UpdateBurst.factor":
+        "spec format: how much faster a burst publishes",
+    "scenarios/spec.py::UpdateBurst.channel_fraction":
+        "spec format: the share of channels a burst speeds up",
+    "scenarios/spec.py::ChurnWave.interval":
+        "spec format: the seconds between churn ticks",
+    "scenarios/spec.py::SubscriptionFlap.channels":
+        "spec format: the channel pool a flap cycles",
+    "scenarios/spec.py::SubscriptionFlap.subscribers":
+        "spec format: the clients per channel a flap cycles",
+    "simulation/macro.py::MacroSimulator.__init__(obs)":
+        "e2e harness: child.py reads the solver counters off its plane",
+    "sweeps/farm.py::TaskResult.error":
+        "failure path: the message of a task that raised or timed out",
+    "workload/trace.py::generate_trace(url_prefix)":
+        "e2e harness: macro-table2 re-keys the channel namespace per seed",
 }
 
 
@@ -276,7 +355,7 @@ def cli_invocations(tmp: str) -> list[list[str]]:
         ("simulate",): [
             ["simulate", *_SMALL, "--hours", "1", "--scheme", scheme]
             for scheme in scheme_choices
-        ],
+        ] + [["simulate", *_SMALL, "--hours", "1", "--target", "20"]],
         ("scenario", "run"): [],
         ("sweep", "run"): [],
         ("sweep", "resume"): [],
@@ -304,7 +383,7 @@ def cli_invocations(tmp: str) -> list[list[str]]:
         if index == 0:
             argv += ["--check-invariants", "--trace", f"{tmp}/sweep.jsonl"]
         if index == 1:
-            argv += ["--json"]
+            argv += ["--json", "--timeout", "600", "--retries", "2"]
         expanded[("sweep", "run")].append(argv)
     expanded[("sweep", "run")] += [
         ["sweep", "run", sweeps[0], "-j", "1", "--resume",
@@ -346,8 +425,7 @@ def benchmark_paths() -> list[str]:
     return sorted(glob.glob(str(REPO_ROOT / "benchmarks" / "test_*.py")))
 
 
-# ----------------------------------------------------------------------
-# static side: every function under src/repro
+# static side: every function and settable value under src/repro
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FunctionDef:
@@ -358,51 +436,238 @@ class FunctionDef:
     parent: str | None  # key of the enclosing function, if any
 
 
-def _functions_in(path: Path, rel: str) -> list[FunctionDef]:
-    found: list[FunctionDef] = []
+@dataclass(frozen=True)
+class Settable:
+    """A defaulted parameter or a defaulted ``init`` dataclass field."""
+
+    key: str  # "<file>::<function>(<parameter>)" or "<file>::<Class>.<field>"
+    ident: tuple  # what the profiler records when a call sets it
+    function: tuple | None  # (path, first line) of a parameter's function
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        name = (
+            decorator.attr if isinstance(decorator, ast.Attribute)
+            else decorator.id
+        )
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _field_has_init_default(node: ast.AnnAssign) -> bool:
+    """True for ``x: T = v`` or ``field(default…)`` ``__init__`` takes."""
+    if node.value is None or ast.unparse(node.annotation).startswith(
+        ("ClassVar", "typing.ClassVar")
+    ):
+        return False
+    call = node.value
+    if not (isinstance(call, ast.Call) and ast.unparse(call.func).endswith(
+        "field"
+    )):
+        return True
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in keywords or "default_factory" in keywords
+
+
+def _defaulted_parameters(node) -> list[str]:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):]
+    return [arg.arg for arg in defaulted] + [
+        arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _definitions_in(
+    path: Path, rel: str
+) -> tuple[list[FunctionDef], list[Settable]]:
+    functions: list[FunctionDef] = []
+    settables: list[Settable] = []
 
     def visit(node, prefix: str, parent: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.", parent)
+                qualname = f"{prefix}{child.name}"
+                if _is_dataclass(child):
+                    settables.extend(
+                        Settable(
+                            f"{rel}::{qualname}.{item.target.id}",
+                            (str(path), qualname, item.target.id),
+                            None,
+                        )
+                        for item in child.body
+                        if isinstance(item, ast.AnnAssign)
+                        and _field_has_init_default(item)
+                    )
+                visit(child, f"{qualname}.", parent)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{child.name}"
                 first = min(
                     [child.lineno] + [d.lineno for d in child.decorator_list]
                 )
                 key = f"{rel}::{qualname}"
-                found.append(FunctionDef(
+                functions.append(FunctionDef(
                     key, str(path), first, child.end_lineno - first + 1,
                     parent,
                 ))
+                settables.extend(
+                    Settable(
+                        f"{key}({name})", (str(path), first, name),
+                        (str(path), first),
+                    )
+                    for name in _defaulted_parameters(child)
+                )
                 visit(child, f"{qualname}.<locals>.", key)
             else:
                 visit(child, prefix, parent)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "", None)
-    return found
+    return functions, settables
+
+
+def _definitions(root: Path, index: int) -> list:
+    return [
+        item
+        for path in sorted(root.rglob("*.py"))
+        for item in _definitions_in(
+            path, path.relative_to(root).as_posix()
+        )[index]
+    ]
 
 
 def source_functions(root: Path = PACKAGE_ROOT) -> list[FunctionDef]:
     """Every ``def`` under ``root``, keyed by file and qualified name."""
-    return [
-        function
-        for path in sorted(root.rglob("*.py"))
-        for function in _functions_in(path, path.relative_to(root).as_posix())
-    ]
+    return _definitions(root, 0)
+
+
+def source_settables(root: Path = PACKAGE_ROOT) -> list[Settable]:
+    """Every defaulted parameter and ``init`` dataclass field under
+    ``root`` (``ClassVar`` and ``field(init=False)`` are not settable)."""
+    return _definitions(root, 1)
 
 
 # ----------------------------------------------------------------------
 # dynamic side
 # ----------------------------------------------------------------------
-def _profiler(seen: set):
-    package = str(PACKAGE_ROOT)
+def _function_of(frame, code):
+    """The function object whose code ``frame`` runs, or None.
+
+    Looked up by qualified name from the module's globals; a closure
+    or a shadowed name falls back to a scan of the code's referrers.
+    """
+    candidates = []
+    owner = frame.f_globals
+    try:
+        for part in code.co_qualname.split("."):
+            scope = owner if isinstance(owner, dict) else vars(owner)
+            owner = scope[part]
+        candidates.append(owner)
+    except (KeyError, TypeError):
+        candidates += gc.get_referrers(code)
+    while candidates:
+        candidate = candidates.pop()
+        if getattr(candidate, "__code__", None) is code:
+            return candidate
+        candidates += [
+            getattr(candidate, attr) for attr in
+            ("__func__", "fget", "fset", "func", "__wrapped__")
+            if getattr(candidate, attr, None) is not None
+        ]
+    return None
+
+
+def _parameter_defaults(frame, code) -> list[tuple]:
+    function = _function_of(frame, code)
+    if function is None:
+        return []
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = function.__defaults__ or ()
+    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+    pairs += (function.__kwdefaults__ or {}).items()
+    where = (code.co_filename, code.co_firstlineno)
+    return [(where + (name,), name, default) for name, default in pairs]
+
+
+def _field_defaults(frame, code, package: str) -> list[tuple]:
+    """The defaulted fields a dataclass's generated ``__init__`` takes."""
+    instance = frame.f_locals.get(code.co_varnames[0])
+    cls = next(
+        (
+            klass for klass in type(instance).__mro__
+            if getattr(vars(klass).get("__init__"), "__code__", None) is code
+        ),
+        None,
+    )
+    if cls is None or "__dataclass_fields__" not in vars(cls):
+        return []
+    init = vars(cls)["__init__"]
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = init.__defaults__ or ()
+    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+    pairs += (init.__kwdefaults__ or {}).items()
+    watch = []
+    for name, default in pairs:
+        owner = next(
+            klass for klass in cls.__mro__
+            if name in vars(klass).get("__annotations__", {})
+        )
+        path = getattr(sys.modules.get(owner.__module__), "__file__", "")
+        if path and path.startswith(package):
+                watch.append(((path, owner.__qualname__, name), name, default))
+    return watch
+
+
+def _same(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except Exception:
+        return False
+
+
+def _profiler(seen: set, setters: set, package: str = str(PACKAGE_ROOT)):
+    """A ``sys.setprofile`` hook recording what runs and what is set.
+
+    ``seen`` collects ``(file, first line)`` of every ``package`` code
+    object that runs; ``setters`` collects the ident of every
+    :class:`Settable` some call gives a value other than its default.
+    """
+    watched: dict[int, tuple] = {}
+
+    def resolve(frame, code) -> list:
+        if code.co_filename.startswith(package):
+            seen.add((code.co_filename, code.co_firstlineno))
+            return _parameter_defaults(frame, code)
+        if code.co_name == "__init__" and code.co_filename == "<string>":
+            return _field_defaults(frame, code, package)
+        return []
 
     def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(package):
-                seen.add((code.co_filename, code.co_firstlineno))
+        if event != "call":
+            return
+        code = frame.f_code
+        entry = watched.get(id(code))
+        if entry is None:
+            # The code object is held so its id is never reused.
+            entry = watched[id(code)] = (code, resolve(frame, code))
+        watch = entry[1]
+        if watch:
+            values = frame.f_locals
+            for item in list(watch):
+                value = values.get(item[1], item[2])
+                if not _same(value, item[2]):
+                    setters.add(item[0])
+                    watch.remove(item)
 
     return profile
 
@@ -430,16 +695,40 @@ def _run_example(path: str) -> int:
     return 0
 
 
-def run_census() -> tuple[set, list[str]]:
+def run_benchmarks(paths: list[str]) -> int:
+    """``pytest`` on ``paths`` with the profiler kept on in timed bodies.
+
+    pytest-benchmark's ``PauseInstrumentation`` clears
+    ``sys.setprofile`` around every timed round and around the whole
+    of ``benchmark.pedantic``; it is replaced by a no-op for the run.
+    """
+    from pytest_benchmark import fixture
+
+    pause = fixture.PauseInstrumentation
+    fixture.PauseInstrumentation = contextlib.nullcontext
+    try:
+        return pytest_main(["-q", "-p", "no:cacheprovider", *paths])
+    finally:
+        fixture.PauseInstrumentation = pause
+
+
+def pytest_main(args: list[str]) -> int:
+    import pytest
+
+    return pytest.main(args)
+
+
+def run_census() -> tuple[set, set, list[str]]:
     """Run every entry point under the profiler.
 
-    Returns what ran and the entry points that failed unexpectedly
-    (the ``no-such``/``missing`` arguments exercise the error paths
-    and must fail).
+    Returns what ran, which settable values were set and the entry
+    points that failed unexpectedly (the ``no-such``/``missing``
+    arguments exercise the error paths and must fail).
     """
     seen: set = set()
+    setters: set = set()
     failed: list[str] = []
-    profile = _profiler(seen)
+    profile = _profiler(seen, setters)
     sys.setprofile(profile)
     threading.setprofile(profile)
     try:
@@ -460,19 +749,14 @@ def run_census() -> tuple[set, list[str]]:
                 label = os.path.relpath(path, REPO_ROOT)
                 if _run_quietly(label, lambda p=path: _run_example(p)):
                     failed.append(label)
-        import pytest
-
         paths = benchmark_paths()
         label = f"pytest {len(paths)} benchmark files (ci scale)"
-        if _run_quietly(
-            label,
-            lambda: pytest.main(["-q", "-p", "no:cacheprovider", *paths]),
-        ):
+        if _run_quietly(label, lambda: run_benchmarks(paths)):
             failed.append(label)
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    return seen, failed
+    return seen, setters, failed
 
 
 @dataclass(frozen=True)
@@ -513,21 +797,66 @@ def judge(
     )
 
 
+@dataclass(frozen=True)
+class ValueVerdict:
+    never_set: list[str]  # keys no call gave another value
+    no_reason: list[str]  # never set and not in KEEP_VALUES
+    set_after_all: list[str]  # KEEP_VALUES entries some call set
+    vanished: list[str]  # KEEP_VALUES entries that name no value
+
+    @property
+    def ok(self) -> bool:
+        return not (self.no_reason or self.set_after_all or self.vanished)
+
+
+def judge_values(
+    settables: list[Settable], seen: set, setters: set, keep: dict[str, str]
+) -> ValueVerdict:
+    """Compare what was set with ``keep``.
+
+    A parameter of a function that never ran is left to the function
+    census (its function is missed or kept there).
+    """
+    never_set = [
+        value.key for value in settables
+        if value.ident not in setters
+        and (value.function is None or value.function in seen)
+    ]
+    known = {value.key for value in settables}
+    return ValueVerdict(
+        never_set=never_set,
+        no_reason=[key for key in never_set if key not in keep],
+        set_after_all=sorted(
+            key for key in keep if key in known and key not in never_set
+        ),
+        vanished=sorted(key for key in keep if key not in known),
+    )
+
+
 def main() -> int:
     os.chdir(REPO_ROOT)
     os.environ.setdefault("CORONA_BENCH_SCALE", "ci")
 
     started = time.perf_counter()
-    seen, failed = run_census()
+    seen, setters, failed = run_census()
     functions = source_functions()
     verdict = judge(functions, seen, KEEP)
     missed = verdict.missed
+    settables = source_settables()
+    values = judge_values(settables, seen, setters, KEEP_VALUES)
+    wall = time.perf_counter() - started
 
     print(
         f"\ncensus: {len(functions)} functions in src/repro, "
         f"{len(missed)} never ran ({sum(fn.lines for fn in missed)} "
         f"lines); {len(missed) - len(verdict.no_reason)} kept with a "
-        f"reason ({time.perf_counter() - started:.0f}s)"
+        f"reason ({wall:.0f}s)"
+    )
+    print(
+        f"census: {len(settables)} settable values in src/repro, "
+        f"{len(values.never_set)} never set; "
+        f"{len(values.never_set) - len(values.no_reason)} kept with a "
+        "reason"
     )
     for fn in verdict.no_reason:
         print(f"UNREACHED, no reason: {fn.key} ({fn.lines} lines)")
@@ -535,9 +864,15 @@ def main() -> int:
         print(f"KEEP entry now reached (drop it): {key}")
     for key in verdict.vanished:
         print(f"KEEP entry names no function (drop it): {key}")
+    for key in values.no_reason:
+        print(f"NEVER SET, no reason: {key}")
+    for key in values.set_after_all:
+        print(f"KEEP_VALUES entry now set (drop it): {key}")
+    for key in values.vanished:
+        print(f"KEEP_VALUES entry names no value (drop it): {key}")
     for label in failed:
         print(f"ENTRY POINT FAILED: {label}")
-    return 0 if verdict.ok and not failed else 1
+    return 0 if verdict.ok and values.ok and not failed else 1
 
 
 if __name__ == "__main__":

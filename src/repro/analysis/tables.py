@@ -51,7 +51,6 @@ def format_series(
     times: np.ndarray,
     values_by_label: dict[str, np.ndarray],
     unit: str = "",
-    time_unit: str = "h",
 ) -> str:
     """A figure's time series as rows of aligned columns.
 
@@ -59,13 +58,12 @@ def format_series(
     labelled line of the figure.
     """
     labels = list(values_by_label)
-    headers = [f"t ({time_unit})"] + [
+    headers = ["t (h)"] + [
         f"{label}{f' ({unit})' if unit else ''}" for label in labels
     ]
-    divisor = 3600.0 if time_unit == "h" else 60.0 if time_unit == "min" else 1.0
     rows = []
     for index, t in enumerate(np.asarray(times)):
-        row: list[object] = [f"{t / divisor:.2f}"]
+        row: list[object] = [f"{t / 3600.0:.2f}"]
         for label in labels:
             series = np.asarray(values_by_label[label])
             row.append(float(series[index]) if index < series.size else float("nan"))

@@ -29,7 +29,6 @@ from repro.core.objectives import (
     build_problem,
     detection_time,
     scheme_by_name,
-    server_load,
 )
 from repro.core.subscription import SubscriptionRegistry
 from repro.core.system import CoronaSystem
@@ -47,5 +46,4 @@ __all__ = [
     "build_problem",
     "detection_time",
     "scheme_by_name",
-    "server_load",
 ]

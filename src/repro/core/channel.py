@@ -14,12 +14,19 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from repro.core.config import CoronaConfig
+from repro.core.config import (
+    MAX_UPDATE_INTERVAL,
+    MIN_UPDATE_INTERVAL,
+    CoronaConfig,
+)
 from repro.core.objectives import binning_ratio, scheme_by_name
 from repro.honeycomb.clusters import ChannelFactors, ratio_bin
 from repro.overlay.hashing import channel_id
 from repro.overlay.nodeid import NodeId
 
+
+#: Weight of the newest gap in the update-interval EWMA.
+EWMA_ALPHA = 0.3
 
 #: ChannelStats attributes whose value feeds :meth:`ChannelStats.
 #: factors` (directly or through the ``update_interval`` clamp).
@@ -27,14 +34,7 @@ from repro.overlay.nodeid import NodeId
 #: :meth:`ChannelStats.record` and notifies the bound listener — see
 #: :meth:`ChannelStats.bind`.
 _FACTOR_FIELDS = frozenset(
-    {
-        "subscribers",
-        "content_size",
-        "_interval_estimate",
-        "default_update_interval",
-        "min_interval",
-        "max_interval",
-    }
+    {"subscribers", "content_size", "_interval_estimate"}
 )
 
 #: Sentinel for "attribute not set yet" in the change check below.
@@ -47,8 +47,9 @@ class ChannelStats:
 
     ``update_interval`` uses an exponentially weighted mean of
     observed inter-update gaps; until two updates have been seen it
-    falls back to ``default_update_interval`` (the survey's one-week
-    cap for feeds never observed to change, §5.1).
+    falls back to ``MAX_UPDATE_INTERVAL`` (the survey's one-week cap
+    for feeds never observed to change, §5.1).  Every field is run
+    state: a channel's stats start empty and fill as it is used.
 
     Stats are *structurally* change-notifying: assigning any factor
     attribute (see :data:`_FACTOR_FIELDS`) calls the listener bound
@@ -64,15 +65,11 @@ class ChannelStats:
     that a factor field actually moved, listener or not.
     """
 
-    subscribers: int = 0
-    content_size: int = 1024
-    default_update_interval: float = 7 * 24 * 3600.0
-    min_interval: float = 60.0
-    max_interval: float = 7 * 24 * 3600.0
-    ewma_alpha: float = 0.3
-    _last_update_time: float | None = None
-    _interval_estimate: float | None = None
-    updates_seen: int = 0
+    subscribers: int = field(default=0, init=False)
+    content_size: int = field(default=1024, init=False)
+    _last_update_time: float | None = field(default=None, init=False)
+    _interval_estimate: float | None = field(default=None, init=False)
+    updates_seen: int = field(default=0, init=False)
     #: ``(config, log u, binning ratio, ratio bin)`` — see
     #: :meth:`record`.  A declared field so every instance keeps the
     #: class's shared attribute layout; holds derived values only.
@@ -118,8 +115,8 @@ class ChannelStats:
                     self._interval_estimate = gap
                 else:
                     self._interval_estimate = (
-                        self.ewma_alpha * gap
-                        + (1 - self.ewma_alpha) * self._interval_estimate
+                        EWMA_ALPHA * gap
+                        + (1 - EWMA_ALPHA) * self._interval_estimate
                     )
         self._last_update_time = timestamp
         self.updates_seen += 1
@@ -133,8 +130,11 @@ class ChannelStats:
         ratio τ/uᵢ arbitrarily high.
         """
         if self._interval_estimate is None:
-            return self.default_update_interval
-        return min(self.max_interval, max(self.min_interval, self._interval_estimate))
+            return MAX_UPDATE_INTERVAL
+        return min(
+            MAX_UPDATE_INTERVAL,
+            max(MIN_UPDATE_INTERVAL, self._interval_estimate),
+        )
 
     def factors(self) -> ChannelFactors:
         """Snapshot as the optimization's input record."""
@@ -186,7 +186,7 @@ class Channel:
     """
 
     url: str
-    stats: ChannelStats = field(default_factory=ChannelStats)
+    stats: ChannelStats = field(default_factory=ChannelStats, init=False)
     level: int = 0
     max_level: int = 0
     anchor_prefix: int = 0

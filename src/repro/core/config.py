@@ -1,16 +1,24 @@
 """System-wide Corona configuration.
 
-One immutable object carries every parameter the paper names: the
-polling and maintenance intervals, the overlay base, the replication
-factor, the tradeoff-bin count, and the optimization scheme with its
-target.  Defaults follow the paper's implementation section (§4:
-base 16, 16 tradeoff bins) and evaluation section (§5.1: 30-minute
-polling, one-hour maintenance).
+One immutable object carries the parameters the paper varies: the
+polling and maintenance intervals, the overlay base, the tradeoff-bin
+count, and the optimization scheme with its target.  Defaults follow
+the paper's implementation section (§4: base 16, 16 tradeoff bins)
+and evaluation section (§5.1: 30-minute polling, one-hour
+maintenance).  What the paper fixes is a module constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: Owner replication factor ``f`` — subscription state lives on the
+#: primary owner and its ``f−1`` ring neighbours (§3.3).
+REPLICAS = 3
+#: Clamps for the owner's update-interval estimator; the survey caps
+#: unchanged feeds at one week (§5.1).
+MIN_UPDATE_INTERVAL = 60.0
+MAX_UPDATE_INTERVAL = 7 * 24 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -29,9 +37,6 @@ class CoronaConfig:
         Digit base ``b`` of the structured overlay (16, §4).
     tradeoff_bins:
         Clusters kept per polling level during aggregation (16, §4).
-    replicas:
-        Owner replication factor ``f`` — subscription state lives on
-        the primary owner and its ``f−1`` ring neighbours (§3.3).
     scheme:
         Name of the optimization scheme: ``"lite"``, ``"fast"``,
         ``"fair"``, ``"fair-sqrt"`` or ``"fair-log"``.
@@ -42,12 +47,6 @@ class CoronaConfig:
         ``"polls"`` charges g_i(l) = wedge polls per τ (Table 2's
         "polls per 30 min per channel"); ``"bandwidth"`` weighs polls
         by content size s_i (Figure 3's kbps view).
-    min_update_interval / max_update_interval:
-        Clamps for the owner's update-interval estimator; the survey
-        caps unchanged feeds at one week (§5.1).
-    im_rate_limit:
-        Maximum notifications per second sent to one client, mirroring
-        the Yahoo rate limit the implementation works around (§4).
     orphan_target_correction:
         Apply the slack-cluster target correction of §4 (subtract the
         fixed cost/latency of orphan channels from the optimization
@@ -61,13 +60,9 @@ class CoronaConfig:
     maintenance_interval: float = 3600.0
     base: int = 16
     tradeoff_bins: int = 16
-    replicas: int = 3
     scheme: str = "lite"
     latency_target: float = 30.0
     load_metric: str = "polls"
-    min_update_interval: float = 60.0
-    max_update_interval: float = 7 * 24 * 3600.0
-    im_rate_limit: float = 5.0
     orphan_target_correction: bool = True
 
     def __post_init__(self) -> None:
@@ -79,8 +74,6 @@ class CoronaConfig:
             raise ValueError("overlay base must be >= 2")
         if self.tradeoff_bins < 1:
             raise ValueError("tradeoff_bins must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; pick one of {SCHEME_NAMES}"
@@ -89,8 +82,6 @@ class CoronaConfig:
             raise ValueError("latency_target must be positive")
         if self.load_metric not in ("polls", "bandwidth"):
             raise ValueError("load_metric must be 'polls' or 'bandwidth'")
-        if not 0 < self.min_update_interval <= self.max_update_interval:
-            raise ValueError("update-interval clamps are inconsistent")
 
 
 #: The five optimization schemes of Table 1.

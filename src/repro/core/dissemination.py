@@ -46,7 +46,9 @@ def wedge_recipients(
 def deliver_plan(
     plan: list[tuple[NodeId, NodeId, int]],
     transmit: Callable[[NodeId, NodeId], object] | None = None,
-) -> tuple[list[tuple[NodeId, int]], int, set[NodeId]]:
+) -> tuple[
+    list[tuple[NodeId, int]], int, set[NodeId], dict[NodeId, float]
+]:
     """Execute a delivery plan under an (optional) fault model.
 
     ``transmit(sender, recipient)`` returns an outcome with a

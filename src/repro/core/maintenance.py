@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
+from repro.honeycomb.clusters import ChannelFactors
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,13 @@ class MaintenanceMsg:
     their own identifier prefix against the channel to know whether
     they are inside the level-``level`` wedge and should poll.
     ``factors`` carries the owner's fresh estimates of q_i, s_i, u_i so
-    every wedge member optimizes against current data; ``summary``
-    piggy-backs aggregation data (§3.3: "aggregation data piggy-backed
-    on maintenance messages").
+    every wedge member optimizes against current data.
     """
 
     url: str
     level: int
     factors: ChannelFactors
     row: int  # routing-table row the message was sent along
-    summary: ClusterSummary | None = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class LevelController:
     next step on each round.
     """
 
-    desired: dict[str, int] = field(default_factory=dict)
+    desired: dict[str, int] = field(default_factory=dict, init=False)
 
     def set_target(self, url: str, level: int) -> None:
         """Record the optimizer's desired level for ``url``."""

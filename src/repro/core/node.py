@@ -26,7 +26,7 @@ import zlib
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.core.channel import Channel, ChannelStats
+from repro.core.channel import Channel
 from repro.core.config import CoronaConfig
 from repro.core.maintenance import DiffMsg, LevelController, MaintenanceMsg
 from repro.core.objectives import (
@@ -165,11 +165,6 @@ class CoronaNode:
             return channel
         channel = Channel(
             url=url,
-            stats=ChannelStats(
-                default_update_interval=self.config.max_update_interval,
-                min_interval=self.config.min_update_interval,
-                max_interval=self.config.max_update_interval,
-            ),
             level=max_level,
             max_level=max_level,
             anchor_prefix=anchor_prefix,

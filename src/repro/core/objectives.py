@@ -67,50 +67,9 @@ def wedge_size(level: int, n_nodes: int, base: int) -> float:
     return max(1.0, n_nodes / base**level)
 
 
-def detection_time(
-    level: int,
-    tau: float,
-    n_nodes: int,
-    base: int,
-    sizes: Sequence[float] | None = None,
-) -> float:
-    """Expected update-detection time ``τ/2 · b^l/N`` at ``level``.
-
-    ``sizes`` optionally supplies *actual* wedge populations indexed by
-    level (the simulators measure them), overriding the expectation.
-    """
-    pollers = (
-        max(1.0, float(sizes[level]))
-        if sizes is not None
-        else wedge_size(level, n_nodes, base)
-    )
-    return tau / 2.0 / pollers
-
-
-def server_load(
-    level: int,
-    n_nodes: int,
-    base: int,
-    size: float = 1.0,
-    metric: str = "polls",
-    sizes: Sequence[float] | None = None,
-) -> float:
-    """Load on the channel's content server at ``level``, per τ.
-
-    ``metric="polls"`` counts requests; ``"bandwidth"`` weighs each
-    request by the content size ``s_i`` (every poll may transfer the
-    content).
-    """
-    pollers = (
-        max(1.0, float(sizes[level]))
-        if sizes is not None
-        else wedge_size(level, n_nodes, base)
-    )
-    if metric == "polls":
-        return pollers
-    if metric == "bandwidth":
-        return pollers * size
-    raise ValueError(f"unknown load metric {metric!r}")
+def detection_time(level: int, tau: float, n_nodes: int, base: int) -> float:
+    """Expected update-detection time ``τ/2 · b^l/N`` at ``level``."""
+    return tau / 2.0 / wedge_size(level, n_nodes, base)
 
 
 def fairness_weight(scheme: Scheme, tau: float, update_interval: float) -> float:
@@ -154,27 +113,20 @@ def binning_ratio(
 # tradeoff construction
 # ----------------------------------------------------------------------
 def _level_tables(
-    config: CoronaConfig,
-    n_nodes: int,
-    levels: Sequence[int],
-    sizes: Sequence[float] | None = None,
+    config: CoronaConfig, n_nodes: int, levels: Sequence[int]
 ) -> tuple:
     """``(levels, detection times, pollers)`` of one instance's levels.
 
     Neither depends on the channel, so a problem tabulates them once
-    and every curve scales them by its own factors.
+    and every curve scales them by its own factors.  Pollers per τ are
+    the server load at a level.
     """
     levels = tuple(levels)
     tau, base = config.polling_interval, config.base
     return (
         levels,
-        tuple(
-            detection_time(level, tau, n_nodes, base, sizes=sizes)
-            for level in levels
-        ),
-        tuple(
-            server_load(level, n_nodes, base, sizes=sizes) for level in levels
-        ),
+        tuple(detection_time(level, tau, n_nodes, base) for level in levels),
+        tuple(wedge_size(level, n_nodes, base) for level in levels),
     )
 
 

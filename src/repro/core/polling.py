@@ -24,13 +24,13 @@ class PollTask:
     level: int
     next_poll: float
     interval: float
-    content: ContentState = field(default_factory=ContentState)
+    content: ContentState = field(default_factory=ContentState, init=False)
     #: Poll waves in a row that never reached the server (timeout
     #: after the fault plane's retry budget).  Reset on any poll that
     #: gets through; purely observational — the schedule itself keeps
     #: its τ cadence so a healed server is re-polled within one
     #: interval, which is all the staleness bound needs.
-    consecutive_failures: int = 0
+    consecutive_failures: int = field(default=0, init=False)
 
     def advance(self) -> None:
         """Schedule the next poll one interval later."""
@@ -81,7 +81,7 @@ class PollScheduler:
 
     interval: float
     seed: int = 0
-    tasks: dict[str, PollTask] = field(default_factory=dict)
+    tasks: dict[str, PollTask] = field(default_factory=dict, init=False)
     calendar: list[tuple] = field(default_factory=list, repr=False)
     #: This scheduler's position among the calendar's owners.
     rank: int = 0

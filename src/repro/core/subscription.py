@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 class SubscriptionRegistry:
     """Subscriber sets for the channels one node (co-)owns."""
 
-    _subscribers: dict[str, set[str]] = field(default_factory=dict)
+    _subscribers: dict[str, set[str]] = field(
+        default_factory=dict, init=False
+    )
 
     # ------------------------------------------------------------------
     def subscribe(self, url: str, client: str) -> bool:

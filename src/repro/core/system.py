@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from repro.core.channel import Channel
-from repro.core.config import CoronaConfig
+from repro.core.config import REPLICAS, CoronaConfig
 from repro.core.dissemination import deliver_plan, wedge_recipients
 from repro.core.maintenance import DiffMsg, MaintenanceMsg
 from repro.core.node import CoronaNode, DetectionEvent, FetchResult
@@ -168,7 +168,7 @@ class CoronaSystem:
         self.overlay = OverlayNetwork.build(
             n_nodes,
             base=config.base,
-            leaf_size=config.replicas + 1,
+            leaf_size=REPLICAS + 1,
         )
         self.nodes: dict[NodeId, CoronaNode] = {
             node_id: self._new_node(node_id, rng_seed=seed)
@@ -448,9 +448,7 @@ class CoronaSystem:
         """Nodes currently managing at least one channel."""
         return set(self.managers.values())
 
-    def join_nodes(
-        self, count: int, now: float = 0.0, address_prefix: str = "joiner"
-    ) -> list[NodeId]:
+    def join_nodes(self, count: int, now: float = 0.0) -> list[NodeId]:
         """Join ``count`` fresh nodes; returns their ids in join order.
 
         Addresses are minted from a monotonic counter so repeated waves
@@ -462,7 +460,7 @@ class CoronaSystem:
         addresses: list[str] = []
         for _ in range(count):
             self._join_counter += 1
-            addresses.append(f"{address_prefix}-{self._join_counter}")
+            addresses.append(f"joiner-{self._join_counter}")
         if not addresses:
             return []
         with self.obs.tracer.span(

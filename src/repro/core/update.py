@@ -22,8 +22,8 @@ class VersionClock:
     already reported that change — and is dropped.
     """
 
-    current: int = 0
-    assigned: int = 0
+    current: int = field(default=0, init=False)
+    assigned: int = field(default=0, init=False)
 
     def observe_timestamp(self, timestamp: int) -> bool:
         """Adopt a server-supplied modification timestamp as version.
@@ -53,8 +53,8 @@ class ContentState:
     against.
     """
 
-    version: int = 0
-    lines: tuple[str, ...] = field(default_factory=tuple)
+    version: int = field(default=0, init=False)
+    lines: tuple[str, ...] = field(default=(), init=False)
 
     def replace(self, version: int, lines: tuple[str, ...]) -> None:
         """Install a newer full copy."""

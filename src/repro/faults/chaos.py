@@ -95,7 +95,6 @@ def chaos_timeline(
                     "duration": _quantize(rng.uniform(300.0, 900.0)),
                     "rate": round(rng.uniform(0.05, 0.2), 3),
                     "duplicate_rate": round(rng.uniform(0.0, 0.05), 3),
-                    "jitter": 0.0,
                 }
             )
         elif family == "link":

@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.faults.plane import TransmitOutcome
 
@@ -74,15 +74,16 @@ class LinkSpec:
     lossy wide area).  ``bandwidth`` is in messages/second (protocol
     messages are diff-sized and roughly uniform, see §3.4's bandwidth
     argument); ``burst`` is the token-bucket capacity — how many
-    same-instant messages the link absorbs before queueing — and
+    same-instant messages a link absorbs before queueing — and
     ``queue_limit`` bounds the backlog behind it.
     """
+
+    burst: ClassVar[float] = 2.0
 
     loss: float | None = None
     latency: float = 0.0
     jitter: float = 0.0
     bandwidth: float | None = None
-    burst: float = 2.0
     queue_limit: int = 8
 
     def validate(self) -> None:
@@ -94,8 +95,6 @@ class LinkSpec:
             raise ValueError("link jitter cannot be negative")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("link bandwidth must be positive when set")
-        if self.burst < 1:
-            raise ValueError("link burst must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("link queue_limit must be >= 1")
 
@@ -123,7 +122,6 @@ def _merge_specs(specs: Sequence[LinkSpec]) -> LinkSpec:
     latency = 0.0
     jitter = 0.0
     bandwidth: float | None = None
-    burst: float | None = None
     queue_limit: int | None = None
     for spec in specs:
         if spec.loss is not None:
@@ -133,7 +131,6 @@ def _merge_specs(specs: Sequence[LinkSpec]) -> LinkSpec:
         if spec.bandwidth is not None:
             if bandwidth is None or spec.bandwidth < bandwidth:
                 bandwidth = spec.bandwidth
-                burst = spec.burst
             queue_limit = (
                 spec.queue_limit
                 if queue_limit is None
@@ -146,7 +143,6 @@ def _merge_specs(specs: Sequence[LinkSpec]) -> LinkSpec:
         latency=latency,
         jitter=jitter,
         bandwidth=bandwidth,
-        burst=burst if burst is not None else 2.0,
         queue_limit=queue_limit if queue_limit is not None else 8,
     )
 
@@ -189,26 +185,19 @@ class LinkTable:
     timeline events scoped, always-healing handles.
     """
 
-    seed: int = 0
     #: Time budget one logical message may spend in backoff waits; a
     #: retransmission whose wait would overflow it is suppressed.
-    retry_window: float = 60.0
-    rto_min: float = 0.2
-    rto_max: float = 30.0
+    retry_window: ClassVar[float] = 60.0
+    rto_min: ClassVar[float] = 0.2
+    rto_max: ClassVar[float] = 30.0
     #: Shed hysteresis on max outbound backlog/queue_limit utilization.
-    shed_threshold: float = 0.75
-    shed_recover: float = 0.25
+    shed_threshold: ClassVar[float] = 0.75
+    shed_recover: ClassVar[float] = 0.25
+
+    seed: int = 0
     rng: random.Random = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.retry_window <= 0:
-            raise ValueError("retry_window must be positive")
-        if not 0 < self.rto_min <= self.rto_max:
-            raise ValueError("need 0 < rto_min <= rto_max")
-        if not 0.0 < self.shed_recover < self.shed_threshold <= 1.0:
-            raise ValueError(
-                "need 0 < shed_recover < shed_threshold <= 1"
-            )
         self.rng = random.Random(f"link-table-{self.seed}")
         self.now = 0.0
         self._pair: dict[tuple[Hashable, Hashable], list[LinkSpec]] = {}
@@ -267,14 +256,13 @@ class LinkTable:
         spec: LinkSpec,
         senders: Iterable[Hashable] = (),
         recipients: Iterable[Hashable] = (),
-        pairs: Iterable[tuple[Hashable, Hashable]] = (),
     ) -> int:
         """Impose ``spec`` on a scoped set of links; returns a handle.
 
         ``senders`` degrades every link out of those nodes,
-        ``recipients`` every link into them, ``pairs`` exact directed
-        links.  :meth:`lift` with the returned handle removes exactly
-        this imposition (timeline events heal themselves with it).
+        ``recipients`` every link into them.  :meth:`lift` with the
+        returned handle removes exactly this imposition (timeline
+        events heal themselves with it).
         """
         spec.validate()
         entries: list[tuple[dict, Hashable]] = []
@@ -284,9 +272,6 @@ class LinkTable:
         for node in recipients:
             self._inbound.setdefault(node, []).append(spec)
             entries.append((self._inbound, node))
-        for pair in pairs:
-            self._pair.setdefault(pair, []).append(spec)
-            entries.append((self._pair, pair))
         handle = self._next_handle
         self._next_handle += 1
         self._impositions[handle] = [
@@ -385,8 +370,7 @@ class LinkTable:
         state = self._states.get(key)
         if state is None:
             spec = self.spec_for(*key)
-            burst = spec.burst if spec is not None else 2.0
-            state = _LinkState(self.now, burst)
+            state = _LinkState(self.now, LinkSpec.burst)
             self._states[key] = state
             self._out_index.setdefault(key[0], []).append(key)
         return state
@@ -628,7 +612,6 @@ _LINKS_CONFIG_KEYS = frozenset(
         "jitter_fraction",
         "inter_loss",
         "inter_bandwidth",
-        "burst",
         "queue_limit",
     }
 )
@@ -670,11 +653,8 @@ def validate_links_config(config: Mapping) -> None:
     bandwidth = config.get("inter_bandwidth")
     if bandwidth is not None and bandwidth <= 0:
         raise ValueError("links inter_bandwidth must be positive when set")
-    # Reuse LinkSpec's own validation for the queue knobs.
-    LinkSpec(
-        burst=config.get("burst", 2.0),
-        queue_limit=config.get("queue_limit", 8),
-    ).validate()
+    # Reuse LinkSpec's own validation for the queue bound.
+    LinkSpec(queue_limit=config.get("queue_limit", 8)).validate()
 
 
 def build_link_table(config: Mapping, seed: int = 0) -> LinkTable:
@@ -696,7 +676,6 @@ def build_link_table(config: Mapping, seed: int = 0) -> LinkTable:
     jitter_fraction = config.get("jitter_fraction", 0.0)
     inter_loss = config.get("inter_loss", 0.0)
     inter_bandwidth = config.get("inter_bandwidth")
-    burst = config.get("burst", 2.0)
     queue_limit = config.get("queue_limit", 8)
     for i in range(dcs):
         for j in range(dcs):
@@ -711,7 +690,6 @@ def build_link_table(config: Mapping, seed: int = 0) -> LinkTable:
                 latency=latency,
                 jitter=latency * jitter_fraction,
                 bandwidth=inter_bandwidth if crossing else None,
-                burst=burst,
                 queue_limit=queue_limit,
             )
             if spec.hostile:

@@ -3,11 +3,9 @@
 :class:`FaultPlane` decides the fate of every message the simulators
 offer it: per-link loss (re-rolled per retransmission, so a bounded
 retry budget genuinely helps), duplication (delivering the same
-message twice, exercising the protocol's §3.4 dedup paths), reorder
-jitter (extra end-to-end delay standing in for out-of-order delivery,
-which a synchronous hop has no queue to express) and named partitions
-(every link crossing the partition boundary is deterministically dead
-until the partition heals).
+message twice, exercising the protocol's §3.4 dedup paths) and named
+partitions (every link crossing the partition boundary is
+deterministically dead until the partition heals).
 
 Determinism has two layers:
 
@@ -31,9 +29,9 @@ from __future__ import annotations
 import random
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.obs.metrics import CounterStruct
-from repro.simulation.latency import JitterModel
 
 
 class FaultCounters(CounterStruct):
@@ -160,9 +158,9 @@ class TransmitOutcome:
 CLEAN_DELIVERY = TransmitOutcome(deliveries=1, attempts=1)
 
 
-def _snap(value: float, epsilon: float = 1e-9) -> float:
-    """Clamp to zero, absorbing float residue below ``epsilon``."""
-    return value if value > epsilon else 0.0
+def _snap(value: float) -> float:
+    """Clamp to zero, absorbing float residue below 1e-9."""
+    return value if value > 1e-9 else 0.0
 
 
 def _effective_rate(accumulated: float) -> float:
@@ -174,8 +172,8 @@ def _effective_rate(accumulated: float) -> float:
 class FaultPlane:
     """Deterministic, seeded message-delivery model (module doc).
 
-    Rates compose additively (the scenario timeline raises them at an
-    event's start and lowers them back at its end, so overlapping
+    Rates start at zero and compose additively (:meth:`add_loss` at
+    an event's start, :meth:`remove_loss` at its end, so overlapping
     loss events never cancel each other), partitions are named and
     heal individually.  ``retry_budget`` bounds the per-hop
     retransmissions the protocol spends before giving up on a link;
@@ -184,15 +182,14 @@ class FaultPlane:
     manager dead and triggering crash repair.
     """
 
+    retry_budget: ClassVar[int] = 2
+    manager_failure_rounds: ClassVar[int] = 2
+
     seed: int = 0
-    loss_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    reorder_jitter: float = 0.0
-    retry_budget: int = 2
-    manager_failure_rounds: int = 2
     counters: FaultCounters = field(default_factory=FaultCounters)
+    loss_rate: float = field(default=0.0, init=False)
+    duplicate_rate: float = field(default=0.0, init=False)
     rng: random.Random = field(init=False)
-    jitter: JitterModel = field(init=False)
     #: Latched True the first time a message or poll is actually
     #: dropped; never cleared (a healed partition may already have
     #: cost someone a diff, so repair scans must keep running).  A
@@ -203,18 +200,7 @@ class FaultPlane:
     ever_active: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
-        if not 0.0 <= self.duplicate_rate <= 1.0:
-            raise ValueError("duplicate_rate must be in [0, 1]")
-        if self.reorder_jitter < 0:
-            raise ValueError("reorder_jitter cannot be negative")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget cannot be negative")
-        if self.manager_failure_rounds < 1:
-            raise ValueError("manager_failure_rounds must be >= 1")
         self.rng = random.Random(f"fault-plane-{self.seed}")
-        self.jitter = JitterModel(width=self.reorder_jitter, rng=self.rng)
         self.partitions: dict[str, PartitionIsland] = {}
         # Optional per-link refinement (repro.faults.links.LinkTable),
         # duck-typed to keep the import acyclic.  None or an inactive
@@ -227,7 +213,6 @@ class FaultPlane:
         return bool(
             self.loss_rate > 0.0
             or self.duplicate_rate > 0.0
-            or self.reorder_jitter > 0.0
             or self.partitions
             or (self.links is not None and self.links.active)
         )
@@ -248,12 +233,7 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # timeline mutators
     # ------------------------------------------------------------------
-    def add_loss(
-        self,
-        rate: float,
-        duplicate_rate: float = 0.0,
-        jitter: float = 0.0,
-    ) -> None:
+    def add_loss(self, rate: float, duplicate_rate: float = 0.0) -> None:
         """Raise the degradation rates (additively composable).
 
         The stored accumulators are *not* clamped — overlapping events
@@ -263,15 +243,8 @@ class FaultPlane:
         """
         self.loss_rate += rate
         self.duplicate_rate += duplicate_rate
-        self.reorder_jitter += jitter
-        self.jitter.width = self.reorder_jitter
 
-    def remove_loss(
-        self,
-        rate: float,
-        duplicate_rate: float = 0.0,
-        jitter: float = 0.0,
-    ) -> None:
+    def remove_loss(self, rate: float, duplicate_rate: float = 0.0) -> None:
         """Undo a previous :meth:`add_loss` (clamped at zero).
 
         Floating-point residue from stacked add/remove pairs is
@@ -280,8 +253,6 @@ class FaultPlane:
         """
         self.loss_rate = _snap(self.loss_rate - rate)
         self.duplicate_rate = _snap(self.duplicate_rate - duplicate_rate)
-        self.reorder_jitter = _snap(self.reorder_jitter - jitter)
-        self.jitter.width = self.reorder_jitter
 
     def partition(
         self,
@@ -405,12 +376,6 @@ class FaultPlane:
         counters.failed_polls += 1
         self.ever_active = True
         return False
-
-    def detection_jitter(self) -> float:
-        """Extra end-to-end delay modelling reordering (0 when off)."""
-        if not self.active:
-            return 0.0
-        return self.jitter.sample()
 
     def effective_loss_rate(self) -> float:
         """The per-transmission drop probability actually sampled.

@@ -5,9 +5,8 @@ information ... in XML based formats such as RSS and Atom" (§2).
 Corona polls them over HTTP and diffs their contents; this package
 provides
 
-* :mod:`repro.feeds.rss` — RSS 2.0 rendering, including the
-  publish-subscribe-adjacent tags the standard defines (``ttl``,
-  ``skipHours``, ``skipDays``, ``cloud``), and
+* :mod:`repro.feeds.rss` — RSS 2.0 rendering, including the ``ttl``
+  update hint the standard defines, and
 * :mod:`repro.feeds.generator` — synthetic evolving feeds whose
   update sizes follow the Cornell survey (≈17 changed lines, ≈6.8 % of
   content per update), standing in for the live syndic8.com feeds the

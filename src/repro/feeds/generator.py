@@ -71,11 +71,11 @@ class FeedGenerator:
     target_items: int = 15
     include_noise: bool = True
     rng: random.Random = field(init=False)
-    version: int = field(default=0)
-    _items: list[RssItem] = field(default_factory=list)
-    _serial: int = 0
-    _base_cache_version: int = field(default=-1)
-    _base_cache: str = field(default="")
+    version: int = field(default=0, init=False)
+    _items: list[RssItem] = field(default_factory=list, init=False)
+    _serial: int = field(default=0, init=False)
+    _base_cache_version: int = field(default=-1, init=False)
+    _base_cache: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
         # crc32, not hash(): str hashes are randomized per process

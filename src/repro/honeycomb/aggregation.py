@@ -139,16 +139,22 @@ class AggregationState:
     node_id: NodeId
     rows: int
     bins: int = 16
-    summaries: dict[int, ClusterSummary] = field(default_factory=dict)
+    summaries: dict[int, ClusterSummary] = field(
+        default_factory=dict, init=False
+    )
     #: Like ``summaries`` but excluding this node's own channels; the
     #: local optimizer combines fine-grained own-channel data with
     #: ``remote[0]`` so nothing is counted twice.
-    remote: dict[int, ClusterSummary] = field(default_factory=dict)
-    pending: set[int] = field(default_factory=set, compare=False)
-    readers: defaultdict[int, set[int]] = field(
-        default_factory=lambda: defaultdict(set), compare=False
+    remote: dict[int, ClusterSummary] = field(
+        default_factory=dict, init=False
     )
-    complete: dict[int, bool] = field(default_factory=dict, compare=False)
+    pending: set[int] = field(default_factory=set, init=False, compare=False)
+    readers: defaultdict[int, set[int]] = field(
+        default_factory=lambda: defaultdict(set), init=False, compare=False
+    )
+    complete: dict[int, bool] = field(
+        default_factory=dict, init=False, compare=False
+    )
 
     def best_remote(self) -> ClusterSummary:
         """Widest remote-channel summary (own channels excluded)."""

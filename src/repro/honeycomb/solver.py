@@ -217,14 +217,12 @@ class HoneycombSolver:
     themselves.
     """
 
-    def __init__(
-        self,
-        work: SolverWork | None = None,
-        memo_capacity: int = 512,
-    ) -> None:
+    #: Solutions kept in the LRU memo.
+    memo_capacity = 512
+
+    def __init__(self, work: SolverWork | None = None) -> None:
         self.work = work if work is not None else SolverWork()
         self._memo: OrderedDict[object, BracketingSolution] = OrderedDict()
-        self._memo_capacity = memo_capacity
 
     # ------------------------------------------------------------------
     # public API
@@ -244,7 +242,7 @@ class HoneycombSolver:
         result = self.bracket(problem)
         # Store a private copy: callers may mutate what we return.
         self._memo[key] = _copy_bracket(result)
-        while len(self._memo) > self._memo_capacity:
+        while len(self._memo) > self.memo_capacity:
             self._memo.popitem(last=False)
         return result
 

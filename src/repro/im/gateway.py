@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.im.messages import (
     HELP_TEXT,
@@ -35,7 +36,7 @@ class _TokenBucket:
     rate: float
     capacity: float
     tokens: float = 0.0
-    updated_at: float = 0.0
+    updated_at: float = field(default=0.0, init=False)
 
     def try_take(self, now: float) -> bool:
         elapsed = max(0.0, now - self.updated_at)
@@ -56,14 +57,18 @@ class ImGateway:
     in arrival order per client and drained by :meth:`pump`.
     """
 
+    handle: ClassVar[str] = "corona"
+    #: Notifications per second per client (§4's IM rate limit).
+    rate_limit: ClassVar[float] = 5.0
+    burst: ClassVar[float] = 3.0
+
     service: SimIMService
-    handle: str = "corona"
-    rate_limit: float = 5.0  # notifications per second per client
-    burst: float = 3.0
-    _buckets: dict[str, _TokenBucket] = field(default_factory=dict)
-    _queues: dict[str, deque[Notification]] = field(default_factory=dict)
-    sent_count: int = 0
-    throttled_count: int = 0
+    _buckets: dict[str, _TokenBucket] = field(
+        default_factory=dict, init=False
+    )
+    _queues: dict[str, deque[Notification]] = field(
+        default_factory=dict, init=False
+    )
 
     def __post_init__(self) -> None:
         self.service.register(self.handle)
@@ -108,16 +113,13 @@ class ImGateway:
         queue = self._queues.get(client)
         if queue:  # preserve ordering behind already-queued messages
             queue.append(notification)
-            self.throttled_count += 1
             return False
         if self._bucket(client).try_take(now):
             self.service.send(
                 self.handle, client, notification.render(), now=now
             )
-            self.sent_count += 1
             return True
         self._queues.setdefault(client, deque()).append(notification)
-        self.throttled_count += 1
         return False
 
     def pump(self, now: float) -> int:
@@ -135,7 +137,6 @@ class ImGateway:
                 self.service.send(
                     self.handle, client, notification.render(), now=now
                 )
-                self.sent_count += 1
                 released += 1
             if not queue:
                 del self._queues[client]

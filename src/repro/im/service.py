@@ -11,6 +11,7 @@ substitution preserves behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,17 @@ class SimIMService:
     simulators.
     """
 
-    delivery_latency: float = 0.5
-    _online: set[str] = field(default_factory=set)
-    _registered: set[str] = field(default_factory=set)
-    _buffers: dict[str, list[ImMessage]] = field(default_factory=dict)
-    inboxes: dict[str, list[ImMessage]] = field(default_factory=dict)
-    log: list[ImMessage] = field(default_factory=list)
+    delivery_latency: ClassVar[float] = 0.5
+
+    _online: set[str] = field(default_factory=set, init=False)
+    _registered: set[str] = field(default_factory=set, init=False)
+    _buffers: dict[str, list[ImMessage]] = field(
+        default_factory=dict, init=False
+    )
+    inboxes: dict[str, list[ImMessage]] = field(
+        default_factory=dict, init=False
+    )
+    log: list[ImMessage] = field(default_factory=list, init=False)
 
     # ------------------------------------------------------------------
     # presence

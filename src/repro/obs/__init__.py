@@ -92,10 +92,7 @@ class Observability:
 
     @classmethod
     def introspected(
-        cls,
-        seed: int = 0,
-        sink: IO[str] | None = None,
-        trace: bool = False,
+        cls, seed: int = 0, trace: bool = False
     ) -> "Observability":
         """The full run-introspection plane for `repro report`.
 
@@ -104,7 +101,7 @@ class Observability:
         reports segregate them — see :mod:`repro.obs.report`).
         """
         registry = MetricsRegistry()
-        tracer = Tracer(sink=sink, registry=registry, enabled=trace)
+        tracer = Tracer(registry=registry, enabled=trace)
         return cls(
             registry=registry,
             tracer=tracer,

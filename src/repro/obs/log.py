@@ -51,12 +51,8 @@ def get_logger(name: str | None = None) -> logging.Logger:
     return logging.getLogger(f"{PACKAGE_LOGGER}.{name}")
 
 
-def setup(
-    verbosity: int = 0,
-    stream=None,
-    fmt: str = "%(asctime)s %(levelname)-7s %(name)s: %(message)s",
-) -> logging.Logger:
-    """Attach one stream handler at the ``-v`` count's level.
+def setup(verbosity: int = 0) -> logging.Logger:
+    """Attach one ``stderr`` handler at the ``-v`` count's level.
 
     ``verbosity``: -1 = quiet (errors only), 0 = warnings, 1 = info,
     2+ = debug.  Idempotent: a previous setup's handler is replaced,
@@ -71,10 +67,10 @@ def setup(
             handler, logging.NullHandler
         ):
             logger.removeHandler(handler)
-    handler = logging.StreamHandler(
-        stream if stream is not None else sys.stderr
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(asctime)s %(levelname)-7s %(name)s: %(message)s")
     )
-    handler.setFormatter(logging.Formatter(fmt))
     logger.addHandler(handler)
     return logger
 

@@ -337,16 +337,9 @@ class MetricsRegistry:
         description: str = "",
         labelnames: Iterable[str] = (),
         buckets: Iterable[float] = DEFAULT_BUCKETS,
-        sample_cap: int = 0,
     ) -> Histogram:
         return self._register(
-            Histogram(
-                name,
-                description,
-                labelnames,
-                buckets=buckets,
-                sample_cap=sample_cap,
-            )
+            Histogram(name, description, labelnames, buckets=buckets)
         )
 
     def register(self, metric: _Metric) -> _Metric:

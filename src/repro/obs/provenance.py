@@ -90,14 +90,9 @@ class ProvenanceTracker:
     so :meth:`percentiles` is exact under :data:`SAMPLE_CAP`.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        record_cap: int = RECORD_CAP,
-        sample_cap: int = SAMPLE_CAP,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.record_cap = record_cap
+        self.record_cap = RECORD_CAP
         self._rng = random.Random(f"provenance-{seed}")
         self._seen = 0
         self.records: list[ProvenanceRecord] = []
@@ -106,7 +101,7 @@ class ProvenanceTracker:
                 f"freshness_{name}_seconds",
                 f"update lifecycle component: {name}",
                 buckets=FRESHNESS_BUCKETS,
-                sample_cap=sample_cap,
+                sample_cap=SAMPLE_CAP,
             )
             for name in COMPONENTS
         }

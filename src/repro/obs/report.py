@@ -60,8 +60,9 @@ TIMELINE_SERIES: tuple[str, ...] = (
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
-def sparkline(values: list[float] | tuple[float, ...], width: int = 48) -> str:
-    """A unicode mini-chart of ``values`` (resampled to ``width``)."""
+def sparkline(values: list[float] | tuple[float, ...]) -> str:
+    """A unicode mini-chart of ``values`` (resampled to 48 columns)."""
+    width = 48
     if not values:
         return ""
     series = [0.0 if v is None or math.isnan(v) else float(v) for v in values]

@@ -13,10 +13,10 @@ Contract (the PR 6 latch, enforced by ``tests/obs``):
   else: no randomness, no wall clocks, no protocol state.  A run with
   the sampler attached is byte-identical to one without, for every
   gated metric.
-* **Bounded** — the ring holds at most ``capacity`` samples.  When it
+* **Bounded** — the ring holds at most ``CAPACITY`` samples.  When it
   fills, the sampler decimates: every other retained sample is
   dropped and the sampling stride doubles, so a run of any length
-  costs O(capacity) memory and keeps uniform (if coarsening) time
+  costs O(CAPACITY) memory and keeps uniform (if coarsening) time
   resolution.  Because the stored values are *cumulative*, decimation
   loses resolution, never mass — deltas between retained points still
   sum to the true totals.
@@ -29,29 +29,21 @@ from repro.obs.metrics import Counter, MetricsRegistry
 
 __all__ = ["TimelineSampler"]
 
+#: Samples the ring holds before it decimates (even, >= 4).
+CAPACITY = 256
+
 
 class TimelineSampler:
     """Snapshot registry scalars into a bounded cumulative time series.
 
-    ``keys`` restricts sampling to named series; the default samples
-    every unlabeled :class:`Counter` registered at the time of each
-    snapshot (series that appear mid-run are backfilled with zeros so
-    every column spans the full time axis).
+    Samples every unlabeled :class:`Counter` registered at the time of
+    each snapshot (series that appear mid-run are backfilled with zeros
+    so every column spans the full time axis).
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        keys: tuple[str, ...] | None = None,
-        capacity: int = 256,
-    ) -> None:
-        if capacity < 4 or capacity % 2:
-            raise ValueError(
-                f"capacity must be an even integer >= 4, got {capacity!r}"
-            )
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.keys = tuple(keys) if keys is not None else None
-        self.capacity = capacity
+        self.capacity = CAPACITY
         #: Rounds between materialized samples; doubles on decimation.
         self.stride = 1
         #: Total rounds offered via :meth:`sample` (pre-decimation).
@@ -61,11 +53,6 @@ class TimelineSampler:
 
     # ------------------------------------------------------------------
     def _scalar_names(self) -> list[str]:
-        if self.keys is not None:
-            return [
-                name for name in self.keys
-                if self.registry.get(name) is not None
-            ]
         names = []
         for name in self.registry.names():
             metric = self.registry.get(name)

@@ -179,7 +179,6 @@ class Tracer:
         name: str,
         wall_start: float,
         wall_duration: float,
-        sim_time: float | None = None,
         category: str = "phase",
         alloc_delta: int | None = None,
         **attrs,
@@ -202,7 +201,7 @@ class Tracer:
             "ph": "X",
             "wall_us": round((wall_start - self._epoch) * 1e6, 3),
             "dur_us": round(wall_duration * 1e6, 3),
-            "sim": sim_time,
+            "sim": None,
             "alloc": alloc_delta,
             "depth": len(self._stack),
         }

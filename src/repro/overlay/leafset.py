@@ -25,8 +25,8 @@ class LeafSet:
 
     owner: NodeId
     size: int = 8
-    _cw: list[NodeId] = field(default_factory=list)
-    _ccw: list[NodeId] = field(default_factory=list)
+    _cw: list[NodeId] = field(default_factory=list, init=False)
+    _ccw: list[NodeId] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:

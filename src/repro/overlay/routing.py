@@ -28,7 +28,9 @@ class RoutingTable:
 
     owner: NodeId
     base: int
-    _rows: dict[int, dict[int, NodeId]] = field(default_factory=dict)
+    _rows: dict[int, dict[int, NodeId]] = field(
+        default_factory=dict, init=False
+    )
 
     @property
     def nrows(self) -> int:

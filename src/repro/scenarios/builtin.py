@@ -425,7 +425,6 @@ CONGESTED_RELAY = register(
                 duration=900.0,
                 fraction=0.25,
                 bandwidth=0.02,
-                burst=2.0,
                 queue_limit=6,
                 direction="outbound",
             ),

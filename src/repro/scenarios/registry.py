@@ -27,14 +27,11 @@ class UnknownScenarioError(KeyError):
         return self.args[0]
 
 
-def register(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
+def register(spec: ScenarioSpec) -> ScenarioSpec:
     """Validate and register ``spec`` under its name; returns it."""
     spec.validate()
-    if spec.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"scenario {spec.name!r} already registered "
-            "(pass replace=True to override)"
-        )
+    if spec.name in _REGISTRY:
+        raise ValueError(f"scenario {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
     return spec
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,11 @@ from repro.simulation.deployment import ProtocolLoop
 from repro.simulation.latency import LatencyModel
 from repro.simulation.webserver import WebServerFarm
 from repro.workload.trace import generate_trace
+
+#: Scale on the survey-drawn document sizes of every scenario: the
+#: full-protocol diff path costs proportionally to feed bytes, so
+#: smaller feeds keep scenarios CI-fast.
+CONTENT_SIZE_SCALE = 0.2
 
 
 #: Scenario-metric key → registry series backing it.  One entry here
@@ -349,10 +355,8 @@ def _execute(
         zipf_exponent=workload.zipf_exponent,
         seed=seed,
         url_prefix=workload.url_prefix,
-        subscription_window=workload.subscription_window,
         update_interval_scale=workload.update_interval_scale,
-        content_size_scale=workload.content_size_scale,
-        arrival=workload.arrival,
+        content_size_scale=CONTENT_SIZE_SCALE,
     )
     farm = WebServerFarm(
         seed=seed + 1, rate_limit_spacing=workload.rate_limit_spacing
@@ -513,17 +517,18 @@ def _execute(
             # inverse factor, so a concurrent FlashCrowd's sticky
             # update_factor on the same channel survives the burst's
             # end whichever event fires first.
-            def start_burst(now: float, us=urls, ev=event) -> None:
+            def start_burst(us, ev, now: float) -> None:
                 for u in us:
                     farm.flash_crowd(u, ev.factor, now)
 
-            def end_burst(now: float, us=urls, ev=event) -> None:
+            def end_burst(us, ev, now: float) -> None:
                 for u in us:
                     farm.flash_crowd(u, 1.0 / ev.factor, now)
 
-            engine.schedule(event.at, start_burst)
+            engine.schedule(event.at, partial(start_burst, urls, event))
             engine.schedule(
-                min(event.at + event.duration, spec.horizon), end_burst
+                min(event.at + event.duration, spec.horizon),
+                partial(end_burst, urls, event),
             )
         elif isinstance(event, NetworkDegradation):
             # Token-scoped: each window restores exactly its own
@@ -531,21 +536,20 @@ def _execute(
             # lands back on the *true* baseline (no f × 1/f residue).
             degradation_token: dict = {}
 
-            def start_degradation(
-                now: float, ev=event, cell=degradation_token
-            ) -> None:
+            def start_degradation(ev, cell: dict, now: float) -> None:
                 cell["token"] = latency.degrade(ev.latency_factor)
 
-            def end_degradation(
-                now: float, cell=degradation_token
-            ) -> None:
+            def end_degradation(cell: dict, now: float) -> None:
                 if "token" in cell:
                     latency.restore(cell.pop("token"))
 
-            engine.schedule(event.at, start_degradation)
+            engine.schedule(
+                event.at,
+                partial(start_degradation, event, degradation_token),
+            )
             engine.schedule(
                 min(event.at + event.duration, spec.horizon),
-                end_degradation,
+                partial(end_degradation, degradation_token),
             )
         elif isinstance(event, ChurnWave):
 
@@ -574,13 +578,13 @@ def _execute(
             engine.schedule(
                 event.at,
                 lambda now, ev=event: faults.add_loss(
-                    ev.rate, ev.duplicate_rate, ev.jitter
+                    ev.rate, ev.duplicate_rate
                 ),
             )
             engine.schedule(
                 min(event.at + event.duration, spec.horizon),
                 lambda now, ev=event: faults.remove_loss(
-                    ev.rate, ev.duplicate_rate, ev.jitter
+                    ev.rate, ev.duplicate_rate
                 ),
             )
         elif isinstance(event, Partition):
@@ -622,9 +626,7 @@ def _execute(
             # degradation, leaving overlapping ones intact.
             imposition: dict = {}
 
-            def start_link_degradation(
-                now: float, ev=event, cell=imposition
-            ) -> None:
+            def start_link_degradation(ev, cell: dict, now: float) -> None:
                 population = list(system.nodes)
                 count = min(
                     len(population),
@@ -647,17 +649,17 @@ def _execute(
                     recipients=recipients,
                 )
 
-            def end_link_degradation(
-                now: float, cell=imposition
-            ) -> None:
+            def end_link_degradation(cell: dict, now: float) -> None:
                 handle = cell.pop("handle", None)
                 if handle is not None:
                     link_table.lift(handle)
 
-            engine.schedule(event.at, start_link_degradation)
+            engine.schedule(
+                event.at, partial(start_link_degradation, event, imposition)
+            )
             engine.schedule(
                 min(event.at + event.duration, spec.horizon),
-                end_link_degradation,
+                partial(end_link_degradation, imposition),
             )
         elif isinstance(event, SubscriptionFlap):
             flap_urls = trace.urls[: event.channels]
@@ -668,11 +670,7 @@ def _execute(
             flap_prefix = f"flap{injected}"
 
             def flap_tick(
-                now: float,
-                ev=event,
-                urls=flap_urls,
-                state=flap_state,
-                prefix=flap_prefix,
+                ev, urls, state: dict, prefix: str, now: float
             ) -> None:
                 nonlocal flap_subscribes, flap_unsubscribes
                 subscribing = not state["on"]
@@ -693,7 +691,12 @@ def _execute(
             engine.schedule_every(
                 event.at,
                 event.interval,
-                scheduled("event.SubscriptionFlap.tick", flap_tick),
+                scheduled(
+                    "event.SubscriptionFlap.tick",
+                    partial(
+                        flap_tick, event, flap_urls, flap_state, flap_prefix
+                    ),
+                ),
                 until=min(event.at + event.duration, spec.horizon),
             )
         else:  # pragma: no cover - spec.validate() forbids this

@@ -6,8 +6,7 @@ dicts, hence from JSON) describing
 * the **population** — overlay size and the
   :class:`~repro.core.config.CoronaConfig` knobs;
 * the **workload** — channel count, Zipf skew, subscription volume and
-  arrival shape, update-interval compression
-  (:class:`WorkloadSpec`);
+  update-interval compression (:class:`WorkloadSpec`);
 * the **timeline** — injected events: node churn
   (:class:`NodeJoin`, :class:`NodeCrash`, :class:`ChurnWave`), flash
   crowds (:class:`FlashCrowd`), publish-rate bursts
@@ -49,20 +48,14 @@ class WorkloadSpec:
 
     ``update_interval_scale`` compresses the survey-drawn update
     intervals so hours of feed behaviour fit in minutes of simulated
-    time; ``content_size_scale`` shrinks the survey-drawn documents
-    (the full-protocol diff path costs proportionally to feed bytes,
-    so the default keeps scenarios CI-fast); ``arrival`` shapes
-    subscription times inside ``subscription_window`` (see
-    :func:`repro.workload.trace.generate_trace`).
+    time.  Every subscription is issued at time 0, and documents are
+    shrunk by the runner's ``CONTENT_SIZE_SCALE``.
     """
 
     n_channels: int = 40
     n_subscriptions: int = 800
     zipf_exponent: float = 0.5
-    subscription_window: float = 0.0
-    arrival: str = "uniform"
     update_interval_scale: float = 0.05
-    content_size_scale: float = 0.2
     url_prefix: str = "http://feeds.example.org/channel"
     #: Per-(source, channel) minimum poll spacing the content servers
     #: enforce (the paper's per-IP hard rate limits, §1).  0 disables
@@ -81,21 +74,9 @@ class WorkloadSpec:
             raise ScenarioSpecError(
                 "workload.zipf_exponent cannot be negative"
             )
-        if self.subscription_window < 0:
-            raise ScenarioSpecError(
-                "workload.subscription_window cannot be negative"
-            )
-        if self.arrival not in ("uniform", "burst", "ramp"):
-            raise ScenarioSpecError(
-                "workload.arrival must be 'uniform', 'burst' or 'ramp'"
-            )
         if self.update_interval_scale <= 0:
             raise ScenarioSpecError(
                 "workload.update_interval_scale must be positive"
-            )
-        if self.content_size_scale <= 0:
-            raise ScenarioSpecError(
-                "workload.content_size_scale must be positive"
             )
         if self.rate_limit_spacing < 0:
             raise ScenarioSpecError(
@@ -294,9 +275,8 @@ class MessageLoss:
     every poll round trip drops independently with probability
     ``rate``, re-rolled per retransmission; ``duplicate_rate``
     additionally delivers some messages twice (exercising the §3.4
-    dedup), and ``jitter`` adds a U(0, jitter) reorder delay to
-    end-to-end freshness.  Rates compose additively across
-    overlapping events and undo themselves at the event's end.
+    dedup).  Rates compose additively across overlapping events and
+    undo themselves at the event's end.
     """
 
     kind: ClassVar[str] = "message-loss"
@@ -305,7 +285,6 @@ class MessageLoss:
     duration: float = 600.0
     rate: float = 0.05
     duplicate_rate: float = 0.0
-    jitter: float = 0.0
 
     def validate(self) -> None:
         if self.duration <= 0:
@@ -316,8 +295,6 @@ class MessageLoss:
             raise ScenarioSpecError(
                 "message-loss duplicate_rate must be in [0, 1]"
             )
-        if self.jitter < 0:
-            raise ScenarioSpecError("message-loss jitter cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -395,7 +372,8 @@ class LinkDegradation:
     :class:`~repro.faults.links.LinkSpec` knobs: a ``loss`` override
     replacing the global rate on those links, extra ``latency`` with
     U(0, ``jitter``), and/or a ``bandwidth`` cap (messages/second,
-    token bucket of ``burst``) with a bounded queue of ``queue_limit``
+    token bucket of ``LinkSpec.burst``) with a bounded queue of
+    ``queue_limit``
     whose overflow drops count separately from loss.  Unlike
     :class:`MessageLoss` this is *asymmetric* — the reverse links stay
     clean unless ``direction="both"``.  The event always heals: the
@@ -411,7 +389,6 @@ class LinkDegradation:
     latency: float = 0.0
     jitter: float = 0.0
     bandwidth: float | None = None
-    burst: float = 2.0
     queue_limit: int = 8
     direction: str = "outbound"
 
@@ -437,7 +414,6 @@ class LinkDegradation:
                 latency=self.latency,
                 jitter=self.jitter,
                 bandwidth=self.bandwidth,
-                burst=self.burst,
                 queue_limit=self.queue_limit,
             )
             spec.validate()
@@ -460,7 +436,6 @@ class LinkDegradation:
             latency=self.latency,
             jitter=self.jitter,
             bandwidth=self.bandwidth,
-            burst=self.burst,
             queue_limit=self.queue_limit,
         )
 

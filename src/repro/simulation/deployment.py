@@ -54,9 +54,9 @@ class ProtocolLoop:
     polls it made into :attr:`poll_series`.  Each fresh update it
     detects adds its end-to-end delay to :attr:`detect_series`:
     staleness at detection, the path delay the link model charged the
-    diff, the notification latency, and the fault plane's reorder
-    jitter.  The system's fault plane and observability plane (its
-    timeline sampler and provenance tracker) are read off the system.
+    diff and the notification latency.  The system's observability
+    plane (its timeline sampler and provenance tracker) is read off
+    the system.
     """
 
     def __init__(
@@ -123,7 +123,6 @@ class ProtocolLoop:
 
     def _poll_round(self, now: float) -> None:
         system = self.system
-        faults = system.faults
         provenance = system.obs.provenance
         self.farm.advance_to(now)
         polls_before = system.counters.polls
@@ -143,9 +142,6 @@ class ProtocolLoop:
             delay += event.path_delay
             notify_delay = self.latency.sample()
             delay += notify_delay
-            # 0.0 — and no randomness — while the plane is jitter-free.
-            jitter = faults.detection_jitter() if faults is not None else 0.0
-            delay += jitter
             self.detect_series.add(now, delay)
             self.detections += 1
             if provenance is not None:
@@ -156,7 +152,7 @@ class ProtocolLoop:
                     detected_at=event.detected_at,
                     staleness=staleness,
                     path_delay=event.path_delay,
-                    delivery=notify_delay + jitter,
+                    delivery=notify_delay,
                     subscribers=event.subscribers,
                     detector=(
                         f"{event.detector.value:040x}"[:10]

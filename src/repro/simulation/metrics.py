@@ -17,8 +17,8 @@ class TimeSeries:
     """Bucketed time series: values accumulated into fixed-width bins."""
 
     bucket_width: float
-    _sums: dict[int, float] = field(default_factory=dict)
-    _counts: dict[int, int] = field(default_factory=dict)
+    _sums: dict[int, float] = field(default_factory=dict, init=False)
+    _counts: dict[int, int] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.bucket_width <= 0:

@@ -40,15 +40,17 @@ class HostedChannel:
     generator: FeedGenerator
     has_timestamps: bool = True
     next_update: float = 0.0
-    last_published: float = 0.0
-    polls_served: int = 0
-    rate_limited: int = 0
+    last_published: float = field(default=0.0, init=False)
+    polls_served: int = field(default=0, init=False)
+    rate_limited: int = field(default=0, init=False)
     #: The (document, version, published_at) snapshot of the last
     #: successfully served poll — what a rate-limited source is handed
     #: instead of fresh content (the server refuses to do work; the
     #: refusal surfaces to the poller as staleness, not an error).
     #: The document is kept unbuilt: that poll may have sent no body.
-    last_served: tuple[PendingDocument, int, float | None] | None = None
+    last_served: tuple[PendingDocument, int, float | None] | None = field(
+        default=None, init=False
+    )
 
     def version_token(self) -> int:
         """The Last-Modified-derived version, or 0 when unsupported."""
@@ -60,7 +62,9 @@ class RateLimiter:
     """Per-(source, channel) minimum poll spacing — the per-IP cap."""
 
     min_spacing: float = 0.0  # 0 disables limiting
-    _last_poll: dict[tuple[str, str], float] = field(default_factory=dict)
+    _last_poll: dict[tuple[str, str], float] = field(
+        default_factory=dict, init=False
+    )
 
     def allow(self, source: str, url: str, now: float) -> bool:
         if self.min_spacing <= 0:
@@ -72,6 +76,10 @@ class RateLimiter:
         self._last_poll[key] = now
         return True
 
+
+#: Share of hosted channels whose server sends a modification
+#: timestamp (the rest get owner-assigned versions, §3.4).
+TIMESTAMP_FRACTION = 0.8
 
 #: Update-calendar entries ``(next_update, rank, channel)`` sort into
 #: hosting order by rank.
@@ -97,18 +105,10 @@ class WebServerFarm:
     stays in the heap, dead, until it is popped.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        timestamp_fraction: float = 0.8,
-        rate_limit_spacing: float = 0.0,
-        noise: bool = True,
-    ) -> None:
+    def __init__(self, seed: int = 0, rate_limit_spacing: float = 0.0) -> None:
         self.rng = random.Random(seed)
         self.channels: dict[str, HostedChannel] = {}
-        self.timestamp_fraction = timestamp_fraction
         self.limiter = RateLimiter(min_spacing=rate_limit_spacing)
-        self.noise = noise
         self.total_polls = 0
         self.total_updates = 0
         self._now = 0.0
@@ -130,13 +130,12 @@ class WebServerFarm:
             url=url,
             seed=self.rng.randrange(1 << 30),
             target_items=items,
-            include_noise=self.noise,
         )
         hosted = HostedChannel(
             url=url,
             update_interval=update_interval,
             generator=generator,
-            has_timestamps=self.rng.random() < self.timestamp_fraction,
+            has_timestamps=self.rng.random() < TIMESTAMP_FRACTION,
             next_update=self._first_update_time(update_interval),
         )
         self._book(hosted.next_update, len(self.channels), hosted)

@@ -59,6 +59,11 @@ from repro.sweeps.worker import TaskOutcome, run_task, worker_loop
 #: shutdown before escalating to ``terminate``.
 _POLL_INTERVAL = 0.25
 
+#: Consecutive worker replacements (deaths and timeout kills) with no
+#: clean answer in between before the farm declares the environment
+#: poisoned and raises.
+MAX_RESPAWNS = 5
+
 
 def variant_json(payload: dict) -> str:
     """The canonical per-variant rendering (one variant's metrics).
@@ -375,7 +380,6 @@ def run_tasks(
     obs: Observability | None = None,
     sweep_name: str = "ad-hoc",
     on_result=None,
-    max_respawns: int = 5,
 ) -> list[TaskResult]:
     """Execute ``tasks`` and return results in task order.
 
@@ -390,7 +394,7 @@ def run_tasks(
     results arrive in completion order, not enumeration order, and a
     retried task is reported once, not per attempt.
 
-    ``max_respawns`` caps *consecutive* worker replacements (deaths
+    ``MAX_RESPAWNS`` caps *consecutive* worker replacements (deaths
     and timeout kills) with exponential backoff between them; once
     that many workers in a row die without a single clean answer in
     between, the environment is poisoned — out of memory, a broken
@@ -402,8 +406,6 @@ def run_tasks(
         raise ValueError("retries cannot be negative")
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive when set")
-    if max_respawns < 1:
-        raise ValueError("max_respawns must be at least 1")
     if obs is None:
         obs = Observability.off()
     tasks = list(tasks)
@@ -450,8 +452,7 @@ def run_tasks(
             results = _run_serial(tasks, retries, record, on_result)
         else:
             results = _run_parallel(
-                tasks, jobs, timeout, retries, record, on_result,
-                max_respawns,
+                tasks, jobs, timeout, retries, record, on_result
             )
         run_span.set(
             sweep=sweep_name,
@@ -472,7 +473,6 @@ def run_sweep(
     collect_report: bool = False,
     completed: dict[str, TaskResult] | None = None,
     on_result=None,
-    max_respawns: int = 5,
 ) -> SweepRun:
     """Validate ``spec``, run its grid, and wrap the merge logic.
 
@@ -492,8 +492,6 @@ def run_sweep(
     tasks are not re-reported through ``on_result``.
     """
     spec.validate()
-    if timeout is None:
-        timeout = spec.timeout
     grid = [
         replace(
             task,
@@ -514,7 +512,6 @@ def run_sweep(
         obs=obs,
         sweep_name=spec.name,
         on_result=on_result,
-        max_respawns=max_respawns,
     )
     by_key = {result.task.key: result for result in fresh}
     results = [
@@ -564,7 +561,7 @@ def _run_serial(tasks, retries, record, on_result) -> list[TaskResult]:
 
 
 def _run_parallel(
-    tasks, jobs, timeout, retries, record, on_result, max_respawns
+    tasks, jobs, timeout, retries, record, on_result
 ) -> list[TaskResult]:
     ctx = get_context("spawn")
     results: list[TaskResult | None] = [None] * len(tasks)
@@ -582,7 +579,7 @@ def _run_parallel(
         """Count a replacement; back off, and fail fast past the cap.
 
         Each death in a row doubles the pause before the next spawn
-        (capped at 1 s); ``max_respawns`` deaths with no completed
+        (capped at 1 s); ``MAX_RESPAWNS`` deaths with no completed
         answer in between means every fresh worker is dying too —
         out of memory, a broken interpreter, an unimportable package
         — so raise instead of grinding the whole grid through doomed
@@ -590,7 +587,7 @@ def _run_parallel(
         """
         nonlocal respawn_streak
         respawn_streak += 1
-        if respawn_streak > max_respawns:
+        if respawn_streak > MAX_RESPAWNS:
             raise RuntimeError(
                 f"{respawn_streak} consecutive worker deaths with no "
                 "completed task in between — the environment looks "

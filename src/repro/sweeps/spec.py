@@ -122,10 +122,6 @@ class SweepSpec:
     description: str = ""
     selections: tuple[SweepSelection, ...] = ()
     seeds: tuple[int, ...] = (0,)
-    #: Per-task wall-clock budget the farm enforces in parallel mode
-    #: (seconds); ``None`` leaves tasks unbounded.  CLI ``--timeout``
-    #: overrides it per invocation.
-    timeout: float | None = None
 
     def validate(self) -> None:
         """Raise :class:`SweepSpecError` on the first bad field."""
@@ -140,10 +136,6 @@ class SweepSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise SweepSpecError(
                 f"sweep {self.name!r} repeats a seed: {self.seeds}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise SweepSpecError(
-                f"sweep {self.name!r} timeout must be positive when set"
             )
         for selection in self.selections:
             selection.validate()

@@ -34,6 +34,11 @@ HOUR = 3600.0
 FRACTION_WITHIN_HOUR = 0.10
 FRACTION_UNCHANGED = 0.50
 
+#: Bounds of the changing feeds' intervals: the survey's 10-minute
+#: resolution and its 5-day observation window.
+MIN_INTERVAL = 600.0
+MAX_CHANGING_INTERVAL = 5 * 24 * 3600.0
+
 
 @dataclass
 class SurveyDistributions:
@@ -41,21 +46,15 @@ class SurveyDistributions:
 
     Update intervals: with probability ``FRACTION_UNCHANGED`` a channel
     never changes (interval = one week); otherwise the interval is
-    log-uniform between ``min_interval`` and ``max_changing_interval``,
+    log-uniform between ``MIN_INTERVAL`` and ``MAX_CHANGING_INTERVAL``,
     with the lower decade weighted so that 10 % of *all* channels fall
     below one hour — matching both quoted quantiles exactly.
     """
 
     seed: int = 0
-    min_interval: float = 600.0  # the survey's 10-minute resolution
-    max_changing_interval: float = 5 * 24 * 3600.0  # 5-day observation window
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.seed)
-        if not 0 < self.min_interval < HOUR:
-            raise ValueError("min_interval must sit below one hour")
-        if self.max_changing_interval <= HOUR:
-            raise ValueError("max_changing_interval must exceed one hour")
 
     # ------------------------------------------------------------------
     def update_intervals(self, n_channels: int) -> np.ndarray:
@@ -80,8 +79,8 @@ class SurveyDistributions:
         fast_share = FRACTION_WITHIN_HOUR / (1 - FRACTION_UNCHANGED)
         fast = rescaled < fast_share
         # Log-uniform within each band.
-        log_min, log_hour = np.log(self.min_interval), np.log(HOUR)
-        log_max = np.log(self.max_changing_interval)
+        log_min, log_hour = np.log(MIN_INTERVAL), np.log(HOUR)
+        log_max = np.log(MAX_CHANGING_INTERVAL)
         fast_pos = rescaled[fast] / fast_share
         slow_pos = (rescaled[~fast] - fast_share) / (1 - fast_share)
         changing_vals = np.empty(rescaled.size, dtype=np.float64)

@@ -30,7 +30,9 @@ class SubscriptionTrace:
     subscribers: np.ndarray  # q_i
     update_intervals: np.ndarray  # u_i seconds
     content_sizes: np.ndarray  # s_i bytes
-    events: list[tuple[float, str, int]] = field(default_factory=list)
+    events: list[tuple[float, str, int]] = field(
+        default_factory=list, init=False
+    )
 
     @property
     def n_channels(self) -> int:
@@ -65,10 +67,8 @@ def generate_trace(
     seed: int = 0,
     url_prefix: str = "http://feeds.example.org/channel",
     subscription_window: float = 0.0,
-    exact_popularity: bool = False,
     update_interval_scale: float = 1.0,
     content_size_scale: float = 1.0,
-    arrival: str = "uniform",
 ) -> SubscriptionTrace:
     """Generate a survey-parameterized workload.
 
@@ -83,10 +83,8 @@ def generate_trace(
     into minutes of simulated time); ``content_size_scale`` rescales
     the survey-drawn document sizes (smaller feeds make the
     full-protocol diff path proportionally cheaper — scenario CI
-    profiles use <1).  ``arrival`` shapes subscription
-    times inside the window: ``"uniform"`` (the paper's deployment),
-    ``"burst"`` (front-loaded — a flash crowd hitting at once) or
-    ``"ramp"`` (back-loaded — interest building over the window).
+    profiles use <1).  Subscription times are uniform inside the
+    window, as in the paper's deployment.
     """
     if n_channels < 1:
         raise ValueError("need at least one channel")
@@ -96,8 +94,6 @@ def generate_trace(
         raise ValueError("update_interval_scale must be positive")
     if content_size_scale <= 0:
         raise ValueError("content_size_scale must be positive")
-    if arrival not in ("uniform", "burst", "ramp"):
-        raise ValueError("arrival must be 'uniform', 'burst' or 'ramp'")
     rng = np.random.default_rng(seed)
     survey = SurveyDistributions(seed=seed + 1)
 
@@ -107,7 +103,6 @@ def generate_trace(
         n_channels,
         exponent=zipf_exponent,
         rng=rng,
-        exact=exact_popularity,
     )
     trace = SubscriptionTrace(
         urls=urls,
@@ -120,21 +115,12 @@ def generate_trace(
     )
     if subscription_window > 0:
         quantiles = rng.uniform(0.0, 1.0, trace.total_subscriptions)
-        if arrival == "burst":
-            # i.i.d. shaped draws, deliberately *unsorted*: times are
-            # assigned to subscriptions in channel-rank order below, so
-            # sorting would hand popular channels the early slice and
-            # invert the shape for unpopular ones.
-            times = subscription_window * quantiles**2  # mass early
-        elif arrival == "ramp":
-            times = subscription_window * quantiles**0.5  # mass late
-        else:
-            # Sorted uniform, kept bit-compatible with the seed
-            # experiments.  Note the contiguous assignment below then
-            # gives popular channels the earlier arrivals; the overall
-            # arrival process (what the deployment experiment
-            # measures) is unaffected.
-            times = np.sort(subscription_window * quantiles)
+        # Sorted uniform, kept bit-compatible with the seed
+        # experiments.  Note the contiguous assignment below then
+        # gives popular channels the earlier arrivals; the overall
+        # arrival process (what the deployment experiment measures)
+        # is unaffected.
+        times = np.sort(subscription_window * quantiles)
         events: list[tuple[float, str, int]] = []
         cursor = 0
         for channel_index, count in enumerate(subscribers):

@@ -29,20 +29,12 @@ def subscription_counts(
     n_channels: int,
     exponent: float = 0.5,
     rng: np.random.Generator | None = None,
-    exact: bool = False,
 ) -> np.ndarray:
     """Per-channel subscriber counts q_i for a Zipf workload.
 
-    ``exact=True`` returns the deterministic expectation rounded to
-    integers (at least the analytic shape); otherwise counts are a
-    multinomial draw, matching how independent clients would
-    subscribe.
+    Counts are a multinomial draw, matching how independent clients
+    would subscribe.
     """
     probabilities = zipf_popularity(n_channels, exponent)
-    if exact:
-        counts = np.floor(probabilities * n_subscriptions).astype(np.int64)
-        deficit = n_subscriptions - int(counts.sum())
-        counts[:deficit] += 1  # give remainders to the head of the ranking
-        return counts
     generator = rng or np.random.default_rng(0)
     return generator.multinomial(n_subscriptions, probabilities)

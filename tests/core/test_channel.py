@@ -4,17 +4,27 @@ import math
 
 import pytest
 
+from repro.core import channel as channel_module
 from repro.core.channel import Channel, ChannelStats
-from repro.core.config import CoronaConfig
+from repro.core.config import MAX_UPDATE_INTERVAL, CoronaConfig
 from repro.core.objectives import binning_ratio, scheme_by_name
 from repro.honeycomb.clusters import ratio_bin
 from repro.overlay.hashing import channel_id
 
 
+def stats_with(subscribers: int, content_size: int | None = None):
+    """Stats a manager has counted ``subscribers`` on."""
+    stats = ChannelStats()
+    stats.subscribers = subscribers
+    if content_size is not None:
+        stats.content_size = content_size
+    return stats
+
+
 class TestChannelStats:
     def test_default_interval_before_observations(self):
-        stats = ChannelStats(default_update_interval=604800.0)
-        assert stats.update_interval == 604800.0
+        stats = ChannelStats()
+        assert stats.update_interval == MAX_UPDATE_INTERVAL == 604800.0
 
     def test_interval_estimated_from_gaps(self):
         stats = ChannelStats()
@@ -22,8 +32,9 @@ class TestChannelStats:
         stats.record_update(600.0, 1000)
         assert stats.update_interval == pytest.approx(600.0)
 
-    def test_ewma_smooths(self):
-        stats = ChannelStats(ewma_alpha=0.5)
+    def test_ewma_smooths(self, monkeypatch):
+        monkeypatch.setattr(channel_module, "EWMA_ALPHA", 0.5)
+        stats = ChannelStats()
         stats.record_update(0.0, 1000)
         stats.record_update(100.0, 1000)  # estimate 100
         stats.record_update(400.0, 1000)  # gap 300 -> 0.5*300+0.5*100
@@ -66,7 +77,7 @@ class TestCachedRecord:
         )
 
     def test_record_is_the_fresh_derivation_and_is_kept(self):
-        stats = ChannelStats(subscribers=7, content_size=900)
+        stats = stats_with(7, content_size=900)
         stats.record_update(0.0, 900)
         stats.record_update(450.0, 900)
         record = stats.record(self.CONFIG)
@@ -75,12 +86,11 @@ class TestCachedRecord:
 
     def test_noop_reassignment_neither_notifies_nor_drops(self):
         fired = []
-        stats = ChannelStats(subscribers=5)
+        stats = stats_with(5)
         stats.bind(lambda: fired.append(True))
         record = stats.record(self.CONFIG)
         stats.subscribers = 5
         stats.content_size = stats.content_size
-        stats.max_interval = stats.max_interval
         stats.updates_seen = 3  # not a factor field
         assert not fired
         assert stats.record(self.CONFIG) is record
@@ -88,7 +98,7 @@ class TestCachedRecord:
     @pytest.mark.parametrize("bound", [False, True])
     def test_moved_factor_drops_the_record_listener_or_not(self, bound):
         fired = []
-        stats = ChannelStats(subscribers=5)
+        stats = stats_with(5)
         if bound:
             stats.bind(lambda: fired.append(True))
         stale = stats.record(self.CONFIG)
@@ -99,16 +109,13 @@ class TestCachedRecord:
         assert record == self.fresh(stats, self.CONFIG)
 
     def test_every_factor_field_invalidates(self):
-        stats = ChannelStats(subscribers=5)
+        stats = stats_with(5)
         stats.record_update(0.0, 700)
         stats.record_update(30.0, 700)  # estimate 30 s: under the clamp
         for name, value in (
             ("subscribers", 9),
             ("content_size", 123),
-            ("min_interval", 10.0),
-            ("max_interval", 20.0),
             ("_interval_estimate", None),
-            ("default_update_interval", 5000.0),
         ):
             stale = stats.record(self.CONFIG)
             setattr(stats, name, value)
@@ -118,7 +125,7 @@ class TestCachedRecord:
     def test_record_answers_only_for_the_config_it_was_derived_under(self):
         """Stats travel on ownership transfer: an equal config that is
         another object — let alone another scheme — re-derives."""
-        stats = ChannelStats(subscribers=5)
+        stats = stats_with(5)
         record = stats.record(self.CONFIG)
         twin = CoronaConfig(scheme="fair", load_metric="bandwidth")
         assert twin == self.CONFIG and twin is not self.CONFIG
@@ -129,13 +136,13 @@ class TestCachedRecord:
         assert stats.record(lite)[2] != record[2]
 
     def test_record_stays_out_of_equality_and_repr(self):
-        cold, warm = ChannelStats(subscribers=5), ChannelStats(subscribers=5)
+        cold, warm = stats_with(5), stats_with(5)
         warm.record(self.CONFIG)
         assert cold == warm
         assert repr(cold) == repr(warm)
 
     def test_invalid_factors_fail_at_derivation(self):
-        stats = ChannelStats(subscribers=-1)
+        stats = stats_with(-1)
         with pytest.raises(ValueError):
             stats.record(self.CONFIG)
 

@@ -21,12 +21,9 @@ class TestValidation:
             {"maintenance_interval": -1},
             {"base": 1},
             {"tradeoff_bins": 0},
-            {"replicas": 0},
             {"scheme": "turbo"},
             {"latency_target": 0},
             {"load_metric": "watts"},
-            {"min_update_interval": 0},
-            {"min_update_interval": 100.0, "max_update_interval": 10.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

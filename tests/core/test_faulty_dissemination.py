@@ -73,7 +73,8 @@ class TestLossyDissemination:
         """The lossy-overlay acceptance criterion, at system level:
         after the last retransmit/repair round every subscribed
         wedge member holds the manager's latest content."""
-        plane = FaultPlane(seed=23, loss_rate=0.05)
+        plane = FaultPlane(seed=23)
+        plane.add_loss(0.05)
         system, farm = build(fast_config, plane)
         now = drive(system, farm, steps=40)
         assert plane.counters.messages_dropped > 0
@@ -87,7 +88,8 @@ class TestLossyDissemination:
         assert stale == 0
 
     def test_loss_never_breaks_detection(self, fast_config):
-        plane = FaultPlane(seed=23, loss_rate=0.05)
+        plane = FaultPlane(seed=23)
+        plane.add_loss(0.05)
         lossy, lossy_farm = build(fast_config, plane)
         clean, clean_farm = build(fast_config, None)
         drive(lossy, lossy_farm, steps=40)
@@ -99,7 +101,8 @@ class TestLossyDissemination:
         assert lossy.counters.detections >= clean.counters.detections * 0.7
 
     def test_duplicates_absorbed_by_dedup(self, fast_config):
-        plane = FaultPlane(seed=29, duplicate_rate=0.3)
+        plane = FaultPlane(seed=29)
+        plane.add_loss(0.0, duplicate_rate=0.3)
         system, farm = build(fast_config, plane)
         drive(system, farm, steps=32)
         assert plane.counters.messages_duplicated > 0
@@ -139,7 +142,7 @@ class TestPartitionedDissemination:
     def test_unresponsive_manager_fails_over_with_state(
         self, fast_config
     ):
-        plane = FaultPlane(seed=37, manager_failure_rounds=2)
+        plane = FaultPlane(seed=37)  # two silent rounds declare death
         system, farm = build(fast_config, plane)
         now = drive(system, farm, steps=8)
         registered_before = sum(
@@ -170,7 +173,8 @@ class TestPartitionedDissemination:
         assert registered_after == registered_before
 
     def test_responsive_managers_never_fail_over(self, fast_config):
-        plane = FaultPlane(seed=41, loss_rate=0.05)
+        plane = FaultPlane(seed=41)
+        plane.add_loss(0.05)
         system, farm = build(fast_config, plane)
         drive(system, farm, steps=40)
         # 5% loss with a retry budget: floods keep reaching someone,
@@ -254,7 +258,8 @@ class TestProtocolLoopCounters:
                 update_interval=float(trace.update_intervals[index]),
                 target_bytes=int(trace.content_sizes[index]),
             )
-        plane = FaultPlane(seed=9, loss_rate=0.05)
+        plane = FaultPlane(seed=9)
+        plane.add_loss(0.05)
         system = CoronaSystem(
             n_nodes=16, config=config, fetcher=farm, seed=3, faults=plane
         )

@@ -14,7 +14,6 @@ from repro.core.objectives import (
     detection_time,
     fairness_weight,
     scheme_by_name,
-    server_load,
     wedge_size,
 )
 from repro.honeycomb.clusters import ChannelFactors
@@ -50,19 +49,9 @@ class TestAnalyticEstimates:
         )
         assert detection_time(3, 1800, 1024, 16) == pytest.approx(900.0)
 
-    def test_detection_time_with_measured_sizes(self):
-        sizes = [100.0, 7.0, 1.0, 1.0]
-        assert detection_time(1, 1800, 1024, 16, sizes=sizes) == pytest.approx(
-            900 / 7
-        )
-
-    def test_server_load_metrics(self):
-        assert server_load(1, 1024, 16) == 64.0
-        assert server_load(1, 1024, 16, size=500.0, metric="bandwidth") == (
-            64.0 * 500.0
-        )
-        with pytest.raises(ValueError):
-            server_load(1, 1024, 16, metric="watts")
+    def test_wedge_size_is_the_server_load(self):
+        """N/b^l pollers, one poll each per τ."""
+        assert wedge_size(1, 1024, 16) == 64.0
 
     def test_wedge_size_floors_at_one(self):
         assert wedge_size(10, 1024, 16) == 1.0

@@ -112,14 +112,6 @@ events = st.one_of(
         st.just("update"), which, st.floats(0.0, 5e4), st.integers(0, 9000)
     ),
     st.tuples(
-        st.just("clamp"),
-        which,
-        st.sampled_from(
-            ("min_interval", "max_interval", "default_update_interval")
-        ),
-        intervals,
-    ),
-    st.tuples(
         st.just("swap"), which, st.integers(0, 400), st.integers(1, 9000)
     ),
     st.tuples(st.just("level"), which, st.integers(0, MAX_LEVEL)),
@@ -170,10 +162,9 @@ def test_cached_records_stay_coherent(config, specs, timeline):
         elif kind == "update":
             now += event[2]
             channel.stats.record_update(now, event[3])
-        elif kind == "clamp":
-            setattr(channel.stats, event[2], event[3])
         elif kind == "swap":
-            incoming = ChannelStats(subscribers=event[2], content_size=event[3])
+            incoming = ChannelStats()
+            incoming.subscribers, incoming.content_size = event[2], event[3]
             # The incoming estimators arrive warm from elsewhere.
             incoming.record(CoronaConfig(scheme="fair-log"))
             channel.stats = incoming

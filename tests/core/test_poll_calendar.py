@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.config import CoronaConfig
@@ -28,14 +29,23 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.webserver import WebServerFarm
 
 URLS = [f"http://feed{index}.example/rss" for index in range(5)]
-CONGESTED = LinkSpec(bandwidth=0.01, burst=1.0, queue_limit=4)
+CONGESTED = LinkSpec(bandwidth=0.01, queue_limit=4)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def one_token_buckets():
+    """Congested links admit one same-instant message, not two."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinkSpec, "burst", 1.0)
+        yield
 
 
 def build(seed: int, loss: float) -> tuple[CoronaSystem, FaultPlane]:
     farm = WebServerFarm(seed=seed)
     for index, url in enumerate(URLS):
         farm.host(url, update_interval=40.0 + 25.0 * index, target_bytes=800)
-    plane = FaultPlane(seed=seed, loss_rate=loss)
+    plane = FaultPlane(seed=seed)
+    plane.add_loss(loss)
     plane.install_links(LinkTable(seed=seed))
     config = CoronaConfig(
         polling_interval=60.0, maintenance_interval=120.0, base=4,

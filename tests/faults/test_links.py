@@ -23,11 +23,21 @@ from repro.faults import (
 )
 
 
-def make(seed=0, retry_budget=2, **plane_kwargs):
-    plane = FaultPlane(seed=seed, retry_budget=retry_budget, **plane_kwargs)
+def make(seed=0, retry_budget=2, loss=0.0, duplicates=0.0):
+    """A plane with a link table; ``retry_budget`` shadows the
+    class constant on this plane only."""
+    plane = FaultPlane(seed=seed)
+    plane.retry_budget = retry_budget
+    plane.add_loss(loss, duplicate_rate=duplicates)
     table = LinkTable(seed=seed)
     plane.install_links(table)
     return plane, table
+
+
+@pytest.fixture()
+def one_token_buckets(monkeypatch):
+    """Capped links admit one same-instant message, not two."""
+    monkeypatch.setattr(LinkSpec, "burst", 1.0)
 
 
 class TestInactiveTable:
@@ -37,7 +47,7 @@ class TestInactiveTable:
         assert not plane.active  # an empty table alone activates nothing
 
     def test_inactive_table_draws_no_randomness(self):
-        plane, table = make(loss_rate=0.0)
+        plane, table = make()
         plane.partition("ghost", members=())  # activates the plane only
         state = table.rng.getstate()
         for _ in range(50):
@@ -62,13 +72,7 @@ class TestInactiveTable:
         with pytest.raises(ValueError):
             LinkSpec(bandwidth=0.0).validate()
         with pytest.raises(ValueError):
-            LinkSpec(burst=0.5).validate()
-        with pytest.raises(ValueError):
             LinkSpec(queue_limit=0).validate()
-        with pytest.raises(ValueError):
-            LinkTable(retry_window=0.0)
-        with pytest.raises(ValueError):
-            LinkTable(shed_threshold=0.2, shed_recover=0.5)
 
 
 class TestSpecResolution:
@@ -81,9 +85,10 @@ class TestSpecResolution:
     def test_no_override_falls_back_to_global_rates(self):
         """A link the table does not spec uses the plane's uniform
         model bit-for-bit (same generator, same decisions)."""
-        plane, table = make(seed=11, loss_rate=0.3, duplicate_rate=0.1)
+        plane, table = make(seed=11, loss=0.3, duplicates=0.1)
         table.set_link("x", "y", LinkSpec(latency=1.0))  # activates table
-        bare = FaultPlane(seed=11, loss_rate=0.3, duplicate_rate=0.1)
+        bare = FaultPlane(seed=11)
+        bare.add_loss(0.3, duplicate_rate=0.1)
         routed = [plane.transmit("a", "b") for _ in range(200)]
         direct = [bare.transmit("a", "b") for _ in range(200)]
         assert [(o.deliveries, o.attempts) for o in routed] == [
@@ -92,7 +97,7 @@ class TestSpecResolution:
         assert all(o.delay == 0.0 for o in routed)
 
     def test_zero_loss_override_shields_a_lossy_plane(self):
-        plane, table = make(loss_rate=1.0, retry_budget=0)
+        plane, table = make(loss=1.0, retry_budget=0)
         table.set_link("a", "b", LinkSpec(loss=0.0, latency=0.01))
         assert plane.transmit("a", "b").delivered
         assert not plane.transmit("c", "d").delivered  # global applies
@@ -111,16 +116,15 @@ class TestSpecResolution:
     def test_merge_takes_most_restrictive_cap(self):
         table = LinkTable()
         table.impose(
-            LinkSpec(bandwidth=5.0, burst=4.0, queue_limit=10),
+            LinkSpec(bandwidth=5.0, queue_limit=10),
             senders=["a"],
         )
         table.impose(
-            LinkSpec(bandwidth=1.0, burst=1.0, queue_limit=4),
+            LinkSpec(bandwidth=1.0, queue_limit=4),
             recipients=["b"],
         )
         merged = table.spec_for("a", "b")
         assert merged.bandwidth == 1.0
-        assert merged.burst == 1.0
         assert merged.queue_limit == 4
 
     def test_lift_restores_the_clean_link(self):
@@ -136,7 +140,7 @@ class TestTokenBucket:
     def test_burst_then_queue_then_overflow(self):
         plane, table = make()
         table.set_link(
-            "a", "b", LinkSpec(bandwidth=0.5, burst=2.0, queue_limit=3)
+            "a", "b", LinkSpec(bandwidth=0.5, queue_limit=3)
         )
         outcomes = [plane.transmit("a", "b") for _ in range(8)]
         # burst=2 ship instantly, 3 queue with increasing wait, the
@@ -154,7 +158,7 @@ class TestTokenBucket:
     def test_advance_refills_and_drains(self):
         plane, table = make()
         table.set_link(
-            "a", "b", LinkSpec(bandwidth=1.0, burst=2.0, queue_limit=8)
+            "a", "b", LinkSpec(bandwidth=1.0, queue_limit=8)
         )
         for _ in range(6):
             plane.transmit("a", "b")
@@ -169,10 +173,10 @@ class TestTokenBucket:
         assert totals["drained"] == totals["enqueued"]
         assert table.conservation_errors() == []
 
-    def test_lift_flushes_backlog_on_next_advance(self):
+    def test_lift_flushes_backlog_on_next_advance(self, one_token_buckets):
         plane, table = make()
         handle = table.impose(
-            LinkSpec(bandwidth=0.1, burst=1.0, queue_limit=8),
+            LinkSpec(bandwidth=0.1, queue_limit=8),
             senders=["a"],
         )
         for _ in range(5):
@@ -244,7 +248,8 @@ class TestAdaptiveBackoff:
         assert table._current_rto(state, spec) >= table.rto_min
 
     def test_rto_clamped_to_bounds(self):
-        table = LinkTable(rto_min=0.2, rto_max=5.0)
+        table = LinkTable()
+        table.rto_max = 5.0
         spec = LinkSpec(latency=100.0)
         state = table._state(("a", "b"))
         assert table._current_rto(state, spec) == 5.0
@@ -252,6 +257,7 @@ class TestAdaptiveBackoff:
         assert table._current_rto(state, fast) == 0.2
 
 
+@pytest.mark.usefixtures("one_token_buckets")
 class TestLoadShedding:
     def fill(self, plane, n):
         for _ in range(n):
@@ -260,7 +266,7 @@ class TestLoadShedding:
     def test_hysteresis_shed_and_recover(self):
         plane, table = make()
         table.set_link(
-            "a", "b", LinkSpec(bandwidth=1.0, burst=1.0, queue_limit=4)
+            "a", "b", LinkSpec(bandwidth=1.0, queue_limit=4)
         )
         assert not table.should_shed_poll("a")
         self.fill(plane, 4)  # backlog 3/4 = 0.75 -> shed
@@ -274,7 +280,7 @@ class TestLoadShedding:
     def test_only_the_congested_sender_sheds(self):
         plane, table = make()
         table.set_link(
-            "a", "b", LinkSpec(bandwidth=1.0, burst=1.0, queue_limit=4)
+            "a", "b", LinkSpec(bandwidth=1.0, queue_limit=4)
         )
         self.fill(plane, 4)
         assert table.should_shed_poll("a")
@@ -284,10 +290,10 @@ class TestLoadShedding:
     def test_backpressure_is_max_over_outbound_links(self):
         plane, table = make()
         table.set_link(
-            "a", "b", LinkSpec(bandwidth=1.0, burst=1.0, queue_limit=4)
+            "a", "b", LinkSpec(bandwidth=1.0, queue_limit=4)
         )
         table.set_link(
-            "a", "c", LinkSpec(bandwidth=1.0, burst=1.0, queue_limit=8)
+            "a", "c", LinkSpec(bandwidth=1.0, queue_limit=8)
         )
         self.fill(plane, 4)  # a->b at 3/4
         for _ in range(2):
@@ -309,7 +315,7 @@ class TestDeterminism:
         assert self.decisions(7) != self.decisions(8)
 
     def test_table_rng_independent_of_plane_rng(self):
-        plane, table = make(seed=1, loss_rate=0.5)
+        plane, table = make(seed=1, loss=0.5)
         table.set_link("a", "b", LinkSpec(loss=0.5))
         plane_state = plane.rng.getstate()
         for _ in range(50):

@@ -5,6 +5,21 @@ import pytest
 from repro.faults import FaultPlane, LinkSpec, LinkTable
 
 
+def lossy(seed=0, loss=0.0, duplicates=0.0):
+    """A plane with ``loss``/``duplicates`` raised as a timeline does."""
+    plane = FaultPlane(seed=seed)
+    plane.add_loss(loss, duplicate_rate=duplicates)
+    return plane
+
+
+@pytest.fixture()
+def budget(monkeypatch):
+    """Set the per-hop retransmission budget for one test."""
+    return lambda retries: monkeypatch.setattr(
+        FaultPlane, "retry_budget", retries
+    )
+
+
 class TestInactivePlane:
     def test_none_is_inactive(self):
         plane = FaultPlane()
@@ -25,7 +40,6 @@ class TestInactivePlane:
         for _ in range(50):
             plane.transmit("a", "b")
             plane.poll_attempt("a")
-            plane.detection_jitter()
         assert plane.rng.getstate() == state
 
     def test_zero_rate_active_plane_draws_no_randomness(self):
@@ -38,12 +52,11 @@ class TestInactivePlane:
         outcome = plane.transmit("a", "b")
         assert outcome.deliveries == 1
         assert plane.poll_attempt("a")
-        assert plane.detection_jitter() == 0.0
         assert plane.rng.getstate() == state
         assert not plane.ever_active
 
     def test_configured_but_harmless_plane_not_ever_active(self):
-        plane = FaultPlane(seed=1, loss_rate=0.5)
+        plane = lossy(seed=1, loss=0.5)
         assert plane.active
         assert not plane.ever_active  # nothing dropped yet
 
@@ -51,8 +64,7 @@ class TestInactivePlane:
 class TestDeterminism:
     def test_same_seed_same_decisions(self):
         def decisions(seed):
-            plane = FaultPlane(seed=seed, loss_rate=0.3,
-                               duplicate_rate=0.2)
+            plane = lossy(seed=seed, loss=0.3, duplicates=0.2)
             return [
                 (plane.transmit("a", "b").deliveries,
                  plane.transmit("a", "b").attempts)
@@ -62,22 +74,11 @@ class TestDeterminism:
         assert decisions(7) == decisions(7)
         assert decisions(7) != decisions(8)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlane(loss_rate=1.5)
-        with pytest.raises(ValueError):
-            FaultPlane(duplicate_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlane(reorder_jitter=-1.0)
-        with pytest.raises(ValueError):
-            FaultPlane(retry_budget=-1)
-        with pytest.raises(ValueError):
-            FaultPlane(manager_failure_rounds=0)
-
 
 class TestLossAndRetry:
-    def test_retry_budget_recovers_most_messages(self):
-        plane = FaultPlane(seed=5, loss_rate=0.3, retry_budget=3)
+    def test_retry_budget_recovers_most_messages(self, budget):
+        budget(3)
+        plane = lossy(seed=5, loss=0.3)
         outcomes = [plane.transmit("a", "b") for _ in range(2000)]
         lost = sum(1 for o in outcomes if not o.delivered)
         # P(all 4 attempts drop) = 0.3^4 ≈ 0.8%.
@@ -86,15 +87,16 @@ class TestLossAndRetry:
         assert plane.counters.messages_dropped > 0
         assert plane.ever_active
 
-    def test_zero_budget_drops_at_loss_rate(self):
-        plane = FaultPlane(seed=5, loss_rate=0.5, retry_budget=0)
+    def test_zero_budget_drops_at_loss_rate(self, budget):
+        budget(0)
+        plane = lossy(seed=5, loss=0.5)
         outcomes = [plane.transmit("a", "b") for _ in range(2000)]
         lost = sum(1 for o in outcomes if not o.delivered)
         assert 0.4 < lost / len(outcomes) < 0.6
         assert plane.counters.retransmissions == 0
 
     def test_duplicates_counted(self):
-        plane = FaultPlane(seed=5, duplicate_rate=0.5)
+        plane = lossy(seed=5, duplicates=0.5)
         copies = [plane.transmit("a", "b").deliveries
                   for _ in range(400)]
         assert 2 in copies
@@ -104,11 +106,12 @@ class TestLossAndRetry:
         # Duplicates alone never require repair.
         assert not plane.ever_active
 
-    def test_overlapping_events_past_full_loss_restore_exactly(self):
+    def test_overlapping_events_past_full_loss_restore_exactly(self, budget):
         """Two 0.6-rate events overlap (sum past 1.0): while both are
         active everything drops; when one ends the survivor's exact
         0.6 remains — the accumulator must not clamp on add."""
-        plane = FaultPlane(seed=9, retry_budget=0)
+        budget(0)
+        plane = FaultPlane(seed=9)
         plane.add_loss(0.6)
         plane.add_loss(0.6)
         outcomes = [plane.transmit("a", "b") for _ in range(100)]
@@ -123,20 +126,20 @@ class TestLossAndRetry:
 
     def test_add_remove_loss_composes(self):
         plane = FaultPlane(seed=1)
-        plane.add_loss(0.05, duplicate_rate=0.01, jitter=2.0)
+        plane.add_loss(0.05, duplicate_rate=0.01)
         plane.add_loss(0.10)
         assert plane.loss_rate == pytest.approx(0.15)
-        plane.remove_loss(0.05, duplicate_rate=0.01, jitter=2.0)
+        plane.remove_loss(0.05, duplicate_rate=0.01)
         assert plane.loss_rate == pytest.approx(0.10)
         assert plane.duplicate_rate == 0.0
-        assert plane.reorder_jitter == 0.0
         plane.remove_loss(0.10)
         assert not plane.active
 
 
 class TestPartitions:
-    def test_partition_kills_crossing_links_only(self):
-        plane = FaultPlane(seed=2, retry_budget=1)
+    def test_partition_kills_crossing_links_only(self, budget):
+        budget(1)
+        plane = FaultPlane(seed=2)
         plane.partition("island", members=["a", "b"])
         assert not plane.transmit("a", "c").delivered
         assert not plane.transmit("c", "a").delivered
@@ -188,9 +191,7 @@ class TestTransmitEdgeCases:
     def test_partition_preempts_duplication(self):
         """A partitioned link is deterministically dead: no loss roll,
         no duplicate roll, no randomness — even with both rates hot."""
-        plane = FaultPlane(
-            seed=8, loss_rate=0.5, duplicate_rate=1.0, retry_budget=2
-        )
+        plane = lossy(seed=8, loss=0.5, duplicates=1.0)
         plane.partition("cut", members=["a"])
         state = plane.rng.getstate()
         outcome = plane.transmit("a", "b")
@@ -200,10 +201,11 @@ class TestTransmitEdgeCases:
         # The same endpoints inside the island still duplicate.
         assert plane.transmit("a", "a").deliveries == 2
 
-    def test_exhausted_budget_accounting(self):
+    def test_exhausted_budget_accounting(self, budget):
         """Full-budget failure: every attempt is charged as a drop,
         every re-send as a retransmission, and attempts == budget+1."""
-        plane = FaultPlane(seed=8, loss_rate=1.0, retry_budget=3)
+        budget(3)
+        plane = lossy(seed=8, loss=1.0)
         outcome = plane.transmit("a", "b")
         assert outcome.deliveries == 0
         assert outcome.attempts == 4
@@ -211,18 +213,19 @@ class TestTransmitEdgeCases:
         assert plane.counters.retransmissions == 3
         # Across many partial recoveries the ledgers stay conserved:
         # drops == failed attempts, retransmissions == attempts - 1.
-        lossy = FaultPlane(seed=8, loss_rate=0.5, retry_budget=3)
-        outcomes = [lossy.transmit("a", "b") for _ in range(500)]
+        half = lossy(seed=8, loss=0.5)
+        outcomes = [half.transmit("a", "b") for _ in range(500)]
         attempts = sum(o.attempts for o in outcomes)
         delivered = sum(1 for o in outcomes if o.delivered)
-        assert lossy.counters.messages_dropped == attempts - delivered
-        assert lossy.counters.retransmissions == attempts - len(outcomes)
+        assert half.counters.messages_dropped == attempts - delivered
+        assert half.counters.retransmissions == attempts - len(outcomes)
 
-    def test_link_override_dispatch_and_fallback(self):
+    def test_link_override_dispatch_and_fallback(self, budget):
         """The transmit dispatcher: an active table owns spec'd links,
         unspec'd links fall back to the global uniform model, and an
         inactive table never reaches the table path at all."""
-        plane = FaultPlane(seed=12, loss_rate=1.0, retry_budget=0)
+        budget(0)
+        plane = lossy(seed=12, loss=1.0)
         table = LinkTable(seed=12)
         plane.install_links(table)
         # Inactive table: uniform path (global loss kills everything).
@@ -240,33 +243,26 @@ class TestTransmitEdgeCases:
 
 
 class TestPolls:
-    def test_poll_success_probability(self):
+    def test_poll_success_probability(self, budget):
         """Loss is re-rolled per attempt, so a poll fails only when
         all ``budget + 1`` attempts drop: frequency ``loss^(budget+1)``
         within 4 standard errors over the seeded draws."""
         draws = 4000
-        for loss, budget in ((0.5, 2), (0.3, 1), (0.7, 0), (0.8, 3)):
-            plane = FaultPlane(seed=1, loss_rate=loss, retry_budget=budget)
+        for loss, retries in ((0.5, 2), (0.3, 1), (0.7, 0), (0.8, 3)):
+            budget(retries)
+            plane = lossy(seed=1, loss=loss)
             failed = sum(
                 not plane.poll_attempt("n") for _ in range(draws)
             )
-            expected = loss ** (budget + 1)
+            expected = loss ** (retries + 1)
             band = 4 * (expected * (1.0 - expected) / draws) ** 0.5
-            assert abs(failed / draws - expected) < band, (loss, budget)
+            assert abs(failed / draws - expected) < band, (loss, retries)
             assert plane.counters.failed_polls == failed
 
-    def test_lossy_polls_sometimes_fail(self):
-        plane = FaultPlane(seed=4, loss_rate=0.7, retry_budget=0)
+    def test_lossy_polls_sometimes_fail(self, budget):
+        budget(0)
+        plane = lossy(seed=4, loss=0.7)
         results = [plane.poll_attempt("n") for _ in range(500)]
         assert any(results) and not all(results)
         assert plane.counters.failed_polls == results.count(False)
 
-
-class TestJitter:
-    def test_jitter_bounded_and_gated(self):
-        plane = FaultPlane(seed=6, reorder_jitter=3.0)
-        samples = [plane.detection_jitter() for _ in range(200)]
-        assert all(0.0 <= s <= 3.0 for s in samples)
-        assert any(s > 0.0 for s in samples)
-        plane.remove_loss(0.0, jitter=3.0)
-        assert plane.detection_jitter() == 0.0

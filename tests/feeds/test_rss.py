@@ -11,10 +11,6 @@ def sample_channel() -> RssChannel:
         link="http://news.example",
         description="all the <news>",
         ttl_minutes=30,
-        skip_hours=(0, 1, 2),
-        skip_days=("Saturday",),
-        cloud_domain="notify.example",
-        last_build_date=rfc822_date(0),
         items=[
             RssItem(
                 title="First story",
@@ -36,10 +32,6 @@ class TestRoundTrip:
         assert channel.findtext("link") == original.link
         assert channel.findtext("description") == original.description
         assert channel.findtext("ttl") == "30"
-        hours = [hour.text for hour in channel.findall("skipHours/hour")]
-        assert hours == ["0", "1", "2"]
-        assert channel.findtext("skipDays/day") == "Saturday"
-        assert channel.find("cloud").get("domain") == "notify.example"
         items = channel.findall("item")
         assert len(items) == 2
         assert items[0].findtext("title") == "First story"
@@ -82,13 +74,10 @@ class TestOptionalFields:
         root = ET.fromstring(channel.render())
         assert [i.findtext("title") for i in root.iter("item")] == titles
 
-    def test_markup_in_link_and_cloud_domain_escaped(self):
-        channel = RssChannel(
-            title="T", link="http://x.example/?a=1&b=2", cloud_domain="a&b"
-        )
+    def test_markup_in_link_escaped(self):
+        channel = RssChannel(title="T", link="http://x.example/?a=1&b=2")
         parsed = ET.fromstring(channel.render()).find("channel")
         assert parsed.findtext("link") == "http://x.example/?a=1&b=2"
-        assert parsed.find("cloud").get("domain") == "a&b"
 
 
 class TestDates:

@@ -98,8 +98,9 @@ class TestSolverMemo:
         third = solver.solve_bracketing(problem)
         assert_bracket_identical(first, third)
 
-    def test_memo_capacity_is_bounded(self):
-        solver = HoneycombSolver(memo_capacity=4)
+    def test_memo_capacity_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(HoneycombSolver, "memo_capacity", 4)
+        solver = HoneycombSolver()
         for index in range(10):
             problem = TradeoffProblem(
                 channels=[corona_like_channel(index, 1.0 + index, 2.0)],

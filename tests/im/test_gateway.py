@@ -8,9 +8,11 @@ from repro.im.service import SimIMService
 
 
 @pytest.fixture()
-def gateway() -> ImGateway:
+def gateway(monkeypatch) -> ImGateway:
+    monkeypatch.setattr(ImGateway, "rate_limit", 2.0)
+    monkeypatch.setattr(ImGateway, "burst", 2.0)
     service = SimIMService()
-    gw = ImGateway(service=service, rate_limit=2.0, burst=2.0)
+    gw = ImGateway(service=service)
     service.register("alice")
     service.connect("alice")
     return gw
@@ -77,9 +79,11 @@ class TestRateLimiting:
         bodies = [m.body for m in gateway.service.inbox("alice")]
         assert "update 99" in bodies[-1]
 
-    def test_counters(self, gateway):
+    def test_every_notification_is_sent_or_queued(self, gateway):
         for version in range(4):
             gateway.notify("alice", note(version), now=0.0)
+        assert len(gateway.service.inbox("alice")) == 2
+        assert len(gateway._queues["alice"]) == 2
         gateway.pump(now=30.0)
-        assert gateway.sent_count == 4
-        assert gateway.throttled_count == 2
+        assert len(gateway.service.inbox("alice")) == 4
+        assert "alice" not in gateway._queues

@@ -7,7 +7,7 @@ from repro.im.service import SimIMService
 
 @pytest.fixture()
 def service() -> SimIMService:
-    svc = SimIMService(delivery_latency=0.5)
+    svc = SimIMService()
     for handle in ("corona", "alice", "bob"):
         svc.register(handle)
     return svc

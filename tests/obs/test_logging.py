@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import io
 import logging
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,18 +60,19 @@ class TestSetup:
         ],
     )
     def test_verbosity_maps_to_level(self, verbosity, level):
-        logger = setup(verbosity, stream=io.StringIO())
+        logger = setup(verbosity)
         assert logger.level == level
 
     def test_idempotent_handler_replacement(self):
-        logger = setup(1, stream=io.StringIO())
+        logger = setup(1)
         count = len(logger.handlers)
-        setup(2, stream=io.StringIO())
+        setup(2)
         assert len(logger.handlers) == count
 
-    def test_records_reach_the_stream(self):
+    def test_records_reach_the_stream(self, monkeypatch):
         stream = io.StringIO()
-        setup(1, stream=stream)
+        monkeypatch.setattr(sys, "stderr", stream)
+        setup(1)
         get_logger("obs.test").info("hello from %s", "corona")
         assert "hello from corona" in stream.getvalue()
         assert "repro.obs.test" in stream.getvalue()
@@ -96,7 +98,8 @@ class TestShouldLog:
 class TestRateLimited:
     def _capture(self):
         stream = io.StringIO()
-        logger = setup(2, stream=stream)
+        logger = setup(2)
+        logger.handlers[-1].setStream(stream)
         return logger, stream
 
     def test_budget_then_suppression(self):

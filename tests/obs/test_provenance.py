@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from repro.obs import provenance
 from repro.obs.provenance import (
     COMPONENTS,
     ProvenanceTracker,
@@ -45,15 +46,18 @@ class TestRecording:
         assert tracker.histograms["freshness"].sum == 8.5
         assert tracker.to_dict()["detections"] == 1
 
-    def test_reservoir_bounded_by_record_cap(self):
-        tracker = ProvenanceTracker(seed=0, record_cap=16)
+    def test_reservoir_bounded_by_record_cap(self, monkeypatch):
+        monkeypatch.setattr(provenance, "RECORD_CAP", 16)
+        tracker = ProvenanceTracker(seed=0)
         _feed(tracker, 200)
         assert tracker.to_dict()["detections"] == 200
         assert len(tracker.records) == 16
 
-    def test_reservoir_deterministic_per_seed(self):
+    def test_reservoir_deterministic_per_seed(self, monkeypatch):
+        monkeypatch.setattr(provenance, "RECORD_CAP", 8)
+
         def exemplars(seed):
-            tracker = ProvenanceTracker(seed=seed, record_cap=8)
+            tracker = ProvenanceTracker(seed=seed)
             _feed(tracker, 100)
             return [record.to_dict() for record in tracker.records]
 
@@ -76,9 +80,11 @@ class TestRecording:
         assert stats["count"] == 0
         assert stats["p50"] is None and stats["max"] is None
 
-    def test_to_dict_json_safe_and_stable(self):
+    def test_to_dict_json_safe_and_stable(self, monkeypatch):
+        monkeypatch.setattr(provenance, "RECORD_CAP", 8)
+
         def snapshot():
-            tracker = ProvenanceTracker(seed=3, record_cap=8)
+            tracker = ProvenanceTracker(seed=3)
             _feed(tracker, 40)
             return json.dumps(tracker.to_dict(), sort_keys=True)
 

@@ -49,9 +49,9 @@ class TestSparkline:
     def test_resampling_preserves_spike_mass(self):
         values = [0.0] * 100
         values[73] = 50.0
-        chart = sparkline(values, width=10)
-        assert len(chart) == 10
-        assert "█" in chart  # the spike survives 10:1 resampling
+        chart = sparkline(values)
+        assert len(chart) == 48
+        assert "█" in chart  # the spike survives 100:48 resampling
 
     def test_none_and_nan_render_as_zero(self):
         assert sparkline([None, float("nan"), 4.0]) == "▁▁█"

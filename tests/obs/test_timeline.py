@@ -13,8 +13,20 @@ import json
 
 import pytest
 
+from repro.obs import timeline
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler
+
+
+@pytest.fixture(autouse=True)
+def capacity(monkeypatch):
+    """A ring of 8; tests that need another size call the setter."""
+
+    def resize(size: int) -> None:
+        monkeypatch.setattr(timeline, "CAPACITY", size)
+
+    resize(8)
+    return resize
 
 
 def _series(sampler: TimelineSampler, name: str) -> list[float]:
@@ -32,7 +44,7 @@ def _registry_with_counter(name: str = "polls"):
 class TestSampling:
     def test_cumulative_and_delta_columns(self):
         registry, polls = _registry_with_counter()
-        sampler = TimelineSampler(registry, capacity=8)
+        sampler = TimelineSampler(registry)
         for round_no in range(1, 5):
             polls.inc(round_no)  # 1, 3, 6, 10 cumulative
             sampler.sample(now=float(round_no))
@@ -40,25 +52,17 @@ class TestSampling:
         assert sampler.deltas("polls") == [1.0, 2.0, 3.0, 4.0]
         assert sampler.times == [1.0, 2.0, 3.0, 4.0]
 
-    def test_keys_restrict_sampling(self):
-        registry, _ = _registry_with_counter("polls")
-        registry.counter("noise").inc()
-        sampler = TimelineSampler(registry, keys=("polls",), capacity=8)
-        sampler.sample(now=0.0)
-        assert _series(sampler, "polls") == [0.0]
-        assert _series(sampler, "noise") == []
-
     def test_labeled_metrics_are_skipped(self):
         registry = MetricsRegistry()
         labeled = registry.counter("msgs", labelnames=("kind",))
         labeled.labels(kind="diff").inc()
-        sampler = TimelineSampler(registry, capacity=8)
+        sampler = TimelineSampler(registry)
         sampler.sample(now=0.0)
         assert _series(sampler, "msgs") == []
 
     def test_late_series_zero_backfilled(self):
         registry, polls = _registry_with_counter()
-        sampler = TimelineSampler(registry, capacity=8)
+        sampler = TimelineSampler(registry)
         polls.inc()
         sampler.sample(now=0.0)
         late = registry.counter("drops")
@@ -67,17 +71,12 @@ class TestSampling:
         assert _series(sampler, "drops") == [0.0, 5.0]
         assert sampler.deltas("drops") == [0.0, 5.0]
 
-    def test_bad_capacity_rejected(self):
-        registry = MetricsRegistry()
-        for bad in (0, 2, 3, 5):
-            with pytest.raises(ValueError, match="capacity"):
-                TimelineSampler(registry, capacity=bad)
-
 
 class TestDecimation:
-    def test_ring_stays_bounded_and_stride_doubles(self):
+    def test_ring_stays_bounded_and_stride_doubles(self, capacity):
+        capacity(4)
         registry, polls = _registry_with_counter()
-        sampler = TimelineSampler(registry, capacity=4)
+        sampler = TimelineSampler(registry)
         for round_no in range(16):
             polls.inc()
             sampler.sample(now=float(round_no))
@@ -85,9 +84,10 @@ class TestDecimation:
         assert len(sampler.times) < sampler.capacity
         assert sampler.stride == 8
 
-    def test_retained_points_stay_on_the_doubled_grid(self):
+    def test_retained_points_stay_on_the_doubled_grid(self, capacity):
+        capacity(4)
         registry, polls = _registry_with_counter()
-        sampler = TimelineSampler(registry, capacity=4)
+        sampler = TimelineSampler(registry)
         for round_no in range(32):
             polls.inc()
             sampler.sample(now=float(round_no))
@@ -98,9 +98,10 @@ class TestDecimation:
         assert len(gaps) == 1  # uniform spacing survives decimation
         assert gaps == {float(sampler.stride)}
 
-    def test_decimation_loses_resolution_never_mass(self):
+    def test_decimation_loses_resolution_never_mass(self, capacity):
+        capacity(4)
         registry, polls = _registry_with_counter()
-        sampler = TimelineSampler(registry, capacity=4)
+        sampler = TimelineSampler(registry)
         total = 0
         for round_no in range(64):
             polls.inc(round_no % 3)
@@ -118,7 +119,7 @@ class TestDeterminism:
     def _drive(self):
         registry, polls = _registry_with_counter()
         drops = registry.counter("drops")
-        sampler = TimelineSampler(registry, capacity=8)
+        sampler = TimelineSampler(registry)
         for round_no in range(40):
             polls.inc(2)
             if round_no % 7 == 0:

@@ -10,7 +10,6 @@ TINY_WORKLOAD = WorkloadSpec(
     n_channels=6,
     n_subscriptions=60,
     update_interval_scale=0.005,
-    content_size_scale=0.1,
 )
 
 TINY_CONFIG = {

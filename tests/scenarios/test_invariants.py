@@ -132,15 +132,14 @@ class TestQueueConservation:
     """The link-layer invariant: queued traffic never vanishes."""
 
     @pytest.fixture()
-    def congested(self, fast_config, small_farm):
+    def congested(self, fast_config, small_farm, monkeypatch):
         from repro.core.system import CoronaSystem
         from repro.faults import FaultPlane, LinkSpec, LinkTable
 
+        monkeypatch.setattr(LinkSpec, "burst", 1.0)
         plane = FaultPlane(seed=4)
         table = LinkTable(seed=4)
-        table.set_link(
-            "a", "b", LinkSpec(bandwidth=0.5, burst=1.0, queue_limit=2)
-        )
+        table.set_link("a", "b", LinkSpec(bandwidth=0.5, queue_limit=2))
         plane.install_links(table)
         system = CoronaSystem(
             n_nodes=12, config=fast_config, fetcher=small_farm,

@@ -58,13 +58,6 @@ class TestRegister:
         with pytest.raises(ValueError, match="already registered"):
             register(tiny_spec(name="tmp-dup"))
 
-    def test_replace_allowed(self, scratch_registry):
-        register(tiny_spec(name="tmp-rep"))
-        replacement = register(
-            tiny_spec(name="tmp-rep", n_nodes=16), replace=True
-        )
-        assert get_scenario("tmp-rep") is replacement
-
     def test_register_validates(self, scratch_registry):
         with pytest.raises(Exception):
             register(tiny_spec(name="tmp-bad", n_nodes=0))

@@ -186,18 +186,6 @@ class TestMessageFaultInjection:
         # Dedup holds: duplicated diffs never double-count detections.
         assert doubled.detections <= doubled.updates_published
 
-    def test_jitter_inflates_freshness_only(self):
-        base = run_tiny()
-        jittered = run_tiny(
-            events=(
-                MessageLoss(
-                    at=0.0, duration=900.0, rate=0.0, jitter=120.0
-                ),
-            )
-        )
-        assert jittered.detections == base.detections
-        assert jittered.mean_detection_delay > base.mean_detection_delay
-
     def test_partition_and_heal(self):
         cut = run_tiny(
             events=(
@@ -241,7 +229,7 @@ class TestMessageFaultInjection:
     def test_fault_runs_are_deterministic(self):
         events = (
             MessageLoss(at=60.0, duration=600.0, rate=0.1,
-                        duplicate_rate=0.05, jitter=5.0),
+                        duplicate_rate=0.05),
             Partition(at=300.0, name="cut", fraction=0.3,
                       isolates_servers=True),
             PartitionHeal(at=540.0, name="cut"),

@@ -316,7 +316,7 @@ class TestFaultEventValidation:
         spec = tiny_spec(
             events=(
                 MessageLoss(at=60.0, duration=300.0, rate=0.05,
-                            duplicate_rate=0.01, jitter=1.0),
+                            duplicate_rate=0.01),
                 Partition(at=120.0, name="cut", fraction=0.25,
                           isolates_servers=True),
                 PartitionHeal(at=400.0, name="cut"),

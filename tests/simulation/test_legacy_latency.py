@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.simulation.latency import LatencyModel
+from repro.simulation.latency import FLOOR, LatencyModel
 
 
 class TestLatencyModel:
     def test_samples_above_floor(self):
         model = LatencyModel(seed=5)
         samples = [model.sample() for _ in range(1000)]
-        assert min(samples) >= model.floor
+        assert min(samples) >= FLOOR
 
     def test_median_near_target(self):
         model = LatencyModel(seed=6)
@@ -18,10 +18,6 @@ class TestLatencyModel:
         assert 0.04 < median < 0.16  # around the 80 ms target
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyModel(floor=0.5, median=0.1)
-        with pytest.raises(ValueError):
-            LatencyModel(scale=0.0)
         with pytest.raises(ValueError):
             LatencyModel().degrade(-2.0)
 
@@ -45,17 +41,17 @@ class TestLatencyModel:
 
     def test_token_scoped_restore_composes_overlapping_windows(self):
         """Each degrade() returns a token; restore(token) removes
-        exactly that contribution and recomputes from the *true*
+        exactly that contribution and recomputes from the unit
         baseline, so overlapping windows end in any order with no
         f * (1/f) float residue left behind."""
-        model = LatencyModel(seed=8, scale=2.0)  # non-unit baseline
+        model = LatencyModel(seed=8)
         first = model.degrade(3.0)
         second = model.degrade(7.0)
-        assert model.scale == pytest.approx(42.0)
+        assert model.scale == pytest.approx(21.0)
         model.restore(first)  # windows close out of open order
-        assert model.scale == pytest.approx(14.0)
+        assert model.scale == pytest.approx(7.0)
         model.restore(second)
-        assert model.scale == 2.0  # exact baseline, not approx
+        assert model.scale == 1.0  # exact baseline, not approx
 
     def test_restore_is_idempotent_per_token(self):
         model = LatencyModel(seed=8)
@@ -66,8 +62,8 @@ class TestLatencyModel:
         assert model.scale == 1.0
 
     def test_bare_restore_clears_every_window(self):
-        model = LatencyModel(seed=8, scale=0.5)
+        model = LatencyModel(seed=8)
         model.degrade(10.0)
         model.degrade(4.0)
         model.restore()
-        assert model.scale == 0.5
+        assert model.scale == 1.0

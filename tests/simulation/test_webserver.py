@@ -3,7 +3,16 @@
 import pytest
 
 from repro.diffengine.extractor import extract_core_lines
+from repro.simulation import webserver
 from repro.simulation.webserver import WebServerFarm
+
+
+@pytest.fixture()
+def timestamps(monkeypatch):
+    """Set the share of servers that send modification timestamps."""
+    return lambda fraction: monkeypatch.setattr(
+        webserver, "TIMESTAMP_FRACTION", fraction
+    )
 
 
 @pytest.fixture()
@@ -62,8 +71,9 @@ class TestFetch:
         assert result.url == "http://a.example/rss"
         assert result.size == len(result.document.encode("utf-8"))
 
-    def test_version_token_monotone_when_supported(self):
-        farm = WebServerFarm(seed=1, timestamp_fraction=1.0)
+    def test_version_token_monotone_when_supported(self, timestamps):
+        timestamps(1.0)
+        farm = WebServerFarm(seed=1)
         farm.host("http://t.example/rss", update_interval=50.0)
         versions = []
         for now in (0.0, 200.0, 400.0):
@@ -72,8 +82,9 @@ class TestFetch:
         assert versions == sorted(versions)
         assert versions[-1] > versions[0]
 
-    def test_no_timestamps_mode(self):
-        farm = WebServerFarm(seed=1, timestamp_fraction=0.0)
+    def test_no_timestamps_mode(self, timestamps):
+        timestamps(0.0)
+        farm = WebServerFarm(seed=1)
         farm.host("http://n.example/rss", update_interval=50.0)
         assert farm.fetch("http://n.example/rss", 0.0).server_version == 0
 
@@ -87,12 +98,12 @@ class TestFetch:
 class TestConditionalGet:
     URL = "http://t.example/rss"
 
-    def _farm(
-        self, timestamp_fraction=1.0, update_interval=50.0, **kwargs
-    ) -> WebServerFarm:
-        farm = WebServerFarm(
-            seed=1, timestamp_fraction=timestamp_fraction, **kwargs
-        )
+    @pytest.fixture(autouse=True)
+    def all_timestamped(self, timestamps):
+        timestamps(1.0)
+
+    def _farm(self, update_interval=50.0, **kwargs) -> WebServerFarm:
+        farm = WebServerFarm(seed=1, **kwargs)
         farm.host(self.URL, update_interval=update_interval)
         return farm
 
@@ -119,8 +130,11 @@ class TestConditionalGet:
         for reply in (newer, farm.fetch(self.URL, 200.0, have_version=0)):
             assert reply.size == len(reply.document.encode("utf-8")) > 0
 
-    def test_timestampless_channel_never_answers_not_modified(self):
-        farm = self._farm(timestamp_fraction=0.0)
+    def test_timestampless_channel_never_answers_not_modified(
+        self, timestamps
+    ):
+        timestamps(0.0)
+        farm = self._farm()
         for held in (0, 1, 99):
             reply = farm.fetch(self.URL, 0.0, have_version=held)
             assert reply.server_version == 0

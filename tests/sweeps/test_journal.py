@@ -218,14 +218,8 @@ class TestRespawnCap:
             self.process.terminate()
 
         monkeypatch.setattr(farm_module._Worker, "assign", sabotage)
+        monkeypatch.setattr(farm_module, "MAX_RESPAWNS", 3)
         with pytest.raises(RuntimeError, match="poisoned"):
             run_tasks(
-                [SweepTask("flash-crowd", None, 0)],
-                jobs=2,
-                retries=10,
-                max_respawns=3,
+                [SweepTask("flash-crowd", None, 0)], jobs=2, retries=10
             )
-
-    def test_cap_validates(self):
-        with pytest.raises(ValueError, match="max_respawns"):
-            run_tasks([], max_respawns=0)

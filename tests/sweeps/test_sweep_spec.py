@@ -80,11 +80,6 @@ class TestSweepSpec:
                 seeds=(1, 1),
             ),
             SweepSpec(
-                name="bad-timeout",
-                selections=(SweepSelection("flash-crowd"),),
-                timeout=0.0,
-            ),
-            SweepSpec(
                 name="bad-variant",
                 selections=(SweepSelection("flash-crowd", ("nope",)),),
             ),
@@ -94,7 +89,6 @@ class TestSweepSpec:
             "no-selections",
             "no-seeds",
             "duplicate-seeds",
-            "zero-timeout",
             "unknown-variant",
         ],
     )

@@ -27,7 +27,7 @@ def full_stack():
         farm.host(url, update_interval=120.0 + 60.0 * index)
 
     service = SimIMService()
-    gateway = ImGateway(service=service, rate_limit=50.0, burst=20.0)
+    gateway = ImGateway(service=service)
 
     def notifier(url, subscribers, diff: Diff, now: float) -> None:
         for client in subscribers:
@@ -109,12 +109,18 @@ class TestEndToEnd:
 
     def test_every_detection_was_notified(self, full_stack):
         """Conservation: each accepted update with subscribers produced
-        at least that many gateway sends (minus any still queued)."""
-        corona, _farm, _service, gateway, *_ = full_stack
+        at least that many notifications, delivered or still queued."""
+        corona, _farm, service, gateway, _urls, clients, _now = full_stack
         expected = sum(
             event.subscribers for event in corona.detections
         )
-        assert gateway.sent_count + gateway.throttled_count >= expected
+        delivered = sum(
+            message.body.startswith("[corona] update")
+            for client in clients
+            for message in service.inbox(client)
+        )
+        queued = sum(len(queue) for queue in gateway._queues.values())
+        assert delivered + queued >= expected
 
     def test_diff_engine_filtered_noise(self, full_stack):
         """Polls vastly outnumber detections: volatile churn (every

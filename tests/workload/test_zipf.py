@@ -38,19 +38,6 @@ class TestSampling:
         counts = subscription_counts(10000, 300, rng=np.random.default_rng(3))
         assert counts.sum() == 10000
 
-    def test_exact_counts_deterministic(self):
-        a = subscription_counts(10000, 300, exact=True)
-        b = subscription_counts(10000, 300, exact=True)
-        assert (a == b).all()
-        assert a.sum() == 10000
-        assert (np.diff(a) <= 0).all()  # monotone by rank
-
-    def test_exact_remainder_goes_to_the_head(self):
-        """Three equal-mass channels and ten subscriptions: the one
-        left over after flooring goes to rank 1."""
-        counts = subscription_counts(10, 3, exponent=0.0, exact=True)
-        assert list(counts) == [4, 3, 3]
-
 
 class TestFitting:
     def test_recovers_survey_exponent(self):
