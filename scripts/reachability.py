@@ -209,9 +209,6 @@ KEEP: dict[str, str] = {
 #: Keys are ``<file>::<function>(<parameter>)`` or
 #: ``<file>::<Class>.<field>``; reasons are classed as in ``KEEP``.
 KEEP_VALUES: dict[str, str] = {
-    "core/config.py::CoronaConfig.load_metric":
-        "reference: the optimization-record tests sample the bandwidth "
-        "metric",
     "diffengine/extractor.py::CoreContentExtractor.noise_elements":
         "reference: the golden core-lines digests replay a keep-all "
         "configuration",

@@ -43,10 +43,6 @@ class CoronaConfig:
     latency_target:
         Corona-Fast's per-subscription average detection-time target
         ``T`` in seconds (30 s in §5.1's experiments).
-    load_metric:
-        ``"polls"`` charges g_i(l) = wedge polls per τ (Table 2's
-        "polls per 30 min per channel"); ``"bandwidth"`` weighs polls
-        by content size s_i (Figure 3's kbps view).
     orphan_target_correction:
         Apply the slack-cluster target correction of §4 (subtract the
         fixed cost/latency of orphan channels from the optimization
@@ -62,7 +58,6 @@ class CoronaConfig:
     tradeoff_bins: int = 16
     scheme: str = "lite"
     latency_target: float = 30.0
-    load_metric: str = "polls"
     orphan_target_correction: bool = True
 
     def __post_init__(self) -> None:
@@ -80,8 +75,6 @@ class CoronaConfig:
             )
         if self.latency_target <= 0:
             raise ValueError("latency_target must be positive")
-        if self.load_metric not in ("polls", "bandwidth"):
-            raise ValueError("load_metric must be 'polls' or 'bandwidth'")
 
 
 #: The five optimization schemes of Table 1.

@@ -474,42 +474,20 @@ class CoronaNode:
     ) -> ProblemInputs:
         tau = self.config.polling_interval
         local_subs = sum(channel.stats.subscribers for channel in local)
-        local_bw = sum(
-            channel.stats.subscribers * channel.stats.content_size
-            for channel in local
-        )
         orphan_subs = sum(channel.stats.subscribers for channel in orphans)
-        orphan_bw = sum(
-            channel.stats.subscribers * channel.stats.content_size
-            for channel in orphans
-        )
-        counts, subscribers, sizes, _ = remote.sums()
-        *counts, slack_count = counts
-        slack_subs, slack_size = subscribers[-1], sizes[-1]
+        counts, subscribers, _, _ = remote.sums()
+        slack_count, slack_subs = counts[-1], subscribers[-1]
         total_subs = (
             local_subs
             + orphan_subs
             + remote.total_subscribers()
             + slack_subs
         )
-        # Demand of a cluster: its subscribers times its mean size.
-        total_bw = local_bw + orphan_bw
-        for slot, count in enumerate(counts):
-            if count:
-                total_bw += subscribers[slot] * (sizes[slot] / count)
-        if slack_count:
-            total_bw += slack_subs * (slack_size / slack_count)
         # Orphans poll owner-only: one poll per tau each, latency tau/2.
-        if self.config.load_metric == "bandwidth":
-            orphan_load = sum(
-                channel.stats.content_size for channel in orphans
-            ) + slack_size
-        else:
-            orphan_load = len(orphans) + slack_count
+        orphan_load = len(orphans) + slack_count
         orphan_latency = (orphan_subs + slack_subs) * tau / 2.0
         return ProblemInputs(
             total_subscriptions=float(total_subs),
-            total_bandwidth_demand=float(total_bw),
             orphan_load=float(orphan_load),
             orphan_latency=float(orphan_latency),
         )

@@ -5,8 +5,7 @@ Every scheme is built from the same two analytic estimates (§3.1):
 * **detection time** at level ``l``: ``τ/2 · 1/n(l)`` where ``n(l)``
   is the wedge population (``N/b^l`` in expectation) — ``n`` staggered
   pollers sharing updates detect them ``n`` times faster;
-* **server load** at level ``l``: ``n(l)`` polls per polling interval
-  (optionally weighed by content size for the bandwidth view).
+* **server load** at level ``l``: ``n(l)`` polls per polling interval.
 
 The schemes then choose what to minimize and what to bound:
 
@@ -98,14 +97,12 @@ def binning_ratio(
 
     Channels with equal values of this metric have identical tradeoff
     curves up to global constants, so averaging them inside one
-    cluster loses nothing.  For the Fair family it reduces to the
-    paper's example ``q/(u·s)`` shape; for Lite/Fast under the polls
-    metric the content size drops out and popularity alone decides.
+    cluster loses nothing.  Load counts polls, so the content size
+    drops out: for the Fair family it is popularity over the update
+    interval, for Lite/Fast popularity alone.
     """
     q = max(factors.subscribers, 1e-9)
     fair = fairness_weight(scheme, config.polling_interval, factors.update_interval)
-    if config.load_metric == "bandwidth":
-        return q * fair / factors.size
     return q * fair
 
 
@@ -139,13 +136,8 @@ def _tradeoff(
     tables: tuple,
 ) -> ChannelTradeoff:
     """One channel's curves, scaled from the per-level ``tables``."""
-    levels, latency, pollers = tables
+    levels, latency, load = tables
     q = factors.subscribers
-    if config.load_metric == "bandwidth":
-        size = factors.size
-        load = tuple(count * size for count in pollers)
-    else:
-        load = pollers
     if scheme is Scheme.FAST:
         f, g = load, tuple(q * delay for delay in latency)
     else:
@@ -161,7 +153,6 @@ class ProblemInputs:
     """Everything needed to pose one global optimization instance."""
 
     total_subscriptions: float
-    total_bandwidth_demand: float  # Σ qᵢ·sᵢ, the bandwidth-metric target
     orphan_load: float  # fixed cost of slack-cluster channels
     orphan_latency: float  # fixed latency mass of slack-cluster channels
 
@@ -182,10 +173,7 @@ def constraint_target(
         if config.orphan_target_correction:
             budget -= inputs.orphan_latency
         return max(0.0, budget)
-    if config.load_metric == "bandwidth":
-        budget = inputs.total_bandwidth_demand
-    else:
-        budget = inputs.total_subscriptions
+    budget = inputs.total_subscriptions
     if config.orphan_target_correction:
         budget -= inputs.orphan_load
     return max(0.0, budget)

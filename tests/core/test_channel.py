@@ -64,7 +64,7 @@ class TestChannelStats:
 class TestCachedRecord:
     """``record`` and its single invalidation point, ``__setattr__``."""
 
-    CONFIG = CoronaConfig(scheme="fair", load_metric="bandwidth")
+    CONFIG = CoronaConfig(scheme="fair")
 
     def fresh(self, stats, config):
         factors = stats.factors()
@@ -127,7 +127,7 @@ class TestCachedRecord:
         another object — let alone another scheme — re-derives."""
         stats = stats_with(5)
         record = stats.record(self.CONFIG)
-        twin = CoronaConfig(scheme="fair", load_metric="bandwidth")
+        twin = CoronaConfig(scheme="fair")
         assert twin == self.CONFIG and twin is not self.CONFIG
         assert stats.record(twin) is not record
         assert stats.record(twin)[1:] == record[1:]

@@ -23,7 +23,6 @@ class TestValidation:
             {"tradeoff_bins": 0},
             {"scheme": "turbo"},
             {"latency_target": 0},
-            {"load_metric": "watts"},
         ],
     )
     def test_invalid_rejected(self, kwargs):

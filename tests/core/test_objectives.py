@@ -27,7 +27,6 @@ def build_tradeoff(scheme, key, factors, config, n_nodes, levels):
     """One channel's curves, as :func:`build_problem` poses them."""
     inputs = ProblemInputs(
         total_subscriptions=factors.subscribers,
-        total_bandwidth_demand=0.0,
         orphan_load=0.0,
         orphan_latency=0.0,
     )
@@ -132,10 +131,9 @@ class TestTradeoffConstruction:
 
 class TestTargets:
     def test_lite_target_is_legacy_load(self):
-        config = CoronaConfig(scheme="lite", load_metric="polls")
+        config = CoronaConfig(scheme="lite")
         inputs = ProblemInputs(
             total_subscriptions=1000.0,
-            total_bandwidth_demand=5e6,
             orphan_load=10.0,
             orphan_latency=0.0,
         )
@@ -145,7 +143,6 @@ class TestTargets:
         config = CoronaConfig(scheme="fast", latency_target=30.0)
         inputs = ProblemInputs(
             total_subscriptions=1000.0,
-            total_bandwidth_demand=0.0,
             orphan_load=0.0,
             orphan_latency=500.0,
         )
@@ -153,21 +150,10 @@ class TestTargets:
             30.0 * 1000.0 - 500.0
         )
 
-    def test_bandwidth_metric_target(self):
-        config = CoronaConfig(scheme="lite", load_metric="bandwidth")
-        inputs = ProblemInputs(
-            total_subscriptions=1000.0,
-            total_bandwidth_demand=5e6,
-            orphan_load=0.0,
-            orphan_latency=0.0,
-        )
-        assert constraint_target(Scheme.LITE, config, inputs) == 5e6
-
     def test_target_never_negative(self):
         config = CoronaConfig(scheme="lite")
         inputs = ProblemInputs(
             total_subscriptions=5.0,
-            total_bandwidth_demand=0.0,
             orphan_load=100.0,
             orphan_latency=0.0,
         )
@@ -183,7 +169,6 @@ class TestBuildProblem:
         ]
         inputs = ProblemInputs(
             total_subscriptions=sum(100.0 - i for i in range(20)),
-            total_bandwidth_demand=0.0,
             orphan_load=0.0,
             orphan_latency=0.0,
         )
@@ -200,14 +185,9 @@ class TestBuildProblem:
 
 
 class TestBinningRatio:
-    def test_lite_polls_ratio_is_popularity(self):
-        config = CoronaConfig(scheme="lite", load_metric="polls")
+    def test_lite_ratio_is_popularity(self):
+        config = CoronaConfig(scheme="lite")
         assert binning_ratio(Scheme.LITE, config, factors(q=42)) == 42.0
-
-    def test_bandwidth_divides_by_size(self):
-        config = CoronaConfig(scheme="lite", load_metric="bandwidth")
-        ratio = binning_ratio(Scheme.LITE, config, factors(q=42, s=1000))
-        assert ratio == pytest.approx(0.042)
 
     def test_fair_includes_interval(self):
         config = CoronaConfig(scheme="fair")

@@ -34,7 +34,6 @@ N_CHANNELS = 4
 configs = st.builds(
     CoronaConfig,
     scheme=st.sampled_from(SCHEME_NAMES),
-    load_metric=st.sampled_from(("polls", "bandwidth")),
     base=st.just(4),
     polling_interval=st.just(60.0),
     tradeoff_bins=st.sampled_from((4, 16)),

@@ -165,7 +165,6 @@ def test_property_schemes_produce_feasible_monotone_solutions(
     total_q = sum(qs)
     inputs = ProblemInputs(
         total_subscriptions=total_q * budget_factor,
-        total_bandwidth_demand=total_q * 1000.0 * budget_factor,
         orphan_load=0.0,
         orphan_latency=0.0,
     )
