@@ -582,16 +582,23 @@ def _function_of(frame, code):
     return None
 
 
+def _default_pairs(function, code) -> list[tuple[str, object]]:
+    """``(parameter, default)`` for each defaulted parameter."""
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = function.__defaults__ or ()
+    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+    return pairs + list((function.__kwdefaults__ or {}).items())
+
+
 def _parameter_defaults(frame, code) -> list[tuple]:
     function = _function_of(frame, code)
     if function is None:
         return []
-    positional = code.co_varnames[:code.co_argcount]
-    defaults = function.__defaults__ or ()
-    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
-    pairs += (function.__kwdefaults__ or {}).items()
     where = (code.co_filename, code.co_firstlineno)
-    return [(where + (name,), name, default) for name, default in pairs]
+    return [
+        (where + (name,), name, default)
+        for name, default in _default_pairs(function, code)
+    ]
 
 
 def _field_defaults(frame, code, package: str) -> list[tuple]:
@@ -606,13 +613,8 @@ def _field_defaults(frame, code, package: str) -> list[tuple]:
     )
     if cls is None or "__dataclass_fields__" not in vars(cls):
         return []
-    init = vars(cls)["__init__"]
-    positional = code.co_varnames[:code.co_argcount]
-    defaults = init.__defaults__ or ()
-    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
-    pairs += (init.__kwdefaults__ or {}).items()
     watch = []
-    for name, default in pairs:
+    for name, default in _default_pairs(vars(cls)["__init__"], code):
         owner = next(
             klass for klass in cls.__mro__
             if name in vars(klass).get("__annotations__", {})
@@ -702,17 +704,13 @@ def run_benchmarks(paths: list[str]) -> int:
     from pytest_benchmark import fixture
 
     pause = fixture.PauseInstrumentation
-    fixture.PauseInstrumentation = contextlib.nullcontext
-    try:
-        return pytest_main(["-q", "-p", "no:cacheprovider", *paths])
-    finally:
-        fixture.PauseInstrumentation = pause
-
-
-def pytest_main(args: list[str]) -> int:
     import pytest
 
-    return pytest.main(args)
+    fixture.PauseInstrumentation = contextlib.nullcontext
+    try:
+        return pytest.main(["-q", "-p", "no:cacheprovider", *paths])
+    finally:
+        fixture.PauseInstrumentation = pause
 
 
 def run_census() -> tuple[set, set, list[str]]:

@@ -553,7 +553,7 @@ def _execute(
             )
         elif isinstance(event, ChurnWave):
 
-            def churn_tick(now: float, ev=event) -> None:
+            def churn_tick(ev, now: float) -> None:
                 # One tick = one batched crash wave and one batched
                 # join wave (one aggregation repair each, not k).
                 if ev.crashes_per_tick and len(system.nodes) > 1:
@@ -569,7 +569,7 @@ def _execute(
             engine.schedule_every(
                 event.at,
                 event.interval,
-                scheduled("event.ChurnWave.tick", churn_tick),
+                scheduled("event.ChurnWave.tick", partial(churn_tick, event)),
                 until=min(event.at + event.duration, spec.horizon),
             )
         elif isinstance(event, MessageLoss):
@@ -588,7 +588,7 @@ def _execute(
                 ),
             )
         elif isinstance(event, Partition):
-            def open_partition(now: float, ev=event) -> None:
+            def open_partition(ev, now: float) -> None:
                 # Sampled from the population alive *now* — a churned
                 # cloud partitions over its current membership.
                 population = list(system.nodes)
@@ -603,7 +603,7 @@ def _execute(
                     isolates_servers=ev.isolates_servers,
                 )
 
-            engine.schedule(event.at, open_partition)
+            engine.schedule(event.at, partial(open_partition, event))
         elif isinstance(event, PartitionHeal):
             engine.schedule(
                 event.at,
