@@ -616,12 +616,15 @@ def _field_defaults(frame, code, package: str) -> list[tuple]:
     watch = []
     for name, default in _default_pairs(vars(cls)["__init__"], code):
         owner = next(
-            klass for klass in cls.__mro__
-            if name in vars(klass).get("__annotations__", {})
+            (
+                klass for klass in cls.__mro__
+                if name in vars(klass).get("__annotations__", {})
+            ),
+            cls,
         )
         path = getattr(sys.modules.get(owner.__module__), "__file__", "")
         if path and path.startswith(package):
-                watch.append(((path, owner.__qualname__, name), name, default))
+            watch.append(((path, owner.__qualname__, name), name, default))
     return watch
 
 
