@@ -23,15 +23,21 @@ from repro.faults import (
 )
 
 
-def make(seed=0, retry_budget=2, loss=0.0, duplicates=0.0):
-    """A plane with a link table; ``retry_budget`` shadows the
-    class constant on this plane only."""
+def make(seed=0, loss=0.0, duplicates=0.0):
+    """A plane with ``loss``/``duplicates`` raised and a link table."""
     plane = FaultPlane(seed=seed)
-    plane.retry_budget = retry_budget
     plane.add_loss(loss, duplicate_rate=duplicates)
     table = LinkTable(seed=seed)
     plane.install_links(table)
     return plane, table
+
+
+@pytest.fixture()
+def budget(monkeypatch):
+    """Set the per-hop retransmission budget for one test."""
+    return lambda retries: monkeypatch.setattr(
+        FaultPlane, "retry_budget", retries
+    )
 
 
 @pytest.fixture()
@@ -76,8 +82,9 @@ class TestInactiveTable:
 
 
 class TestSpecResolution:
-    def test_asymmetric_override_is_directional(self):
-        plane, table = make(retry_budget=0)
+    def test_asymmetric_override_is_directional(self, budget):
+        budget(0)
+        plane, table = make()
         table.set_link("a", "b", LinkSpec(loss=1.0))
         assert not plane.transmit("a", "b").delivered
         assert plane.transmit("b", "a").delivered  # reverse link clean
@@ -96,14 +103,16 @@ class TestSpecResolution:
         ]
         assert all(o.delay == 0.0 for o in routed)
 
-    def test_zero_loss_override_shields_a_lossy_plane(self):
-        plane, table = make(loss=1.0, retry_budget=0)
+    def test_zero_loss_override_shields_a_lossy_plane(self, budget):
+        budget(0)
+        plane, table = make(loss=1.0)
         table.set_link("a", "b", LinkSpec(loss=0.0, latency=0.01))
         assert plane.transmit("a", "b").delivered
         assert not plane.transmit("c", "d").delivered  # global applies
 
-    def test_overlapping_impositions_merge_additively(self):
-        plane, table = make(retry_budget=0)
+    def test_overlapping_impositions_merge_additively(self, budget):
+        budget(0)
+        plane, table = make()
         table.impose(LinkSpec(loss=0.2, latency=1.0), senders=["a"])
         table.impose(LinkSpec(loss=0.3, latency=0.5), recipients=["b"])
         merged = table.spec_for("a", "b")
@@ -127,8 +136,9 @@ class TestSpecResolution:
         assert merged.bandwidth == 1.0
         assert merged.queue_limit == 4
 
-    def test_lift_restores_the_clean_link(self):
-        plane, table = make(retry_budget=0)
+    def test_lift_restores_the_clean_link(self, budget):
+        budget(0)
+        plane, table = make()
         handle = table.impose(LinkSpec(loss=1.0), senders=["a"])
         assert not plane.transmit("a", "b").delivered
         table.lift(handle)
@@ -201,8 +211,9 @@ class TestTokenBucket:
 
 
 class TestAdaptiveBackoff:
-    def test_backoff_accrues_delay_on_lossy_links(self):
-        plane, table = make(seed=3, retry_budget=3)
+    def test_backoff_accrues_delay_on_lossy_links(self, budget):
+        budget(3)
+        plane, table = make(seed=3)
         table.set_link("a", "b", LinkSpec(loss=0.6, latency=0.5))
         outcomes = [plane.transmit("a", "b") for _ in range(300)]
         retried_ok = [
@@ -217,10 +228,12 @@ class TestAdaptiveBackoff:
         ]
         assert all(0.5 <= o.delay <= 1.0 for o in first_try)  # + jitter=0
 
-    def test_window_exhaustion_suppresses_retries(self):
-        plane, table = make(seed=5, retry_budget=4)
-        table.retry_window = 0.5
-        table.rto_min = 0.4  # second wait (>= 0.8) cannot fit 0.5 s
+    def test_window_exhaustion_suppresses_retries(self, budget, monkeypatch):
+        budget(4)
+        monkeypatch.setattr(LinkTable, "retry_window", 0.5)
+        # The second wait (>= 0.8 s) cannot fit the 0.5 s window.
+        monkeypatch.setattr(LinkTable, "rto_min", 0.4)
+        plane, table = make(seed=5)
         table.set_link("a", "b", LinkSpec(loss=1.0))
         outcome = plane.transmit("a", "b")
         assert not outcome.delivered
@@ -247,9 +260,9 @@ class TestAdaptiveBackoff:
         assert state.srtt is not None
         assert table._current_rto(state, spec) >= table.rto_min
 
-    def test_rto_clamped_to_bounds(self):
+    def test_rto_clamped_to_bounds(self, monkeypatch):
+        monkeypatch.setattr(LinkTable, "rto_max", 5.0)
         table = LinkTable()
-        table.rto_max = 5.0
         spec = LinkSpec(latency=100.0)
         state = table._state(("a", "b"))
         assert table._current_rto(state, spec) == 5.0
@@ -303,7 +316,7 @@ class TestLoadShedding:
 
 class TestDeterminism:
     def decisions(self, seed):
-        plane, table = make(seed=seed, retry_budget=2)
+        plane, table = make(seed=seed)
         table.set_link("a", "b", LinkSpec(loss=0.4, latency=0.2, jitter=0.3))
         return [
             (o.deliveries, o.attempts, o.delay)
