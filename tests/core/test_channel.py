@@ -6,7 +6,11 @@ import pytest
 
 from repro.core import channel as channel_module
 from repro.core.channel import Channel, ChannelStats
-from repro.core.config import MAX_UPDATE_INTERVAL, CoronaConfig
+from repro.core.config import (
+    MAX_UPDATE_INTERVAL,
+    MIN_UPDATE_INTERVAL,
+    CoronaConfig,
+)
 from repro.core.objectives import binning_ratio, scheme_by_name
 from repro.honeycomb.clusters import ratio_bin
 from repro.overlay.hashing import channel_id
@@ -31,6 +35,41 @@ class TestChannelStats:
         stats.record_update(0.0, 1000)
         stats.record_update(600.0, 1000)
         assert stats.update_interval == pytest.approx(600.0)
+
+    def test_single_update_keeps_the_fallback_interval(self):
+        stats = ChannelStats()
+        stats.record_update(500.0, 1000)
+        assert stats.update_interval == MAX_UPDATE_INTERVAL
+
+    def test_non_positive_gap_ignored(self):
+        stats = ChannelStats()
+        stats.record_update(0.0, 1000)
+        stats.record_update(600.0, 1000)
+        stats.record_update(600.0, 1000)  # same instant: no gap
+        stats.record_update(500.0, 1000)  # out of order: no gap
+        assert stats.update_interval == pytest.approx(600.0)
+        assert stats.updates_seen == 4
+
+    def test_interval_floored_at_min_update_interval(self):
+        """Back-to-back detections cannot drive τ/u past τ/60 s."""
+        stats = ChannelStats()
+        stats.record_update(0.0, 1000)
+        stats.record_update(5.0, 1000)
+        assert stats.update_interval == MIN_UPDATE_INTERVAL == 60.0
+
+    def test_interval_capped_at_max_update_interval(self):
+        stats = ChannelStats()
+        stats.record_update(0.0, 1000)
+        stats.record_update(2 * MAX_UPDATE_INTERVAL, 1000)
+        assert stats.update_interval == MAX_UPDATE_INTERVAL
+
+    def test_stats_are_run_state_not_configuration(self):
+        stats = ChannelStats()
+        assert stats.subscribers == 0
+        assert stats.content_size == 1024
+        assert stats.updates_seen == 0
+        with pytest.raises(TypeError):
+            ChannelStats(subscribers=5)
 
     def test_ewma_smooths(self, monkeypatch):
         monkeypatch.setattr(channel_module, "EWMA_ALPHA", 0.5)

@@ -152,6 +152,30 @@ class TestChurnEntryPoints:
         assert len(set(first) | set(second)) == 4
         assert system.counters.joins == 4
 
+    def test_join_waves_continue_one_address_counter(self, running_system):
+        system, now = running_system
+        first = system.join_nodes(2, now=now)
+        second = system.join_nodes(1, now=now)
+        assert first + second == [
+            node_id_for_address(f"joiner-{k}") for k in (1, 2, 3)
+        ]
+
+    def test_join_nodes_zero_is_a_noop(self, running_system):
+        system, now = running_system
+        before = set(system.nodes)
+        assert system.join_nodes(0, now=now) == []
+        assert set(system.nodes) == before
+        assert system.counters.joins == 0
+        # No address was minted either.
+        assert system.join_nodes(1, now=now) == [
+            node_id_for_address("joiner-1")
+        ]
+
+    def test_join_nodes_rejects_a_negative_count(self, running_system):
+        system, now = running_system
+        with pytest.raises(ValueError, match="negative"):
+            system.join_nodes(-1, now=now)
+
     def test_crash_nodes_targets_managers(self, running_system):
         system, now = running_system
         managers = system.manager_nodes()

@@ -135,6 +135,13 @@ class TestLossAndRetry:
         plane.remove_loss(0.10)
         assert not plane.active
 
+    def test_over_removal_clamps_at_zero(self):
+        plane = lossy(seed=3, loss=0.2, duplicates=0.1)
+        plane.remove_loss(0.5, duplicate_rate=0.3)
+        assert plane.loss_rate == 0.0
+        assert plane.duplicate_rate == 0.0
+        assert not plane.active
+
 
 class TestPartitions:
     def test_partition_kills_crossing_links_only(self, budget):

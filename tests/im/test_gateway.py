@@ -43,6 +43,17 @@ class TestCommands:
 
 
 class TestRateLimiting:
+    def test_shipped_limit_is_a_burst_of_three_then_five_per_second(self):
+        service = SimIMService()
+        gateway = ImGateway(service=service)
+        service.register("bob")
+        service.connect("bob")
+        sent = [gateway.notify("bob", note(v), now=0.0) for v in range(6)]
+        assert sent == [True] * 3 + [False] * 3
+        assert gateway.pump(now=0.4) == 2  # 0.4 s at 5 tokens/s
+        assert gateway.pump(now=1.0) == 1  # the queue's last one
+        assert len(service.inbox("bob")) == 6
+
     def test_burst_allowed_then_throttled(self, gateway):
         sent = [gateway.notify("alice", note(v), now=0.0) for v in range(5)]
         assert sent[:2] == [True, True]  # burst capacity

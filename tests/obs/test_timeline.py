@@ -17,6 +17,9 @@ from repro.obs import timeline
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler
 
+#: The shipped ring size, read before the fixture below patches it.
+SHIPPED_CAPACITY = timeline.CAPACITY
+
 
 @pytest.fixture(autouse=True)
 def capacity(monkeypatch):
@@ -73,6 +76,21 @@ class TestSampling:
 
 
 class TestDecimation:
+    def test_shipped_capacity_decimates_cleanly(self, capacity):
+        """Halving the ring keeps it uniform only at an even size >= 4."""
+        assert SHIPPED_CAPACITY >= 4 and SHIPPED_CAPACITY % 2 == 0
+        capacity(SHIPPED_CAPACITY)
+        registry, polls = _registry_with_counter()
+        sampler = TimelineSampler(registry)
+        for round_no in range(4 * SHIPPED_CAPACITY):
+            polls.inc()
+            sampler.sample(now=float(round_no))
+        assert sampler.capacity == SHIPPED_CAPACITY
+        assert len(sampler.times) < SHIPPED_CAPACITY
+        assert sampler.stride > 1
+        gaps = {b - a for a, b in zip(sampler.times, sampler.times[1:])}
+        assert gaps == {float(sampler.stride)}
+
     def test_ring_stays_bounded_and_stride_doubles(self, capacity):
         capacity(4)
         registry, polls = _registry_with_counter()

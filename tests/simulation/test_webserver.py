@@ -37,6 +37,17 @@ class TestHosting:
         with pytest.raises(ValueError):
             farm.host("http://c/", update_interval=0.0)
 
+    def test_shipped_timestamp_share(self):
+        """About ``TIMESTAMP_FRACTION`` of servers send timestamps."""
+        assert webserver.TIMESTAMP_FRACTION == 0.8
+        farm = WebServerFarm(seed=4)
+        hosted = [
+            farm.host(f"http://s{i}.example/rss", update_interval=600.0)
+            for i in range(1000)
+        ]
+        share = sum(h.has_timestamps for h in hosted) / len(hosted)
+        assert abs(share - 0.8) < 0.05  # 4 standard errors
+
 
 class TestUpdateProcess:
     def test_updates_fire_at_interval_rate(self, farm):

@@ -99,3 +99,16 @@ class TestSerialFailures:
             run_tasks([GOOD], jobs=1, retries=-1)
         with pytest.raises(ValueError):
             run_tasks([GOOD], jobs=2, timeout=0.0)
+
+
+class TestBudgetValidation:
+    """A bad retry or timeout budget is refused before a worker starts."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"timeout": 0.0}, {"timeout": -1.0}, {"retries": -1}],
+        ids=["zero-timeout", "negative-timeout", "negative-retries"],
+    )
+    def test_run_tasks_rejects(self, kwargs):
+        with pytest.raises(ValueError, match="timeout|retries"):
+            run_tasks([GOOD], jobs=2, **kwargs)
