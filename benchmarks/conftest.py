@@ -17,16 +17,13 @@ do not recompute; each benchmark times its *own* scheme's full run
 once via ``benchmark.pedantic``.
 
 Rendered series/tables are also written to disk so a run leaves the
-paper-comparable artifacts behind.  Alongside the human-readable
-``*_ci.txt`` artifacts, machine-readable ``BENCH_*.json`` files record
-key metrics (via the ``data`` argument of :func:`write_artifact`) and
-the session's benchmark timings (via ``pytest_sessionfinish``) so the
-performance trajectory can be tracked across PRs by tooling.
-
-They go to the untracked ``benchmarks/out/``, so a test run leaves the
-tree clean.  ``benchmarks/results/`` holds the committed reference
-copies (the perf drift gate's baseline); only a run given
-``--update-results`` rewrites those.
+paper-comparable artifacts behind: human-readable ``*_ci.txt`` files
+and, via the ``data`` argument of :func:`write_artifact`,
+machine-readable ``BENCH_*.json`` files of key metrics.  They go to
+the untracked ``benchmarks/out/``, so a test run leaves the tree
+clean.  Timings are pytest-benchmark's own table; the repo's timing
+instrument is ``benchmarks/e2e`` measured in parent/change pairs
+(``scripts/e2e_pairs.py``).
 """
 
 from __future__ import annotations
@@ -44,32 +41,7 @@ from repro.simulation.deployment import DeploymentSimulator
 from repro.simulation.macro import MacroResult, MacroSimulator, run_legacy
 from repro.workload.trace import generate_trace
 
-RESULTS_DIR = Path(__file__).parent / "results"
 OUT_DIR = Path(__file__).parent / "out"
-
-#: Where this session writes its artifacts (see ``pytest_configure``).
-_artifact_dir = OUT_DIR
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--update-results",
-        action="store_true",
-        default=False,
-        help="write benchmark artifacts over the committed reference "
-        "copies in benchmarks/results/ instead of benchmarks/out/",
-    )
-
-
-def pytest_configure(config):
-    if config.getoption("--update-results"):
-        # The benchmark modules reach ``write_artifact`` through
-        # ``benchmarks.conftest`` — a second import of this file beside
-        # the ``conftest`` pytest loaded for the hooks — so point both.
-        import benchmarks.conftest as imported
-
-        global _artifact_dir
-        _artifact_dir = imported._artifact_dir = RESULTS_DIR
 
 
 @dataclass(frozen=True)
@@ -218,68 +190,19 @@ def deployment_run(scale):
 def write_artifact(
     name: str, text: str, data: dict[str, Any] | None = None
 ) -> Path:
-    """Persist a rendered figure/table in this session's artifact dir.
+    """Persist a rendered figure/table under ``benchmarks/out/``.
 
     ``data``, when given, is additionally written as
     ``BENCH_<stem>.json`` next to the text artifact — the
     machine-readable counterpart tooling diffs across PRs.
     """
-    _artifact_dir.mkdir(exist_ok=True)
-    path = _artifact_dir / name
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / name
     path.write_text(text + "\n")
     if data is not None:
-        json_path = _artifact_dir / f"BENCH_{Path(name).stem}.json"
+        json_path = OUT_DIR / f"BENCH_{Path(name).stem}.json"
         json_path.write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n"
         )
     return path
 
-
-_TIMING_FIELDS = ("min", "max", "mean", "stddev", "median", "rounds")
-
-
-@pytest.hookimpl(trylast=True)
-def pytest_sessionfinish(session, exitstatus):  # noqa: ARG001
-    """Dump per-benchmark timings as BENCH_timings_<scale>.json."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    scale_name = os.environ.get("CORONA_BENCH_SCALE", "ci")
-    entries = []
-    for bench in bench_session.benchmarks:
-        entry: dict[str, Any] = {
-            "name": bench.name,
-            "fullname": bench.fullname,
-            "group": bench.group,
-        }
-        stats = getattr(bench, "stats", None)
-        if stats is not None:
-            # A benchmark that errored mid-run leaves Stats with no
-            # data; its min/max/... properties then raise rather than
-            # return None, and this hook must not mask the failure.
-            try:
-                for field_name in _TIMING_FIELDS:
-                    value = getattr(stats, field_name, None)
-                    if value is not None:
-                        entry[field_name] = value
-            except ValueError:
-                pass
-        entries.append(entry)
-    _artifact_dir.mkdir(exist_ok=True)
-    path = _artifact_dir / f"BENCH_timings_{scale_name}.json"
-    # Merge with any existing file so partial runs (pytest -k, a
-    # single benchmark file) update their entries without clobbering
-    # the rest of the recorded session.
-    merged: dict[str, dict[str, Any]] = {}
-    if path.exists():
-        try:
-            merged = {
-                item["fullname"]: item
-                for item in json.loads(path.read_text())
-            }
-        except (json.JSONDecodeError, KeyError, TypeError):
-            merged = {}
-    for entry in entries:
-        merged[entry["fullname"]] = entry
-    ordered = sorted(merged.values(), key=lambda item: item["fullname"])
-    path.write_text(json.dumps(ordered, indent=2, sort_keys=True) + "\n")

@@ -3,13 +3,12 @@
 Times ``lossy-overlay`` (the CI-gated 5%-loss built-in) and records
 ``partition-heal``'s fault counters, so the cost of routing every hop
 through the fault plane — and of the retransmit/repair machinery
-reacting to it — is tracked across PRs in
-``BENCH_fault_scenarios_ci.json`` / ``BENCH_timings_*.json``.
+reacting to it — is reported in ``BENCH_fault_scenarios_ci.json``.
 Timings are report-only, like every benchmark here; the functional
 gates are the `> 0` fault-counter asserts below plus the exact-match
-CI baselines (and the fault-*off* overhead is pinned by the existing
-``steady-state`` baseline + timing trajectory, since an inactive
-plane is a constant-return hook on the same code path).
+CI baselines (and the fault-*off* overhead is covered by the
+``steady-state`` baseline and the e2e ``steady-poll`` workload, since
+an inactive plane is a constant-return hook on the same code path).
 """
 
 from benchmarks.conftest import write_artifact

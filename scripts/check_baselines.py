@@ -5,8 +5,8 @@ Scenario runs are bit-for-bit deterministic (same spec + same seed ⇒
 identical ``--json`` metrics), so CI gates on *exact* equality: any
 metric drift — intended or not — shows up as a failing diff naming
 the scenario, variant and keys that moved.  Timings are deliberately
-not part of these files; they are reported separately from the
-``BENCH_timings_*.json`` artifacts and never gated.
+not part of these files; they are measured by ``benchmarks/e2e`` and
+never gated here.
 
 Usage::
 
@@ -40,8 +40,8 @@ from repro.scenarios.runner import ScenarioRunner  # noqa: E402
 from repro.sweeps import SweepTask, run_tasks  # noqa: E402
 
 #: The fixed-seed scenarios CI gates on.  Kept small and fast; the
-#: churn-scale-sweep is exercised by the benchmark suite instead so
-#: its timings land in BENCH_timings_*.json without gating CI runtime.
+#: churn-scale-sweep is gated by its work counters alone
+#: (``WORK_BASELINE_SCENARIOS`` below).
 #: The fault scenarios gate the fault plane end to end: their
 #: baselines pin messages_dropped / retransmissions / repair_diffs /
 #: manager_failovers exactly (fault decisions draw from the plane's

@@ -68,10 +68,10 @@ SMALL_VARIANTS: dict[str, tuple[str, ...]] = {
 _SMALL = ["--nodes", "32", "--channels", "200", "--subscriptions", "2000"]
 
 #: Fixed invocations per CLI verb (the path of sub-command names).
-#: ``scenario run``, ``sweep run``, ``sweep resume`` and ``report`` are
-#: expanded from the registries by :func:`cli_invocations`; ``{tmp}``
-#: is the census's scratch directory.  A verb with no entry here and
-#: no expansion fails the census, so a new verb cannot go uncounted.
+#: ``scenario run``, ``sweep run`` and ``report`` are expanded from the
+#: registries by :func:`cli_invocations`; ``{tmp}`` is the census's
+#: scratch directory.  A verb with no entry here and no expansion fails
+#: the census, so a new verb cannot go uncounted.
 VERB_ARGS: dict[tuple[str, ...], list[list[str]]] = {
     ("table2",): [["table2", *_SMALL, "--hours", "1"]],
     ("deploy",): [
@@ -91,17 +91,6 @@ VERB_ARGS: dict[tuple[str, ...], list[list[str]]] = {
         ["trace", "export", "{tmp}/sweep.jsonl"],
         ["trace", "export", "{tmp}/missing.jsonl"],
     ],
-    ("bench", "compare"): [
-        ["bench", "compare",
-         "benchmarks/results/BENCH_timings_ci.json",
-         "benchmarks/results/BENCH_timings_ci.json"],
-        ["bench", "compare", "--window", "4", "--threshold", "0.2",
-         "benchmarks/results/BENCH_timings_ci.json",
-         "benchmarks/results/BENCH_timings_ci.json"],
-        ["bench", "compare", "--no-gate", "--window", "2",
-         "benchmarks/results/BENCH_timings_ci.json",
-         "{tmp}/missing.json"],
-    ],
 }
 
 #: The reasons a function may stay although no user path runs it.
@@ -119,7 +108,6 @@ CLASSES: dict[str, str] = {
     "test driver": "the one way tests steer a chosen node, link or client",
     "spec format": "a field of the declarative scenario format "
     "(ScenarioSpec.from_dict) that the timeline-event tests set",
-    "retiring": "sits in obs/drift.py, which ROADMAP item 10 deletes",
 }
 
 #: Functions no user path runs, each with the reason it stays.  Keys
@@ -235,10 +223,6 @@ KEEP_VALUES: dict[str, str] = {
         "noise-free feeds",
     "im/service.py::SimIMService.connect(now)":
         "test driver: the IM tests reconnect a client at a chosen time",
-    "obs/drift.py::load_snapshot(label)":
-        "retiring: labels a snapshot other than by its file name",
-    "obs/drift.py::format_drift_table(title)":
-        "retiring: titles the drift table",
     "scenarios/spec.py::WorkloadSpec.url_prefix":
         "e2e harness: workloads.py re-keys the channel namespace per seed",
     "scenarios/spec.py::FlashCrowd.channel":
@@ -355,7 +339,6 @@ def cli_invocations(tmp: str) -> list[list[str]]:
         ] + [["simulate", *_SMALL, "--hours", "1", "--target", "20"]],
         ("scenario", "run"): [],
         ("sweep", "run"): [],
-        ("sweep", "resume"): [],
         ("report",): [],
     }
     # A traced run whose timeline has churn-wave ticks: the repeating
@@ -385,12 +368,10 @@ def cli_invocations(tmp: str) -> list[list[str]]:
     expanded[("sweep", "run")] += [
         ["sweep", "run", sweeps[0], "-j", "1", "--resume",
          "--check-invariants", "--out", f"{tmp}/sweep-{sweeps[0]}"],
+        ["sweep", "run", sweeps[-1], "-j", "1", "--resume",
+         "--out", f"{tmp}/sweep-{sweeps[-1]}"],
         ["sweep", "run", "no-such-sweep"],
     ]
-    expanded[("sweep", "resume")].append(
-        ["sweep", "resume", sweeps[-1], "-j", "1",
-         "--out", f"{tmp}/sweep-{sweeps[-1]}"]
-    )
     expanded[("report",)] += [
         ["report", traced],
         ["report", traced, "--format", "md", "--timings",

@@ -11,12 +11,11 @@ Usage::
     python -m repro sweep list
     python -m repro sweep run <name> [-j N] [--json] [--out DIR]
                                      [--timeout S] [--retries K]
-                                     [--trace spans.jsonl]
+                                     [--trace spans.jsonl] [--resume]
     python -m repro report <name> [--seed N] [--variant V]
                                   [--format terminal|md|json]
                                   [--out report.md] [--timings] [-j N]
     python -m repro trace export spans.jsonl -o trace.json [--clock sim]
-    python -m repro bench compare BENCH_a.json BENCH_b.json ... [--no-gate]
 
 ``table2`` reproduces the paper's summary table across all schemes;
 ``simulate`` runs one scheme through the macro simulator and prints
@@ -32,10 +31,8 @@ update-freshness provenance — and renders one report document
 (terminal, markdown or JSON; deterministic unless ``--timings`` adds
 wall clocks).  ``trace export`` converts a
 ``--trace`` span log to Chrome-trace JSON (load it in Perfetto or
-``chrome://tracing``); ``bench compare`` gates timing drift across
-``BENCH_*.json`` artifacts against a rolling baseline (``--no-gate``
-for report-only).  Global
-``-v``/``-vv`` raise log verbosity, ``-q`` silences warnings.
+``chrome://tracing``).  Global ``-v``/``-vv`` raise log verbosity,
+``-q`` silences warnings.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from repro.analysis.stats import rank_correlation, steady_state_mean
 from repro.analysis.tables import format_series, format_table
 from repro.core.config import SCHEME_NAMES, CoronaConfig
 from repro.obs import Observability, export_chrome_trace, setup_logging
-from repro.obs.drift import NOISE_FLOOR, compare_paths, gate_verdict
 from repro.obs.trace import read_spans
 from repro.scenarios import (
     ScenarioRunner,
@@ -331,8 +327,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
     except UnknownSweepError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    resume = getattr(args, "resume", False)
-    if resume and args.out is None:
+    if args.resume and args.out is None:
         print(
             "error: --resume needs --out DIR (the journal lives there)",
             file=sys.stderr,
@@ -349,7 +344,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             root = Path(args.out)
             root.mkdir(parents=True, exist_ok=True)
             journal_path = root / JOURNAL_NAME
-            if resume and journal_path.exists():
+            if args.resume and journal_path.exists():
                 journal, state = SweepJournal.resume(
                     journal_path, spec.name, args.check_invariants
                 )
@@ -576,34 +571,26 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Drift report over timing artifacts (oldest → newest)."""
+def _positive_seconds(text: str) -> float:
+    """``--timeout``: a wall-clock budget must be a positive number."""
     try:
-        report, regressed = compare_paths(
-            args.snapshots, threshold=args.threshold, window=args.window
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}"
         )
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(report)
-    if regressed:
-        print(
-            f"\n{len(regressed)} benchmark(s) above the "
-            f"+{args.threshold:.0%} drift threshold"
+    return value
+
+
+def _non_negative_count(text: str) -> int:
+    """``--retries``: an attempt count must be a whole number >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 0, got {text!r}"
         )
-    print(gate_verdict(regressed, threshold=args.threshold))
-    if regressed and args.gate:
-        print(
-            "\ndrift gate failed. If the drift is intended (a known "
-            "slowdown or a stale rolling baseline), refresh the "
-            "committed snapshot: re-run the benchmarks with "
-            "--update-results and commit benchmarks/results/"
-            "BENCH_timings_ci.json (see README, 'Perf drift gate'). "
-            "Use --no-gate for a report-only run.",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -687,50 +674,47 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="show the registered sweeps"
     )
     sweep_list.set_defaults(func=cmd_sweep_list)
-    def _add_sweep_run_args(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("name", help="registered sweep name")
-        subparser.add_argument(
-            "-j", "--jobs", type=int, default=0,
-            help="worker processes (default 0 = one per CPU; 1 = "
-                 "serial in-process — byte-identical output either "
-                 "way)",
-        )
-        subparser.add_argument(
-            "--timeout", type=float, default=None, metavar="S",
-            help="per-task wall-clock budget in seconds (parallel "
-                 "mode; an over-budget worker is killed and the task "
-                 "retried)",
-        )
-        subparser.add_argument(
-            "--retries", type=int, default=1, metavar="K",
-            help="extra attempts per failed/timed-out task (default 1)",
-        )
-        subparser.add_argument(
-            "--json", action="store_true",
-            help="emit the merged comparison artifact instead of the "
-                 "table",
-        )
-        subparser.add_argument(
-            "--out", default=None, metavar="DIR",
-            help="write sweep.json, summary.txt, per-variant JSON and "
-                 "the resume journal under DIR",
-        )
-        subparser.add_argument(
-            "--trace", default=None, metavar="PATH",
-            help="write farm-level sweep.run/sweep.task spans to PATH "
-                 "as JSON-lines (convert with 'repro trace export')",
-        )
-        subparser.add_argument(
-            "--check-invariants", action="store_true",
-            help="run every task with read-only invariant monitors; "
-                 "writes violations.json under --out DIR",
-        )
-
     sweep_run = sweep_commands.add_parser(
         "run",
         help="run one sweep's grid across worker processes",
     )
-    _add_sweep_run_args(sweep_run)
+    sweep_run.add_argument("name", help="registered sweep name")
+    sweep_run.add_argument(
+        "-j", "--jobs", type=int, default=0,
+        help="worker processes (default 0 = one per CPU; 1 = "
+             "serial in-process — byte-identical output either "
+             "way)",
+    )
+    sweep_run.add_argument(
+        "--timeout", type=_positive_seconds, default=None, metavar="S",
+        help="per-task wall-clock budget in seconds (parallel "
+             "mode; an over-budget worker is killed and the task "
+             "retried)",
+    )
+    sweep_run.add_argument(
+        "--retries", type=_non_negative_count, default=1, metavar="K",
+        help="extra attempts per failed/timed-out task (default 1)",
+    )
+    sweep_run.add_argument(
+        "--json", action="store_true",
+        help="emit the merged comparison artifact instead of the "
+             "table",
+    )
+    sweep_run.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="write sweep.json, summary.txt, per-variant JSON and "
+             "the resume journal under DIR",
+    )
+    sweep_run.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="write farm-level sweep.run/sweep.task spans to PATH "
+             "as JSON-lines (convert with 'repro trace export')",
+    )
+    sweep_run.add_argument(
+        "--check-invariants", action="store_true",
+        help="run every task with read-only invariant monitors; "
+             "writes violations.json under --out DIR",
+    )
     sweep_run.add_argument(
         "--resume", action="store_true",
         help="skip tasks already journaled under --out DIR "
@@ -738,13 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
              "uninterrupted run)",
     )
     sweep_run.set_defaults(func=cmd_sweep_run)
-    sweep_resume = sweep_commands.add_parser(
-        "resume",
-        help="continue an interrupted 'sweep run --out DIR' from its "
-             "journal (same as run --resume)",
-    )
-    _add_sweep_run_args(sweep_resume)
-    sweep_resume.set_defaults(func=cmd_sweep_run, resume=True)
 
     report = commands.add_parser(
         "report",
@@ -810,41 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="timeline to lay spans out on (default: wall)",
     )
     trace_export.set_defaults(func=cmd_trace_export)
-
-    bench = commands.add_parser(
-        "bench", help="benchmark artifact tooling"
-    )
-    bench_commands = bench.add_subparsers(
-        dest="bench_command", required=True
-    )
-    bench_compare = bench_commands.add_parser(
-        "compare",
-        help="drift of the newest BENCH_*.json vs a rolling baseline",
-    )
-    bench_compare.add_argument(
-        "snapshots", nargs="+",
-        help="timing artifacts, oldest first; the last is the candidate",
-    )
-    bench_compare.add_argument(
-        "--threshold", type=float, default=NOISE_FLOOR,
-        help="relative drift that flags a regression (default: the "
-             f"documented noise floor, {NOISE_FLOOR})",
-    )
-    bench_compare.add_argument(
-        "--window", type=int, default=8,
-        help="baseline snapshots feeding the rolling median (default 8)",
-    )
-    gate_flags = bench_compare.add_mutually_exclusive_group()
-    gate_flags.add_argument(
-        "--gate", dest="gate", action="store_true", default=True,
-        help="exit non-zero on regressions (the default since the "
-             f"+{NOISE_FLOOR:.0%} noise floor was characterized)",
-    )
-    gate_flags.add_argument(
-        "--no-gate", dest="gate", action="store_false",
-        help="report only, always exit zero on regressions",
-    )
-    bench_compare.set_defaults(func=cmd_bench_compare)
 
     return parser
 

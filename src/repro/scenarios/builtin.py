@@ -188,9 +188,8 @@ CHURN_SCALE_SWEEP = register(
         description=(
             "Scale probe for incremental churn: manager-targeted "
             "crash/join waves at 512 up to 4096 nodes over a wide "
-            "channel population — the CI perf baseline for "
-            "membership-change cost (its --json metrics and the "
-            "BENCH_timings artifacts are the regression reference)."
+            "channel population — CI gates the n512 work counters "
+            "of membership change (churn-scale-sweep.work.json)."
         ),
         n_nodes=512,
         horizon=1800.0,

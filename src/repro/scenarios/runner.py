@@ -57,35 +57,36 @@ from repro.workload.trace import generate_trace
 CONTENT_SIZE_SCALE = 0.2
 
 
-#: Scenario-metric key → registry series backing it.  One entry here
-#: (plus a slot in ``_COUNTER_KEY_ORDER``) is all it takes to surface
-#: a new registry counter in scenario output — the collation path
-#: below and ``to_dict`` are both driven by these tables.
-REGISTRY_COUNTER_KEYS: tuple[tuple[str, str], ...] = (
-    ("polls", "polls"),
-    ("maintenance_messages", "maintenance_messages"),
-    ("diff_messages", "diff_messages"),
-    ("joins", "joins"),
-    ("crashes", "crashes"),
-    ("recoveries", "recoveries"),
-    ("rehomed_channels", "rehomed_channels"),
-    ("work_summaries_rebuilt", "work_summaries_rebuilt"),
-    ("work_cluster_merges", "work_cluster_merges"),
-    ("work_nodes_dirtied", "work_nodes_dirtied"),
-    ("solver_work_problems_solved", "solver_work_problems_solved"),
-    ("solver_work_memo_hits", "solver_work_memo_hits"),
-    ("solver_work_shared_hits", "solver_work_shared_hits"),
-    ("messages_dropped", "messages_dropped"),
-    ("messages_duplicated", "messages_duplicated"),
-    ("retransmissions", "retransmissions"),
-    ("repair_diffs", "repair_diffs"),
-    ("failed_polls", "failed_polls"),
-    ("poll_retries", "poll_retries"),
-    ("manager_failovers", "manager_failovers"),
-    ("queued_messages", "queued_messages"),
-    ("queue_drops", "queue_drops"),
-    ("retries_suppressed", "retries_suppressed"),
-    ("polls_shed", "polls_shed"),
+#: Registry series a scenario reports under the same name.  One entry
+#: here (plus a slot in ``ScenarioMetrics._HEAD_KEYS``) is all it takes
+#: to surface a new registry counter in scenario output — the
+#: collation path below and ``to_dict`` are both driven by these
+#: tables.
+REGISTRY_COUNTER_KEYS: tuple[str, ...] = (
+    "polls",
+    "maintenance_messages",
+    "diff_messages",
+    "joins",
+    "crashes",
+    "recoveries",
+    "rehomed_channels",
+    "work_summaries_rebuilt",
+    "work_cluster_merges",
+    "work_nodes_dirtied",
+    "solver_work_problems_solved",
+    "solver_work_memo_hits",
+    "solver_work_shared_hits",
+    "messages_dropped",
+    "messages_duplicated",
+    "retransmissions",
+    "repair_diffs",
+    "failed_polls",
+    "poll_retries",
+    "manager_failovers",
+    "queued_messages",
+    "queue_drops",
+    "retries_suppressed",
+    "polls_shed",
 )
 
 
@@ -739,8 +740,8 @@ def _execute(
     # AggregationWork, SolverWork, FaultCounters), so collation is a
     # table lookup, not three hand-rolled per-subsystem blocks.
     counters = {
-        key: int(obs.registry.value(name))
-        for key, name in REGISTRY_COUNTER_KEYS
+        name: int(obs.registry.value(name))
+        for name in REGISTRY_COUNTER_KEYS
     }
     counters["solver_work_solve_hits"] = (
         counters["solver_work_memo_hits"]

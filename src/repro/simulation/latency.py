@@ -62,17 +62,15 @@ class LatencyModel:
         self.scale *= factor
         return token
 
-    def restore(self, token: int | None = None) -> None:
-        """End a degradation window (all of them when ``token`` is None).
+    def restore(self, token: int) -> None:
+        """End the degradation window ``token`` names.
 
         Idempotent: with no surviving windows the scale is *exactly*
         1.0 (not a ``f * (1/f)`` float approximation of it), and with
         survivors it is exactly the product of their factors.
         An unknown or already-restored token is a no-op.
         """
-        if token is None:
-            self._degradations.clear()
-        elif self._degradations.pop(token, None) is None:
+        if self._degradations.pop(token, None) is None:
             return
         scale = 1.0
         for factor in self._degradations.values():

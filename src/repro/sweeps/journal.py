@@ -3,9 +3,8 @@
 A :class:`SweepJournal` records every *terminal* task result the farm
 produces — one JSON line per task, flushed as soon as it is written —
 so a sweep killed mid-run (SIGTERM, OOM, power loss) can be resumed
-without redoing finished work: ``repro sweep run --resume`` (or
-``repro sweep resume``) loads the journal, skips every journaled
-task, and re-runs only the rest.  Because tasks are deterministic and
+without redoing finished work: ``repro sweep run --resume`` loads the
+journal, skips every journaled task, and re-runs only the rest.  Because tasks are deterministic and
 artifacts merge in enumeration order, the resumed run's artifacts are
 byte-identical to an uninterrupted run (``tests/sweeps/test_resume.py``
 pins it).

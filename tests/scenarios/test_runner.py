@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 from repro.faults import FaultPlane
+from repro.obs import Observability
 from repro.scenarios import (
     ChurnWave,
     CorrelatedManagerFailure,
@@ -19,6 +20,7 @@ from repro.scenarios import (
     UpdateBurst,
     WorkloadSpec,
 )
+from repro.scenarios.runner import REGISTRY_COUNTER_KEYS, ScenarioMetrics
 from tests.reference_paths import eager_rounds
 from tests.scenarios.conftest import TINY_WORKLOAD, tiny_spec
 
@@ -354,6 +356,19 @@ class TestMetricsShape:
         for key, value in metrics.counters.items():
             assert payload[key] == value
             assert getattr(metrics, key) == value
+
+    def test_every_counter_has_one_head_key_slot(self):
+        assert len(set(REGISTRY_COUNTER_KEYS)) == len(REGISTRY_COUNTER_KEYS)
+        assert set(REGISTRY_COUNTER_KEYS) <= set(ScenarioMetrics._HEAD_KEYS)
+
+    def test_counters_are_the_registry_series_of_the_same_name(self):
+        obs = Observability.off()
+        metrics = ScenarioRunner(tiny_spec(), seed=3, obs=obs).run()
+        assert set(metrics.counters) == {
+            *REGISTRY_COUNTER_KEYS, "solver_work_solve_hits"
+        }
+        for name in REGISTRY_COUNTER_KEYS:
+            assert metrics.counters[name] == obs.registry.value(name)
 
     def test_summary_mentions_key_numbers(self):
         metrics = run_tiny()

@@ -29,14 +29,14 @@ class TestLatencyModel:
 
     def test_degradation_composes_and_inverts(self):
         model = LatencyModel(seed=8)
-        model.degrade(10.0)
-        model.degrade(4.0)
+        tokens = [model.degrade(10.0), model.degrade(4.0)]
         assert model.scale == pytest.approx(40.0)
         # undoing one event leaves the other active (the scenario
         # runner relies on this for overlapping degradations)
-        model.degrade(1.0 / 10.0)
+        tokens.append(model.degrade(1.0 / 10.0))
         assert model.scale == pytest.approx(4.0)
-        model.restore()
+        for token in tokens:
+            model.restore(token)
         assert model.scale == 1.0
 
     def test_token_scoped_restore_composes_overlapping_windows(self):
@@ -61,9 +61,13 @@ class TestLatencyModel:
         model.restore(999)  # unknown token: no-op
         assert model.scale == 1.0
 
-    def test_bare_restore_clears_every_window(self):
+    def test_tokens_are_never_reused(self):
+        """A window opened after another closed gets a fresh token, so
+        a late restore of the closed window cannot end the new one."""
         model = LatencyModel(seed=8)
-        model.degrade(10.0)
-        model.degrade(4.0)
-        model.restore()
-        assert model.scale == 1.0
+        old = model.degrade(2.0)
+        model.restore(old)
+        new = model.degrade(3.0)
+        assert new != old
+        model.restore(old)
+        assert model.scale == pytest.approx(3.0)

@@ -4,8 +4,8 @@ A real ``repro sweep run --out DIR`` subprocess is killed mid-grid.
 The contract after the kill: the out-dir contains **only complete**
 per-variant JSON files (atomic rename — never a truncated file that
 could pass for a result) and a journal the loader accepts (its worst
-wound is one truncated final line).  ``repro sweep resume`` then
-finishes the grid, and the artifacts are byte-identical to an
+wound is one truncated final line).  ``repro sweep run --resume``
+then finishes the grid, and the artifacts are byte-identical to an
 uninterrupted run.
 """
 
@@ -85,8 +85,10 @@ def test_sigterm_mid_sweep_then_resume_is_byte_identical(tmp_path):
     assert journaled_before  # we waited for at least one
 
     # 3. Resume finishes the grid through the real CLI.
-    resume = cli(["resume", SWEEP, "-j", "1", "--out", str(out_dir)],
-                 cwd=tmp_path)
+    resume = cli(
+        ["run", SWEEP, "-j", "1", "--resume", "--out", str(out_dir)],
+        cwd=tmp_path,
+    )
     stdout, stderr = resume.communicate(timeout=300.0)
     assert resume.returncode == 0, stderr.decode()
     if journaled_before:

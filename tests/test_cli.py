@@ -7,7 +7,14 @@ import pytest
 from repro.cli import build_parser, main
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioMetrics, ScenarioRunner
-from repro.sweeps import SweepTask, run_tasks, variant_json
+from repro.sweeps import (
+    JOURNAL_NAME,
+    SweepJournal,
+    SweepTask,
+    load_journal,
+    run_tasks,
+    variant_json,
+)
 from repro.sweeps.builtin import BUILTIN_NAMES
 
 #: A small deployment that detects nothing in its hour.
@@ -106,6 +113,104 @@ class TestSweepCLI:
         code = main(["sweep", "run", "no-such-sweep"])
         assert code == 2
         assert "no-such-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--timeout", "0"),
+            ("--timeout", "-5"),
+            ("--timeout", "nan"),
+            ("--timeout", "soon"),
+            ("--retries", "-1"),
+            ("--retries", "1.5"),
+            ("--retries", "many"),
+        ],
+    )
+    def test_bad_budget_is_refused_before_any_file(
+        self, capsys, tmp_path, flag, value
+    ):
+        out_dir = tmp_path / "artifacts"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "run", "seed-grid", "-j", "1", flag, value,
+                  "--out", str(out_dir)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert flag in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, dest, parsed",
+        [
+            ("--timeout", "0.5", "timeout", 0.5),
+            ("--timeout", "600", "timeout", 600.0),
+            ("--retries", "0", "retries", 0),
+        ],
+    )
+    def test_valid_budgets_parse(
+        self, flag, value, dest, parsed
+    ):
+        args = build_parser().parse_args(
+            ["sweep", "run", "seed-grid", flag, value]
+        )
+        assert getattr(args, dest) == parsed
+
+    def test_resume_needs_out(self, capsys):
+        assert main(["sweep", "run", "seed-grid", "--resume"]) == 2
+        assert "--resume needs --out" in capsys.readouterr().err
+
+    def test_resume_refuses_another_sweeps_journal(self, capsys, tmp_path):
+        SweepJournal.create(tmp_path / JOURNAL_NAME, "seed-grid").close()
+        code = main(["sweep", "run", "scheme-faults", "-j", "1",
+                     "--resume", "--out", str(tmp_path)])
+        assert code == 2
+        assert "belongs to sweep 'seed-grid'" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            JOURNAL_NAME
+        ]
+
+    def test_resume_refuses_a_changed_monitoring_flag(
+        self, capsys, tmp_path
+    ):
+        SweepJournal.create(
+            tmp_path / JOURNAL_NAME, "seed-grid", check_invariants=True
+        ).close()
+        code = main(["sweep", "run", "seed-grid", "-j", "1", "--resume",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "check_invariants=True" in capsys.readouterr().err
+
+    def test_resume_without_a_journal_starts_one(self, capsys, tmp_path):
+        code = main(["sweep", "run", "seed-grid", "-j", "1", "--resume",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "skipped" not in capsys.readouterr().err
+        state = load_journal(tmp_path / JOURNAL_NAME)
+        assert state.sweep == "seed-grid"
+        assert len(state.results) == 3
+
+    def test_resume_of_a_finished_run_reruns_nothing(self, capsys, tmp_path):
+        argv = ["sweep", "run", "seed-grid", "-j", "1", "--out",
+                str(tmp_path)]
+        assert main(argv) == 0
+        first = (tmp_path / "sweep.json").read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 0
+        assert "3 journaled task(s) skipped" in capsys.readouterr().err
+        assert (tmp_path / "sweep.json").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "resume", "seed-grid", "--out", "unused"],
+            ["bench", "compare", "old.json", "new.json"],
+        ],
+    )
+    def test_deleted_verbs_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_sweep_run_json_schema_and_out_layout(self, capsys, tmp_path):
         out_dir = tmp_path / "artifacts"
@@ -239,31 +344,3 @@ class TestReportCommand:
         for task in document["tasks"]:
             assert task["report"]["freshness"]["detections"] >= 0
 
-
-class TestBenchCompareGate:
-    """`repro bench compare` exits non-zero on drift by default."""
-
-    def _snapshot(self, tmp_path, name, mean):
-        path = tmp_path / name
-        path.write_text(json.dumps([{"fullname": "bench_a", "mean": mean}]))
-        return str(path)
-
-    def test_drift_gates_by_default(self, tmp_path, capsys):
-        old = self._snapshot(tmp_path, "old.json", 1.0)
-        new = self._snapshot(tmp_path, "new.json", 2.0)
-        assert main(["bench", "compare", old, new]) == 1
-        captured = capsys.readouterr()
-        assert "drift gate failed" in captured.err
-        assert "Perf drift gate" in captured.err
-
-    def test_no_gate_restores_report_only(self, tmp_path, capsys):
-        old = self._snapshot(tmp_path, "old.json", 1.0)
-        new = self._snapshot(tmp_path, "new.json", 2.0)
-        assert main(["bench", "compare", old, new, "--no-gate"]) == 0
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_clean_run_passes(self, tmp_path, capsys):
-        old = self._snapshot(tmp_path, "old.json", 1.0)
-        new = self._snapshot(tmp_path, "new.json", 1.05)
-        assert main(["bench", "compare", old, new]) == 0
-        assert "PASS" in capsys.readouterr().out

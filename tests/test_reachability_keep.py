@@ -164,7 +164,7 @@ def test_every_sweep_runs(invocations):
 
 def test_every_verb_runs(census, invocations):
     verbs = census.verbs(build_parser())
-    assert len(verbs) >= 11  # table2 … bench compare
+    assert len(verbs) >= 9  # table2 … trace export
     for path in verbs:
         assert any(
             tuple(argv[: len(path)]) == path for argv in invocations
