@@ -333,7 +333,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     completed = None
     on_result = None
     try:
@@ -475,7 +475,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     fmt = _infer_report_format(args)
 
     if sweep_spec is not None:
-        jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+        jobs = args.jobs or os.cpu_count() or 1
         try:
             run = run_sweep(
                 sweep_spec,
@@ -585,7 +585,8 @@ def _positive_seconds(text: str) -> float:
 
 
 def _non_negative_count(text: str) -> int:
-    """``--retries``: an attempt count must be a whole number >= 0."""
+    """``--retries`` and ``-j/--jobs``: a count must be a whole number
+    >= 0 (``-j 0`` means one worker per CPU)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"must be a whole number >= 0, got {text!r}"
@@ -680,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument("name", help="registered sweep name")
     sweep_run.add_argument(
-        "-j", "--jobs", type=int, default=0,
+        "-j", "--jobs", type=_non_negative_count, default=0,
         help="worker processes (default 0 = one per CPU; 1 = "
              "serial in-process — byte-identical output either "
              "way)",
@@ -749,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to PATH (.json/.md also infer --format)",
     )
     report.add_argument(
-        "-j", "--jobs", type=int, default=0,
+        "-j", "--jobs", type=_non_negative_count, default=0,
         help="worker processes for sweep reports "
              "(default 0 = one per CPU)",
     )

@@ -165,6 +165,12 @@ class CoronaSystem:
         #: follow ``self.nodes`` insertion order, rejoins included.
         self._poll_calendar: list[tuple] = []
         self._node_ranks = 0
+        #: Wedge flood plans per (root, channel id, level), valid for
+        #: one overlay epoch: a plan reads only routing tables.
+        self._plans: dict[
+            tuple[NodeId, NodeId, int], list[tuple[NodeId, NodeId, int]]
+        ] = {}
+        self._plans_epoch = -1
         self.overlay = OverlayNetwork.build(
             n_nodes,
             base=config.base,
@@ -711,13 +717,7 @@ class CoronaSystem:
     ) -> tuple[int, int]:
         """Flood one announcement; returns (hops sent, hops reached)."""
         cid = channel_id(msg.url)
-        plan = wedge_recipients(
-            manager_id,
-            self.overlay.routing_tables(),
-            cid,
-            msg.level,
-            self.config.base,
-        )
+        plan = self._wedge_plan(manager_id, cid, msg.level)
         deliveries, attempted, _unreached, _delay_to = deliver_plan(
             plan, self._transmit_hook()
         )
@@ -729,6 +729,27 @@ class CoronaSystem:
         # of the old one, so the plan above already covers lowers, and
         # raises reach the shrinking wedge because it is a subset.
         return attempted, len(deliveries)
+
+    def _wedge_plan(
+        self, root: NodeId, cid: NodeId, level: int
+    ) -> list[tuple[NodeId, NodeId, int]]:
+        """``wedge_recipients`` of the current routing tables, computed
+        once per (root, channel, level) and overlay epoch.  Callers
+        only read the plan."""
+        if self._plans_epoch != self.overlay.epoch:
+            self._plans.clear()
+            self._plans_epoch = self.overlay.epoch
+        key = (root, cid, level)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = wedge_recipients(
+                root,
+                self.overlay.routing_tables(),
+                cid,
+                level,
+                self.config.base,
+            )
+        return plan
 
     def _detect_unresponsive_managers(
         self, flood_stats: dict[NodeId, list[int]], now: float
@@ -1016,13 +1037,7 @@ class CoronaSystem:
             level = self.nodes[detector_id].polling_level(msg.url)
             plan: list[tuple[NodeId, NodeId, int]] = []
             if level is not None:
-                plan = wedge_recipients(
-                    detector_id,
-                    self.overlay.routing_tables(),
-                    cid,
-                    level,
-                    self.config.base,
-                )
+                plan = self._wedge_plan(detector_id, cid, level)
             deliveries, attempted, _unreached, delay_to = deliver_plan(
                 plan, self._transmit_hook()
             )

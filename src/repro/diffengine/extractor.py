@@ -15,6 +15,24 @@ Three families of volatility are filtered:
   content (``lastBuildDate``, ``ttl``, ``updated`` outside entries…);
 * **textual** — free-text fragments that scan as pure timestamps or
   counters.
+
+Most polls find nothing new, so extraction memoises per feed item.
+A document is cut before every ``<item``/``<entry`` tag and after the
+last item's close tag: a head, one chunk per item, and a tail that
+carries the per-request noise (``lastBuildDate``, the rotating ad, the
+hit counter) and is scanned every time.  The scan is a pure
+left-to-right transducer whose only carried state is ``(suppressed,
+nesting, item_depth)``, so a chunk's lines and exit state are a
+function of its entry state and its text, and the chunk memo stores
+exactly that.  The cuts are exact because of one rule: a chunk is
+used only if it is *closed* — its last markup piece ends at its own
+terminator (``>``, or ``-->`` for a comment), never at the end of the
+chunk.  Then :func:`split_markup` of the document is the concatenation
+of its chunks' pieces: each cut falls on a ``<`` that starts a piece
+of the whole document too.  A cut inside a comment, CDATA, an
+attribute value or after a stray ``<`` leaves an unclosed chunk, and
+the whole document takes the one-pass scan instead, as does a document
+without items.
 """
 
 from __future__ import annotations
@@ -56,8 +74,22 @@ _VOLATILE_ATTRS = frozenset({"onclick", "style", "nonce"})
 
 #: Verdict drop rules.
 _KEEP, _DROP, _DROP_OUTSIDE_ITEMS = 0, 1, 2
+#: The kinds the scan loop compares against, as plain globals: an
+#: ``Enum`` member lookup costs ~0.1 µs, several per markup piece.
+_OPEN, _CLOSE, _TEXT = TokenKind.OPEN, TokenKind.CLOSE, TokenKind.TEXT
 #: Distinct raw tags a verdict table holds before it is cleared.
 _VERDICT_CAP = 4096
+#: Chunks a chunk memo holds; the oldest goes first.  Paper-scale
+#: §5.2 (3 000 channels, one hour) stores 53 828 and never evicts; a
+#: 16 384 cap thrashed there (2.3x the misses, no wall gain).
+_CHUNK_CAP = 65536
+
+#: Scan state at the start of a document: nothing suppressed, no item.
+_START = ("", 0, 0)
+#: Cuts a document's body at every item/entry tag, in C, eating the
+#: tag's ``<`` (a pattern that starts with a literal splits ~4x faster
+#: than a bare lookahead): ``[head, "item>…", "entry …>…", …]``.
+_split_items = re.compile(r"<(?=(?:item|entry)\b)", re.IGNORECASE).split
 
 #: Free text that is nothing but a clock or a counter.
 _TIMESTAMP_TEXT = re.compile(
@@ -117,6 +149,13 @@ class CoreContentExtractor:
     _verdicts: dict[str, tuple[TokenKind, str, int, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: (entry state, item text after its "<") → (its lines, exit
+    #: state), for every closed item chunk, and head text → the same
+    #: for the head: an unchanged item is one lookup.
+    _chunks: dict[
+        str | tuple[tuple[str, int, int], str],
+        tuple[tuple[str, ...], tuple[str, int, int]],
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _verdict(self, raw: str) -> tuple[TokenKind, str, int, str]:
         """Classify one raw tag; everything here runs once per distinct
@@ -155,10 +194,71 @@ class CoreContentExtractor:
         Each retained text fragment and structural tag becomes one
         line, so the differ's line numbers map to document elements and
         the "17 lines of XML per update" granularity of the survey.
-        Walks the pieces of :func:`split_markup` directly: the even
-        pieces are text, each odd one is markup — a comment, a
-        declaration, a tag (looked up in the verdict table) or, with no
-        ``>`` after its ``<``, the rest of the document as text.
+        Feeds are cut into a head, one chunk per item and the tail
+        after the last item; every chunk but the tail is looked up in
+        the chunk memo by its entry state and text, so a poll that
+        finds nothing scans only its noise (see the module docstring
+        for why this is exact).  A document without an item tag, or
+        with a chunk that is not closed, is scanned in one pass.
+        """
+        head, *items = _split_items(document)
+        if not items:
+            return self._scan(document, _START)[0]
+        # The last item ends at its close tag; the tail after it is
+        # scanned every time.  Without a close tag it is all tail.
+        tail = items.pop()
+        end = max(tail.rfind("</item>") + 7, tail.rfind("</entry>") + 8)
+        if end > 7:  # found: the piece starts "item"/"entry", not "</"
+            items.append(tail[:end])
+            tail = tail[end:]
+        else:
+            tail = "<" + tail
+        memo = self._chunks
+        # The head always starts in the start state: its text is its key.
+        hit = memo.get(head) or self._memoise(head, head, _START)
+        if hit is None:
+            return self._scan(document, _START)[0]
+        lines = list(hit[0])
+        state = hit[1]
+        for item in items:
+            key = (state, item)
+            hit = memo.get(key) or self._memoise(key, "<" + item, state)
+            if hit is None:
+                return self._scan(document, _START)[0]
+            lines.extend(hit[0])
+            state = hit[1]
+        lines.extend(self._scan(tail, state)[0])
+        return lines
+
+    def _memoise(
+        self, key: str | tuple[tuple[str, int, int], str], chunk: str,
+        state: tuple[str, int, int],
+    ) -> tuple[tuple[str, ...], tuple[str, int, int]] | None:
+        """Scan a chunk the memo lacks and store it, if it is closed."""
+        lines, exit_state, closed = self._scan(chunk, state)
+        if not closed:
+            return None
+        memo = self._chunks
+        if len(memo) >= _CHUNK_CAP:
+            del memo[next(iter(memo))]
+        hit = memo[key] = (tuple(lines), exit_state)
+        return hit
+
+    def _scan(
+        self, text: str, state: tuple[str, int, int]
+    ) -> tuple[list[str], tuple[str, int, int], bool]:
+        """One left-to-right pass over ``text`` from ``state``.
+
+        Returns ``(lines, exit state, closed)``.  The state is
+        ``(suppressed, nesting, item_depth)``: the name of the dropped
+        element we are inside, the same-name OPENs seen since (itself
+        included), and the open items.  Walks the pieces of
+        :func:`split_markup` directly: the even pieces are text, each
+        odd one is markup — a comment, a declaration, a tag (looked up
+        in the verdict table) or, with no ``>`` after its ``<``, the
+        rest of the text.  ``closed`` says the last markup piece ended
+        at its own terminator, so the same piece starts and ends at the
+        same place in any longer text that continues with ``<``.
         """
         lines: list[str] = []
         append = lines.append
@@ -166,10 +266,8 @@ class CoreContentExtractor:
         timestamp = (
             _TIMESTAMP_TEXT.match if self.strip_timestamp_text else None
         )
-        suppressed = ""  # name of the dropped element we are inside
-        nesting = 0  # same-name OPENs seen since, itself included
-        item_depth = 0
-        pieces = split_markup(document)
+        suppressed, nesting, item_depth = state
+        pieces = split_markup(text)
         # [text, markup, …, text]: strip every text piece in one C
         # loop, pair the texts with the markup that follows them.
         texts = list(map(str.strip, pieces[::2]))
@@ -194,34 +292,43 @@ class CoreContentExtractor:
             kind, name, drop, line = verdict
             if suppressed:
                 if name == suppressed:
-                    if kind is TokenKind.OPEN:
+                    if kind is _OPEN:
                         nesting += 1
-                    elif kind is TokenKind.CLOSE:
+                    elif kind is _CLOSE:
                         nesting -= 1
                         if not nesting:
                             suppressed = ""
                 continue
-            if kind is TokenKind.CLOSE:
+            if kind is _CLOSE:
                 if item_depth and name in _ITEM_ELEMENTS:
                     item_depth -= 1
                 append(line)
-            elif kind is TokenKind.TEXT:  # a nameless "<...>" is text
+            elif kind is _TEXT:  # a nameless "<...>" is text
                 text = raw.strip()
                 if not (timestamp and timestamp(text)):
                     append(text)
             else:
-                if kind is TokenKind.OPEN and name in _ITEM_ELEMENTS:
+                if kind is _OPEN and name in _ITEM_ELEMENTS:
                     item_depth += 1
                 if drop == _KEEP or (
                     drop == _DROP_OUTSIDE_ITEMS and item_depth
                 ):
                     append(line)
-                elif kind is TokenKind.OPEN:
+                elif kind is _OPEN:
                     suppressed, nesting = name, 1
         if last and not suppressed:
             if not (timestamp and timestamp(last)):
                 append(last)
-        return lines
+        closed = len(pieces) == 1 or _terminated(pieces[-2])
+        return lines, (suppressed, nesting, item_depth), closed
+
+
+def _terminated(raw: str) -> bool:
+    """Whether a markup piece ends at its own terminator rather than at
+    the end of the text (a comment needs a ``-->`` past its ``<!--``)."""
+    if raw.startswith("<!--"):
+        return len(raw) >= len("<!---->") and raw.endswith("-->")
+    return raw[-1] == ">"
 
 
 #: The paper's defaults; every ``CoronaNode`` shares this one (and so

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from email.utils import formatdate
+from functools import lru_cache
 
 
 @dataclass
@@ -77,6 +78,8 @@ def _escape(text: str) -> str:
     )
 
 
+@lru_cache(maxsize=1024)
 def rfc822_date(epoch_seconds: float) -> str:
-    """RFC 822 date string, the format RSS uses throughout."""
+    """RFC 822 date string, the format RSS uses throughout (memoised:
+    the polls of one tick stamp the same ``now``)."""
     return formatdate(epoch_seconds, usegmt=True)

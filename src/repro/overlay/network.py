@@ -102,6 +102,10 @@ class OverlayNetwork:
         self._ids: list[int] = []
         self._by_value: dict[int, NodeId] = {}
         self._tables_view = RoutingTablesView(self)
+        #: Bumped at every routing-table write (join, removal wave,
+        #: stale-contact repair), so anything derived from the tables
+        #: (wedge flood plans) is current while the epoch is.
+        self.epoch = 0
         #: Histogram of shared-prefix depths between value-adjacent
         #: node pairs.  The deepest prefix collision in the population
         #: is always between sorted neighbours, so this keeps
@@ -146,6 +150,7 @@ class OverlayNetwork:
         self._join_incremental(node)
         self.nodes[node_id] = node
         self._index_insert(node_id)
+        self.epoch += 1
         return node
 
     def _index_insert(self, node_id: NodeId) -> None:
@@ -331,6 +336,7 @@ class OverlayNetwork:
             leaf_holders.update(counter_clockwise)
         for node_id in victims:
             self._drop_from_index(node_id)
+        self.epoch += 1
         if not self.nodes:
             return
         for holder_id in leaf_holders:
@@ -431,11 +437,13 @@ class OverlayNetwork:
             if hop is not None and hop not in self.nodes:
                 # Stale contact: repair locally and retry the step.
                 current.forget(hop)
+                self.epoch += 1
                 continue
             if hop is None or hop in visited:
                 hop = current.closest_known(key, exclude=visited)
                 while hop is not None and hop not in self.nodes:
                     current.forget(hop)
+                    self.epoch += 1
                     hop = current.closest_known(key, exclude=visited)
                 if hop is None:
                     return route

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import CoronaConfig
+from repro.core.dissemination import wedge_recipients
 from repro.core.system import CoronaSystem
 from repro.overlay.hashing import channel_id, node_id_for_address
 from repro.simulation.webserver import WebServerFarm
@@ -462,3 +463,78 @@ class TestNotifierSurvivesChurn:
         system, now = running_system
         (joined,) = system.join_nodes(1, now=now)
         assert system.nodes[joined].notifier is None
+
+
+class TestWedgePlanMemo:
+    """Flood plans are memoised per overlay epoch: after every kind of
+    routing-table write a plan served from the memo is a fresh one."""
+
+    @staticmethod
+    def _keys(system):
+        """Level-0..2 floods from every manager and a few detectors."""
+        roots = list(dict.fromkeys(system.managers.values()))
+        roots += system.overlay.node_ids()[:5]
+        cids = [channel_id(url) for url in sorted(system.managers)]
+        return [
+            (root, cid, level)
+            for root in roots for cid in cids[:4] for level in range(3)
+        ]
+
+    @staticmethod
+    def _assert_current(system, keys):
+        tables = system.overlay.routing_tables()
+        for root, cid, level in keys:
+            if root not in system.overlay.nodes:
+                continue
+            fresh = wedge_recipients(
+                root, tables, cid, level, system.config.base
+            )
+            assert system._wedge_plan(root, cid, level) == fresh
+        for (root, cid, level), plan in system._plans.items():
+            assert plan == wedge_recipients(
+                root, tables, cid, level, system.config.base
+            )
+
+    def _prime(self, system):
+        keys = self._keys(system)
+        self._assert_current(system, keys)
+        assert system._plans_epoch == system.overlay.epoch
+        return keys, system.overlay.epoch
+
+    def test_cached_plans_follow_joins_crashes_and_forgotten_contacts(
+        self, running_system, small_farm
+    ):
+        system, now = running_system
+        assert system._plans  # the warm-up floods went through the memo
+        keys, epoch = self._prime(system)
+
+        system.join_nodes(3, now=now)
+        assert system.overlay.epoch > epoch
+        self._assert_current(system, keys)
+        now = _drive(system, small_farm, now, steps=4)
+
+        keys, epoch = self._prime(system)
+        system.crash_nodes(3, now=now)
+        assert system.overlay.epoch > epoch
+        self._assert_current(system, keys)
+
+        # A silent failure leaves stale contacts behind (no repair);
+        # the route that stumbles on one forgets it.
+        overlay = system.overlay
+        start = overlay.nodes[overlay.node_ids()[0]]
+        victim = start.leaves.members()[0]
+        overlay._drop_from_index(victim)
+        keys, epoch = self._prime(system)
+        overlay.route(start.node_id, victim)
+        assert victim not in start.leaves.members()
+        assert overlay.epoch > epoch
+        self._assert_current(system, keys)
+
+    def test_a_plan_is_computed_once_per_epoch(self, running_system):
+        system, _now = running_system
+        key = self._keys(system)[0]
+        first = system._wedge_plan(*key)
+        assert system._wedge_plan(*key) is first
+        system.overlay.epoch += 1
+        again = system._wedge_plan(*key)
+        assert again is not first and again == first

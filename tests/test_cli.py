@@ -145,6 +145,8 @@ class TestSweepCLI:
             ("--timeout", "0.5", "timeout", 0.5),
             ("--timeout", "600", "timeout", 600.0),
             ("--retries", "0", "retries", 0),
+            ("-j", "0", "jobs", 0),
+            ("--jobs", "2", "jobs", 2),
         ],
     )
     def test_valid_budgets_parse(
@@ -154,6 +156,22 @@ class TestSweepCLI:
             ["sweep", "run", "seed-grid", flag, value]
         )
         assert getattr(args, dest) == parsed
+
+    @pytest.mark.parametrize("verb", ["sweep run", "report"])
+    @pytest.mark.parametrize("value", ["-3", "-1", "1.5", "all"])
+    def test_bad_job_count_is_refused_before_any_file(
+        self, capsys, tmp_path, verb, value
+    ):
+        out = tmp_path / ("artifacts" if verb == "sweep run" else "r.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verb.split(), "seed-grid", "-j", value,
+                  "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "-j/--jobs" in err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_needs_out(self, capsys):
         assert main(["sweep", "run", "seed-grid", "--resume"]) == 2
