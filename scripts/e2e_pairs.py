@@ -16,8 +16,13 @@ is also what the driver measures.
 Every run made is printed as it finishes.  Then, per end-to-end metric
 of ``BENCHMARK.json``: each side's median [quartiles] over the seeds,
 the ratio change/parent, the pairs the change won (a tie counts for
-neither side), and the quartile distance of the *change's* runs —
-inclusive and exclusive method — against ``bound x parent median``:
+neither side), the parent's own quartile distance (the wider of the
+inclusive and exclusive methods), and one ``claim rule:`` line with
+§8's two checks — the change is ahead in at least 9/10 of the pairs,
+and its median beats the parent's by more than that quartile
+distance; a claimed gain needs both.  Last, the quartile distance of
+the *change's* runs — inclusive and exclusive method — against
+``bound x parent median``:
 a change whose runs spread wider than that over the seeds is refused
 as unresolvable however good its median (ISSUE 13's first version
 was).  ``separated: yes`` — every run of the change reads better than
@@ -94,14 +99,39 @@ def cell(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def claim_rule(won: int, pairs: int, gap: float, spread: float) -> str:
+    """choosing-metrics §8: a gain counts only when the change is ahead
+    in at least 9/10 of the pairs (ties count for neither side) *and*
+    its median is better by more than the parent's quartile distance.
+    """
+    ahead = won * 10 >= pairs * 9
+    wide = gap > spread
+    return (
+        f"claim rule: ahead in {won}/{pairs} pairs (needs 9/10):"
+        f" {'yes' if ahead else 'no'}; median gap {gap:.4g} against the"
+        f" parent's quartile distance {spread:.4g}:"
+        f" {'yes' if wide else 'no'} -> "
+        + ("met" if ahead and wide else "not met")
+    )
+
+
 def report(metric: dict, parent: list[float], change: list[float]) -> str:
     name = f"{metric['name']} ({metric['unit']}, {metric['better']} is better)"
+    # The wider of the two quartile methods: the claim must clear both.
+    parent_spread = max(
+        quartile_distance(parent, "inclusive"),
+        quartile_distance(parent, "exclusive"),
+    )
     if parent == change:
-        return f"{name}\n  equal on every seed: {cell(change)}"
+        return (
+            f"{name}\n  equal on every seed: {cell(change)}\n"
+            f"  {claim_rule(0, len(parent), 0.0, parent_spread)}"
+        )
     sign = 1 if metric["better"] == "higher" else -1
     gains = [sign * (c - p) for p, c in zip(parent, change)]
     won, lost = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     parent_median = statistics.median(parent)
+    gap = sign * (statistics.median(change) - parent_median)
     limit = metric["bound"] * abs(parent_median)
     inclusive = quartile_distance(change, "inclusive")
     exclusive = quartile_distance(change, "exclusive")
@@ -112,6 +142,8 @@ def report(metric: dict, parent: list[float], change: list[float]) -> str:
         f"  (change/parent {statistics.median(change) / parent_median:.3f})\n"
         f"  change ahead in {won} of {len(parent)} pairs, behind in {lost}\n"
         f"  separated: {'yes' if separated else 'no'}\n"
+        f"  parent's quartile distance {parent_spread:.4g}\n"
+        f"  {claim_rule(won, len(parent), gap, parent_spread)}\n"
         f"  change's quartile distance {inclusive:.4g} inclusive /"
         f" {exclusive:.4g} exclusive against"
         f" {metric['bound']} x parent median = {limit:.4g}: "

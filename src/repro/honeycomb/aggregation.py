@@ -41,8 +41,20 @@ interval staleness of piggy-backed aggregation data bit for bit.  An
 empty radius holds the shared :meth:`ClusterSummary.empty`, and a
 rebuild adding nothing returns its inner summary itself; committed
 summaries are never mutated, so they may be aliased.  A converged
-round does no summary work at all.  The original recompute-everything
-sweep stays as :meth:`DecentralizedAggregator._run_round_eager` (with
+round does no summary work at all.
+
+Two facts keep a round's cost to its rebuilds:
+
+* a node's :class:`~repro.overlay.routing.RoutingTable` object lives
+  as long as its membership, and its rows change in place — so each
+  state resolves its table once, when the node joins, and every
+  later round reads the current rows through it;
+* an empty routing-table row contributes nothing, so the radius built
+  from it *is* its inner summary (and inner remote) — committed as
+  they are, with no copy and no merge.
+
+The original recompute-everything sweep stays as
+:meth:`DecentralizedAggregator._run_round_eager` (with
 :meth:`~DecentralizedAggregator.load_local` reloading the population),
 the reference the equivalence suites and
 ``benchmarks/test_round_delta.py`` run against.
@@ -131,9 +143,9 @@ class AggregationState:
     equality, which compares protocol state only): ``pending`` holds
     the radii whose inputs changed since this node last built them,
     ``readers[k]`` the ``NodeId.value`` of every node that built its
-    radius ``k-1`` from this node's radius ``k``, and ``complete[r]``
-    whether the last rebuild of radius ``r`` saw contributions from
-    every row-``r`` contact.
+    radius ``k-1`` from this node's radius ``k``, ``incomplete`` the
+    radii whose last rebuild lacked a contribution from some contact
+    of their row, and ``table`` this node's routing table.
     """
 
     node_id: NodeId
@@ -152,9 +164,12 @@ class AggregationState:
     readers: defaultdict[int, set[int]] = field(
         default_factory=lambda: defaultdict(set), init=False, compare=False
     )
-    complete: dict[int, bool] = field(
-        default_factory=dict, init=False, compare=False
+    incomplete: set[int] = field(
+        default_factory=set, init=False, compare=False
     )
+    #: This node's routing table, resolved once: delta rounds read its
+    #: rows through it instead of looking the table up per visit.
+    table: RoutingTable | None = field(default=None, compare=False, repr=False)
 
     def best_remote(self) -> ClusterSummary:
         """Widest remote-channel summary (own channels excluded)."""
@@ -182,12 +197,11 @@ def _plus(base: ClusterSummary, added: list[ClusterSummary]) -> ClusterSummary:
 class DecentralizedAggregator:
     """Runs aggregation rounds across a population of nodes.
 
-    ``local_summary`` supplies, per node, a fresh summary of the
-    channels that node currently owns; :meth:`load_local` installs it
-    as the radius-``rows`` summary (all nodes, or just the ones
-    marked dirty via :meth:`mark_local_dirty` — see
-    :meth:`load_dirty_locals`) and :meth:`run_round` extends horizons
-    one digit.
+    ``local_summary`` supplies, per node, the summary of the channels
+    that node currently owns; :meth:`load_local` installs it as the
+    radius-``rows`` summary of every node, :meth:`load_dirty_locals`
+    of just the ones marked dirty via :meth:`mark_local_dirty`, and
+    :meth:`run_round` extends horizons one digit.
 
     Churn is handled **incrementally** (paper §3.3): a joining or
     failing node is spliced into/out of ``states`` in place via
@@ -200,7 +214,8 @@ class DecentralizedAggregator:
     would compute within ``rows`` rounds (the churn-equivalence test
     suite asserts this bit for bit).  ``tables`` should be a live view
     (see :meth:`repro.overlay.network.OverlayNetwork.routing_tables`)
-    so membership changes never require re-materializing it; the
+    so membership changes never require re-materializing it: a node's
+    table is looked up in it once, when the node's state is made.  The
     tables must only change through
     :meth:`add_nodes`/:meth:`remove_nodes` events (pending marks learn
     about contact changes from the horizon trimming those perform).
@@ -223,8 +238,10 @@ class DecentralizedAggregator:
             )
         self.base = base
         self.states: dict[NodeId, AggregationState] = {
-            node_id: AggregationState(node_id=node_id, rows=rows, bins=bins)
-            for node_id in tables
+            node_id: AggregationState(
+                node_id=node_id, rows=rows, bins=bins, table=table
+            )
+            for node_id, table in tables.items()
         }
         #: ``states`` by ``NodeId.value``: an int hashes in C, a NodeId not.
         self._by_value: dict[int, AggregationState] = {
@@ -276,7 +293,10 @@ class DecentralizedAggregator:
             if node_id in self.states:
                 raise ValueError(f"node {node_id!r} already aggregated")
             state = AggregationState(
-                node_id=node_id, rows=self.rows, bins=self.bins
+                node_id=node_id,
+                rows=self.rows,
+                bins=self.bins,
+                table=self.tables[node_id],
             )
             self.states[node_id] = self._by_value[node_id.value] = state
             self._dirty_local.add(node_id)
@@ -334,7 +354,7 @@ class DecentralizedAggregator:
             for radius in range(horizon, min(deepest, state.rows - 1) + 1):
                 dropped = state.summaries.pop(radius, None)
                 state.remote.pop(radius, None)
-                state.complete.pop(radius, None)
+                state.incomplete.discard(radius)
                 if dropped is not None:
                     self._touch(state, radius)
 
@@ -358,7 +378,7 @@ class DecentralizedAggregator:
             # Every other radius is gone; rebuilds register afresh.
             state.pending.clear()
             state.readers.clear()
-            state.complete = {}
+            state.incomplete.clear()
         self.rows = rows
 
     def _touch(self, state: AggregationState, radius: int) -> None:
@@ -388,41 +408,38 @@ class DecentralizedAggregator:
             self._dirty_local.add(node_id)
 
     def load_local(
-        self,
-        local_summary: Callable[[NodeId], ClusterSummary],
-        node_ids: Iterable[NodeId] | None = None,
+        self, local_summary: Callable[[NodeId], ClusterSummary]
     ) -> None:
-        """Rebuild own-channel summaries (all nodes, or ``node_ids``).
+        """Rebuild every node's own-channel summary.
 
-        ``local_summary(node)`` returns a new :class:`ClusterSummary`
-        of the channels the node owns (orphans in the slack slot),
-        which the aggregator keeps.  A rebuilt summary equal in value
-        to the stored one is discarded (nothing is marked), which is
-        what lets delta rounds quiesce even though the eager driver
-        reloads every node every round.
+        ``local_summary(node)`` returns the :class:`ClusterSummary` of
+        the channels the node owns (orphans in the slack slot; the
+        shared :meth:`ClusterSummary.empty` for none), which the
+        aggregator keeps.  A rebuilt summary equal in value to the
+        stored one is discarded (nothing is marked), which is what
+        lets delta rounds quiesce even though the eager driver reloads
+        every node every round.
         """
-        if node_ids is None:
-            targets = list(self.states)
-            self._dirty_local.clear()
-        else:
-            targets = [nid for nid in node_ids if nid in self.states]
-            self._dirty_local.difference_update(targets)
-        dirtied = 0
-        for node_id in targets:
-            if self._install_local(
-                self.states[node_id], local_summary(node_id)
-            ):
-                dirtied += 1
-        self.work.nodes_dirtied += dirtied
+        self._dirty_local.clear()
+        self._install_locals(local_summary, list(self.states.values()))
 
     def load_dirty_locals(
         self, local_summary: Callable[[NodeId], ClusterSummary]
     ) -> None:
-        """Rebuild locals only for nodes marked dirty since last load."""
+        """Rebuild locals only for nodes marked dirty since last load.
+
+        Every marked node is aggregated (marking checks, removal
+        unmarks), so the states are found by value, in value order.
+        """
         if not self._dirty_local:
             return
-        order = sorted(self._dirty_local, key=lambda node_id: node_id.value)
-        self.load_local(local_summary, node_ids=order)
+        by_value = self._by_value
+        targets = [
+            by_value[value]
+            for value in sorted(nid.value for nid in self._dirty_local)
+        ]
+        self._dirty_local.clear()
+        self._install_locals(local_summary, targets)
 
     def refresh_locals(
         self, local_summary: Callable[[NodeId], ClusterSummary]
@@ -451,20 +468,35 @@ class DecentralizedAggregator:
         self.run_round()
         self.run_round()
 
-    def _install_local(
-        self, state: AggregationState, summary: ClusterSummary
-    ) -> bool:
-        """Commit a rebuilt local summary; returns True if it changed."""
-        changed = state.summaries.get(state.rows) != summary
+    def _install_locals(
+        self,
+        local_summary: Callable[[NodeId], ClusterSummary],
+        targets: list[AggregationState],
+    ) -> None:
+        """Commit each target's rebuilt local summary, marking changes.
+
+        An unchanged local keeps the stored object; "nothing stored"
+        and "the same object" are decided before any value comparison.
+        """
         empty = ClusterSummary.empty(self.bins)
-        if changed:
-            state.summaries[state.rows] = empty if summary == empty else summary
-            state.remote[state.rows] = empty
-            self.work.summaries_rebuilt += 1
-            self._touch(state, state.rows)
-        elif state.rows not in state.remote:
-            state.remote[state.rows] = empty
-        return changed
+        rebuilt = 0
+        for state in targets:
+            summary = local_summary(state.node_id)
+            rows = state.rows
+            stored = state.summaries.get(rows)
+            if stored is not None and (stored is summary or stored == summary):
+                if rows not in state.remote:
+                    state.remote[rows] = empty
+                continue
+            if summary is not empty and summary == empty:
+                summary = empty
+            state.summaries[rows] = summary
+            state.remote[rows] = empty
+            rebuilt += 1
+            self._touch(state, rows)
+        work = self.work
+        work.summaries_rebuilt += rebuilt
+        work.nodes_dirtied += rebuilt
 
     # ------------------------------------------------------------------
     # rounds
@@ -551,76 +583,106 @@ class DecentralizedAggregator:
             return
         by_value = self._by_value
         empty = ClusterSummary.empty(self.bins)
+        local = self.rows
+        widening = range(local - 1, -1, -1)  # the radii, innermost first
+        # (state, radius, stored before, built, built remote, merges)
         commits: list[
-            tuple[AggregationState, int, ClusterSummary, ClusterSummary, int]
+            tuple[
+                AggregationState, int, ClusterSummary | None,
+                ClusterSummary, ClusterSummary, int,
+            ]
         ] = []
-        built_any = False
-        for node_id, state in self.states.items():
+        for state in self.states.values():
             summaries = state.summaries
             pending = state.pending
             if not pending and 0 in summaries:
                 continue  # converged and untouched since its last build
-            table = self.tables[node_id]
-            me = node_id.value
-            for radius in range(self.rows - 1, -1, -1):
-                inner = summaries.get(radius + 1)
-                if inner is None:
-                    break  # cannot widen past a missing inner radius
-                if radius in summaries and radius not in pending:
-                    if not state.complete.get(radius, True):
+            inner = summaries.get(local)
+            if inner is None:
+                continue  # no local yet: nothing to widen
+            incomplete = state.incomplete
+            row = state.table.row
+            for radius in widening:
+                current = summaries.get(radius)
+                if current is not None and radius not in pending:
+                    if radius in incomplete:
                         break  # the eager sweep would stop here too
+                    inner = current
                     continue
                 pending.discard(radius)
-                built_any = True
-                complete = True
-                merges = 0
-                added: list[ClusterSummary] = []
-                for contact in table.row(radius).values():
-                    contact_state = by_value.get(contact.value)
-                    if contact_state is None:
-                        complete = False
-                        continue
-                    contact_state.readers[radius + 1].add(me)
-                    contribution = contact_state.summaries.get(radius + 1)
-                    if contribution is None:
-                        complete = False
-                        continue
-                    merges += 1
-                    if contribution is not empty:
-                        added.append(contribution)
-                state.complete[radius] = complete
-                commits.append(
-                    (
-                        state,
-                        radius,
-                        _plus(inner, added),
-                        _plus(state.remote.get(radius + 1, empty), added),
-                        merges,
+                inner_remote = state.remote.get(radius + 1, empty)
+                contacts = row(radius)
+                if contacts:
+                    me = state.node_id.value
+                    complete = True
+                    merges = 0
+                    added: list[ClusterSummary] = []
+                    for contact in contacts.values():
+                        contact_state = by_value.get(contact.value)
+                        if contact_state is None:
+                            complete = False
+                            continue
+                        contact_state.readers[radius + 1].add(me)
+                        contribution = contact_state.summaries.get(radius + 1)
+                        if contribution is None:
+                            complete = False
+                            continue
+                        merges += 1
+                        if contribution is not empty:
+                            added.append(contribution)
+                    commits.append((
+                        state, radius, current, _plus(inner, added),
+                        _plus(inner_remote, added), merges,
+                    ))
+                    if not complete:
+                        incomplete.add(radius)
+                        break
+                else:  # an empty row: the radius is its inner itself
+                    commits.append(
+                        (state, radius, current, inner, inner_remote, 0)
                     )
-                )
-                if not complete:
-                    break
-        rebuilt = merged = 0
-        dirtied: set[int] = set()
-        for state, radius, combined, combined_remote, merges in commits:
-            if (
-                state.summaries.get(radius) == combined
-                and state.remote.get(radius) == combined_remote
+                if current is None:
+                    break  # the next radius has no inner until this commits
+                incomplete.discard(radius)
+                inner = current
+        if not commits:
+            # Nothing to build and nothing marked: the next round idles.
+            self._quiescent = True
+            return
+        rebuilt = merged = dirtied = 0
+        last = None
+        for commit in commits:
+            state, radius, stored, combined, combined_remote, merges = commit
+            remote = state.remote
+            if stored is not None and (
+                stored is combined or stored == combined
             ):
-                continue  # value-identical rebuild: keep, mark nothing
+                stored_remote = remote.get(radius)
+                if stored_remote is combined_remote or (
+                    stored_remote is not None
+                    and stored_remote == combined_remote
+                ):
+                    continue  # value-identical rebuild: keep, mark nothing
             state.summaries[radius] = combined
-            state.remote[radius] = combined_remote
-            self._touch(state, radius)
+            remote[radius] = combined_remote
+            if radius:  # mark what reads it; radius 0 is read by nothing
+                below = radius - 1
+                state.pending.add(below)
+                readers = state.readers
+                if readers:
+                    for value in readers.get(radius, ()):
+                        reader = by_value.get(value)
+                        if reader is not None:
+                            reader.pending.add(below)
             rebuilt += 1
             merged += merges
-            dirtied.add(state.node_id.value)
+            if state is not last:  # a node's commits are adjacent
+                dirtied += 1
+                last = state
         work = self.work
         work.summaries_rebuilt += rebuilt
         work.cluster_merges += merged
-        work.nodes_dirtied += len(dirtied)
-        if not built_any:
-            # Nothing to build and nothing marked: the next round idles.
-            self._quiescent = True
+        work.nodes_dirtied += dirtied
 
     def run_to_convergence(self) -> int:
         """Run rounds until every node covers radius 0; return rounds."""

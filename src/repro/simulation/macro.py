@@ -322,7 +322,7 @@ class MacroSimulator:
             lambda node_id: (
                 self.nodes[node_id].local_summary()
                 if node_id in self.nodes
-                else ClusterSummary(bins=self.config.tradeoff_bins)
+                else ClusterSummary.empty(self.config.tradeoff_bins)
             )
         )
         solve_cache: dict = {}  # round-scoped shared solutions

@@ -89,6 +89,16 @@ class TestSubscriptions:
         assert summary.sums()[0][-1] == 1
         assert summary is not node.local_summary()  # the aggregator keeps it
 
+    def test_a_node_that_manages_nothing_hands_over_the_shared_empty(self):
+        node = make_node()
+        bins = node.config.tradeoff_bins
+        summary = node.local_summary()
+        assert summary is ClusterSummary.empty(bins)
+        assert summary.sums() == ClusterSummary(bins=bins).sums()
+        with pytest.raises(ValueError):  # read-only: nothing merges in
+            summary.merge(ClusterSummary(bins=bins))
+        assert summary.sums() == ClusterSummary(bins=bins).sums()
+
 
 class TestPollingFlow:
     def test_first_fetch_primes_silently(self):
@@ -157,6 +167,78 @@ class TestPollingFlow:
         for t in (1.0, 61.0, 121.0):
             node.execute_poll(task, fetch(URL, "<item>one</item>"), t)
         assert node.polls_issued == 3
+
+
+class TestHunkMemo:
+    """Myers runs once per distinct (old lines, new lines) pair; the
+    versions only label each returned :class:`Diff`."""
+
+    @pytest.fixture()
+    def myers_calls(self, monkeypatch):
+        import repro.core.node as node_module
+
+        calls = []
+        real = node_module.diff_lines
+
+        def counting(old, new, *versions):
+            calls.append((tuple(old), tuple(new)))
+            return real(old, new, *versions)
+
+        monkeypatch.setattr(node_module, "diff_lines", counting)
+        monkeypatch.setattr(node_module, "_HUNKS", {})
+        return calls
+
+    @staticmethod
+    def primed(address: str, version: int):
+        node = CoronaNode(node_id_for_address(address), make_node().config)
+        node.adopt_channel(URL, 3, 3, now=0.0)
+        task = node.scheduler.tasks[URL]
+        node.execute_poll(task, fetch(URL, "<item>one</item>"), 1.0)
+        task.content.replace(version, task.content.lines)
+        return node, task
+
+    def test_a_repeated_pair_is_diffed_once_into_fresh_diffs(
+        self, myers_calls
+    ):
+        first, first_task = self.primed("memo-a", 1)
+        second, second_task = self.primed("memo-b", 4)  # same lines, later
+        old = first_task.content.lines
+        new = fetch(URL, "<item>two</item>")
+        a = first.execute_poll(first_task, new, 61.0)
+        b = second.execute_poll(second_task, new, 62.0)
+        assert len(myers_calls) == 1
+        assert a.diff == diff_lines(
+            list(old), list(first_task.content.lines), 1, 2
+        )
+        assert b.diff == diff_lines(
+            list(old), list(second_task.content.lines), 4, 5
+        )
+        assert a.diff is not b.diff
+        assert a.diff._applied is not b.diff._applied  # one per message
+        assert a.diff.hunks is b.diff.hunks
+
+    def test_the_memo_forgets_its_oldest_pair_at_the_cap(
+        self, myers_calls, monkeypatch
+    ):
+        import repro.core.node as node_module
+
+        monkeypatch.setattr(node_module, "_HUNK_CAP", 2)
+        node, task = self.primed("memo-cap", 1)
+        one = task.content.lines
+        bodies = (
+            "<item>two</item>", "<item>three</item>", "<item>four</item>"
+        )
+        for body in bodies:
+            task.content.replace(1, one)
+            node.execute_poll(task, fetch(URL, body), 61.0)
+        assert len(node_module._HUNKS) == 2
+        assert len(myers_calls) == 3
+        task.content.replace(1, one)
+        node.execute_poll(task, fetch(URL, bodies[-1]), 121.0)
+        assert len(myers_calls) == 3  # still held
+        task.content.replace(1, one)
+        node.execute_poll(task, fetch(URL, bodies[0]), 181.0)
+        assert len(myers_calls) == 4  # the first pair was evicted
 
 
 class SpyExtractor:

@@ -48,20 +48,31 @@ def factors_for(node_id, boost: int = 0):
     )
 
 
+def sparse_factors_for(node_id, boost: int = 0):
+    """The ``overlay-4096`` locals: two thirds of the nodes own nothing
+    and hand over the shared empty summary, as a channel-less
+    :meth:`~repro.core.node.CoronaNode.local_summary` does."""
+    if node_id.value % 3 and not boost:
+        return ClusterSummary.empty(8)
+    return factors_for(node_id, boost + (node_id.value % 3 == 0))
+
+
 class MirroredPair:
     """A delta and an eager aggregator driven through identical events.
 
-    The eager side is stepped through the reference methods directly.
+    The eager side is stepped through the reference methods directly;
+    ``factors(node_id, boost)`` gives every node's local summary.
     """
 
-    def __init__(self, overlay, bins=8):
+    def __init__(self, overlay, bins=8, factors=factors_for):
         self.overlay = overlay
         self.delta = DecentralizedAggregator.for_overlay(overlay, bins=bins)
         self.eager = DecentralizedAggregator.for_overlay(overlay, bins=bins)
+        self.factors = factors
         self.boosts: dict = {}
 
     def local_channels(self, node_id):
-        return factors_for(node_id, self.boosts.get(node_id, 0))
+        return self.factors(node_id, self.boosts.get(node_id, 0))
 
     def load(self):
         # The system drives the delta aggregator through the dirty set
@@ -162,6 +173,47 @@ class TestPerRoundEquivalence:
             pair.load()
             pair.round()
         pair.assert_identical()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sparse_deep_cloud_bit_identical_every_round(self, seed):
+        """The ``overlay-4096`` shape, scaled down: at base 4 the
+        collision depth sits several rows past the occupied rows, so
+        most builds read an empty row; two thirds of the nodes own
+        nothing; one join wave and one crash wave land mid-growth."""
+        rng = random.Random(200 + seed)
+        overlay = OverlayNetwork.build(
+            256, base=4, leaf_size=3, address_prefix=f"sparse-{seed}"
+        )
+        pair = MirroredPair(overlay, factors=sparse_factors_for)
+        rows = pair.delta.rows
+        shallow = sum(
+            max(table.occupied_rows()) + 3 < rows
+            for table in overlay.routing_tables().values()
+        )
+        assert shallow > 0.75 * len(overlay)
+        owners = [
+            node_id for node_id in overlay.node_ids() if node_id.value % 3 == 0
+        ]
+        assert len(owners) < len(overlay) / 2
+        for _ in range(3):
+            pair.load()
+            pair.round()
+            pair.assert_identical()
+        pair.join(*(f"sparse-{seed}-joiner-{n}" for n in range(6)))
+        for node_id in rng.sample(overlay.node_ids(), 3):
+            pair.bump_factors(node_id)
+        for _ in range(2):
+            pair.load()
+            pair.round()
+            pair.assert_identical()
+        pair.crash(rng.sample(overlay.node_ids(), 8))
+        for _ in range(pair.delta.rows + 2):
+            pair.load()
+            pair.round()
+            pair.assert_identical()
+        assert all(
+            state.horizon() == 0 for state in pair.delta.states.values()
+        )
 
     def test_steady_state_rounds_do_no_summary_work(self):
         """Once converged with stable factors, delta rounds are free

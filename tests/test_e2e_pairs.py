@@ -93,6 +93,60 @@ def test_a_spread_over_the_bound_can_still_be_separated(pairs):
     assert text.endswith("OVER")
 
 
+def _claim_line(text: str) -> str:
+    (line,) = [line for line in text.splitlines() if "claim rule:" in line]
+    return line
+
+
+def test_claim_rule_met_when_ahead_in_nine_tenths_by_more_than_the_spread(
+    pairs,
+):
+    # The parent spreads over a quartile distance of 2 (exclusive; 1.5
+    # inclusive); the change's median is 10 better, and it is ahead in
+    # 9 of the 10 pairs, the tenth a tie.
+    parent = [100.0 + d for d in (-1, 0, 1, 0, -1, 1, 0, -2, 2, 0)]
+    change = [110.0 + d for d in (0, 0, 1, -1, 0, 2, 0, -2)]
+    change += [parent[8], 111.0]
+    text = pairs.report(THROUGHPUT, parent, change)
+    assert "parent's quartile distance 2\n" in text
+    line = _claim_line(text)
+    assert "ahead in 9/10 pairs (needs 9/10): yes" in line
+    assert "median gap 10 against the parent's" in line
+    assert "quartile distance 2: yes" in line
+    assert line.endswith("-> met")
+
+
+def test_claim_rule_fails_when_ahead_in_fewer_than_nine_tenths(pairs):
+    parent = [100.0] * 10
+    change = [150.0] * 8 + [90.0, 100.0]  # 8 ahead, 1 behind, 1 tie
+    line = _claim_line(pairs.report(THROUGHPUT, parent, change))
+    assert "ahead in 8/10 pairs (needs 9/10): no" in line
+    assert "median gap 50 against the parent's" in line
+    assert "quartile distance 0: yes" in line
+    assert line.endswith("-> not met")
+
+
+def test_claim_rule_fails_when_the_gap_is_inside_the_parents_spread(pairs):
+    """Ahead in every pair, yet the gap of medians (3) is smaller than
+    the parent's own quartile distance (6.5 exclusive), in the metric's
+    direction: lower is better here."""
+    lower = dict(THROUGHPUT, name="run_wall_s", unit="s", better="lower")
+    parent = [10.0, 20.0, 12.0, 18.0, 14.0, 16.0, 11.0, 19.0, 13.0, 17.0]
+    change = [p - 3.0 for p in parent]
+    line = _claim_line(pairs.report(lower, parent, change))
+    assert "ahead in 10/10 pairs (needs 9/10): yes" in line
+    assert "median gap 3 against the parent's" in line
+    assert "quartile distance 6.5: no" in line
+    assert line.endswith("-> not met")
+
+
+def test_claim_rule_is_not_met_by_a_metric_that_did_not_move(pairs):
+    same = [5.0, 6.0, 7.0]
+    line = _claim_line(pairs.report(THROUGHPUT, same, list(same)))
+    assert "ahead in 0/3 pairs" in line
+    assert line.endswith("-> not met")
+
+
 def test_measure_alternates_which_side_runs_first(pairs, tmp_path, capsys):
     tree = _stub_tree(tmp_path, f"print({json.dumps(STUB_RESULT)!r})\n")
     values = pairs.measure(
