@@ -25,6 +25,7 @@ import math
 import zlib
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.channel import Channel
 from repro.core.config import CoronaConfig
@@ -51,40 +52,19 @@ def _content_hash(lines: tuple[str, ...]) -> int:
     return zlib.crc32("\n".join(lines).encode("utf-8"))
 
 
-#: (old lines, new lines) -> the hunks :func:`diff_lines` made of them.
-#: One poll batch can hand several wedge members the same pair (on a
-#: channel without timestamps their versions differ, their lines not);
-#: the hunks are a pure function of the pair — the versions only label
-#: the :class:`Diff` — so each distinct pair is diffed once.
-_HUNKS: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[Hunk, ...]] = {}
-#: FIFO bound of ``_HUNKS``.  A repeat follows its first diff within
-#: its poll batch: on the e2e workloads (seeds 0-2) at most 29 other
-#: pairs came between them.  Each held pair keeps its old lines alive.
-_HUNK_CAP = 64
+@lru_cache(maxsize=64)
+def _hunks(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[Hunk, ...]:
+    """The hunks :func:`diff_lines` makes of two line tuples, memoised.
 
-
-def _diff(
-    old: tuple[str, ...],
-    new: tuple[str, ...],
-    base_version: int,
-    new_version: int,
-) -> Diff:
-    """:func:`diff_lines` of two line tuples, Myers run once per pair.
-
-    Every call returns a fresh :class:`Diff` (its patch memo belongs
-    to one flooded message); a repeated pair shares the hunk tuple.
+    One poll batch can hand several wedge members the same pair (on a
+    channel without timestamps their versions differ, their lines not);
+    the hunks are a pure function of the pair — the versions only label
+    the :class:`Diff` — so each distinct pair is diffed once.  A repeat
+    follows its first diff within its poll batch: on the e2e workloads
+    (seeds 0-2) at most 29 other pairs came between them, well inside
+    the bound.  Each held pair keeps its old lines alive.
     """
-    key = (old, new)
-    hunks = _HUNKS.get(key)
-    if hunks is None:
-        delta = diff_lines(list(old), list(new), base_version, new_version)
-        if len(_HUNKS) >= _HUNK_CAP:
-            del _HUNKS[next(iter(_HUNKS))]
-        _HUNKS[key] = delta.hunks
-        return delta
-    return Diff(
-        base_version=base_version, new_version=new_version, hunks=hunks
-    )
+    return diff_lines(list(old), list(new)).hunks
 
 
 @dataclass(frozen=True)
@@ -600,8 +580,11 @@ class CoronaNode:
             return None
         base_version = task.content.version
         new_version = fetched.server_version or base_version + 1
-        delta = _diff(
-            task.content.lines, new_lines, base_version, new_version
+        # A fresh Diff per call: its patch memo belongs to one message.
+        delta = Diff(
+            base_version=base_version,
+            new_version=new_version,
+            hunks=_hunks(task.content.lines, new_lines),
         )
         task.content.replace(new_version, new_lines)
         if delta.is_empty:

@@ -169,7 +169,7 @@ class AggregationState:
     )
     #: This node's routing table, resolved once: delta rounds read its
     #: rows through it instead of looking the table up per visit.
-    table: RoutingTable | None = field(default=None, compare=False, repr=False)
+    table: RoutingTable = field(kw_only=True, compare=False, repr=False)
 
     def best_remote(self) -> ClusterSummary:
         """Widest remote-channel summary (own channels excluded)."""

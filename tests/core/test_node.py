@@ -185,8 +185,9 @@ class TestHunkMemo:
             return real(old, new, *versions)
 
         monkeypatch.setattr(node_module, "diff_lines", counting)
-        monkeypatch.setattr(node_module, "_HUNKS", {})
-        return calls
+        node_module._hunks.cache_clear()
+        yield calls
+        node_module._hunks.cache_clear()  # nothing held from the spy
 
     @staticmethod
     def primed(address: str, version: int):
@@ -217,28 +218,27 @@ class TestHunkMemo:
         assert a.diff._applied is not b.diff._applied  # one per message
         assert a.diff.hunks is b.diff.hunks
 
-    def test_the_memo_forgets_its_oldest_pair_at_the_cap(
-        self, myers_calls, monkeypatch
+    def test_the_memo_forgets_its_least_recent_pair_at_the_cap(
+        self, myers_calls
     ):
         import repro.core.node as node_module
 
-        monkeypatch.setattr(node_module, "_HUNK_CAP", 2)
+        cap = node_module._hunks.cache_parameters()["maxsize"]
         node, task = self.primed("memo-cap", 1)
         one = task.content.lines
-        bodies = (
-            "<item>two</item>", "<item>three</item>", "<item>four</item>"
-        )
-        for body in bodies:
+
+        def poll(n: int, now: float) -> None:
             task.content.replace(1, one)
-            node.execute_poll(task, fetch(URL, body), 61.0)
-        assert len(node_module._HUNKS) == 2
-        assert len(myers_calls) == 3
-        task.content.replace(1, one)
-        node.execute_poll(task, fetch(URL, bodies[-1]), 121.0)
-        assert len(myers_calls) == 3  # still held
-        task.content.replace(1, one)
-        node.execute_poll(task, fetch(URL, bodies[0]), 181.0)
-        assert len(myers_calls) == 4  # the first pair was evicted
+            node.execute_poll(task, fetch(URL, f"<item>{n}</item>"), now)
+
+        for n in range(cap + 1):
+            poll(n, 61.0)
+        assert len(myers_calls) == cap + 1
+        assert node_module._hunks.cache_info().currsize == cap
+        poll(cap, 121.0)
+        assert len(myers_calls) == cap + 1  # still held
+        poll(0, 181.0)
+        assert len(myers_calls) == cap + 2  # the first pair was evicted
 
 
 class SpyExtractor:
